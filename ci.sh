@@ -319,4 +319,25 @@ grep -q 'worker 5 lost' "$bench_dir/fleet_cut.log" \
 grep -q 'WorkerLost' "$bench_dir/fleet_cut.jsonl" \
   || { echo "killed worker emitted no WorkerLost watchdog record"; exit 1; }
 
+echo "==> repo benchmark smoke (ledger/ builds against the public API, every workload correct)"
+# ledger/ is a package of its own, outside the workspace, so no step
+# above compiles it: without this, a public-API change could break the
+# benchmark with no signal. One short run of every workload; the last
+# line of each workload's output is its result record.
+cargo build --release --offline -q --manifest-path ledger/Cargo.toml
+ledger/target/release/rip-ledger --workload all --seed 1 --seconds 1 --trace 0 \
+  > "$bench_dir/ledger.txt" \
+  || { echo "benchmark ledger exited nonzero"; exit 1; }
+awk '
+  function check() {
+    n++
+    if (last !~ /"correct": true/ || last !~ /"failed": 0[,}]/) {
+      print "benchmark workload " name " is not correct: " last; bad = 1
+    }
+  }
+  /^=== / { if (name != "") check(); name = $2; last = ""; next }
+  { last = $0 }
+  END { if (name != "") check(); if (n == 0 || bad) exit 1 }
+' "$bench_dir/ledger.txt" || { echo "benchmark ledger smoke failed"; exit 1; }
+
 echo "CI OK"

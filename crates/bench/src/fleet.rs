@@ -175,7 +175,7 @@ impl From<LineError> for CollectError {
 
 /// Per-plane results carried by a `plane_done` line — exactly what the
 /// single-process runner gets from the plane's thread join.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Deserialize)]
 struct PlaneDoneMsg {
     plane: u64,
     fe_packets: u64,
@@ -206,6 +206,10 @@ pub fn push_worker_stream<W: Write>(
         serde_json::to_string(&planes_u64).expect("planes serialize"),
         serde_json::to_string(&job.echo).expect("echo serializes"),
     )?;
+    // One reused buffer per plane_done frame: the plane's report
+    // (megabytes on a big plane) is written into it once and handed to
+    // the framer in one write, never through intermediate strings.
+    let mut line = String::new();
     for run in runs {
         {
             // The sink writes the plane's lines through the framer —
@@ -216,20 +220,18 @@ pub fn push_worker_stream<W: Write>(
             run.staged
                 .replay_renamed(&plane_source_name(run.plane), &mut sink);
         }
-        let done = PlaneDoneMsg {
-            plane: run.plane as u64,
-            fe_packets: run.fe_dropped_packets,
-            fe_bytes: run.fe_dropped,
-            report: run.report,
-        };
-        writeln!(
-            framed,
-            "{{\"record\":\"plane_done\",\"plane\":{},\"fe_packets\":{},\"fe_bytes\":{},\"report\":{}}}",
-            done.plane,
-            done.fe_packets,
-            serde_json::to_string(&done.fe_bytes).expect("size serializes"),
-            serde_json::to_string(&done.report).expect("report serializes"),
-        )?;
+        // The fields of a `PlaneDoneMsg`, after the record kind.
+        line.clear();
+        line.push_str("{\"record\":\"plane_done\",\"plane\":");
+        run.plane.write_json(&mut line);
+        line.push_str(",\"fe_packets\":");
+        run.fe_dropped_packets.write_json(&mut line);
+        line.push_str(",\"fe_bytes\":");
+        run.fe_dropped.write_json(&mut line);
+        line.push_str(",\"report\":");
+        run.report.write_json(&mut line);
+        line.push_str("}\n");
+        framed.write_all(line.as_bytes())?;
     }
     // Wall-clock sidecar: when the router carries a profile hub (the
     // worker ran with `--profile`), ship its recent records as control

@@ -275,6 +275,13 @@ impl TelemetrySink for MetricsEndpoint {
     }
 }
 
+fn write_frame<W: Write>(inner: &mut W, record: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(record.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "record exceeds u32 frame"))?;
+    inner.write_all(&len.to_be_bytes())?;
+    inner.write_all(record)
+}
+
 /// Re-frames newline-delimited records as `u32` big-endian length
 /// prefixes followed by the record bytes (newline stripped) — the
 /// collector push wire format. Partial lines are buffered until their
@@ -303,18 +310,19 @@ impl<W: Write> LengthFramedWriter<W> {
 
 impl<W: Write> Write for LengthFramedWriter<W> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        for &b in data {
-            if b == b'\n' {
-                let len = u32::try_from(self.buf.len()).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "record exceeds u32 frame")
-                })?;
-                self.inner.write_all(&len.to_be_bytes())?;
-                self.inner.write_all(&self.buf)?;
-                self.buf.clear();
+        let mut rest = data;
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            // A whole line in one write is framed straight from `data`.
+            if self.buf.is_empty() {
+                write_frame(&mut self.inner, &rest[..nl])?;
             } else {
-                self.buf.push(b);
+                self.buf.extend_from_slice(&rest[..nl]);
+                write_frame(&mut self.inner, &self.buf)?;
+                self.buf.clear();
             }
+            rest = &rest[nl + 1..];
         }
+        self.buf.extend_from_slice(rest);
         Ok(data.len())
     }
 

@@ -4,12 +4,23 @@
 //! worker threads and merged deterministically in plane order. Any
 //! wall-clock timestamp, iteration-order dependence or float
 //! accumulation-order difference would show up here as a diff.
+//! Each report is also pinned across commits by an FNV-1a digest of
+//! its bytes: a change that alters one byte of either serialized
+//! report — the simulation or the JSON writer — must update the
+//! digest on purpose.
 
 use rip_core::{HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::trace_for;
 use rip_photonics::SplitPattern;
+use rip_traffic::hash::fnv1a;
 use rip_traffic::TrafficMatrix;
 use rip_units::SimTime;
+
+/// FNV-1a digest of [`switch_report_json`] (`RouterConfig::small`).
+const SWITCH_REPORT_FNV1A: u64 = 0x15fd_72b6_20af_45b1;
+
+/// FNV-1a digest of [`sps_report_json`] (`RouterConfig::resilience_small`).
+const SPS_REPORT_FNV1A: u64 = 0xf3cb_9ca0_f159_8cb5;
 
 /// One quickstart-style switch run, serialized.
 fn switch_report_json() -> String {
@@ -36,6 +47,11 @@ fn switch_report_snapshot_is_byte_stable() {
     let a = switch_report_json();
     let b = switch_report_json();
     assert_eq!(a, b, "same-seed switch reports must serialize identically");
+    assert_eq!(
+        fnv1a(a.as_bytes()),
+        SWITCH_REPORT_FNV1A,
+        "switch report bytes changed"
+    );
     // Schema sanity: the telemetry surface made it into the snapshot.
     for key in [
         "switch.frame.fill_efficiency",
@@ -55,6 +71,11 @@ fn sps_report_snapshot_is_byte_stable_across_thread_schedules() {
         a, b,
         "same-seed SPS reports must serialize identically regardless of \
          worker-thread scheduling"
+    );
+    assert_eq!(
+        fnv1a(a.as_bytes()),
+        SPS_REPORT_FNV1A,
+        "SPS report bytes changed"
     );
     assert!(a.contains("metrics"), "merged registry must be present");
 }
