@@ -64,9 +64,6 @@ scrape_metrics() {
 # ops to amortize the wheel's initial cascade, and the regression gate
 # below needs a stable number.
 (cd "$bench_dir" && "$OLDPWD/target/release/repro" kernel-speed > /dev/null)
-# parallel-speed also runs in full mode: it asserts byte-identical
-# reports across engines and its speedup ratio feeds the gate below.
-(cd "$bench_dir" && "$OLDPWD/target/release/repro" parallel-speed > /dev/null)
 # fleet asserts the collector's merged stream is byte-identical to the
 # single-process oracle across several worker partitionings.
 (cd "$bench_dir" && "$OLDPWD/target/release/repro" fleet --quick > /dev/null)
@@ -75,7 +72,7 @@ scrape_metrics() {
 # emitted file so a stale artifact can never pass.
 (cd "$bench_dir" && "$OLDPWD/target/release/repro" profile-overhead --quick > /dev/null)
 for f in BENCH_sps_throughput.json BENCH_hbm_access.json BENCH_streaming_memory.json \
-         BENCH_telemetry_overhead.json BENCH_kernel_speed.json BENCH_parallel_speed.json \
+         BENCH_telemetry_overhead.json BENCH_kernel_speed.json \
          BENCH_fleet_collector.json BENCH_profile_overhead.json; do
   bench_keys "$bench_dir/$f" > "$bench_dir/$f.keys"
 done
@@ -83,7 +80,6 @@ cat "$bench_dir"/BENCH_sps_throughput.json.keys "$bench_dir"/BENCH_hbm_access.js
   "$bench_dir"/BENCH_streaming_memory.json.keys \
   "$bench_dir"/BENCH_telemetry_overhead.json.keys \
   "$bench_dir"/BENCH_kernel_speed.json.keys \
-  "$bench_dir"/BENCH_parallel_speed.json.keys \
   "$bench_dir"/BENCH_fleet_collector.json.keys \
   "$bench_dir"/BENCH_profile_overhead.json.keys \
   | sort -u > "$bench_dir/bench.keys"
@@ -106,23 +102,6 @@ awk -v c="$cur_ratio" -v b="$base_ratio" 'BEGIN { exit !(c >= 0.9 * b) }' \
   || { echo "kernel speedup regressed: $cur_ratio vs baseline $base_ratio (>10% slowdown)"; exit 1; }
 echo "kernel speedup_vs_heap $cur_ratio (baseline $base_ratio)"
 
-echo "==> sharded-engine speed gate (vs sequential oracle, >10% regression fails)"
-# Same shape as the kernel gate: the gated quantity is the 4-shard
-# wall-clock ratio against the sequential engine. The committed
-# baseline was measured on a single-core host (cores_available=1,
-# recorded in the bench file), where the ratio captures coordination
-# overhead under time-slicing — a conservative floor that a real
-# serialization regression would still fall through.
-base_par="$(grep -o '"speedup_sharded4": *[0-9.]*' tests/bench_parallel_speed_baseline.json \
-  | grep -o '[0-9.]*$')"
-cur_par="$(grep -o '"speedup_sharded4": *[0-9.]*' "$bench_dir/BENCH_parallel_speed.json" \
-  | grep -o '[0-9.]*$')"
-test -n "$base_par" && test -n "$cur_par" \
-  || { echo "parallel-speed ratio missing from bench or baseline"; exit 1; }
-awk -v c="$cur_par" -v b="$base_par" 'BEGIN { exit !(c >= 0.9 * b) }' \
-  || { echo "sharded-engine speedup regressed: $cur_par vs baseline $base_par (>10% slowdown)"; exit 1; }
-echo "sharded speedup_sharded4 $cur_par (baseline $base_par)"
-
 echo "==> self-profiler overhead gate (<3%, outputs byte-identical)"
 grep -q '"byte_identical": true' "$bench_dir/BENCH_profile_overhead.json" \
   || { echo "profiler changed a deterministic output"; exit 1; }
@@ -133,9 +112,9 @@ awk -v o="$prof_frac" 'BEGIN { exit !(o < 0.03) }' \
   || { echo "self-profiler overhead $prof_frac is at or above the 3% budget"; exit 1; }
 echo "profiler overhead_frac $prof_frac (budget < 0.03)"
 
-echo "==> kernel + engine equivalence suite (engines x kernels, byte-identical outputs)"
+echo "==> kernel + entry-point equivalence suite (plain/checkpointed x kernels, byte-identical outputs)"
 cargo test --release -q -p rip-integration-tests --test kernel_equivalence \
-  || { echo "kernel/engine equivalence suite failed"; exit 1; }
+  || { echo "kernel/entry-point equivalence suite failed"; exit 1; }
 
 echo "==> streaming soak smoke (bounded in-flight memory + live epoch determinism)"
 for d in soak_a soak_b; do
@@ -192,6 +171,24 @@ fi
 grep -q 'DegradedCapacity' "$bench_dir/soak_fault.log" \
   || { echo "fault-injected soak fired no degraded-capacity watchdog"; exit 1; }
 
+echo "==> fault-plan validation (an unservable plan is a typed error, not a panic)"
+# One channel per stripe subset: losing channel 0 leaves subset 0 with
+# no live channel, which validation must reject before the run starts.
+sed 's/"stripe_channels": null/"stripe_channels": 1/' configs/quickstart.json \
+  > "$bench_dir/stripe1.json"
+grep -q '"stripe_channels": 1' "$bench_dir/stripe1.json" \
+  || { echo "could not derive the one-channel-stripe spec"; exit 1; }
+if target/release/ripsim soak "$bench_dir/stripe1.json" --inject-channel-fault 0 \
+     > /dev/null 2> "$bench_dir/stripe1.log"; then
+  echo "unservable fault plan unexpectedly exited zero"; exit 1
+fi
+grep -q 'fault plan cannot be served at .* on switch 0: every channel of stripe subset 0 has failed' \
+  "$bench_dir/stripe1.log" \
+  || { echo "unservable fault plan produced no typed error"; exit 1; }
+if grep -q 'panicked' "$bench_dir/stripe1.log"; then
+  echo "unservable fault plan panicked"; exit 1
+fi
+
 echo "==> flight recorder smoke (watchdog trip dumps a parseable bundle)"
 mkdir "$bench_dir/flight"
 if target/release/ripsim soak configs/soak_live.json --inject-channel-fault 0 \
@@ -207,21 +204,6 @@ target/release/ripsim flight-check "$bench_dir/flight/flight_watchdog.json" \
 echo "==> checkpoint/resume smoke (SIGKILL mid-soak, byte-identical continuation)"
 target/release/ripsim soak configs/soak_ckpt.json \
   > "$bench_dir/ckpt_base.jsonl" 2> /dev/null
-# 2-shard soak smoke: the sharded engine must stream the byte-identical
-# JSONL the sequential baseline just produced.
-target/release/ripsim soak configs/soak_ckpt.json --threads 2 \
-  > "$bench_dir/ckpt_sharded.jsonl" 2> /dev/null \
-  || { echo "2-shard soak smoke exited nonzero"; exit 1; }
-cmp "$bench_dir/ckpt_sharded.jsonl" "$bench_dir/ckpt_base.jsonl" \
-  || { echo "2-shard soak stream is not byte-identical to the sequential one"; exit 1; }
-# Checkpointing under the sharded engine must be refused with the typed
-# error — never a silently wrong resume.
-if target/release/ripsim soak configs/soak_ckpt.json --threads 2 --checkpoint-every 25 \
-     > /dev/null 2> "$bench_dir/ckpt_sharded_reject.log"; then
-  echo "sharded checkpointed soak unexpectedly exited zero"; exit 1
-fi
-grep -q 'requires the sequential engine' "$bench_dir/ckpt_sharded_reject.log" \
-  || { echo "sharded checkpoint produced no typed rejection"; exit 1; }
 snap="$bench_dir/soak.snapshot"
 target/release/ripsim soak configs/soak_ckpt.json \
   --checkpoint-every 25 --checkpoint-path "$snap" \
@@ -325,6 +307,8 @@ echo "==> repo benchmark smoke (ledger/ builds against the public API, every wor
 # benchmark with no signal. One short run of every workload; the last
 # line of each workload's output is its result record.
 cargo build --release --offline -q --manifest-path ledger/Cargo.toml
+cargo test --release --offline -q --manifest-path ledger/Cargo.toml \
+  || { echo "benchmark ledger unit tests failed"; exit 1; }
 ledger/target/release/rip-ledger --workload all --seed 1 --seconds 1 --trace 0 \
   > "$bench_dir/ledger.txt" \
   || { echo "benchmark ledger exited nonzero"; exit 1; }

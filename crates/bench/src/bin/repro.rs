@@ -14,13 +14,6 @@
 //! throughput run also streams per-plane epoch deltas and sampled
 //! packet-lifecycle spans to `BENCH_sps_epochs.jsonl`.
 //!
-//! `repro parallel-speed [--quick]` measures the sharded switch engine
-//! (2 and 4 input-stage worker shards) against the sequential oracle on
-//! the soak configuration, asserts byte-identical reports, and writes
-//! `BENCH_parallel_speed.json` (stable schema; records
-//! `cores_available` so single-core measurements are never mistaken for
-//! multi-core scaling).
-//!
 //! `repro kernel-speed [--quick]` measures the timing-wheel event
 //! kernel against the retained binary-heap oracle — an end-to-end
 //! same-seed soak pair (byte-identical reports asserted) plus a
@@ -64,12 +57,10 @@ use rip_analysis::{
 use rip_baselines::{
     DesignPoint, LoadBalancedRouter, MeshFabric, ParallelPacketSwitch, SprayingHbmSwitch,
 };
-use rip_bench::{
-    f, switch_trace, uniform_port_sources, uniform_source, uniform_trace, version_line, Table,
-};
+use rip_bench::{f, switch_trace, uniform_source, uniform_trace, version_line, Table};
 use rip_core::{
-    DrainPolicy, EngineKind, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig,
-    SpsRouter, SpsWorkload,
+    DrainPolicy, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig, SpsRouter,
+    SpsWorkload,
 };
 use rip_hbm::{
     AccessPattern, Direction, HbmGeometry, HbmGroup, HbmTiming, OpenPageController, PfiConfig,
@@ -111,11 +102,6 @@ fn main() {
     if args.first().map(String::as_str) == Some("kernel-speed") {
         let quick = args.iter().any(|a| a == "--quick");
         run_kernel_speed(quick);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("parallel-speed") {
-        let quick = args.iter().any(|a| a == "--quick");
-        run_parallel_speed(quick);
         return;
     }
     if args.first().map(String::as_str) == Some("soak") {
@@ -1672,145 +1658,6 @@ fn run_kernel_speed(quick: bool) {
         heap_eps / 1e6,
         wheel_eps / heap_eps
     );
-    println!("\ndone.");
-}
-
-// --------------------------------------------------------------------
-// `repro parallel-speed` — sharded engine vs sequential oracle
-// --------------------------------------------------------------------
-
-/// `BENCH_parallel_speed.json`: wall-clock of the sharded switch engine
-/// (2 and 4 input-stage worker shards) against the sequential oracle on
-/// the soak configuration. The `*_wall_ms`, `*_per_sec` and `speedup_*`
-/// fields are wall-clock measurements; every simulated quantity is
-/// byte-identical across engines by construction — the run asserts it
-/// before quoting any number. `cores_available` records the parallelism
-/// the measuring host actually offered: on a single hardware thread the
-/// shards time-slice one core and the speedup columns measure pure
-/// coordination overhead, not the multi-core scaling the engine exists
-/// for (see EXPERIMENTS.md E28 for the projection).
-#[derive(serde::Serialize)]
-struct ParallelSpeedBench {
-    schema: &'static str,
-    config: &'static str,
-    seed: u64,
-    load: f64,
-    horizon_ns: u64,
-    cores_available: u64,
-    offered_packets: u64,
-    delivered_packets: u64,
-    sequential_wall_ms: f64,
-    sharded2_wall_ms: f64,
-    sharded4_wall_ms: f64,
-    sequential_packets_per_sec: f64,
-    sharded2_packets_per_sec: f64,
-    sharded4_packets_per_sec: f64,
-    speedup_sharded2: f64,
-    speedup_sharded4: f64,
-}
-
-/// One end-to-end run under `engine`; returns the serialized report
-/// (for the byte-identity assert) and the min-of-`reps` wall clock of
-/// the engine itself (source construction excluded, worker spawn and
-/// join included — they are part of the engine's cost).
-fn parallel_speed_run(
-    cfg: &RouterConfig,
-    load: f64,
-    horizon: SimTime,
-    seed: u64,
-    engine: EngineKind,
-    reps: u32,
-) -> (rip_core::SwitchReport, String, f64) {
-    let mut cfg = cfg.clone();
-    cfg.engine = engine;
-    let mut best_ms = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let ports = uniform_port_sources(&cfg, load, horizon, seed);
-        let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-        let t0 = std::time::Instant::now();
-        sw.run_ports(ports, cfg.drain.deadline(horizon), &FaultPlan::default());
-        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        report = Some(sw.into_report());
-    }
-    let report = report.expect("at least one rep");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    (report, json, best_ms)
-}
-
-fn run_parallel_speed(quick: bool) {
-    println!("Petabit Router-in-a-Package — sharded-engine speed benchmark");
-    println!("mode: {}", if quick { "quick" } else { "full" });
-    let cfg = RouterConfig::small();
-    let seed = 42u64;
-    let load = 0.8;
-    let horizon = SimTime::from_ns(if quick { 8_000 } else { 20_000 });
-    let reps = 3;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-
-    let (report, seq_json, seq_ms) =
-        parallel_speed_run(&cfg, load, horizon, seed, EngineKind::Sequential, reps);
-    let (_, s2_json, s2_ms) = parallel_speed_run(
-        &cfg,
-        load,
-        horizon,
-        seed,
-        EngineKind::Sharded { shards: 2 },
-        reps,
-    );
-    let (_, s4_json, s4_ms) = parallel_speed_run(
-        &cfg,
-        load,
-        horizon,
-        seed,
-        EngineKind::Sharded { shards: 4 },
-        reps,
-    );
-    assert_eq!(
-        seq_json, s2_json,
-        "parallel-speed runs diverged: Sharded(2) vs Sequential"
-    );
-    assert_eq!(
-        seq_json, s4_json,
-        "parallel-speed runs diverged: Sharded(4) vs Sequential"
-    );
-    let offered = report.offered_packets;
-    assert!(offered > 0, "parallel-speed run offered no packets");
-
-    let bench = ParallelSpeedBench {
-        schema: "rip-bench/parallel_speed/v1",
-        config: "small",
-        seed,
-        load,
-        horizon_ns: horizon.as_ps() / 1000,
-        cores_available: cores,
-        offered_packets: offered,
-        delivered_packets: report.delivered_packets,
-        sequential_wall_ms: seq_ms,
-        sharded2_wall_ms: s2_ms,
-        sharded4_wall_ms: s4_ms,
-        sequential_packets_per_sec: offered as f64 / (seq_ms / 1e3),
-        sharded2_packets_per_sec: offered as f64 / (s2_ms / 1e3),
-        sharded4_packets_per_sec: offered as f64 / (s4_ms / 1e3),
-        speedup_sharded2: seq_ms / s2_ms,
-        speedup_sharded4: seq_ms / s4_ms,
-    };
-    write_json("BENCH_parallel_speed.json", &bench);
-    println!(
-        "end-to-end ({cores} core(s) available): sequential {seq_ms:.1} ms, \
-         2 shards {s2_ms:.1} ms ({:.2}x), 4 shards {s4_ms:.1} ms ({:.2}x), \
-         reports byte-identical",
-        seq_ms / s2_ms,
-        seq_ms / s4_ms
-    );
-    if cores < 4 {
-        println!(
-            "note: fewer cores than shards — the ratios above measure coordination \
-             overhead under time-slicing, not multi-core scaling (see EXPERIMENTS.md E28)"
-        );
-    }
     println!("\ndone.");
 }
 

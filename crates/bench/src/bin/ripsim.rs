@@ -62,14 +62,6 @@
 //! demand by a merged packet source, never materialized as a trace, so
 //! the horizon can grow without the memory footprint following it.
 //!
-//! Every mode honors the spec's `router.engine` field (`sequential` or
-//! `{"kind": "sharded", "shards": N}`); `trace` and `soak` also take
-//! `--threads <n>`, which overrides it (`1` = sequential, `n>1` = that
-//! many input-stage worker shards). The sharded engine is byte-for-byte
-//! identical to the sequential one — same reports, same JSONL — but
-//! checkpointing (`--checkpoint-every` / `--resume`) refuses it with a
-//! typed error: worker run-ahead is not part of a snapshot.
-//!
 //! ```text
 //! ripsim --example-spec > my_sim.json
 //! ripsim my_sim.json
@@ -98,8 +90,8 @@ use std::sync::{Arc, Mutex};
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
 use rip_bench::{version_line, Table, SERVICE_VERSION};
 use rip_core::{
-    ConfigError, DrainPolicy, EngineKind, FaultKind, FaultPlan, HbmSwitch, LiveOptions,
-    RouterConfig, RunOutcome, SpsRouter, SpsWorkload,
+    ConfigError, DrainPolicy, FaultKind, FaultPlan, HbmSwitch, LiveOptions, RouterConfig,
+    RunOutcome, SpsRouter, SpsWorkload,
 };
 use rip_photonics::SplitPattern;
 use rip_telemetry::{
@@ -236,16 +228,13 @@ impl SimSpec {
     }
 }
 
-/// Validate `spec` and build its pull-based per-port packet sources:
-/// the same arrival sequence the old materialized trace held, streamed
-/// lazily (one bounded generator per port). The engine selected by
-/// `spec.router.engine` decides how they are consumed: the sequential
-/// engine merges them on the calling thread, the sharded engine
-/// partitions them across worker shards.
-fn build_port_sources(
+/// Validate `spec` and build its pull-based packet source: the same
+/// arrival sequence the old materialized trace held, streamed lazily
+/// (one bounded generator per port, merged into one stream).
+fn build_source(
     spec: &SimSpec,
     horizon: SimTime,
-) -> Result<Vec<BoundedSource<PacketGenerator>>, String> {
+) -> Result<MergedSource<BoundedSource<PacketGenerator>>, String> {
     spec.router.validate().map_err(|e| e.to_string())?;
     if !(0.0..=1.0).contains(&spec.load) {
         return Err(format!("load {} out of [0, 1]", spec.load));
@@ -270,29 +259,7 @@ fn build_port_sources(
             Ok(BoundedSource::new(g, horizon))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    Ok(lanes)
-}
-
-/// The per-port sources merged into one stream — what the sequential
-/// checkpointed soak consumes (snapshots capture the merged cursor).
-fn build_source(
-    spec: &SimSpec,
-    horizon: SimTime,
-) -> Result<MergedSource<BoundedSource<PacketGenerator>>, String> {
-    Ok(MergedSource::new(build_port_sources(spec, horizon)?))
-}
-
-/// Apply a `--threads N` override to the spec's engine selection:
-/// `1` forces the sequential engine, anything else asks for that many
-/// input-stage shards (validated against the port count by
-/// [`RouterConfig::validate`], so `0` or more threads than ports fail
-/// with the typed [`ConfigError`]).
-fn apply_threads(spec: &mut SimSpec, threads: Option<usize>) {
-    match threads {
-        None => {}
-        Some(1) => spec.router.engine = EngineKind::Sequential,
-        Some(shards) => spec.router.engine = EngineKind::Sharded { shards },
-    }
+    Ok(MergedSource::new(lanes))
 }
 
 /// The spec's simulation deadline: its drain factor applied on top of
@@ -306,7 +273,7 @@ fn drain_deadline(spec: &SimSpec, horizon: SimTime) -> SimTime {
 
 fn run(spec: &SimSpec) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let ports = build_port_sources(spec, horizon)?;
+    let source = build_source(spec, horizon)?;
     let n = spec.router.ribbons;
     println!(
         "spec: {} ports x {}, frame {}, load {:.2}, streaming arrivals over {} us",
@@ -317,7 +284,7 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         spec.horizon_us
     );
     let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
-    sw.run_ports(ports, drain_deadline(spec, horizon), &FaultPlan::default());
+    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
     let r = sw.into_report();
 
     let mut t = Table::new(&["metric", "value"]);
@@ -592,12 +559,6 @@ fn persist_soak(
 /// `keep_lines` prefix cuts anyway. Watchdogs and `--metrics` are off
 /// in this mode: their cumulative state is not part of the snapshot.
 fn run_soak_checkpointed(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
-    if let EngineKind::Sharded { .. } = spec.router.engine {
-        // A snapshot captures the one serial engine's complete state;
-        // the sharded engine's worker run-ahead is not snapshottable,
-        // so refuse loudly instead of resuming into a wrong answer.
-        return Err(ConfigError::ShardedCheckpoint.to_string());
-    }
     let period = match spec.epoch_ps {
         Some(0) => return Err(ConfigError::EpochZero.to_string()),
         Some(ps) => TimeDelta::from_ps(ps),
@@ -906,7 +867,7 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
     let mut reports = Vec::new();
     for mult in [1u64, 4] {
         let horizon = SimTime::from_ns(spec.horizon_us * 1000 * mult);
-        let ports = build_port_sources(spec, horizon)?;
+        let source = build_source(spec, horizon)?;
         let plan = match opts.inject_channel_fault {
             Some(channel) => {
                 let plan = FaultPlan::new().inject(
@@ -944,7 +905,7 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
             sw.enable_live_telemetry(period, 256, Box::new(watch));
             handle
         });
-        sw.run_ports(ports, drain_deadline(spec, horizon), &plan);
+        sw.run_source(source, drain_deadline(spec, horizon), &plan);
         let epochs = sw.live_epochs_emitted();
         let spans = sw.live_spans_emitted();
         let r = sw.into_report();
@@ -1519,14 +1480,14 @@ impl Drop for JsonlGuard {
 /// two same-seed runs produce byte-identical output.
 fn run_trace(spec: &SimSpec, prof: &ProfileOptions) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let ports = build_port_sources(spec, horizon)?;
+    let source = build_source(spec, horizon)?;
     let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
     let hub = build_profile_hub(prof)?;
     if let Some(h) = &hub {
         sw.enable_profiler(h.clone());
     }
     sw.enable_trace(1 << 20);
-    sw.run_ports(ports, drain_deadline(spec, horizon), &FaultPlan::default());
+    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
     // Copy the series out before consuming the switch for its report;
     // the emission order below is part of the JSONL contract.
     let events: Vec<(SimTime, rip_core::SwitchEvent)> = sw
@@ -1640,7 +1601,7 @@ fn run_trace_chrome(
     prof: &ProfileOptions,
 ) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let ports = build_port_sources(spec, horizon)?;
+    let source = build_source(spec, horizon)?;
     let period = match spec.epoch_ps {
         Some(0) => return Err(ConfigError::EpochZero.to_string()),
         Some(ps) => TimeDelta::from_ps(ps),
@@ -1657,7 +1618,7 @@ fn run_trace_chrome(
     sw.enable_chrome_trace(window);
     let staged = SharedSink::new();
     sw.enable_live_telemetry(period, 64, Box::new(staged.clone()));
-    sw.run_ports(ports, drain_deadline(spec, horizon), &FaultPlan::default());
+    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
     let mut rec = sw
         .take_chrome_trace()
         .expect("chrome trace was enabled above");
@@ -1902,19 +1863,6 @@ fn require_value<'a>(rest: &mut std::slice::Iter<'a, String>, flag: &str, what: 
     }
 }
 
-/// Parse a `--threads` value. Range checking happens later through
-/// [`RouterConfig::validate`] (0 and more-than-ports both get typed
-/// [`ConfigError`]s); only non-numbers are a usage error here.
-fn parse_threads(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("ripsim: bad --threads value {v}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--version") {
@@ -1943,17 +1891,10 @@ fn main() {
         let mut spec_path: Option<&str> = None;
         let mut chrome: Option<&str> = None;
         let mut window: Option<TraceWindow> = None;
-        let mut threads: Option<usize> = None;
         let mut prof = ProfileOptions::default();
         let mut rest = args[1..].iter();
         while let Some(a) = rest.next() {
-            if a == "--threads" {
-                threads = Some(parse_threads(require_value(
-                    &mut rest,
-                    "--threads",
-                    "a worker-shard count",
-                )));
-            } else if a == "--profile" {
+            if a == "--profile" {
                 prof.profile = true;
             } else if a == "--profile-out" {
                 prof.profile_out = Some(require_value(&mut rest, "--profile-out", "a path").into());
@@ -1979,8 +1920,7 @@ fn main() {
             eprintln!("ripsim: --trace-window only applies to --chrome exports");
             std::process::exit(2);
         }
-        let mut spec = spec_path.map_or_else(SimSpec::example, load_spec);
-        apply_threads(&mut spec, threads);
+        let spec = spec_path.map_or_else(SimSpec::example, load_spec);
         let result = match chrome {
             Some(path) => {
                 run_trace_chrome(&spec, path, window.unwrap_or_else(TraceWindow::all), &prof)
@@ -1996,17 +1936,10 @@ fn main() {
     if args.first().map(String::as_str) == Some("soak") {
         let mut spec_path: Option<&str> = None;
         let mut epoch: Option<u64> = None;
-        let mut threads: Option<usize> = None;
         let mut opts = SoakOptions::default();
         let mut rest = args[1..].iter();
         while let Some(a) = rest.next() {
-            if a == "--threads" {
-                threads = Some(parse_threads(require_value(
-                    &mut rest,
-                    "--threads",
-                    "a worker-shard count",
-                )));
-            } else if a == "--epoch" {
+            if a == "--epoch" {
                 let v = require_value(&mut rest, "--epoch", "a period in picoseconds");
                 match v.parse::<u64>() {
                     Ok(ps) => epoch = Some(ps),
@@ -2071,7 +2004,6 @@ fn main() {
         if epoch.is_some() {
             spec.epoch_ps = epoch;
         }
-        apply_threads(&mut spec, threads);
         if let Err(e) = run_soak(&spec, &opts) {
             eprintln!("ripsim: soak FAILED: {e}");
             std::process::exit(1);
@@ -2256,9 +2188,9 @@ fn main() {
     let Some(path) = args.first() else {
         eprintln!(
             "usage: ripsim <spec.json> | \
-             ripsim trace [spec.json] [--threads <n>] [--chrome <out.json>] \
+             ripsim trace [spec.json] [--chrome <out.json>] \
              [--trace-window <a>:<b>] [--profile [--profile-out <path>]] | \
-             ripsim soak [spec.json] [--threads <n>] [--epoch <ps>] [--metrics <addr>] \
+             ripsim soak [spec.json] [--epoch <ps>] [--metrics <addr>] \
              [--metrics-port-file <path>] [--metrics-hold-ms <ms>] \
              [--inject-channel-fault <ch>] [--checkpoint-every <epochs>] \
              [--checkpoint-path <path>] [--resume <path>] \

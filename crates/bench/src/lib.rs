@@ -88,26 +88,7 @@ pub fn switch_source(
     horizon: SimTime,
     seed: u64,
 ) -> MergedSource<BoundedSource<PacketGenerator>> {
-    MergedSource::new(switch_port_sources(
-        cfg, tm, load, sizes, process, horizon, seed,
-    ))
-}
-
-/// The per-port sources behind [`switch_source`], unmerged — what
-/// engine-selecting entry points ([`rip_core::HbmSwitch::run_ports`])
-/// consume: the sequential engine merges them on the calling thread,
-/// the sharded engine partitions them across worker shards. Same
-/// generators, same seeds, same packet sequence either way.
-pub fn switch_port_sources(
-    cfg: &RouterConfig,
-    tm: &TrafficMatrix,
-    load: f64,
-    sizes: SizeDistribution,
-    process: ArrivalProcess,
-    horizon: SimTime,
-    seed: u64,
-) -> Vec<BoundedSource<PacketGenerator>> {
-    (0..cfg.ribbons)
+    let ports = (0..cfg.ribbons)
         .filter_map(|i| {
             let row_load = (load * tm.row_load(i)).min(1.0);
             if row_load <= 0.0 {
@@ -126,25 +107,8 @@ pub fn switch_port_sources(
             .expect("valid generator");
             Some(BoundedSource::new(g, horizon))
         })
-        .collect()
-}
-
-/// Uniform-workload counterpart of [`switch_port_sources`].
-pub fn uniform_port_sources(
-    cfg: &RouterConfig,
-    load: f64,
-    horizon: SimTime,
-    seed: u64,
-) -> Vec<BoundedSource<PacketGenerator>> {
-    switch_port_sources(
-        cfg,
-        &TrafficMatrix::uniform(cfg.ribbons, 1.0),
-        load,
-        SizeDistribution::Imix,
-        ArrivalProcess::Poisson,
-        horizon,
-        seed,
-    )
+        .collect();
+    MergedSource::new(ports)
 }
 
 /// Pull-based counterpart of [`uniform_trace`].

@@ -9,9 +9,6 @@ use rip_traffic::{FlowKey, Packet};
 use rip_units::{DataSize, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Sentinel egress-lane tag: the output port hashes the flow itself.
-pub const NO_LANE: u32 = u32::MAX;
-
 /// A contiguous piece of one packet inside a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Chunk {
@@ -27,14 +24,6 @@ pub struct Chunk {
     pub arrival: SimTime,
     /// The packet's flow (threaded through for egress lane hashing).
     pub flow: FlowKey,
-    /// Pre-hashed egress lane (`fiber * wavelengths + wavelength`), or
-    /// [`NO_LANE`] to hash at the output port. Real routers resolve the
-    /// ECMP/LAG lane once at ingress lookup and carry it in packet
-    /// metadata; the sharded engine does the same (memoized per flow on
-    /// the shard), while the sequential oracle keeps hashing at egress.
-    /// The tag is pure plumbing: both paths evaluate the identical hash
-    /// function, so reports never depend on which one ran.
-    pub lane: u32,
 }
 
 /// One fixed-size batch of packet data for a single output (§3.2:
@@ -69,9 +58,8 @@ impl Batch {
 /// Per-output VOQ state inside one input port.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Voq {
-    /// Queued (packet id, current offset, total size, arrival, flow,
-    /// egress-lane tag).
-    pending: VecDeque<(u64, u64, DataSize, SimTime, FlowKey, u32)>,
+    /// Queued (packet id, current offset, total size, arrival, flow).
+    pending: VecDeque<(u64, u64, DataSize, SimTime, FlowKey)>,
     /// Total queued bytes.
     queued: DataSize,
     /// Next batch sequence number.
@@ -131,23 +119,10 @@ impl BatchAssembler {
     /// retires drained batches back into the pool forms batches with no
     /// steady-state allocation.
     pub fn push_into(&mut self, p: &Packet, pool: &mut VecPool<Chunk>, out: &mut Vec<Batch>) {
-        self.push_tagged(p, NO_LANE, pool, out);
-    }
-
-    /// [`BatchAssembler::push_into`] with a pre-hashed egress-lane tag
-    /// stamped on every chunk the packet produces (see [`Chunk::lane`]).
-    pub fn push_tagged(
-        &mut self,
-        p: &Packet,
-        lane: u32,
-        pool: &mut VecPool<Chunk>,
-        out: &mut Vec<Batch>,
-    ) {
         assert!(p.output < self.voqs.len(), "output out of range");
         assert!(!p.size.is_zero(), "empty packet");
         let voq = &mut self.voqs[p.output];
-        voq.pending
-            .push_back((p.id, 0, p.size, p.arrival, p.flow, lane));
+        voq.pending.push_back((p.id, 0, p.size, p.arrival, p.flow));
         voq.queued += p.size;
         while self.voqs[p.output].queued >= self.batch_size {
             let b = self.form_batch(p.output, false, pool);
@@ -179,7 +154,7 @@ impl BatchAssembler {
         let mut remaining = k;
         let mut chunks = pool.get();
         while !remaining.is_zero() {
-            let Some((id, offset, size, arrival, flow, lane)) = voq.pending.front().copied() else {
+            let Some((id, offset, size, arrival, flow)) = voq.pending.front().copied() else {
                 break;
             };
             let left = DataSize::from_bytes(size.bytes() - offset);
@@ -192,7 +167,6 @@ impl BatchAssembler {
                 is_last,
                 arrival,
                 flow,
-                lane,
             });
             remaining -= take;
             voq.queued -= take;

@@ -59,43 +59,6 @@ impl DrainPolicy {
     }
 }
 
-/// Which execution engine drives a single [`crate::HbmSwitch`] run.
-///
-/// `Sequential` is the monolithic event loop and the differential
-/// oracle; `Sharded` splits the input stage across `shards` worker
-/// threads coordinated by timestamped boundary messages, with
-/// byte-identical output as the contract (the engine-equivalence suite
-/// runs every shipped config under both). Absent from a serialized
-/// config it defaults to `Sequential`, so existing specs are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum EngineKind {
-    /// One event loop on the calling thread (the differential oracle).
-    #[default]
-    Sequential,
-    /// Input-stage shards on worker threads feeding a serial core.
-    Sharded {
-        /// Worker-thread count; each owns `ribbons / shards` (rounded)
-        /// input ports. Must be in `1..=ribbons`.
-        shards: usize,
-    },
-}
-
-impl EngineKind {
-    /// Validate against a port count (shard counts outside
-    /// `1..=ribbons` leave shards with no work or none at all).
-    pub fn validate(&self, ribbons: usize) -> Result<(), ConfigError> {
-        match *self {
-            EngineKind::Sequential => Ok(()),
-            EngineKind::Sharded { shards: 0 } => Err(ConfigError::ZeroShards),
-            EngineKind::Sharded { shards } if shards > ribbons => {
-                Err(ConfigError::TooManyShards { shards, ribbons })
-            }
-            EngineKind::Sharded { .. } => Ok(()),
-        }
-    }
-}
-
 /// Complete configuration of one router-in-a-package.
 ///
 /// The reference values ([`RouterConfig::reference`]) are the paper's:
@@ -154,10 +117,6 @@ pub struct RouterConfig {
     /// twice the arrival horizon; see [`DrainPolicy`]).
     #[serde(default)]
     pub drain: DrainPolicy,
-    /// Which execution engine drives single-switch runs (defaults to
-    /// the sequential oracle; see [`EngineKind`]).
-    #[serde(default)]
-    pub engine: EngineKind,
 }
 
 impl RouterConfig {
@@ -180,7 +139,6 @@ impl RouterConfig {
             padding_and_bypass: true,
             batch_timeout_batches: 64,
             drain: DrainPolicy::default(),
-            engine: EngineKind::default(),
             stripe_channels: None,
             region_mode: RegionMode::Static,
             per_lane_egress: false,
@@ -217,7 +175,6 @@ impl RouterConfig {
             padding_and_bypass: true,
             batch_timeout_batches: 64,
             drain: DrainPolicy::default(),
-            engine: EngineKind::default(),
             stripe_channels: None,
             region_mode: RegionMode::Static,
             per_lane_egress: false,
@@ -256,7 +213,6 @@ impl RouterConfig {
             padding_and_bypass: true,
             batch_timeout_batches: 64,
             drain: DrainPolicy::default(),
-            engine: EngineKind::default(),
             stripe_channels: None,
             region_mode: RegionMode::Static,
             per_lane_egress: false,
@@ -293,7 +249,6 @@ impl RouterConfig {
             padding_and_bypass: true,
             batch_timeout_batches: 64,
             drain: DrainPolicy::default(),
-            engine: EngineKind::default(),
             stripe_channels: None,
             region_mode: RegionMode::Static,
             per_lane_egress: false,
@@ -425,7 +380,6 @@ impl RouterConfig {
             return Err(ConfigError::RegionTooSmall);
         }
         self.drain.validate()?;
-        self.engine.validate(self.ribbons)?;
         Ok(())
     }
 }
@@ -527,51 +481,6 @@ mod tests {
         let mut c = RouterConfig::small();
         c.head_frames = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn engine_kind_validates_shard_counts() {
-        let mut c = RouterConfig::small();
-        assert_eq!(c.engine, EngineKind::Sequential);
-        c.validate().expect("sequential default valid");
-
-        c.engine = EngineKind::Sharded { shards: 0 };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroShards));
-
-        c.engine = EngineKind::Sharded { shards: 5 }; // > 4 ribbons
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::TooManyShards {
-                shards: 5,
-                ribbons: 4
-            })
-        );
-
-        for shards in 1..=4 {
-            c.engine = EngineKind::Sharded { shards };
-            c.validate().expect("in-range shard count valid");
-        }
-    }
-
-    #[test]
-    fn engine_kind_serde_defaults_to_sequential() {
-        // A config serialized before the engine field existed must
-        // decode to the sequential oracle: the `#[serde(default)]` on
-        // the field falls back to `EngineKind::default()`.
-        #[derive(Deserialize)]
-        struct Probe {
-            #[serde(default)]
-            engine: EngineKind,
-        }
-        let p: Probe = serde_json::from_str("{}").expect("engine field optional");
-        assert_eq!(p.engine, EngineKind::Sequential);
-        // The tagged forms decode and round-trip.
-        let e: EngineKind =
-            serde_json::from_str(r#"{"kind":"sharded","shards":2}"#).expect("tagged decodes");
-        assert_eq!(e, EngineKind::Sharded { shards: 2 });
-        let text = serde_json::to_string(&e).expect("serializes");
-        let back: EngineKind = serde_json::from_str(&text).expect("round-trips");
-        assert_eq!(back, e);
     }
 
     #[test]

@@ -69,16 +69,6 @@ pub enum ConfigError {
         /// The underlying I/O failure.
         reason: String,
     },
-    /// A sharded engine was requested with zero shards.
-    ZeroShards,
-    /// A sharded engine was requested with more shards than input
-    /// ports — the extra shards would own no ports.
-    TooManyShards {
-        /// Requested shard count.
-        shards: usize,
-        /// N — input ports available to shard over.
-        ribbons: usize,
-    },
     /// A plane subset handed to [`crate::SpsRouter::run_planes`] (or a
     /// `ripsim plane-worker` `--planes` list) is empty, unsorted,
     /// repeats a plane, or names a plane the router does not have.
@@ -86,12 +76,6 @@ pub enum ConfigError {
         /// Why the subset was rejected.
         reason: String,
     },
-    /// Checkpoint or resume was combined with the sharded engine.
-    /// Snapshots capture the sequential loop's exact state (queue
-    /// entries, feeder lookahead); the sharded engine's in-flight
-    /// boundary messages are not in that state, so composing them would
-    /// risk a silently wrong resume — rejected loudly instead.
-    ShardedCheckpoint,
 }
 
 impl fmt::Display for ConfigError {
@@ -139,23 +123,8 @@ impl fmt::Display for ConfigError {
             ConfigError::CheckpointDir { path, reason } => {
                 write!(f, "snapshot path {path} is not writable: {reason}")
             }
-            ConfigError::ZeroShards => {
-                write!(f, "sharded engine needs at least one shard")
-            }
-            ConfigError::TooManyShards { shards, ribbons } => {
-                write!(
-                    f,
-                    "sharded engine with {shards} shards exceeds the {ribbons} input ports available"
-                )
-            }
             ConfigError::PlaneSubset { reason } => {
                 write!(f, "invalid plane subset: {reason}")
-            }
-            ConfigError::ShardedCheckpoint => {
-                write!(
-                    f,
-                    "checkpoint/resume requires the sequential engine; the sharded engine cannot snapshot (run with --threads 1 or engine kind \"sequential\")"
-                )
             }
         }
     }

@@ -7,24 +7,21 @@ use std::collections::{HashSet, VecDeque};
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
 use rip_sim::stats::Histogram;
-use rip_sim::{
-    EventQueue, EventSink, Feeder, QueueKind, Series, ShardedEventQueue, TraceLog, VecPool,
-};
+use rip_sim::{EventQueue, QueueKind, Series, TraceLog, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
     MetricsRegistry, Phase, ProfileHub, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
     TraceWindow, PID_FRAMES, PID_HBM,
 };
-use rip_traffic::{MergedSource, Packet, PacketSource, ReplaySource, StatefulSource};
+use rip_traffic::{Packet, PacketSource, ReplaySource, StatefulSource};
 use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::batch::{Batch, BatchAssembler, Chunk};
-use crate::config::{EngineKind, RouterConfig};
+use crate::config::RouterConfig;
 use crate::error::ConfigError;
 use crate::output::{OutputPort, PacketDeparture};
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
-use crate::shard_engine::{ArrivalFx, FlushFx, ShardEngine, ShardParams, ShardStream, ShardTuning};
 use crate::sram::{Frame, HeadSram, TailSram};
 
 /// Observable milestones recorded by the optional switch trace
@@ -191,13 +188,12 @@ pub enum RunOutcome {
     Interrupted,
 }
 
-/// A checkpointable clone of [`Feeder`]'s single-item lookahead,
-/// holding the source by value so its position can be saved alongside
-/// the buffered packet. Semantics (fill-on-demand, the non-decreasing
-/// assert, and the `pulled` source-progress counter) mirror [`Feeder`]
-/// exactly — the streaming-equivalence argument in
-/// [`HbmSwitch::run_source`] carries over unchanged.
-struct CkptFeeder<S> {
+/// The run loop's single-packet arrival lookahead. It holds the source
+/// by value, so a checkpoint can save the source position together
+/// with the buffered packet. It pulls on demand, asserts that arrival
+/// times never decrease, and counts pulled packets as a source-progress
+/// gauge (the lookahead packet included).
+struct Feeder<S> {
     source: S,
     buf: Option<(SimTime, Packet)>,
     source_done: bool,
@@ -205,9 +201,9 @@ struct CkptFeeder<S> {
     pulled: u64,
 }
 
-impl<S: PacketSource> CkptFeeder<S> {
+impl<S: PacketSource> Feeder<S> {
     fn new(source: S) -> Self {
-        CkptFeeder {
+        Feeder {
             source,
             buf: None,
             source_done: false,
@@ -253,7 +249,7 @@ impl<S: PacketSource> CkptFeeder<S> {
     }
 }
 
-impl<S: PacketSource + StatefulSource> CkptFeeder<S> {
+impl<S: PacketSource + StatefulSource> Feeder<S> {
     fn save(&self) -> FeederState {
         FeederState {
             buf: self.buf,
@@ -269,7 +265,7 @@ impl<S: PacketSource + StatefulSource> CkptFeeder<S> {
     /// pulled twice.
     fn restore(mut source: S, st: &FeederState) -> Result<Self, DeError> {
         source.restore_state(&st.source)?;
-        Ok(CkptFeeder {
+        Ok(Feeder {
             source,
             buf: st.buf,
             source_done: st.source_done,
@@ -279,7 +275,13 @@ impl<S: PacketSource + StatefulSource> CkptFeeder<S> {
     }
 }
 
-/// Serialized [`CkptFeeder`]: the lookahead packet plus the source's
+/// The per-epoch hook of the run loop: it sees the switch, the pending
+/// events and the feeder at an epoch boundary and returns `Ok(true)` to
+/// stop the run there.
+type EpochHook<'a, S> =
+    dyn FnMut(&HbmSwitch, &EventQueue<Ev>, &Feeder<S>) -> Result<bool, SnapshotError> + 'a;
+
+/// Serialized [`Feeder`]: the lookahead packet plus the source's
 /// own position (via [`StatefulSource`]).
 #[derive(Serialize, Deserialize)]
 struct FeederState {
@@ -525,35 +527,11 @@ pub struct HbmSwitch {
     /// chunk storage here when drained or dropped, so steady-state
     /// batch formation allocates nothing.
     chunk_pool: VecPool<Chunk>,
-    /// Sharded-engine mirror of each input's total VOQ occupancy,
-    /// replayed from boundary effects (the assemblers themselves live
-    /// on the shard workers). `None` outside a sharded run; the
-    /// shutdown check reads it in place of `self.assemblers`.
-    queued_mirror: Option<Vec<DataSize>>,
     /// Wall-clock self-profiler (`None` = off; the run loops then never
     /// read the monotonic clock). Profile records travel on the hub's
     /// own stream and never touch reports, telemetry, traces or
     /// checkpoints — profiled runs are byte-identical to silent ones.
     prof: Option<EngineProfiler>,
-}
-
-/// Routes the core's internally scheduled events onto the sharded
-/// queue: the strictly periodic `ReadTurn` stream feeds a monotone
-/// calendar lane, everything else the kernel wheel/heap. Sequence
-/// numbers are assigned globally either way, so the pop order is
-/// identical to the sequential engine's.
-struct LaneRouter<'a> {
-    q: &'a mut ShardedEventQueue<Ev>,
-    read_lane: usize,
-}
-
-impl EventSink<Ev> for LaneRouter<'_> {
-    fn schedule(&mut self, time: SimTime, event: Ev) {
-        match event {
-            Ev::ReadTurn => self.q.schedule_lane(self.read_lane, time, event),
-            ev => self.q.schedule(time, ev),
-        }
-    }
 }
 
 impl HbmSwitch {
@@ -625,7 +603,6 @@ impl HbmSwitch {
                 .collect(),
             batch_scratch: Vec::new(),
             chunk_pool: VecPool::default(),
-            queued_mirror: None,
             prof: None,
             group,
             pfi,
@@ -636,9 +613,8 @@ impl HbmSwitch {
     /// Attach the wall-clock self-profiler: the run loops lap a
     /// monotonic clock across kernel pops, dispatch phases and
     /// telemetry export, flushing one record per telemetry epoch into
-    /// `hub` under source `engine` (shard workers join the same hub as
-    /// `shardNN`). Profiling never alters simulation state or any
-    /// deterministic output surface.
+    /// `hub` under source `engine`. Profiling never alters simulation
+    /// state or any deterministic output surface.
     pub fn enable_profiler(&mut self, hub: ProfileHub) {
         self.enable_profiler_as(hub, "engine");
     }
@@ -802,8 +778,9 @@ impl HbmSwitch {
     /// replaying every emitted delta reconstructs
     /// [`SwitchReport::metrics`] byte-identically.
     ///
-    /// Only [`HbmSwitch::run_source`] flushes; [`HbmSwitch::run_preloaded`]
-    /// (the batch oracle) stays silent.
+    /// Only the streaming runs ([`HbmSwitch::run_source`] and
+    /// [`HbmSwitch::run_source_checkpointed`]) flush;
+    /// [`HbmSwitch::run_preloaded`] (the batch oracle) stays silent.
     pub fn enable_live_telemetry(
         &mut self,
         period: TimeDelta,
@@ -836,16 +813,21 @@ impl HbmSwitch {
 
     /// Flush every epoch whose boundary is at or before the next event
     /// time `t` (an event exactly at a boundary belongs to the next
-    /// epoch). `pulled` is the feeder's source-progress counter.
+    /// epoch) and report whether any epoch closed. `pulled` is the
+    /// feeder's source-progress counter.
     ///
     /// Called before every event dispatch, so the no-flush case must be
     /// one integer compare: `live_boundary_ps` caches the next boundary
     /// and is `u64::MAX` whenever live telemetry is off or finished.
     #[inline]
-    fn live_flush_epochs(&mut self, t: SimTime, pulled: u64) {
+    fn live_flush_epochs(&mut self, t: SimTime, pulled: u64) -> bool {
+        if t.as_ps() < self.live_boundary_ps {
+            return false;
+        }
         while t.as_ps() >= self.live_boundary_ps {
             self.live_flush_one(pulled);
         }
+        true
     }
 
     /// Close the currently accumulating epoch and emit its delta.
@@ -1025,7 +1007,7 @@ impl HbmSwitch {
         self.cfg.hbm_peak().transfer_time(self.cfg.frame_size())
     }
 
-    fn send_batch(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, batch: Batch) {
+    fn send_batch(&mut self, q: &mut EventQueue<Ev>, now: SimTime, batch: Batch) {
         let i = batch.input;
         let dt = self.batch_time();
         let t0 = now.max(self.input_xbar_free[i]);
@@ -1101,7 +1083,7 @@ impl HbmSwitch {
         self.last_roll = self.last_roll.max(now);
     }
 
-    fn on_fault(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, f: FaultEvent) {
+    fn on_fault(&mut self, q: &mut EventQueue<Ev>, now: SimTime, f: FaultEvent) {
         if f.kind.is_photonic() {
             return; // front-end scope; applied by the SPS layer
         }
@@ -1162,12 +1144,7 @@ impl HbmSwitch {
     fn system_empty(&self) -> bool {
         self.arrivals_done
             && self.batches_in_flight == 0
-            && match &self.queued_mirror {
-                // Sharded run: the assemblers live on the shard workers;
-                // the replayed occupancy mirror is the authority.
-                Some(m) => m.iter().all(|q| q.is_zero()),
-                None => self.assemblers.iter().all(|a| a.total_queued().is_zero()),
-            }
+            && self.assemblers.iter().all(|a| a.total_queued().is_zero())
             && self.tail.occupancy().bytes.is_zero()
             && (0..self.cfg.ribbons).all(|o| {
                 self.pfi.frames_buffered(o) == 0
@@ -1177,7 +1154,7 @@ impl HbmSwitch {
             })
     }
 
-    fn handle(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, ev: Ev) {
+    fn handle(&mut self, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival(p) => self.on_arrival(q, now, p),
             Ev::ArrivalsDone => self.arrivals_done = true,
@@ -1218,7 +1195,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_arrival(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, p: Packet) {
+    fn on_arrival(&mut self, q: &mut EventQueue<Ev>, now: SimTime, p: Packet) {
         self.offered_packets += 1;
         self.offered_bytes += p.size;
         self.first_arrival.get_or_insert(now);
@@ -1345,7 +1322,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_read_turn(&mut self, q: &mut impl EventSink<Ev>, now: SimTime) {
+    fn on_read_turn(&mut self, q: &mut EventQueue<Ev>, now: SimTime) {
         let o = self.read_cursor;
         self.read_cursor = (self.read_cursor + 1) % self.cfg.ribbons;
         let room = self.head.frames_buffered(o) + self.pending_to_head[o] < self.cfg.head_frames;
@@ -1428,7 +1405,7 @@ impl HbmSwitch {
         }
     }
 
-    fn on_drain(&mut self, q: &mut impl EventSink<Ev>, now: SimTime, o: usize) {
+    fn on_drain(&mut self, q: &mut EventQueue<Ev>, now: SimTime, o: usize) {
         match self.head.pop_batch(o) {
             Some(batch) => {
                 let payload = batch.payload();
@@ -1541,8 +1518,8 @@ impl HbmSwitch {
     /// pre-scheduled arrivals is that, at any instant `t`, arrivals pop
     /// before every other event at `t` (they were scheduled first, so
     /// they hold the lowest tie-break sequence numbers). This loop
-    /// reproduces that order with a one-packet [`Feeder`] lookahead:
-    /// the pending arrival is dispatched whenever its time is `<=` the
+    /// reproduces that order with a one-packet feeder lookahead: the
+    /// pending arrival is dispatched whenever its time is `<=` the
     /// queue's next event time, and static faults are scheduled before
     /// the initial `ReadTurn` just as the batch path orders them. The
     /// `arrivals_done` flag (batch: an `ArrivalsDone` event at the last
@@ -1554,384 +1531,89 @@ impl HbmSwitch {
     /// Does not consume the switch — inspect traces/series afterwards,
     /// then call [`HbmSwitch::report`] or [`HbmSwitch::into_report`].
     pub fn run_source<S: PacketSource>(&mut self, source: S, horizon: SimTime, plan: &FaultPlan) {
-        let mut source = source;
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
+        let mut q = self.initial_queue(plan);
+        let outcome = self.drive(&mut q, &mut Feeder::new(source), horizon, None);
+        debug_assert!(matches!(outcome, Ok(RunOutcome::Completed)));
+    }
+
+    /// A fresh run's event queue: the plan's switch-level faults, then
+    /// the first read turn.
+    fn initial_queue(&self, plan: &FaultPlan) -> EventQueue<Ev> {
+        let mut q = EventQueue::with_kind(self.queue_kind);
         for ev in plan.events() {
             if !ev.kind.is_photonic() {
                 q.schedule(ev.at, Ev::Fault(*ev));
             }
         }
         q.schedule(SimTime::ZERO, Ev::ReadTurn);
-        let mut feeder = Feeder::new(|| source.next_packet().map(|p| (p.arrival, p)));
+        q
+    }
+
+    /// The run loop behind [`HbmSwitch::run_source`] and
+    /// [`HbmSwitch::run_source_checkpointed`]. It merges `feeder`'s
+    /// arrivals with `q`'s events (arrival first on a tie), flushes
+    /// the live-telemetry epochs that end before each dispatch, and
+    /// calls `on_epoch` whenever that flush closed an epoch. The hook
+    /// runs after the flush and before the dispatch, where the whole
+    /// run state is consistent; `Ok(true)` from it ends the run as
+    /// [`RunOutcome::Interrupted`].
+    fn drive<S: PacketSource>(
+        &mut self,
+        q: &mut EventQueue<Ev>,
+        feeder: &mut Feeder<S>,
+        horizon: SimTime,
+        mut on_epoch: Option<&mut EpochHook<'_, S>>,
+    ) -> Result<RunOutcome, SnapshotError> {
         loop {
             if feeder.is_exhausted() {
                 self.arrivals_done = true;
             }
             // Lap structure when the profiler is attached: peeks and
             // pops are `KernelPop`, the epoch flush self-attributes to
-            // `TelemetryExport` inside `live_flush_one`, and the
-            // dispatch is attributed by event kind. Laps chain without
-            // overlap, so summed phase time stays below wall time; the
-            // lap starters are 1-in-64 sampled (see `prof_now_sampled`)
-            // to keep the per-event clock cost inside the <3% budget.
+            // `TelemetryExport` inside `live_flush_one`, the epoch hook
+            // is `CheckpointSave`, and the dispatch is attributed by
+            // event kind. Laps chain without overlap, so summed phase
+            // time stays below wall time; the lap starters are 1-in-64
+            // sampled (see `prof_now_sampled`) to keep the per-event
+            // clock cost inside the <3% budget.
             let mut t0 = prof_now_sampled(&mut self.prof);
-            let take_arrival = match (feeder.peek_time(), q.peek_time()) {
-                (Some(a), Some(t)) => a <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+            let (take_arrival, next) = match (feeder.peek_time(), q.peek_time()) {
+                (Some(a), Some(t)) if a <= t => (true, a),
+                (Some(a), None) => (true, a),
+                (_, Some(t)) => (false, t),
                 (None, None) => break,
             };
-            if take_arrival {
-                let at = feeder.peek_time().expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(at, feeder.pulled());
-                let mut t0 = prof_renew(t0);
-                let (_, p) = feeder.pop().expect("peeked");
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.handle(&mut q, at, Ev::Arrival(p));
-                prof_add(&mut self.prof, Phase::BatchAssembly, t0);
-            } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(t, feeder.pulled());
-                let mut t0 = prof_renew(t0);
-                let (now, ev) = q.pop().expect("peeked");
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                let phase = Self::phase_of(&ev);
-                self.handle(&mut q, now, ev);
-                prof_add(&mut self.prof, phase, t0);
+            if next > horizon {
+                break;
             }
-        }
-        self.roll_capacity(self.last_departure);
-        let pulled = feeder.pulled();
-        drop(feeder);
-        self.live_finish(pulled);
-        self.prof_finish();
-    }
-
-    /// Run per-port packet sources through the engine selected by
-    /// [`RouterConfig`]'s `engine` field: [`EngineKind::Sequential`]
-    /// merges the ports and runs [`HbmSwitch::run_source`] (bit-for-bit
-    /// the classic path), [`EngineKind::Sharded`] partitions the ports
-    /// over worker threads running [`ShardEngine`]s and replays their
-    /// boundary effects in the serial core. Both engines produce
-    /// byte-identical reports, traces and telemetry for the same ports
-    /// and seed — the sequential engine is the differential oracle the
-    /// equivalence suite holds the sharded one to.
-    pub fn run_ports<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) {
-        self.run_ports_tuned(ports, horizon, plan, ShardTuning::default());
-    }
-
-    /// [`HbmSwitch::run_ports`] with explicit conservative-window
-    /// tuning for the sharded engine. Any tuning is byte-identical to
-    /// any other (the equivalence proptest randomizes it); the knobs
-    /// only trade messaging overhead against shard run-ahead. Ignored
-    /// by the sequential engine.
-    pub fn run_ports_tuned<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        tuning: ShardTuning,
-    ) {
-        match self.cfg.engine {
-            EngineKind::Sequential => self.run_source(MergedSource::new(ports), horizon, plan),
-            EngineKind::Sharded { shards } => {
-                self.run_sharded(ports, shards, horizon, plan, tuning.sanitized())
-            }
-        }
-    }
-
-    fn shard_params(&self, tuning: ShardTuning) -> ShardParams {
-        ShardParams {
-            ribbons: self.cfg.ribbons,
-            batch_size: self.cfg.batch_size(),
-            input_queue_limit: self.cfg.input_queue_limit,
-            batch_timeout_batches: self.cfg.batch_timeout_batches,
-            batch_time: self.batch_time(),
-            fibers: self.cfg.alpha(),
-            wavelengths: self.cfg.wavelengths,
-            window: self.cfg.hbm_timing.lookahead_bound() * tuning.window_mult,
-            block_events: tuning.block_events,
-        }
-    }
-
-    /// The sharded engine: partition the ports round-robin over worker
-    /// threads, each simulating its slice of the input stage ahead of
-    /// the core under conservative-window synchronization, and replay
-    /// their timestamped boundary effects in the exact global
-    /// `(time, seq)` order the sequential engine realizes.
-    fn run_sharded<S: PacketSource + Send>(
-        &mut self,
-        ports: Vec<S>,
-        shards: usize,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        tuning: ShardTuning,
-    ) {
-        assert!(shards > 0, "EngineKind::validate admits only 1..=ribbons");
-        let shards = shards.min(ports.len().max(1));
-        let params = self.shard_params(tuning);
-        let mut buckets: Vec<Vec<S>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, s) in ports.into_iter().enumerate() {
-            buckets[i % shards].push(s);
-        }
-        let profiling = self.prof.is_some();
-        crossbeam::thread::scope(|scope| {
-            let mut streams = Vec::with_capacity(shards);
-            for (s, bucket) in buckets.into_iter().enumerate() {
-                let (tx, rx) = std::sync::mpsc::sync_channel(tuning.channel_blocks);
-                // Shard workers join the engine's hub under their own
-                // source names, flushing one record per shard run.
-                let shard_prof = self
-                    .prof
-                    .as_ref()
-                    .map(|p| EngineProfiler::new(p.hub().clone(), &format!("shard{s:02}")));
-                let engine = ShardEngine::new(params, bucket).with_profiler(shard_prof);
-                scope.spawn(move |_| engine.run(tx));
-                streams.push(ShardStream::new(rx).timed(profiling));
-            }
-            self.run_sharded_core(streams, horizon, plan);
-        })
-        .expect("shard worker panicked");
-    }
-
-    /// The serial core of the sharded engine. Mirrors
-    /// [`HbmSwitch::run_source`] exactly — same loop structure, same
-    /// arrival-first tie rule, same feeder-progress accounting — except
-    /// arrivals come from the k-way merge of shard effect streams and
-    /// `Arrival`/`FlushTimeout` consequences are replayed from the
-    /// shard-computed effects instead of recomputed.
-    fn run_sharded_core(
-        &mut self,
-        mut streams: Vec<ShardStream>,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) {
-        let n = self.cfg.ribbons;
-        let shards = streams.len();
-        // Lane layout: `0..n` per-input BatchAtTail calendars (each
-        // input's crossbar dispatch times are strictly increasing),
-        // `n` the flush calendar (fire = arm + constant), `n + 1` the
-        // strictly periodic read turns. Everything else (drains,
-        // frame-at-head, faults) keeps the kernel wheel/heap.
-        let read_lane = n + 1;
-        let mut q: ShardedEventQueue<Ev> = ShardedEventQueue::new(self.queue_kind, n + 2);
-        for ev in plan.events() {
-            if !ev.kind.is_photonic() {
-                q.schedule(ev.at, Ev::Fault(*ev));
-            }
-        }
-        q.schedule_lane(read_lane, SimTime::ZERO, Ev::ReadTurn);
-        self.queued_mirror = Some(vec![DataSize::ZERO; n]);
-        let mut dispatched: u64 = 0;
-        let mut pulled: u64;
-        loop {
-            // Same lap structure (and 1-in-64 lap sampling) as
-            // `run_source`, with two extra phases: blocked `recv` time
-            // accumulates inside the streams (summed below as
-            // `ChannelRecv`) and shard-effect replay is `SerialReplay`.
-            let mut t0 = prof_now_sampled(&mut self.prof);
-            let next = Self::peek_min_arrival(&mut streams);
-            if next.is_none() {
-                self.arrivals_done = true;
-            }
-            // Feeder-progress mirror: the sequential feeder holds one
-            // lookahead packet whenever the merged stream has more.
-            pulled = dispatched + u64::from(next.is_some());
-            let take_arrival = match (next.map(|(t, _)| t), q.peek_time()) {
-                (Some(a), Some(t)) => a <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_arrival {
-                let (at, s) = next.expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(at, pulled);
-                let mut t0 = prof_renew(t0);
-                let fx = streams[s].pop_arrival();
-                dispatched += 1;
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.apply_arrival(&mut q, at, fx);
-                prof_add(&mut self.prof, Phase::SerialReplay, t0);
-            } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                self.live_flush_epochs(t, pulled);
-                let mut t0 = prof_renew(t0);
-                let (now, ev) = q.pop().expect("peeked");
-                prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
-                match ev {
-                    Ev::FlushTimeout { input, output } => {
-                        let fx = streams[input % shards]
-                            .next_flush()
-                            .expect("armed flush must have a boundary effect");
-                        assert!(
-                            fx.input == input && fx.output == output && fx.fire == now,
-                            "flush replay out of order: event ({input},{output})@{now} \
-                             vs effect ({},{})@{}",
-                            fx.input,
-                            fx.output,
-                            fx.fire
-                        );
-                        self.apply_flush(&mut q, fx);
-                        prof_add(&mut self.prof, Phase::SerialReplay, t0);
-                    }
-                    ev => {
-                        let phase = Self::phase_of(&ev);
-                        let mut sink = LaneRouter {
-                            q: &mut q,
-                            read_lane,
-                        };
-                        self.handle(&mut sink, now, ev);
-                        prof_add(&mut self.prof, phase, t0);
+            prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
+            if self.live_flush_epochs(next, feeder.pulled()) {
+                if let Some(hook) = on_epoch.as_deref_mut() {
+                    let tck = prof_now(&self.prof);
+                    let stop = hook(&*self, &*q, &*feeder)?;
+                    prof_add(&mut self.prof, Phase::CheckpointSave, tck);
+                    if stop {
+                        self.prof_finish();
+                        return Ok(RunOutcome::Interrupted);
                     }
                 }
             }
+            let mut t0 = prof_renew(t0);
+            let (now, ev) = if take_arrival {
+                let (at, p) = feeder.pop().expect("peeked");
+                (at, Ev::Arrival(p))
+            } else {
+                q.pop().expect("peeked")
+            };
+            prof_lap(&mut self.prof, Phase::KernelPop, &mut t0);
+            let phase = Self::phase_of(&ev);
+            self.handle(q, now, ev);
+            prof_add(&mut self.prof, phase, t0);
         }
         self.roll_capacity(self.last_departure);
-        if self.prof.is_some() {
-            let (recv_ns, recv_blocks) = streams.iter().fold((0u64, 0u64), |(ns, n), s| {
-                (ns + s.recv_wait_ns(), n + s.recv_waits())
-            });
-            if let Some(p) = self.prof.as_mut() {
-                p.acc_mut()
-                    .add_ns_n(Phase::ChannelRecv, recv_ns, recv_blocks);
-            }
-        }
-        drop(streams);
-        self.queued_mirror = None;
-        self.live_finish(pulled);
+        self.live_finish(feeder.pulled());
         self.prof_finish();
-    }
-
-    /// The earliest undispatched arrival across the shard streams, by
-    /// the same strict `(arrival, input, id)` key [`MergedSource`]
-    /// merges with — a two-level merge under one total order yields the
-    /// sequential engine's global arrival order.
-    fn peek_min_arrival(streams: &mut [ShardStream]) -> Option<(SimTime, usize)> {
-        let mut best: Option<((SimTime, usize, u64), usize)> = None;
-        for (s, stream) in streams.iter_mut().enumerate() {
-            if let Some(fx) = stream.peek_arrival() {
-                let key = (fx.p.arrival, fx.p.input, fx.p.id);
-                if best.as_ref().is_none_or(|(b, _)| key < *b) {
-                    best = Some((key, s));
-                }
-            }
-        }
-        best.map(|((at, _, _), s)| (at, s))
-    }
-
-    /// Replay one arrival's boundary effect — statement-for-statement
-    /// the sequential `on_arrival`, with the assembler work replaced by
-    /// the shard's precomputed results and the drop classification
-    /// (fault vs congestion) applied here, where `active_faults` lives.
-    fn apply_arrival(&mut self, q: &mut ShardedEventQueue<Ev>, now: SimTime, fx: ArrivalFx) {
-        let ArrivalFx {
-            p,
-            admitted,
-            arm_flush,
-            batches,
-            queued_after,
-        } = fx;
-        self.offered_packets += 1;
-        self.offered_bytes += p.size;
-        self.first_arrival.get_or_insert(now);
-        if !admitted {
-            self.dropped_input += 1;
-            self.dropped_bytes += p.size;
-            self.dropped_ids.insert(p.id);
-            if self.active_faults > 0 {
-                self.dropped_packets_fault += 1;
-            } else {
-                self.dropped_packets_congestion += 1;
-            }
-            self.record(now, SwitchEvent::InputDrop { input: p.input });
-            if let Some(live) = self.live.as_mut() {
-                if live.samples_flow(&p.flow) {
-                    live.spans_emitted += 1;
-                    live.sink.on_span(
-                        LIVE_SOURCE,
-                        &SpanEvent {
-                            packet: p.id,
-                            stage: "input_drop",
-                            at: now,
-                            port: p.input,
-                        },
-                    );
-                }
-            }
-            return;
-        }
-        self.live_packets += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.live_packets);
-        if let Some(live) = self.live.as_mut() {
-            if live.samples_flow(&p.flow) {
-                live.sampled.insert(p.id);
-                live.spans_emitted += 1;
-                live.sink.on_span(
-                    LIVE_SOURCE,
-                    &SpanEvent {
-                        packet: p.id,
-                        stage: "arrival",
-                        at: now,
-                        port: p.input,
-                    },
-                );
-            }
-        }
-        if let Some(m) = self.queued_mirror.as_mut() {
-            m[p.input] = queued_after;
-        }
-        self.input_peak = self.input_peak.max(queued_after);
-        // Schedule order matches the sequential handler (flush timer
-        // before batch sends) so global sequence numbers line up.
-        if arm_flush {
-            let timeout = self.batch_time() * self.cfg.batch_timeout_batches;
-            q.schedule_lane(
-                self.cfg.ribbons,
-                now + timeout,
-                Ev::FlushTimeout {
-                    input: p.input,
-                    output: p.output,
-                },
-            );
-        }
-        for (at, b) in batches {
-            self.batches_in_flight += 1;
-            q.schedule_lane(p.input, at, Ev::BatchAtTail(b));
-        }
-    }
-
-    /// Replay one flush-timer effect — the sequential `FlushTimeout`
-    /// handler with the assembler flush replaced by the shard's result.
-    fn apply_flush(&mut self, q: &mut ShardedEventQueue<Ev>, fx: FlushFx) {
-        if let Some(m) = self.queued_mirror.as_mut() {
-            m[fx.input] = fx.queued_after;
-        }
-        if let Some((at, b)) = fx.batch {
-            self.padded_bytes += b.padding;
-            self.batches_in_flight += 1;
-            q.schedule_lane(fx.input, at, Ev::BatchAtTail(b));
-        }
+        Ok(RunOutcome::Completed)
     }
 
     /// Serialize the complete mid-run state (plus the pending event
@@ -2022,17 +1704,16 @@ impl HbmSwitch {
     }
 
     /// Overwrite this (freshly built, same-config) switch with a
-    /// snapshotted mid-run state, rebuild the event queue, and rewind
-    /// `source` to the checkpointed position. The snapshot's config
+    /// snapshotted mid-run state, and rebuild the event queue and the
+    /// feeder with `source` rewound to the checkpointed position. The snapshot's config
     /// echo must match `self.cfg` and the live-telemetry shape (period,
     /// sampling rate, on/off) must match how this switch was set up —
     /// anything else is a [`SnapshotError::Mismatch`].
     fn restore_from<S: PacketSource + StatefulSource>(
         &mut self,
         st: SwitchState,
-        q: &mut EventQueue<Ev>,
         source: S,
-    ) -> Result<CkptFeeder<S>, SnapshotError> {
+    ) -> Result<(EventQueue<Ev>, Feeder<S>), SnapshotError> {
         if self.cfg.to_value() != st.cfg {
             return Err(SnapshotError::Mismatch(
                 "router configuration differs from the checkpointed run".into(),
@@ -2125,41 +1806,15 @@ impl HbmSwitch {
         self.hbm_occupancy = st.hbm_occupancy;
         self.metrics = st.metrics;
         self.output_depth = st.output_depth;
-        *q = EventQueue::from_entries_in(
+        let feeder = Feeder::restore(source, &st.feeder)
+            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))?;
+        let q = EventQueue::from_entries_in(
             self.queue_kind,
             st.queue,
             st.queue_next_seq,
             st.queue_last_popped,
         );
-        CkptFeeder::restore(source, &st.feeder)
-            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))
-    }
-
-    /// Snapshot-if-due gate, called at the run loop's checkpoint point
-    /// (after the epoch flush, before the event dispatch). Returns
-    /// `Ok(true)` when the stop flag fired and a final snapshot was
-    /// persisted — the caller returns [`RunOutcome::Interrupted`].
-    fn checkpoint_if_due<S: PacketSource + StatefulSource>(
-        &self,
-        q: &EventQueue<Ev>,
-        feeder: &CkptFeeder<S>,
-        every_epochs: u64,
-        last_ckpt: &mut u64,
-        should_stop: &mut dyn FnMut() -> bool,
-        persist: &mut dyn FnMut(&Value, u64, u64) -> Result<(), SnapshotError>,
-    ) -> Result<bool, SnapshotError> {
-        let epochs = self.live_epochs_emitted();
-        if epochs == *last_ckpt {
-            return Ok(false);
-        }
-        let stop = should_stop();
-        if !stop && epochs - *last_ckpt < every_epochs {
-            return Ok(false);
-        }
-        let state = self.save_state(q, feeder.save())?;
-        persist(&state, epochs, self.live_spans_emitted())?;
-        *last_ckpt = epochs;
-        Ok(stop)
+        Ok((q, feeder))
     }
 
     /// [`HbmSwitch::run_source`] with crash-safe checkpointing: every
@@ -2204,8 +1859,7 @@ impl HbmSwitch {
         FPersist: FnMut(&Value, u64, u64) -> Result<(), SnapshotError>,
     {
         assert!(every_epochs > 0, "checkpoint interval must be positive");
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
-        let mut feeder = match resume {
+        let (mut q, mut feeder) = match resume {
             Some(v) => {
                 let t0 = prof_now(&self.prof);
                 let st = SwitchState::from_value(v).map_err(|e| {
@@ -2213,94 +1867,27 @@ impl HbmSwitch {
                         "snapshot does not decode as a switch state: {e}"
                     ))
                 })?;
-                let feeder = self.restore_from(st, &mut q, source)?;
+                let restored = self.restore_from(st, source)?;
                 prof_add(&mut self.prof, Phase::CheckpointRestore, t0);
-                feeder
+                restored
             }
-            None => {
-                for ev in plan.events() {
-                    if !ev.kind.is_photonic() {
-                        q.schedule(ev.at, Ev::Fault(*ev));
-                    }
-                }
-                q.schedule(SimTime::ZERO, Ev::ReadTurn);
-                CkptFeeder::new(source)
-            }
+            None => (self.initial_queue(plan), Feeder::new(source)),
         };
+        // Snapshot when `every_epochs` epochs have closed since the last
+        // one, or when the stop flag is up (then end the run).
         let mut last_ckpt = self.live_epochs_emitted();
-        loop {
-            if feeder.is_exhausted() {
-                self.arrivals_done = true;
+        let mut checkpoint = |sw: &HbmSwitch, q: &EventQueue<Ev>, feeder: &Feeder<S>| {
+            let epochs = sw.live_epochs_emitted();
+            let stop = should_stop();
+            if !stop && epochs - last_ckpt < every_epochs {
+                return Ok(false);
             }
-            let take_arrival = match (feeder.peek_time(), q.peek_time()) {
-                (Some(a), Some(t)) => a <= t,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_arrival {
-                let at = feeder.peek_time().expect("peeked");
-                if at > horizon {
-                    break;
-                }
-                self.live_flush_epochs(at, feeder.pulled());
-                // Mirror `checkpoint_if_due`'s quick-return guard so
-                // the per-event path pays no clock read; only epoch
-                // boundaries time the snapshot work.
-                let tck = if self.live_epochs_emitted() != last_ckpt {
-                    prof_now(&self.prof)
-                } else {
-                    None
-                };
-                let stop = self.checkpoint_if_due(
-                    &q,
-                    &feeder,
-                    every_epochs,
-                    &mut last_ckpt,
-                    &mut should_stop,
-                    &mut persist,
-                )?;
-                prof_add(&mut self.prof, Phase::CheckpointSave, tck);
-                if stop {
-                    self.prof_finish();
-                    return Ok(RunOutcome::Interrupted);
-                }
-                let (_, p) = feeder.pop().expect("peeked");
-                self.handle(&mut q, at, Ev::Arrival(p));
-            } else {
-                let t = q.peek_time().expect("peeked");
-                if t > horizon {
-                    break;
-                }
-                self.live_flush_epochs(t, feeder.pulled());
-                let tck = if self.live_epochs_emitted() != last_ckpt {
-                    prof_now(&self.prof)
-                } else {
-                    None
-                };
-                let stop = self.checkpoint_if_due(
-                    &q,
-                    &feeder,
-                    every_epochs,
-                    &mut last_ckpt,
-                    &mut should_stop,
-                    &mut persist,
-                )?;
-                prof_add(&mut self.prof, Phase::CheckpointSave, tck);
-                if stop {
-                    self.prof_finish();
-                    return Ok(RunOutcome::Interrupted);
-                }
-                let (now, ev) = q.pop().expect("peeked");
-                self.handle(&mut q, now, ev);
-            }
-        }
-        self.roll_capacity(self.last_departure);
-        let pulled = feeder.pulled();
-        drop(feeder);
-        self.live_finish(pulled);
-        self.prof_finish();
-        Ok(RunOutcome::Completed)
+            let state = sw.save_state(q, feeder.save())?;
+            persist(&state, epochs, sw.live_spans_emitted())?;
+            last_ckpt = epochs;
+            Ok(stop)
+        };
+        self.drive(&mut q, &mut feeder, horizon, Some(&mut checkpoint))
     }
 
     /// Build the report from current state, cloning the delay histogram
@@ -2850,172 +2437,73 @@ mod tests {
         );
     }
 
-    /// Split an arrival-ordered trace into per-port lanes (re-merging
-    /// them by `(arrival, input, id)` reproduces the original order).
-    fn port_lanes(t: &[Packet], n: usize) -> Vec<Vec<Packet>> {
-        let mut lanes = vec![Vec::new(); n];
-        for p in t {
-            lanes[p.input].push(*p);
-        }
-        lanes
-    }
-
-    fn run_ports_report(mut cfg: RouterConfig, engine: EngineKind, t: &[Packet]) -> String {
-        cfg.engine = engine;
-        let lanes = port_lanes(t, cfg.ribbons);
-        let mut sw = HbmSwitch::new(cfg).unwrap();
-        sw.run_ports(
-            lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-            horizon_us(400),
-            &FaultPlan::default(),
-        );
-        format!("{:?}", sw.into_report())
+    /// 64 B packets arriving at `times_ns`, ids in order.
+    fn arrivals_at(times_ns: &[u64]) -> Vec<Packet> {
+        times_ns
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| {
+                Packet::new(
+                    i as u64,
+                    0,
+                    0,
+                    rip_units::DataSize::from_bytes(64),
+                    SimTime::from_ns(t),
+                )
+            })
+            .collect()
     }
 
     #[test]
-    fn sharded_engine_matches_sequential_byte_for_byte() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.8, &tm, horizon_us(80), 19);
-        let base = run_ports_report(cfg.clone(), EngineKind::Sequential, &t);
-        for shards in [1, 2, 4] {
-            let got = run_ports_report(cfg.clone(), EngineKind::Sharded { shards }, &t);
-            assert_eq!(got, base, "sharded({shards}) diverged from sequential");
+    fn feeder_yields_packets_in_order() {
+        let v = arrivals_at(&[1, 2, 2, 5]);
+        let mut f = Feeder::new(ReplaySource::new(&v));
+        assert_eq!(f.peek_time(), Some(SimTime::from_ns(1)));
+        let mut got = Vec::new();
+        while let Some((_, p)) = f.pop() {
+            got.push(p.id);
         }
+        assert_eq!(got, [0, 1, 2, 3]);
+        assert!(f.is_exhausted());
     }
 
     #[test]
-    fn sharded_engine_matches_sequential_with_flush_heavy_low_load() {
-        // Low load exercises the flush-timer replay path heavily.
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.05, &tm, horizon_us(80), 9);
-        let base = run_ports_report(cfg.clone(), EngineKind::Sequential, &t);
-        for shards in [2, 4] {
-            let got = run_ports_report(cfg.clone(), EngineKind::Sharded { shards }, &t);
-            assert_eq!(got, base, "sharded({shards}) diverged at low load");
-        }
+    fn feeder_buffers_one_packet_of_lookahead() {
+        let v = arrivals_at(&[1, 2, 3, 4, 5]);
+        let mut f = Feeder::new(ReplaySource::new(&v));
+        // A peek pulls exactly one packet, not the whole stream.
+        assert!(f.peek_time().is_some());
+        assert!(f.peek_time().is_some());
+        assert_eq!(f.pulled(), 1);
+        assert_eq!(f.pop().map(|(_, p)| p.id), Some(0));
     }
 
     #[test]
-    fn sharded_engine_matches_sequential_under_drops_and_faults() {
-        // Tiny input limit forces input drops; the fault plan flips
-        // `active_faults` mid-run, so the core-side drop classification
-        // (fault vs congestion) must replay at the exact same events.
-        let mut cfg = RouterConfig::small();
-        cfg.input_queue_limit = rip_units::DataSize::from_kib(24);
-        let tm = TrafficMatrix::hotspot(cfg.ribbons, 1.0, 0, 0.6);
-        let t = trace(0.9, &tm, horizon_us(120), 5);
-        let plan = FaultPlan::new()
-            .inject(
-                SimTime::from_ns(20_000),
-                FaultKind::RefreshStorm {
-                    duration: TimeDelta::from_ns(40_000),
-                },
-            )
-            .inject(
-                SimTime::from_ns(30_000),
-                FaultKind::HbmChannelDown { channel: 1 },
-            )
-            .recover(
-                SimTime::from_ns(70_000),
-                FaultKind::HbmChannelDown { channel: 1 },
-            );
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |engine: EngineKind| {
-            let mut c = cfg.clone();
-            c.engine = engine;
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.enable_trace(100_000);
-            sw.run_ports(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(400),
-                &plan,
-            );
-            let events = format!(
-                "{:?}",
-                sw.trace().expect("tracing on").events().collect::<Vec<_>>()
-            );
-            (format!("{:?}", sw.into_report()), events)
-        };
-        let (base_report, base_events) = run(EngineKind::Sequential);
-        assert!(base_report.contains("dropped_input"), "sanity");
-        for shards in [2, 4] {
-            let (report, events) = run(EngineKind::Sharded { shards });
-            assert_eq!(report, base_report, "sharded({shards}) report diverged");
-            assert_eq!(events, base_events, "sharded({shards}) trace diverged");
-        }
+    fn feeder_pulled_counts_source_progress() {
+        let v = arrivals_at(&[1, 2, 3]);
+        let mut f = Feeder::new(ReplaySource::new(&v));
+        assert_eq!(f.pulled(), 0);
+        f.peek_time();
+        assert_eq!(f.pulled(), 1);
+        while f.pop().is_some() {}
+        assert_eq!(f.pulled(), 3);
     }
 
     #[test]
-    fn sharded_engine_streams_identical_live_telemetry() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.8, &tm, horizon_us(60), 42);
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |engine: EngineKind| {
-            let mut c = cfg.clone();
-            c.engine = engine;
-            let staged = rip_telemetry::SharedSink::new();
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.enable_live_telemetry(TimeDelta::from_ns(2_000), 64, Box::new(staged.clone()));
-            sw.run_ports(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(300),
-                &FaultPlan::default(),
-            );
-            (format!("{:?}", sw.into_report()), staged.take())
-        };
-        let (base_report, base_records) = run(EngineKind::Sequential);
-        for shards in [2, 4] {
-            let (report, records) = run(EngineKind::Sharded { shards });
-            assert_eq!(report, base_report, "sharded({shards}) report diverged");
-            assert_eq!(
-                records.records(),
-                base_records.records(),
-                "sharded({shards}) live stream diverged"
-            );
-        }
+    fn feeder_on_empty_source_is_exhausted_immediately() {
+        let mut f = Feeder::new(ReplaySource::new(&[]));
+        assert!(f.is_exhausted());
+        assert_eq!(f.peek_time(), None);
+        assert!(f.pop().is_none());
+        assert_eq!(f.pulled(), 0);
     }
 
     #[test]
-    fn window_tuning_never_changes_the_answer() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.6, &tm, horizon_us(40), 21);
-        let lanes = port_lanes(&t, cfg.ribbons);
-        let run = |tuning: ShardTuning| {
-            let mut c = cfg.clone();
-            c.engine = EngineKind::Sharded { shards: 2 };
-            let mut sw = HbmSwitch::new(c).unwrap();
-            sw.run_ports_tuned(
-                lanes.iter().map(|l| ReplaySource::new(l)).collect(),
-                horizon_us(200),
-                &FaultPlan::default(),
-                tuning,
-            );
-            format!("{:?}", sw.into_report())
-        };
-        let base = run(ShardTuning::default());
-        for tuning in [
-            ShardTuning {
-                block_events: 1,
-                window_mult: 1,
-                channel_blocks: 1,
-            },
-            ShardTuning {
-                block_events: 7,
-                window_mult: 3,
-                channel_blocks: 2,
-            },
-            ShardTuning {
-                block_events: 4096,
-                window_mult: 100_000,
-                channel_blocks: 16,
-            },
-        ] {
-            assert_eq!(run(tuning), base, "{tuning:?} changed the report");
-        }
+    #[should_panic(expected = "non-decreasing")]
+    fn feeder_panics_on_out_of_order_source() {
+        let v = arrivals_at(&[5, 1]);
+        let mut f = Feeder::new(ReplaySource::new(&v));
+        while f.pop().is_some() {}
     }
 
     const CKPT_PERIOD: TimeDelta = TimeDelta::from_ns(2_000);

@@ -51,18 +51,16 @@ mod hbm_switch;
 mod mimic;
 mod output;
 mod resilience;
-mod shard_engine;
 mod sps;
 mod sram;
 
-pub use batch::{Batch, BatchAssembler, Chunk, NO_LANE};
-pub use config::{DrainPolicy, EngineKind, RouterConfig, SRAM_INTERFACE_BITS};
+pub use batch::{Batch, BatchAssembler, Chunk};
+pub use config::{DrainPolicy, RouterConfig, SRAM_INTERFACE_BITS};
 pub use crossbar::CyclicalCrossbar;
 pub use error::ConfigError;
 pub use hbm_switch::{HbmSwitch, RunOutcome, SwitchEvent, SwitchReport};
 pub use mimic::{MimicChecker, MimicReport};
 pub use output::{OutputPort, PacketDeparture};
 pub use resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
-pub use shard_engine::ShardTuning;
 pub use sps::{LiveOptions, PerSwitch, PlaneRun, PlaneSource, SpsReport, SpsRouter, SpsWorkload};
 pub use sram::{Frame, HeadSram, SramOccupancy, TailSram};

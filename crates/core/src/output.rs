@@ -7,7 +7,7 @@ use rip_traffic::hash::{fiber_wavelength_for, HashKind};
 use rip_units::{DataRate, DataSize, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{Batch, NO_LANE};
+use crate::batch::Batch;
 
 /// One packet departure from an output port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,20 +106,8 @@ impl OutputPort {
         let mut departures = Vec::new();
         for chunk in &batch.chunks {
             pos += chunk.len;
-            // A pre-hashed ingress lane tag short-circuits the flow
-            // hash; both paths compute the identical function (see
-            // `Chunk::lane`), so results never depend on which ran.
-            let (fiber, wavelength) = if chunk.lane != NO_LANE {
-                let lane = chunk.lane as usize;
-                debug_assert!(lane < self.fibers * self.wavelengths);
-                debug_assert_eq!(
-                    (lane / self.wavelengths, lane % self.wavelengths),
-                    fiber_wavelength_for(chunk.flow, self.fibers, self.wavelengths, self.hash)
-                );
-                (lane / self.wavelengths, lane % self.wavelengths)
-            } else {
-                fiber_wavelength_for(chunk.flow, self.fibers, self.wavelengths, self.hash)
-            };
+            let (fiber, wavelength) =
+                fiber_wavelength_for(chunk.flow, self.fibers, self.wavelengths, self.hash);
             self.lane_bytes[fiber * self.wavelengths + wavelength] += chunk.len.bytes();
             if chunk.is_last {
                 // When the last byte clears the aggregate port...
@@ -216,7 +204,6 @@ mod tests {
             is_last,
             arrival: SimTime::ZERO,
             flow: flow(f),
-            lane: NO_LANE,
         }
     }
 
@@ -393,7 +380,6 @@ mod tests {
             is_last: true,
             arrival: SimTime::ZERO,
             flow: flow(3),
-            lane: NO_LANE,
         };
         let batch = Batch {
             input: 0,
@@ -406,36 +392,6 @@ mod tests {
         // 400 B at 640 Gb/s = 5 ns to the port, then 1000 B at 40 Gb/s
         // = 200 ns on the lane.
         assert_eq!(deps[0].time, SimTime::from_ps(5_000 + 200_000));
-    }
-
-    #[test]
-    fn pre_hashed_lane_tags_match_egress_hashing() {
-        // Two identical ports, one fed lane-tagged chunks (as the
-        // sharded engine produces), one hashing at egress: every
-        // departure and byte counter must agree.
-        let mk = || {
-            let mut p = OutputPort::new(0, DataRate::from_gbps(640), 4, 4);
-            p.set_lane_rate(Some(DataRate::from_gbps(40)));
-            p
-        };
-        let (mut tagged, mut hashed) = (mk(), mk());
-        for i in 0..200u64 {
-            let c = chunk(i, 400 + (i % 7) * 150, true, (i % 23) as u32);
-            let (fiber, wavelength) = fiber_wavelength_for(c.flow, 4, 4, HashKind::Crc32c);
-            let mut tc = c;
-            tc.lane = (fiber * 4 + wavelength) as u32;
-            let mk_batch = |c| Batch {
-                input: 0,
-                output: 0,
-                seq: i,
-                chunks: vec![c],
-                padding: DataSize::ZERO,
-            };
-            let a = tagged.drain_batch(&mk_batch(tc), SimTime::ZERO);
-            let b = hashed.drain_batch(&mk_batch(c), SimTime::ZERO);
-            assert_eq!(a, b);
-        }
-        assert_eq!(tagged.lane_bytes(), hashed.lane_bytes());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use std::error::Error;
 use std::fmt;
 
+use rip_hbm::{HbmGroup, PfiConfigError, PfiController};
 use rip_units::{SimTime, TimeDelta};
 use serde::{Deserialize, Serialize};
 
@@ -162,9 +163,10 @@ impl FaultPlan {
 
     /// Check the plan against a configuration: indices in range,
     /// recoveries matching earlier injections, no duplicate active
-    /// injections, storms self-recovering, and at least one switch
-    /// plane alive at all times. Channel indices are validated against
-    /// the router-wide range `0..H·T`.
+    /// injections, storms self-recovering, at least one switch plane
+    /// alive at all times, and every switch's degraded HBM still
+    /// servable by the PFI engine at every instant. Channel indices are
+    /// validated against the router-wide range `0..H·T`.
     pub fn validate(&self, cfg: &RouterConfig) -> Result<(), FaultPlanError> {
         let channels = cfg.switches * cfg.channels();
         let banks = cfg.hbm_geometry.banks_per_channel;
@@ -252,6 +254,55 @@ impl FaultPlan {
                 }
             }
         }
+        self.check_servable(cfg)
+    }
+
+    /// Replay each switch plane's channel/bank faults in event order on
+    /// a healthy copy of its HBM group, and check after every
+    /// transition that the PFI engine can still place every frame
+    /// (`PfiController::check_degraded`) — the check the switch makes
+    /// as it applies each fault. A configuration the controller rejects
+    /// outright is left to [`RouterConfig::validate`].
+    fn check_servable(&self, cfg: &RouterConfig) -> Result<(), FaultPlanError> {
+        for switch in 0..cfg.switches {
+            let plan = self.project_switch(cfg, switch);
+            let touches_hbm = plan.events.iter().any(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::HbmChannelDown { .. } | FaultKind::HbmBankStuck { .. }
+                )
+            });
+            if !touches_hbm {
+                continue;
+            }
+            let mut group = HbmGroup::new(cfg.stacks_per_switch, cfg.hbm_geometry, cfg.hbm_timing);
+            let Ok(pfi) = PfiController::new(cfg.pfi(), &group) else {
+                return Ok(());
+            };
+            for ev in &plan.events {
+                match (ev.kind, ev.action) {
+                    (FaultKind::HbmChannelDown { channel }, FaultAction::Inject) => {
+                        group.fail_channel(channel)
+                    }
+                    (FaultKind::HbmChannelDown { channel }, FaultAction::Recover) => {
+                        group.recover_channel(channel)
+                    }
+                    (FaultKind::HbmBankStuck { channel, bank }, FaultAction::Inject) => {
+                        group.stick_bank(channel, bank)
+                    }
+                    (FaultKind::HbmBankStuck { channel, bank }, FaultAction::Recover) => {
+                        group.unstick_bank(channel, bank)
+                    }
+                    _ => continue,
+                }
+                pfi.check_degraded(&group)
+                    .map_err(|reason| FaultPlanError::Unservable {
+                        at: ev.at,
+                        switch,
+                        reason,
+                    })?;
+            }
+        }
         Ok(())
     }
 
@@ -286,7 +337,7 @@ impl FaultPlan {
 }
 
 /// Why a [`FaultPlan`] was rejected for a configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlanError {
     /// A channel index exceeds the router's `H·T` channels.
     ChannelOutOfRange {
@@ -344,6 +395,16 @@ pub enum FaultPlanError {
     /// The plan takes every switch plane down at once — nothing could
     /// carry traffic.
     AllPlanesDown,
+    /// At `at`, the failed channels/banks of `switch` leave its PFI
+    /// engine unable to place frames.
+    Unservable {
+        /// First instant that cannot be served.
+        at: SimTime,
+        /// Affected switch plane.
+        switch: usize,
+        /// What the PFI engine cannot do.
+        reason: PfiConfigError,
+    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -389,11 +450,24 @@ impl fmt::Display for FaultPlanError {
             FaultPlanError::AllPlanesDown => {
                 write!(f, "plan takes every switch plane down at once")
             }
+            FaultPlanError::Unservable { at, switch, reason } => {
+                write!(
+                    f,
+                    "fault plan cannot be served at {at} on switch {switch}: {reason}"
+                )
+            }
         }
     }
 }
 
-impl Error for FaultPlanError {}
+impl Error for FaultPlanError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            FaultPlanError::Unservable { reason, .. } => Some(reason),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -223,7 +223,6 @@ mod tests {
                     dst_port: 4,
                     proto: 6,
                 },
-                lane: crate::batch::NO_LANE,
             }],
             padding: DataSize::from_bytes(1024 - bytes),
         }

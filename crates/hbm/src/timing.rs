@@ -72,24 +72,6 @@ impl HbmTiming {
         self.t_ras + self.t_rp
     }
 
-    /// Guaranteed conservative-lookahead window for parallel simulation.
-    ///
-    /// Between any command issued on a channel `now` and the earliest
-    /// *next* legal command on that channel, the timing rules impose at
-    /// least this much simulated time: a fresh row access waits tRCD
-    /// before its first column access, closing one waits tRP, and the
-    /// four-activation window admits at most 4 ACTs per tFAW (so
-    /// consecutive ACTs average at least tFAW/4 apart). The minimum of
-    /// those horizons is a floor on how soon one channel's state can
-    /// influence another's — a shard simulating up to `now +
-    /// lookahead_bound()` cannot miss a cross-shard effect. Parallel
-    /// engines use it to size their conservative windows (for the
-    /// reference HBM4 set: min(16, 14, 10) = 10 ns).
-    pub fn lookahead_bound(&self) -> TimeDelta {
-        let faw_slot = TimeDelta::from_ps(self.t_faw.as_ps() / 4);
-        self.t_rcd.min(self.t_rp).min(faw_slot)
-    }
-
     /// Validate internal consistency (e.g. tRAS ≥ tRCD).
     pub fn validate(&self) -> Result<(), String> {
         if self.t_ras < self.t_rcd {
@@ -137,18 +119,6 @@ mod tests {
     fn t_rc_is_ras_plus_rp() {
         let t = HbmTiming::hbm4();
         assert_eq!(t.t_rc(), TimeDelta::from_ns(30));
-    }
-
-    #[test]
-    fn lookahead_bound_is_the_tightest_command_horizon() {
-        // Reference HBM4: tRCD=16, tRP=14, tFAW/4=10 -> 10 ns.
-        let t = HbmTiming::hbm4();
-        assert_eq!(t.lookahead_bound(), TimeDelta::from_ns(10));
-        // A slower-precharge part is bounded by the FAW slot; a part
-        // with a tight tRP is bounded by tRP.
-        let mut t = HbmTiming::hbm4();
-        t.t_rp = TimeDelta::from_ns(4);
-        assert_eq!(t.lookahead_bound(), TimeDelta::from_ns(4));
     }
 
     #[test]

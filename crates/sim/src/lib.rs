@@ -15,10 +15,6 @@
 //!   buffer churn out of the allocator without touching determinism.
 //! * [`Simulation`] — a thin driver that pops events and hands them to a
 //!   handler together with a scheduling context.
-//! * [`Feeder`] — a bounded-lookahead buffer over a pull-based external
-//!   arrival stream, so streaming drivers interleave source pulls with
-//!   queue events in O(lookahead) memory instead of pre-scheduling the
-//!   whole horizon.
 //! * [`rng`] — seeded, stream-splittable random number generation. Every
 //!   stochastic component of the workspace takes an explicit `u64` seed.
 //! * [`snapshot`] — versioned, CRC-checked checkpoint containers with
@@ -54,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-mod feeder;
 mod queue;
 pub mod rng;
 mod series;
@@ -62,6 +57,5 @@ pub mod snapshot;
 pub mod stats;
 
 pub use arena::VecPool;
-pub use feeder::Feeder;
-pub use queue::{EventQueue, EventSink, QueueKind, ShardedEventQueue, Simulation};
+pub use queue::{EventQueue, QueueKind, Simulation};
 pub use series::{Series, TraceLog};

@@ -22,13 +22,6 @@
 //! wheel is byte-identical to the oracle by construction. Compiling
 //! `rip-sim` with the `heap-kernel` feature flips the default kernel
 //! back to the heap oracle for whole-suite differential runs.
-//!
-//! [`ShardedEventQueue`] layers a partitioned facade over either kernel:
-//! event classes whose firing times are provably monotone (per-port
-//! crossbar handoffs, periodic read turns, fixed-delay flush timers) go
-//! into per-lane FIFO calendars, everything else into the kernel, and a
-//! single global sequence counter keeps the merged pop order exactly the
-//! `(time, seq)` total order a monolithic queue would produce.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -326,34 +319,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` at `time` with an externally assigned sequence
-    /// number. [`ShardedEventQueue`] owns the global `(time, seq)`
-    /// counter across its partitions and delegates the unordered event
-    /// classes here; `seq` must be strictly increasing across calls
-    /// (interleaved with the lane calendars, so gaps are expected).
-    ///
-    /// # Panics
-    /// Panics if `time` is in the past or `seq` is not beyond every
-    /// previously assigned sequence number.
-    pub fn schedule_seq(&mut self, time: SimTime, seq: u64, event: E) {
-        assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time} < last popped {}",
-            self.last_popped
-        );
-        assert!(
-            seq >= self.next_seq,
-            "schedule_seq must be monotone: seq {seq} < next {}",
-            self.next_seq
-        );
-        self.next_seq = seq + 1;
-        let entry = Entry { time, seq, event };
-        match &mut self.kernel {
-            Kernel::Wheel(w) => w.insert(entry),
-            Kernel::Heap(h) => h.push(entry),
-        }
-    }
-
     /// Remove and return the earliest event, with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = match &mut self.kernel {
@@ -370,16 +335,6 @@ impl<E> EventQueue<E> {
         match &self.kernel {
             Kernel::Wheel(w) => w.peek().map(|e| e.time),
             Kernel::Heap(h) => h.peek().map(|e| e.time),
-        }
-    }
-
-    /// The `(time, seq)` key of the earliest pending event — what the
-    /// sharded facade compares against its lane calendars at merge
-    /// points.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match &self.kernel {
-            Kernel::Wheel(w) => w.peek().map(|e| (e.time, e.seq)),
-            Kernel::Heap(h) => h.peek().map(|e| (e.time, e.seq)),
         }
     }
 
@@ -482,163 +437,6 @@ impl<E> EventQueue<E> {
             }
         }
         q
-    }
-}
-
-/// The sink half of the queue API: handlers that only ever *schedule*
-/// follow-up events can be generic over this, so the same dispatch code
-/// drives a monolithic [`EventQueue`] and a [`ShardedEventQueue`]-backed
-/// router without duplication.
-pub trait EventSink<E> {
-    /// Schedule `event` to fire at `time`.
-    fn schedule(&mut self, time: SimTime, event: E);
-}
-
-impl<E> EventSink<E> for EventQueue<E> {
-    fn schedule(&mut self, time: SimTime, event: E) {
-        EventQueue::schedule(self, time, event);
-    }
-}
-
-/// A partitioned event queue preserving global `(time, seq)` pop order.
-///
-/// The queue is split into `lanes` monotone FIFO calendars plus one
-/// kernel-backed queue for everything else. A lane holds an event class
-/// whose firing times are non-decreasing *by construction* (each port's
-/// crossbar handoffs serialize on that port's free time; periodic turns
-/// advance by a fixed interval; flush timers arm in dispatch order with
-/// a constant delay), so insertion is `push_back` and the earliest lane
-/// entry is always the front — no heap or wheel bookkeeping. One global
-/// sequence counter spans all partitions, so the merged pop sequence is
-/// *exactly* what a single [`EventQueue`] fed the same `schedule` calls
-/// in the same order would produce: sharding the storage never reorders
-/// ties, which is what keeps parallel-engine output byte-identical.
-///
-/// Misuse is loud: scheduling a lane event earlier than the lane's tail
-/// panics immediately instead of silently reordering.
-pub struct ShardedEventQueue<E> {
-    kernel: EventQueue<E>,
-    lanes: Vec<std::collections::VecDeque<(SimTime, u64, E)>>,
-    next_seq: u64,
-    last_popped: SimTime,
-}
-
-impl<E> ShardedEventQueue<E> {
-    /// An empty queue with `lanes` monotone calendars over a `kind`
-    /// kernel for the unordered event classes.
-    pub fn new(kind: QueueKind, lanes: usize) -> Self {
-        ShardedEventQueue {
-            kernel: EventQueue::with_kind(kind),
-            lanes: std::iter::repeat_with(std::collections::VecDeque::new)
-                .take(lanes)
-                .collect(),
-            next_seq: 0,
-            last_popped: SimTime::ZERO,
-        }
-    }
-
-    /// The kernel backing the unordered partition.
-    pub fn kind(&self) -> QueueKind {
-        self.kernel.kind()
-    }
-
-    /// Number of monotone lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Schedule into the unordered (kernel-backed) partition.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the last popped event.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time} < last popped {}",
-            self.last_popped
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.kernel.schedule_seq(time, seq, event);
-    }
-
-    /// Schedule into monotone calendar `lane`.
-    ///
-    /// # Panics
-    /// Panics if `time` is earlier than the last popped event or than
-    /// the lane's current tail — lane calendars exist *because* their
-    /// event class is provably monotone, so a violation is a bug in the
-    /// caller's monotonicity argument, not a case to paper over.
-    pub fn schedule_lane(&mut self, lane: usize, time: SimTime, event: E) {
-        assert!(
-            time >= self.last_popped,
-            "scheduling into the past: {time} < last popped {}",
-            self.last_popped
-        );
-        let q = &mut self.lanes[lane];
-        if let Some(&(tail, _, _)) = q.back() {
-            assert!(
-                time >= tail,
-                "lane {lane} calendar must be monotone: {time} < tail {tail}"
-            );
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        q.push_back((time, seq, event));
-    }
-
-    /// The `(time, seq)`-earliest pending partition: lane index, or
-    /// `None` for the kernel partition. `Some(Err(()))` never occurs —
-    /// this is internal to `pop`/`peek_time`.
-    fn best(&self) -> Option<(SimTime, u64, Option<usize>)> {
-        let mut best: Option<(SimTime, u64, Option<usize>)> =
-            self.kernel.peek_key().map(|(t, s)| (t, s, None));
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(&(t, s, _)) = lane.front() {
-                let better = match best {
-                    None => true,
-                    Some((bt, bs, _)) => (t, s) < (bt, bs),
-                };
-                if better {
-                    best = Some((t, s, Some(i)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Remove and return the globally earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, _, lane) = self.best()?;
-        debug_assert!(time >= self.last_popped);
-        self.last_popped = time;
-        match lane {
-            Some(i) => {
-                let (t, _, ev) = self.lanes[i].pop_front().expect("best lane has a front");
-                Some((t, ev))
-            }
-            None => self.kernel.pop(),
-        }
-    }
-
-    /// The firing time of the globally earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.best().map(|(t, _, _)| t)
-    }
-
-    /// Number of pending events across all partitions.
-    pub fn len(&self) -> usize {
-        self.kernel.len() + self.lanes.iter().map(|l| l.len()).sum::<usize>()
-    }
-
-    /// True if no events are pending in any partition.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        self.last_popped
     }
 }
 
@@ -894,65 +692,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    /// Differential check for the sharded facade: any interleaving of
-    /// lane-monotone and unordered schedules pops in exactly the order a
-    /// monolithic queue fed the same calls produces — including ties.
-    #[test]
-    fn sharded_facade_matches_monolithic_pop_order() {
-        for kind in KINDS {
-            let mut sharded = ShardedEventQueue::new(kind, 3);
-            let mut oracle = EventQueue::with_kind(kind);
-            // Deterministic LCG drives the interleaving.
-            let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
-            let mut rng = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 33
-            };
-            let mut lane_tail = [0u64; 3];
-            let mut id = 0u32;
-            let mut drained = 0usize;
-            for _ in 0..500 {
-                let r = rng();
-                if r % 5 == 4 && drained < 400 {
-                    // Interleave pops so lanes fill and drain mid-run.
-                    assert_eq!(sharded.pop(), oracle.pop());
-                    drained += 1;
-                    continue;
-                }
-                // Ties are common on purpose: coarse 10 ns grid.
-                let mut t = SimTime::from_ns(sharded.now().as_ps() / 1000 + (r % 8) * 10);
-                id += 1;
-                if r % 5 < 3 {
-                    let lane = (r % 3) as usize;
-                    t = t.max(SimTime::from_ps(lane_tail[lane]));
-                    lane_tail[lane] = t.as_ps();
-                    sharded.schedule_lane(lane, t, id);
-                } else {
-                    sharded.schedule(t, id);
-                }
-                oracle.schedule(t, id);
-            }
-            assert_eq!(sharded.len(), oracle.len());
-            loop {
-                let (a, b) = (sharded.pop(), oracle.pop());
-                assert_eq!(a, b, "sharded facade diverged from monolithic order");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "calendar must be monotone")]
-    fn sharded_facade_rejects_non_monotone_lane() {
-        let mut q = ShardedEventQueue::new(QueueKind::TimingWheel, 1);
-        q.schedule_lane(0, SimTime::from_ns(20), ());
-        q.schedule_lane(0, SimTime::from_ns(10), ());
     }
 
     /// Popping must re-sync the wheel after an eager advance overshoots

@@ -5,7 +5,7 @@
 //! wall-clock, so same-seed runs are byte-identical. This module is the
 //! one deliberate exception: it measures where the *simulator's own*
 //! host time goes (event-kernel pops, HBM timing arithmetic, batch
-//! assembly, shard-channel stalls, telemetry export, checkpoint I/O,
+//! assembly, telemetry export, checkpoint I/O,
 //! fleet framing), so optimization work can be aimed at the real hot
 //! spots instead of guesses.
 //!
@@ -26,7 +26,7 @@
 //! times the event's own work, so per-event phases go through
 //! [`prof_now_sampled`] — a systematic 1-in-[`SAMPLE_STRIDE`] sample
 //! of loop iterations; coarse once-per-epoch phases (telemetry export,
-//! checkpoints, fleet framing, channel stalls) are always timed. The
+//! checkpoints, fleet framing) are always timed. The
 //! `repro profile-overhead` bench holds the end-to-end overhead under
 //! 3 %.
 
@@ -55,17 +55,6 @@ pub enum Phase {
     Dispatch,
     /// Epoch snapshot/delta extraction and sink export.
     TelemetryExport,
-    /// Shard-worker compute: input-stage simulation of its partition.
-    ShardBusy,
-    /// Shard-worker blocked in `send` on the bounded effect channel.
-    ShardSend,
-    /// Serial core blocked in `recv` waiting for a shard block. This
-    /// stall happens *inside* the enclosing pop/replay span, so it is a
-    /// breakdown of those phases, not an additive sibling — exclude it
-    /// when summing phases against wall time.
-    ChannelRecv,
-    /// Serial-core replay of shard boundary effects.
-    SerialReplay,
     /// Fleet collector: wire-frame decode and line parsing.
     FrameDecode,
     /// Fleet collector: staging records until their worker commits.
@@ -80,7 +69,7 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (the fixed accumulator-table size).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 11;
 
     /// Every phase, in index order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -90,10 +79,6 @@ impl Phase {
         Phase::BatchDrain,
         Phase::Dispatch,
         Phase::TelemetryExport,
-        Phase::ShardBusy,
-        Phase::ShardSend,
-        Phase::ChannelRecv,
-        Phase::SerialReplay,
         Phase::FrameDecode,
         Phase::Staging,
         Phase::MergeReplay,
@@ -111,10 +96,6 @@ impl Phase {
             Phase::BatchDrain => "batch_drain",
             Phase::Dispatch => "dispatch",
             Phase::TelemetryExport => "telemetry_export",
-            Phase::ShardBusy => "shard_busy",
-            Phase::ShardSend => "shard_send",
-            Phase::ChannelRecv => "channel_recv",
-            Phase::SerialReplay => "serial_replay",
             Phase::FrameDecode => "frame_decode",
             Phase::Staging => "staging",
             Phase::MergeReplay => "merge_replay",
@@ -257,7 +238,7 @@ impl Drop for PhaseScope<'_> {
 /// of a `{"record":"profile", ...}` JSONL line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileRecord {
-    /// Who measured: `engine`, `shard03`, `collect`, `w1/engine`, ...
+    /// Who measured: `engine`, `plane03`, `collect`, `w1/engine`, ...
     pub source: String,
     /// Flush sequence number; aligned with telemetry epoch indices when
     /// the run streams live epochs.
@@ -284,7 +265,7 @@ struct HubInner {
 }
 
 /// The collection point for profile records from every instrumented
-/// component: engines, shard workers, the fleet collector, checkpoint
+/// component: engines, SPS planes, the fleet collector, checkpoint
 /// paths. Cloning shares the hub (it is an `Arc` around the state), so
 /// one hub can fan in from worker threads.
 ///
@@ -465,7 +446,8 @@ impl EngineProfiler {
         }
     }
 
-    /// The shared hub (to bind sibling profilers, e.g. shard workers).
+    /// The shared hub (to record into it directly, e.g. forwarded worker
+    /// records).
     pub fn hub(&self) -> &ProfileHub {
         &self.hub
     }
@@ -583,14 +565,14 @@ mod tests {
         {
             let _s = acc.scope(Phase::KernelPop);
         }
-        acc.add_ns_n(Phase::ChannelRecv, 1234, 2);
+        acc.add_ns_n(Phase::MergeReplay, 1234, 2);
         assert!(!acc.is_idle());
         let rec = acc.flush("engine", 0);
         assert_eq!(rec.source, "engine");
         assert_eq!(rec.epoch, 0);
         assert_eq!(rec.phases["kernel_pop"].count, 1);
-        assert_eq!(rec.phases["channel_recv"].ns, 1234);
-        assert_eq!(rec.phases["channel_recv"].count, 2);
+        assert_eq!(rec.phases["merge_replay"].ns, 1234);
+        assert_eq!(rec.phases["merge_replay"].count, 2);
         assert!(acc.is_idle(), "flush must reset the accumulator");
         let empty = acc.flush("engine", 1);
         assert!(empty.phases.is_empty());

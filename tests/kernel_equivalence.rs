@@ -4,17 +4,16 @@
 //! from the binary-heap oracle it replaced: for every shipped config in
 //! `configs/*.json`, a same-seed run under each kernel must produce a
 //! byte-identical serialized final report AND a byte-identical JSONL
-//! live-telemetry stream. The same contract binds the sharded engine to
-//! the sequential oracle: every config runs under every
-//! `{Sequential, Sharded(2), Sharded(4)}` × `{wheel, heap}` pairing,
-//! and a proptest randomizes shard count and conservative-window tuning
-//! on top. Horizons are capped so the suite stays fast in debug builds
-//! — the engines dispatch identical event sequences from the first pop,
-//! so a capped run that diverges would diverge at full length too.
+//! live-telemetry stream. The same contract binds the switch's two
+//! entry points into its run loop: a checkpointing run (snapshot at
+//! every epoch) under either kernel must match the plain streaming run
+//! on the wheel. Horizons are capped so the suite stays fast in debug
+//! builds — the runs dispatch identical event sequences from the first
+//! pop, so a capped run that diverges would diverge at full length too.
 
 use std::path::PathBuf;
 
-use rip_core::{EngineKind, FaultPlan, HbmSwitch, RouterConfig, ShardTuning};
+use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
 use rip_sim::QueueKind;
 use rip_telemetry::{JsonlSink, SharedSink};
 use rip_traffic::{
@@ -69,7 +68,7 @@ struct SimSpec {
     epoch_ps: Option<u64>,
 }
 
-fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGenerator>> {
+fn build_source(spec: &SimSpec, horizon: SimTime) -> MergedSource<BoundedSource<PacketGenerator>> {
     let n = spec.router.ribbons;
     let tm = match spec.matrix {
         MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
@@ -110,11 +109,7 @@ fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGene
             BoundedSource::new(g, horizon)
         })
         .collect();
-    lanes
-}
-
-fn build_source(spec: &SimSpec, horizon: SimTime) -> MergedSource<BoundedSource<PacketGenerator>> {
-    MergedSource::new(build_lanes(spec, horizon))
+    MergedSource::new(lanes)
 }
 
 /// Live-telemetry epoch period for a config: its own `epoch_ps`, or a
@@ -142,30 +137,31 @@ fn run_kernel(spec: &SimSpec, kind: QueueKind, horizon: SimTime) -> (String, Vec
     (report, jsonl)
 }
 
-/// Run `spec` to completion under an explicit engine selection (and
-/// shard tuning) and return the same observables as [`run_kernel`].
-/// The engine in the config file itself is overridden so the matrix
-/// below controls exactly what runs.
-fn run_engine(
-    spec: &SimSpec,
-    kind: QueueKind,
-    engine: EngineKind,
-    tuning: ShardTuning,
-    horizon: SimTime,
-) -> (String, Vec<u8>) {
+/// [`run_kernel`] through the checkpointing entry point, with a
+/// snapshot due at every epoch (the snapshots themselves are dropped).
+fn run_checkpointed(spec: &SimSpec, kind: QueueKind, horizon: SimTime) -> (String, Vec<u8>) {
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
-    let mut cfg = spec.router.clone();
-    cfg.engine = engine;
-    let mut sw = HbmSwitch::new(cfg).expect("shipped config is valid");
+    let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.set_queue_kind(kind);
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
-    sw.run_ports_tuned(
-        build_lanes(spec, horizon),
-        deadline,
-        &FaultPlan::default(),
-        tuning,
-    );
+    let mut snapshots = 0u64;
+    let outcome = sw
+        .run_source_checkpointed(
+            build_source(spec, horizon),
+            deadline,
+            &FaultPlan::default(),
+            None,
+            1,
+            || false,
+            |_, _, _| {
+                snapshots += 1;
+                Ok(())
+            },
+        )
+        .expect("checkpointed run");
+    assert_eq!(outcome, RunOutcome::Completed);
+    assert!(snapshots > 0, "no checkpoint was due — comparison vacuous");
     let report = serde_json::to_string(&sw.into_report()).expect("report serializes");
     let mut jsonl: Vec<u8> = Vec::new();
     {
@@ -241,102 +237,52 @@ fn wheel_and_heap_kernels_agree_on_every_shipped_config() {
 
 #[test]
 fn every_engine_and_kernel_agrees_on_every_shipped_config() {
-    // The full matrix: {Sequential, Sharded(2), Sharded(4)} x
-    // {wheel, heap}, every shipped config, byte-identical reports and
-    // JSONL streams against the sequential/wheel baseline.
-    let engines = [
-        EngineKind::Sequential,
-        EngineKind::Sharded { shards: 2 },
-        EngineKind::Sharded { shards: 4 },
-    ];
+    // {plain, checkpointing} x {wheel, heap}, every shipped config,
+    // byte-identical reports and JSONL streams against the plain/wheel
+    // baseline. Taking snapshots must not perturb the run.
     let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-        let (base_report, base_jsonl) = run_engine(
-            spec,
-            QueueKind::TimingWheel,
-            EngineKind::Sequential,
-            ShardTuning::default(),
-            horizon,
-        );
+        let (base_report, base_jsonl) = run_kernel(spec, QueueKind::TimingWheel, horizon);
         assert!(!base_jsonl.is_empty(), "{name}: comparison was vacuous");
-        for engine in engines {
-            for kind in kinds {
-                if engine == EngineKind::Sequential && kind == QueueKind::TimingWheel {
-                    continue; // that's the baseline itself
-                }
-                let (report, jsonl) =
-                    run_engine(spec, kind, engine, ShardTuning::default(), horizon);
-                assert_eq!(
-                    report, base_report,
-                    "{name}: {engine:?}/{kind:?} report diverged from Sequential/TimingWheel"
-                );
-                assert_eq!(
-                    jsonl, base_jsonl,
-                    "{name}: {engine:?}/{kind:?} JSONL stream diverged from Sequential/TimingWheel"
-                );
-            }
+        for kind in kinds {
+            let (report, jsonl) = run_checkpointed(spec, kind, horizon);
+            assert_eq!(
+                report, base_report,
+                "{name}: checkpointed/{kind:?} report diverged from plain/TimingWheel"
+            );
+            assert_eq!(
+                jsonl, base_jsonl,
+                "{name}: checkpointed/{kind:?} JSONL stream diverged from plain/TimingWheel"
+            );
         }
     }
 }
 
-/// Proptest horizon: shorter than the matrix's — 8 random pairings
-/// against a cached oracle still need to stay cheap in debug builds.
-const PROPTEST_HORIZON_US: u64 = 10;
-
-/// The proptest's cached sequential-oracle run (spec + observables),
-/// computed once across cases.
-fn proptest_oracle() -> &'static (String, SimSpec, (String, Vec<u8>)) {
-    use std::sync::OnceLock;
-    static ORACLE: OnceLock<(String, SimSpec, (String, Vec<u8>))> = OnceLock::new();
-    ORACLE.get_or_init(|| {
-        let (name, spec) = shipped_configs().remove(0);
-        let horizon = SimTime::from_ns(spec.horizon_us.min(PROPTEST_HORIZON_US) * 1000);
-        let base = run_engine(
-            &spec,
-            QueueKind::TimingWheel,
-            EngineKind::Sequential,
-            ShardTuning::default(),
-            horizon,
-        );
-        (name, spec, base)
-    })
-}
-
-proptest::proptest! {
-    #![proptest_config(proptest::ProptestConfig::with_cases(8))]
-
-    /// Randomize the shard count AND every conservative-window knob:
-    /// none of them may change a single output byte — they only trade
-    /// cross-thread messaging against shard run-ahead.
-    #[test]
-    fn random_shard_counts_and_windows_match_the_sequential_oracle(
-        shards in 1usize..=4,
-        block_events in 1usize..=512,
-        window_mult in 1u64..=100_000,
-        channel_blocks in 1usize..=8,
-    ) {
-        let (name, spec, baseline) = proptest_oracle();
-        let horizon = SimTime::from_ns(spec.horizon_us.min(PROPTEST_HORIZON_US) * 1000);
-        let tuning = ShardTuning {
-            block_events,
-            window_mult,
-            channel_blocks,
-        };
-        let shards = shards.min(spec.router.ribbons);
-        let got = run_engine(
-            spec,
-            QueueKind::TimingWheel,
-            EngineKind::Sharded { shards },
-            tuning,
-            horizon,
-        );
-        proptest::prop_assert!(
-            &got == baseline,
-            "{}: Sharded({}) with {:?} diverged from the oracle",
-            name, shards, tuning
-        );
-    }
+#[test]
+fn legacy_engine_block_loads_and_changes_nothing() {
+    // Specs written while the switch had a selectable engine carry a
+    // `router.engine` block. The decoder ignores unknown keys and every
+    // engine produced identical output, so such a spec must still load
+    // and run to the same bytes as the spec without the block.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs/soak_live.json");
+    let text = std::fs::read_to_string(&path).expect("config readable");
+    let legacy = text.replacen(
+        "\"router\": {",
+        "\"router\": {\n    \"engine\": {\"kind\": \"sharded\", \"shards\": 2},",
+        1,
+    );
+    assert_ne!(legacy, text, "engine block was not inserted");
+    let spec: SimSpec = serde_json::from_str(&text).expect("current spec decodes");
+    let old: SimSpec = serde_json::from_str(&legacy).expect("legacy spec decodes");
+    let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
+    let (report, jsonl) = run_kernel(&spec, QueueKind::TimingWheel, horizon);
+    assert!(!jsonl.is_empty(), "comparison was vacuous");
+    assert_eq!(
+        run_kernel(&old, QueueKind::TimingWheel, horizon),
+        (report, jsonl),
+        "a legacy engine block changed the run"
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The profiler observes and must never participate: enabling it may
 //! not change one byte of any deterministic output surface. This suite
-//! runs every shipped config under every engine x kernel pairing twice
+//! runs every shipped config under every entry point x kernel pairing twice
 //! — once silent, once with a [`ProfileHub`] attached — and demands
 //! byte-identical final reports and JSONL telemetry streams. The same
 //! contract is checked for the two remaining deterministic surfaces:
@@ -13,13 +13,14 @@
 
 use std::cell::RefCell;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
-use rip_core::{EngineKind, FaultPlan, HbmSwitch, RouterConfig, RunOutcome, ShardTuning};
+use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
 use rip_integration_tests::source_for;
 use rip_sim::QueueKind;
-use rip_telemetry::{JsonlSink, Phase, ProfileHub, SharedSink, TraceWindow};
+use rip_telemetry::{JsonlSink, Phase, ProfileHub, ProfileRecord, SharedSink, TraceWindow};
 use rip_traffic::{
-    ArrivalProcess, BoundedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
 };
 use rip_units::{SimTime, TimeDelta};
 use serde::Deserialize;
@@ -70,7 +71,7 @@ struct SimSpec {
     epoch_ps: Option<u64>,
 }
 
-fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGenerator>> {
+fn build_source(spec: &SimSpec, horizon: SimTime) -> MergedSource<BoundedSource<PacketGenerator>> {
     let n = spec.router.ribbons;
     let tm = match spec.matrix {
         MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
@@ -95,7 +96,7 @@ fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGene
         ProcessSpec::Cbr => ArrivalProcess::Cbr,
         ProcessSpec::OnOff { mean_burst_packets } => ArrivalProcess::OnOff { mean_burst_packets },
     };
-    (0..n)
+    let lanes = (0..n)
         .map(|port| {
             let g = PacketGenerator::new(
                 port,
@@ -110,7 +111,8 @@ fn build_lanes(spec: &SimSpec, horizon: SimTime) -> Vec<BoundedSource<PacketGene
             .expect("config builds a valid generator");
             BoundedSource::new(g, horizon)
         })
-        .collect()
+        .collect();
+    MergedSource::new(lanes)
 }
 
 fn epoch_period(spec: &SimSpec) -> TimeDelta {
@@ -147,32 +149,51 @@ fn shipped_configs() -> Vec<(String, SimSpec)> {
 /// event sequences, not full-length soaks.
 const HORIZON_CAP_US: u64 = 20;
 
-/// Run `spec` under an explicit engine/kernel pairing, optionally with
-/// a profiler attached, and return the serialized final report plus
-/// the rendered JSONL telemetry stream.
+/// The switch's two entry points into its run loop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    /// `run_source`.
+    Plain,
+    /// `run_source_checkpointed`, with a snapshot due at every epoch.
+    Checkpointed,
+}
+
+/// Run `spec` through `entry` under `kind`, optionally with a profiler
+/// attached, and return the serialized final report plus the rendered
+/// JSONL telemetry stream.
 fn run_spec(
     spec: &SimSpec,
     kind: QueueKind,
-    engine: EngineKind,
+    entry: Entry,
     horizon: SimTime,
     hub: Option<&ProfileHub>,
 ) -> (String, Vec<u8>) {
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
-    let mut cfg = spec.router.clone();
-    cfg.engine = engine;
-    let mut sw = HbmSwitch::new(cfg).expect("shipped config is valid");
+    let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.set_queue_kind(kind);
     if let Some(h) = hub {
         sw.enable_profiler(h.clone());
     }
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
-    sw.run_ports_tuned(
-        build_lanes(spec, horizon),
-        deadline,
-        &FaultPlan::default(),
-        ShardTuning::default(),
-    );
+    let source = build_source(spec, horizon);
+    match entry {
+        Entry::Plain => sw.run_source(source, deadline, &FaultPlan::default()),
+        Entry::Checkpointed => {
+            let outcome = sw
+                .run_source_checkpointed(
+                    source,
+                    deadline,
+                    &FaultPlan::default(),
+                    None,
+                    1,
+                    || false,
+                    |_, _, _| Ok(()),
+                )
+                .expect("checkpointed run");
+            assert_eq!(outcome, RunOutcome::Completed);
+        }
+    }
     let report = serde_json::to_string(&sw.into_report()).expect("report serializes");
     let mut jsonl: Vec<u8> = Vec::new();
     {
@@ -184,33 +205,110 @@ fn run_spec(
 
 #[test]
 fn profiler_leaves_every_engine_and_kernel_byte_identical() {
-    let engines = [EngineKind::Sequential, EngineKind::Sharded { shards: 2 }];
+    let entries = [Entry::Plain, Entry::Checkpointed];
     let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-        for engine in engines {
+        for entry in entries {
             for kind in kinds {
-                let silent = run_spec(spec, kind, engine, horizon, None);
+                let silent = run_spec(spec, kind, entry, horizon, None);
                 // A ring-only hub, exactly what `--profile` without an
                 // output stream attaches.
                 let hub = ProfileHub::new();
-                let profiled = run_spec(spec, kind, engine, horizon, Some(&hub));
+                let profiled = run_spec(spec, kind, entry, horizon, Some(&hub));
                 assert_eq!(
                     silent.0, profiled.0,
-                    "{name}: {engine:?}/{kind:?} report changed under profiling"
+                    "{name}: {entry:?}/{kind:?} report changed under profiling"
                 );
                 assert_eq!(
                     silent.1, profiled.1,
-                    "{name}: {engine:?}/{kind:?} JSONL stream changed under profiling"
+                    "{name}: {entry:?}/{kind:?} JSONL stream changed under profiling"
                 );
                 assert!(!silent.1.is_empty(), "{name}: comparison was vacuous");
                 assert!(
                     hub.records_total() > 0,
-                    "{name}: {engine:?}/{kind:?} profiled run recorded nothing"
+                    "{name}: {entry:?}/{kind:?} profiled run recorded nothing"
                 );
             }
         }
     }
+}
+
+/// A `Write` handle on a shared buffer, so a hub's full record stream
+/// can be read back after the run (its in-memory ring keeps only the
+/// newest records).
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("buffer lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn checkpointed_runs_record_the_same_engine_phases() {
+    // Both entry points share one run loop, so the same profiled input
+    // must sample the same per-event laps: lap sampling is a
+    // deterministic 1-in-64 tick, so the summed span counts of the
+    // engine phases match exactly.
+    let (name, spec) = shipped_configs().remove(0);
+    let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
+    let engine_phases = [
+        Phase::KernelPop,
+        Phase::BatchAssembly,
+        Phase::HbmTiming,
+        Phase::BatchDrain,
+        Phase::Dispatch,
+    ];
+    let counts = |entry: Entry| -> Vec<u64> {
+        let hub = ProfileHub::new();
+        let out = SharedBuf::default();
+        hub.set_output(Box::new(out.clone()));
+        run_spec(&spec, QueueKind::TimingWheel, entry, horizon, Some(&hub));
+        hub.flush_output();
+        let text = String::from_utf8(out.0.lock().expect("buffer lock").clone())
+            .expect("profile stream is UTF-8");
+        let records: Vec<ProfileRecord> = text
+            .lines()
+            .map(|l| {
+                let line: serde_json::Value = serde_json::parse(l).expect("record line parses");
+                let data = line
+                    .as_object()
+                    .and_then(|f| f.iter().find(|(k, _)| k == "data"))
+                    .map(|(_, d)| d.clone())
+                    .expect("profile line carries its record under `data`");
+                serde_json::from_value(data).expect("record decodes")
+            })
+            .collect();
+        assert_eq!(records.len() as u64, hub.records_total());
+        engine_phases
+            .iter()
+            .map(|p| {
+                records
+                    .iter()
+                    .filter_map(|r| r.phases.get(p.name()))
+                    .map(|s| s.count)
+                    .sum()
+            })
+            .collect()
+    };
+    let plain = counts(Entry::Plain);
+    let checkpointed = counts(Entry::Checkpointed);
+    // `Dispatch` covers faults only, and this run has none.
+    assert!(
+        plain[..4].iter().all(|&c| c > 0),
+        "{name}: plain run sampled no laps for some phase: {plain:?}"
+    );
+    assert_eq!(
+        checkpointed, plain,
+        "{name}: checkpointed run sampled different engine laps (phases {engine_phases:?})"
+    );
 }
 
 #[test]
@@ -224,11 +322,10 @@ fn profiler_leaves_chrome_traces_byte_identical() {
             sw.enable_profiler(h.clone());
         }
         sw.enable_chrome_trace(TraceWindow::all());
-        sw.run_ports_tuned(
-            build_lanes(&spec, horizon),
+        sw.run_source(
+            build_source(&spec, horizon),
             deadline,
             &FaultPlan::default(),
-            ShardTuning::default(),
         );
         let rec = sw.take_chrome_trace().expect("trace enabled");
         let mut json: Vec<u8> = Vec::new();
@@ -327,7 +424,7 @@ fn profile_records_are_well_formed() {
     run_spec(
         &spec,
         QueueKind::TimingWheel,
-        EngineKind::Sharded { shards: 2 },
+        Entry::Plain,
         horizon,
         Some(&hub),
     );
@@ -353,7 +450,6 @@ fn profile_records_are_well_formed() {
         }
         last_epoch.insert(rec.source.as_str(), rec.epoch);
     }
-    // Sharded runs attribute work to the per-shard sources too.
     assert!(
         records.iter().any(|r| r.source == "engine"),
         "{name}: no engine-source records"

@@ -12,7 +12,8 @@
 
 use std::collections::HashMap;
 
-use rip_core::{FaultKind, FaultPlan, HbmSwitch, RouterConfig, SwitchReport};
+use rip_core::{FaultKind, FaultPlan, FaultPlanError, HbmSwitch, RouterConfig, SwitchReport};
+use rip_hbm::PfiConfigError;
 use rip_sim::rng::derive_seed;
 use rip_traffic::{
     merge_streams, ArrivalProcess, Packet, PacketGenerator, SizeDistribution, TrafficMatrix,
@@ -144,4 +145,57 @@ fn no_fault_loss_below_degraded_capacity() {
     assert_eq!(r.dropped_packets_congestion, 0, "congestion drops");
     assert_eq!(r.delivered_packets, trace.len() as u64);
     assert_eq!(r.time_degraded, TimeDelta::from_us(T));
+}
+
+#[test]
+fn unservable_channel_fault_is_a_typed_plan_error() {
+    // With one channel per stripe subset, losing channel 0 leaves
+    // subset 0 with no live channel. Validation must say so, at the
+    // instant of the fault, instead of letting the switch panic there.
+    let mut cfg = RouterConfig::small();
+    cfg.stripe_channels = Some(1);
+    cfg.validate()
+        .expect("one-channel stripes are a valid config");
+    let at = SimTime::from_ns(5_000);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let err = plan
+        .validate(&cfg)
+        .expect_err("subset 0 has no live channel left");
+    assert_eq!(
+        err,
+        FaultPlanError::Unservable {
+            at,
+            switch: 0,
+            reason: PfiConfigError::SubsetDead { subset: 0 },
+        }
+    );
+    assert!(
+        err.to_string().contains("cannot be served"),
+        "untyped message: {err}"
+    );
+
+    // The same fault on another plane's channel is reported on that
+    // plane, and a recovery before the second fault keeps the plan
+    // servable.
+    let t = cfg.channels();
+    let on_plane_1 = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: t });
+    assert!(matches!(
+        on_plane_1.validate(&cfg),
+        Err(FaultPlanError::Unservable { switch: 1, .. })
+    ));
+    let mut wide = RouterConfig::small();
+    wide.stripe_channels = None;
+    let sequential = FaultPlan::new()
+        .inject(at, FaultKind::HbmChannelDown { channel: 0 })
+        .recover(
+            SimTime::from_ns(10_000),
+            FaultKind::HbmChannelDown { channel: 0 },
+        )
+        .inject(
+            SimTime::from_ns(15_000),
+            FaultKind::HbmChannelDown { channel: 1 },
+        );
+    sequential
+        .validate(&wide)
+        .expect("one dead channel at a time is servable");
 }
