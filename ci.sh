@@ -236,7 +236,7 @@ fi
 grep -q 'truncated' "$bench_dir/ckpt_trunc.log" \
   || { echo "truncated snapshot produced no typed error"; exit 1; }
 
-echo "==> fleet collector smoke (2 plane workers over TCP, byte-identical merge, profiler on)"
+echo "==> fleet collector smoke (1-plane + 3-plane workers over TCP, byte-identical merge, profiler on)"
 target/release/ripsim collect configs/fleet_small.json --oracle \
   > "$bench_dir/fleet_oracle.jsonl" 2> /dev/null \
   || { echo "fleet oracle run failed"; exit 1; }
@@ -254,10 +254,10 @@ done
 test -s "$bench_dir/fleet.port" || { echo "collector never published its port"; exit 1; }
 fleet_port="$(tr -d '[:space:]' < "$bench_dir/fleet.port")"
 target/release/ripsim plane-worker configs/fleet_small.json --profile \
-  --worker 0 --planes 0,2 --connect "127.0.0.1:$fleet_port" 2> /dev/null &
+  --worker 0 --planes 0 --connect "127.0.0.1:$fleet_port" 2> /dev/null &
 w0_pid=$!
 target/release/ripsim plane-worker configs/fleet_small.json --profile \
-  --worker 1 --planes 1,3 --connect "127.0.0.1:$fleet_port" 2> /dev/null &
+  --worker 1 --planes 1,2,3 --connect "127.0.0.1:$fleet_port" 2> /dev/null &
 w1_pid=$!
 wait "$w0_pid" || { echo "plane worker 0 exited nonzero"; exit 1; }
 wait "$w1_pid" || { echo "plane worker 1 exited nonzero"; exit 1; }

@@ -6,6 +6,8 @@ use std::fmt;
 use rip_hbm::PfiConfigError;
 use rip_units::{DataRate, DataSize};
 
+use crate::resilience::FaultPlanError;
+
 /// Everything [`crate::RouterConfig::validate`] (and the constructors
 /// built on it) can reject, as a typed error instead of a bare string.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +78,9 @@ pub enum ConfigError {
         /// Why the subset was rejected.
         reason: String,
     },
+    /// The fault plan handed to [`crate::SpsRouter::run_planes`] failed
+    /// [`crate::FaultPlan::validate`] for the router's configuration.
+    FaultPlan(FaultPlanError),
 }
 
 impl fmt::Display for ConfigError {
@@ -126,6 +131,7 @@ impl fmt::Display for ConfigError {
             ConfigError::PlaneSubset { reason } => {
                 write!(f, "invalid plane subset: {reason}")
             }
+            ConfigError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
         }
     }
 }
@@ -135,6 +141,7 @@ impl Error for ConfigError {
         match self {
             ConfigError::Pfi(e) => Some(e),
             ConfigError::TraceWindow(e) => Some(e),
+            ConfigError::FaultPlan(e) => Some(e),
             _ => None,
         }
     }

@@ -9,7 +9,7 @@ use rip_telemetry::{
 };
 use rip_traffic::hash::{lane_for, HashKind};
 use rip_traffic::{
-    ArrivalProcess, BoundedSource, FiberFill, Packet, PacketGenerator, PacketSource,
+    ArrivalProcess, BoundedSource, FiberFill, MergedSource, Packet, PacketGenerator, PacketSource,
     SizeDistribution, StatefulSource, TrafficMatrix,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
@@ -150,19 +150,25 @@ struct Epoch {
 /// The streaming front end of one plane: a pull-based demultiplexing
 /// source built by [`SpsRouter::plane_source`].
 ///
-/// It re-derives every per-fiber [`PacketGenerator`] (same seeds as
-/// [`SpsRouter::split_traffic`]), k-way-merges them in global
-/// `(arrival, input, id)` order with lane insertion order as the final
-/// tie-break — the exact order `split_traffic`'s stable sort produces —
-/// and filters the merged stream through the photonic fault epochs:
-/// packets on a lost wavelength are dropped at the front end (counted
-/// here when this plane would have received them), and packets steered
-/// to other planes are skipped. Each plane's source regenerates the
-/// full fiber set independently, trading H× generation CPU for
-/// O(fibers) memory per plane instead of a materialized per-plane
-/// trace; per-plane reports stay byte-identical to the batch split.
+/// It re-derives the per-fiber [`PacketGenerator`]s (same seeds as
+/// [`SpsRouter::split_traffic`]) of exactly the fibers that the split
+/// of some photonic epoch routes to this plane, k-way-merges them in
+/// global `(arrival, input, id)` order with lane order as the final
+/// tie-break — the order `split_traffic`'s stable sort produces — and
+/// filters the merged stream through the fault epochs: packets on a
+/// lost wavelength are dropped at the front end (counted here when
+/// this plane would have received them), and packets a re-spliced
+/// epoch steers to other planes are skipped. A fiber no epoch sends to
+/// this plane can contribute neither packets nor drops, so it gets no
+/// lane: generation cost per plane is O(own fibers), memory O(own
+/// fibers) with no materialized trace, and per-plane reports stay
+/// byte-identical to the batch split.
 pub struct PlaneSource {
-    lanes: Vec<FiberLane>,
+    merged: MergedSource<BoundedSource<PacketGenerator>>,
+    /// `(ribbon, fiber)` of each merged lane, indexed by lane. The
+    /// fiber lives here because [`Packet`] does not carry it, and the
+    /// split map routes by fiber.
+    fibers: Vec<(usize, usize)>,
     epochs: Vec<Epoch>,
     /// Whether each epoch has any lost wavelength (skips the per-packet
     /// flow hash in healthy epochs).
@@ -171,17 +177,6 @@ pub struct PlaneSource {
     wavelengths: usize,
     fe_dropped_packets: u64,
     fe_dropped: DataSize,
-}
-
-/// One (ribbon, fiber) generator lane inside a [`PlaneSource`], with a
-/// one-packet merge lookahead. The fiber index lives here because
-/// [`Packet`] does not carry it, and the split map routes by fiber.
-struct FiberLane {
-    ribbon: usize,
-    fiber: usize,
-    source: BoundedSource<PacketGenerator>,
-    pending: Option<Packet>,
-    done: bool,
 }
 
 impl PlaneSource {
@@ -202,36 +197,8 @@ impl PlaneSource {
 impl PacketSource for PlaneSource {
     fn next_packet(&mut self) -> Option<Packet> {
         loop {
-            // Refill lane lookaheads and pick the globally earliest
-            // packet; strict `<` keeps the earliest lane on full
-            // (arrival, input, id) ties, matching the stable sort.
-            let mut best: Option<usize> = None;
-            for i in 0..self.lanes.len() {
-                if self.lanes[i].pending.is_none() && !self.lanes[i].done {
-                    match self.lanes[i].source.next_packet() {
-                        Some(p) => self.lanes[i].pending = Some(p),
-                        None => self.lanes[i].done = true,
-                    }
-                }
-                if let Some(p) = &self.lanes[i].pending {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let q = self.lanes[b].pending.as_ref().expect("best has pending");
-                            (p.arrival, p.input, p.id) < (q.arrival, q.input, q.id)
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            let i = best?;
-            let p = self.lanes[i]
-                .pending
-                .take()
-                .expect("chosen lane has pending");
-            let (ribbon, fiber) = (self.lanes[i].ribbon, self.lanes[i].fiber);
+            let (lane, p) = self.merged.next_with_lane()?;
+            let (ribbon, fiber) = self.fibers[lane];
             let e = self.epochs.partition_point(|ep| ep.start <= p.arrival) - 1;
             let ep = &self.epochs[e];
             let target = ep.split.switch_for(ribbon, fiber);
@@ -252,20 +219,12 @@ impl PacketSource for PlaneSource {
     }
 }
 
-/// Serialized position of one [`FiberLane`]: its bounded generator's
-/// pull state plus the merge lookahead.
-#[derive(Serialize, Deserialize)]
-struct LaneState {
-    source: Value,
-    pending: Option<Packet>,
-    done: bool,
-}
-
 /// Serialized [`PlaneSource`] position. The lane set itself is derived
-/// from the workload, so only the mutable pull state rides along.
+/// from the workload and the fault plan, so only the merge's pull state
+/// and the drop counters ride along.
 #[derive(Serialize, Deserialize)]
 struct PlaneSourceState {
-    lanes: Vec<LaneState>,
+    merged: Value,
     fe_dropped_packets: u64,
     fe_dropped: DataSize,
 }
@@ -273,15 +232,7 @@ struct PlaneSourceState {
 impl StatefulSource for PlaneSource {
     fn save_state(&self) -> Value {
         PlaneSourceState {
-            lanes: self
-                .lanes
-                .iter()
-                .map(|l| LaneState {
-                    source: l.source.save_state(),
-                    pending: l.pending,
-                    done: l.done,
-                })
-                .collect(),
+            merged: self.merged.save_state(),
             fe_dropped_packets: self.fe_dropped_packets,
             fe_dropped: self.fe_dropped,
         }
@@ -290,18 +241,7 @@ impl StatefulSource for PlaneSource {
 
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
         let st = PlaneSourceState::from_value(state)?;
-        if st.lanes.len() != self.lanes.len() {
-            return Err(DeError::custom(format!(
-                "plane source has {} lanes, snapshot has {}",
-                self.lanes.len(),
-                st.lanes.len()
-            )));
-        }
-        for (lane, ls) in self.lanes.iter_mut().zip(st.lanes) {
-            lane.source.restore_state(&ls.source)?;
-            lane.pending = ls.pending;
-            lane.done = ls.done;
-        }
+        self.merged.restore_state(&st.merged)?;
         self.fe_dropped_packets = st.fe_dropped_packets;
         self.fe_dropped = st.fe_dropped;
         Ok(())
@@ -425,12 +365,18 @@ impl SpsRouter {
     ) -> PlaneSource {
         assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
         assert!(plane < self.cfg.switches, "plane index out of range");
+        let epochs = self.epochs(plan);
         let f = self.cfg.fibers_per_ribbon;
+        let fiber_loads = w.fill.loads(f, w.load * f as f64);
+        let mut fibers = Vec::new();
         let mut lanes = Vec::new();
         for ribbon in 0..self.cfg.ribbons {
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
             for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
+                if load <= 0.0
+                    || !epochs
+                        .iter()
+                        .any(|ep| ep.split.switch_for(ribbon, fiber) == plane)
+                {
                     continue;
                 }
                 let g = PacketGenerator::new(
@@ -444,22 +390,17 @@ impl SpsRouter {
                     rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
                 )
                 .expect("valid generator");
-                lanes.push(FiberLane {
-                    ribbon,
-                    fiber,
-                    source: BoundedSource::new(g, horizon),
-                    pending: None,
-                    done: false,
-                });
+                fibers.push((ribbon, fiber));
+                lanes.push(BoundedSource::new(g, horizon));
             }
         }
-        let epochs = self.epochs(plan);
         let epoch_has_loss = epochs
             .iter()
             .map(|e| e.lost.iter().flatten().any(|&b| b))
             .collect();
         PlaneSource {
-            lanes,
+            merged: MergedSource::new(lanes),
+            fibers,
             epochs,
             epoch_has_loss,
             plane,
@@ -501,9 +442,9 @@ impl SpsRouter {
 
     /// [`SpsRouter::run_with_faults`] with live telemetry: every plane
     /// streams epoch deltas (and sampled lifecycle spans) while it
-    /// runs. Per-plane records are buffered on the worker threads and
-    /// replayed into `sink` in plane order after the ordered join,
-    /// renamed `plane00`, `plane01`, … — so the stream is byte-stable
+    /// runs. Per-plane records are buffered per plane and replayed
+    /// into `sink` in plane order after the ordered join, renamed
+    /// `plane00`, `plane01`, … — so the stream is byte-stable
     /// across thread schedules, exactly like the merged report. A final
     /// `sps` `run_end` record carries the plane-merged registry.
     pub fn run_streamed(
@@ -528,7 +469,7 @@ impl SpsRouter {
         let live_opts = live.as_ref().map(|(o, _)| *o);
         let runs = self
             .run_planes(w, horizon, plan, live_opts, &all)
-            .expect("the full plane set is always a valid subset");
+            .expect("fault plan must be valid for this router");
         let report = self.stitch_report(
             runs.iter()
                 .map(|r| (r.report.clone(), r.fe_dropped_packets, r.fe_dropped))
@@ -569,9 +510,12 @@ impl SpsRouter {
     /// be non-empty, strictly ascending and within range; anything else
     /// is a [`ConfigError::PlaneSubset`].
     ///
-    /// Planes still run on parallel threads within the subset; results
-    /// return in subset (ascending plane) order regardless of thread
-    /// scheduling.
+    /// The last plane of the subset runs on the calling thread and the
+    /// others on scoped threads beside it, so a single-plane subset
+    /// spawns no thread; results return in subset (ascending plane)
+    /// order regardless of thread scheduling. A fault plan that fails
+    /// [`FaultPlan::validate`] for this router is a
+    /// [`ConfigError::FaultPlan`].
     pub fn run_planes(
         &self,
         w: &SpsWorkload,
@@ -603,71 +547,60 @@ impl SpsRouter {
                 ),
             });
         }
-        plan.validate(&self.cfg)
-            .expect("fault plan must be valid for this router");
+        plan.validate(&self.cfg).map_err(ConfigError::FaultPlan)?;
         let drain = self.cfg.drain.deadline(horizon);
-        let plans: Vec<FaultPlan> = planes
-            .iter()
-            .map(|&s| plan.project_switch(&self.cfg, s))
-            .collect();
-        // Per-plane staging buffers for live records (empty and unused
-        // when running silent).
-        let plane_sinks: Vec<SharedSink> = planes.iter().map(|_| SharedSink::new()).collect();
-        // Each plane pulls its arrivals from a streaming front-end
-        // demux instead of a materialized trace: memory per plane is
-        // O(fibers + in-flight), independent of horizon. Reports are
-        // byte-identical to the former batch split (see PlaneSource).
-        let results: Vec<(SwitchReport, u64, DataSize)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = planes
+        let (&last, others) = planes.split_last().expect("checked non-empty");
+        let runs = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = others
                 .iter()
-                .zip(&plans)
-                .enumerate()
-                .map(|(slot, (&plane, sub_plan))| {
-                    let cfg = self.cfg.clone();
-                    let mut src = self.plane_source(w, horizon, plan, plane);
-                    let plane_sink = plane_sinks[slot].clone();
-                    let hub = self.profile.clone();
-                    scope.spawn(move |_| {
-                        let mut sw = HbmSwitch::new(cfg).expect("validated config");
-                        if let Some(h) = hub {
-                            sw.enable_profiler_as(h, &format!("plane{plane:02}"));
-                        }
-                        if let Some(o) = live {
-                            sw.enable_live_telemetry(
-                                o.period,
-                                o.sample_one_in,
-                                Box::new(plane_sink),
-                            );
-                        }
-                        sw.run_source(&mut src, drain, sub_plan);
-                        (
-                            sw.into_report(),
-                            src.front_end_dropped_packets(),
-                            src.front_end_dropped(),
-                        )
-                    })
+                .map(|&plane| {
+                    scope.spawn(move |_| self.run_plane(w, horizon, plan, drain, live, plane))
                 })
                 .collect();
-            handles
+            let last_run = self.run_plane(w, horizon, plan, drain, live, last);
+            let mut runs: Vec<PlaneRun> = handles
                 .into_iter()
                 .map(|h| h.join().expect("switch simulation thread panicked"))
-                .collect()
+                .collect();
+            runs.push(last_run);
+            runs
         })
         .expect("crossbeam scope");
-        Ok(planes
-            .iter()
-            .zip(results)
-            .zip(plane_sinks)
-            .map(
-                |((&plane, (report, fe_packets, fe_bytes)), staged)| PlaneRun {
-                    plane,
-                    report,
-                    fe_dropped_packets: fe_packets,
-                    fe_dropped: fe_bytes,
-                    staged: staged.take(),
-                },
-            )
-            .collect())
+        Ok(runs)
+    }
+
+    /// Simulate one plane end to end: its streaming front-end demux
+    /// feeds a fresh [`HbmSwitch`] under the plane's projection of
+    /// `plan`, with live records staged into the returned run. Memory
+    /// is O(own fibers + in-flight), independent of horizon, and the
+    /// report is byte-identical to the batch split (see
+    /// [`PlaneSource`]).
+    fn run_plane(
+        &self,
+        w: &SpsWorkload,
+        horizon: SimTime,
+        plan: &FaultPlan,
+        drain: SimTime,
+        live: Option<LiveOptions>,
+        plane: usize,
+    ) -> PlaneRun {
+        let mut src = self.plane_source(w, horizon, plan, plane);
+        let staged = SharedSink::new();
+        let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
+        if let Some(h) = &self.profile {
+            sw.enable_profiler_as(h.clone(), &format!("plane{plane:02}"));
+        }
+        if let Some(o) = live {
+            sw.enable_live_telemetry(o.period, o.sample_one_in, Box::new(staged.clone()));
+        }
+        sw.run_source(&mut src, drain, &plan.project_switch(&self.cfg, plane));
+        PlaneRun {
+            plane,
+            report: sw.into_report(),
+            fe_dropped_packets: src.front_end_dropped_packets(),
+            fe_dropped: src.front_end_dropped(),
+            staged: staged.take(),
+        }
     }
 
     /// Fold per-plane results (in plane order) into the router-level
@@ -1123,6 +1056,21 @@ mod tests {
         );
         assert!(report.load_imbalance < 1.2, "{}", report.load_imbalance);
         assert_eq!(report.switches.len(), 4);
+    }
+
+    #[test]
+    fn healthy_striped_plane_source_holds_only_its_own_fibers() {
+        let r = small_router(SplitPattern::Striped);
+        let cfg = RouterConfig::small();
+        let w = SpsWorkload::uniform(cfg.ribbons, 0.5, 1);
+        let own = cfg.ribbons * cfg.fibers_per_ribbon / cfg.switches;
+        let split = r.front_end().split();
+        for plane in 0..cfg.switches {
+            let src = r.plane_source(&w, SimTime::from_ns(1_000), &FaultPlan::default(), plane);
+            assert_eq!(src.fibers.len(), own, "plane {plane}");
+            let routed = |&(ribbon, fiber): &(usize, usize)| split.switch_for(ribbon, fiber);
+            assert!(src.fibers.iter().all(|rf| routed(rf) == plane));
+        }
     }
 
     #[test]

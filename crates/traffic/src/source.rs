@@ -231,10 +231,12 @@ impl<S: PacketSource> MergedSource<S> {
             .collect();
         Self { lanes }
     }
-}
 
-impl<S: PacketSource> PacketSource for MergedSource<S> {
-    fn next_packet(&mut self) -> Option<Packet> {
+    /// The next packet together with the index of the lane (in
+    /// construction order) it came from, or `None` once every lane is
+    /// exhausted. [`PacketSource::next_packet`] is this without the
+    /// lane index.
+    pub fn next_with_lane(&mut self) -> Option<(usize, Packet)> {
         // Refill lookaheads, then take the lane whose pending packet
         // has the smallest (arrival, input, id); strict `<` keeps the
         // earliest lane on full ties.
@@ -259,7 +261,14 @@ impl<S: PacketSource> PacketSource for MergedSource<S> {
                 }
             }
         }
-        best.and_then(|i| self.lanes[i].pending.take())
+        let i = best?;
+        self.lanes[i].pending.take().map(|p| (i, p))
+    }
+}
+
+impl<S: PacketSource> PacketSource for MergedSource<S> {
+    fn next_packet(&mut self) -> Option<Packet> {
+        self.next_with_lane().map(|(_, p)| p)
     }
 }
 
@@ -447,6 +456,11 @@ mod tests {
         assert_eq!(merged[1].output, 2);
         let batch = merge_streams(vec![a.to_vec(), b.to_vec()]);
         assert_eq!(merged, batch);
+
+        let mut laned = MergedSource::new(vec![ReplaySource::new(&a), ReplaySource::new(&b)]);
+        assert_eq!(laned.next_with_lane(), Some((0, a[0])));
+        assert_eq!(laned.next_with_lane(), Some((1, b[0])));
+        assert_eq!(laned.next_with_lane(), None);
     }
 
     #[test]

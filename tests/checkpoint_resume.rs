@@ -23,7 +23,7 @@ use rip_core::{
 };
 use rip_integration_tests::source_for;
 use rip_photonics::SplitPattern;
-use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot};
+use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
 use rip_sim::QueueKind;
 use rip_telemetry::{MemorySink, SharedSink, SinkRecord};
 use rip_traffic::TrafficMatrix;
@@ -428,5 +428,90 @@ fn sps_resume_rejects_a_different_configuration() {
     assert!(
         err.to_string().contains("configuration differs"),
         "unexpected error: {err}"
+    );
+}
+
+/// The value under `key` of a snapshot object.
+fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Object(fields) => fields
+            .iter_mut()
+            .find_map(|(k, v)| (k == key).then_some(v))
+            .unwrap_or_else(|| panic!("snapshot object lacks `{key}`")),
+        other => panic!("expected an object around `{key}`, found {}", other.kind()),
+    }
+}
+
+#[test]
+fn sps_resume_rejects_a_plane_source_with_a_different_lane_count() {
+    // A plane source holds only the fibers its split reaches, so a
+    // striped `small` plane merges 16 lanes. A mid-plane snapshot whose
+    // lane array has some other length — here the 64 lanes of a source
+    // that held every fiber of every ribbon — must be refused with a
+    // typed error, not resumed and not a panic.
+    let (router, w, horizon, opts) = sps_setup();
+    let mut sink = MemorySink::new();
+    let taken = Cell::new(0u64);
+    let last: RefCell<Option<Value>> = RefCell::new(None);
+    let outcome = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut sink,
+            None,
+            3,
+            &mut || taken.get() >= 2,
+            &mut |state, _| {
+                taken.set(taken.get() + 1);
+                *last.borrow_mut() = Some(state.clone());
+                Ok(())
+            },
+        )
+        .expect("interruptible run");
+    assert!(outcome.is_none());
+    let mut state = last.into_inner().expect("a snapshot was taken");
+
+    let source = field_mut(
+        field_mut(field_mut(&mut state, "engine"), "feeder"),
+        "source",
+    );
+    let Value::Array(lanes) = field_mut(field_mut(source, "merged"), "lanes") else {
+        panic!("plane-source lanes are not an array");
+    };
+    let cfg = RouterConfig::small();
+    assert_eq!(
+        lanes.len(),
+        cfg.ribbons * cfg.fibers_per_ribbon / cfg.switches
+    );
+    let all_fibers = cfg.ribbons * cfg.fibers_per_ribbon;
+    let old: Vec<Value> = lanes.iter().cycle().take(all_fibers).cloned().collect();
+    *lanes = old;
+
+    let mut cont = MemorySink::new();
+    let err = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut cont,
+            Some(&state),
+            1_000_000,
+            &mut || false,
+            &mut |_, _| Ok(()),
+        )
+        .expect_err("a lane-count mismatch must be rejected");
+    match err {
+        SnapshotError::Mismatch(msg) => assert!(
+            msg.contains("16 lanes, snapshot has 64"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("want SnapshotError::Mismatch, got {other}"),
+    }
+    assert!(
+        cont.records().is_empty(),
+        "a refused resume emitted records"
     );
 }

@@ -15,7 +15,10 @@
 use std::path::PathBuf;
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
-use rip_core::{FaultPlan, LiveOptions, RouterConfig, SpsRouter, SpsWorkload};
+use rip_core::{
+    ConfigError, FaultKind, FaultPlan, FaultPlanError, LiveOptions, RouterConfig, SpsRouter,
+    SpsWorkload,
+};
 use rip_photonics::SplitPattern;
 use rip_telemetry::{JsonlSink, Watchdog, WatchdogConfig};
 use rip_traffic::{ArrivalProcess, FiberFill, SizeDistribution, TrafficMatrix};
@@ -157,21 +160,17 @@ fn fleet_parts(spec: &SimSpec) -> Parts {
     }
 }
 
-/// Run the single-process oracle through the collector's exact sink
-/// chain (JSONL behind the SLO watchdogs) and return the stream bytes
-/// and serialized report.
-fn oracle(parts: &Parts) -> (Vec<u8>, String) {
+/// Run the single-process oracle under `plan` through the collector's
+/// exact sink chain (JSONL behind the SLO watchdogs) and return the
+/// stream bytes and serialized report.
+fn oracle(parts: &Parts, plan: &FaultPlan) -> (Vec<u8>, String) {
     let mut bytes = Vec::new();
     let report = {
         let sink = JsonlSink::new(&mut bytes);
         let (mut wd, _handle) = Watchdog::new(WatchdogConfig::default(), sink);
-        parts.router.run_streamed(
-            &parts.workload,
-            parts.horizon,
-            &FaultPlan::default(),
-            parts.live,
-            &mut wd,
-        )
+        parts
+            .router
+            .run_streamed(&parts.workload, parts.horizon, plan, parts.live, &mut wd)
     };
     (
         bytes,
@@ -179,15 +178,14 @@ fn oracle(parts: &Parts) -> (Vec<u8>, String) {
     )
 }
 
-/// Push every worker subset of `partition`, ingest the streams in
-/// reverse arrival order, and return the merged stream bytes and
-/// serialized stitched report.
-fn collect(parts: &Parts, partition: &[Vec<usize>]) -> (Vec<u8>, String) {
-    let plan = FaultPlan::default();
+/// Push every worker subset of `partition` under `plan`, ingest the
+/// streams in reverse arrival order, and return the merged stream
+/// bytes and serialized stitched report.
+fn collect(parts: &Parts, plan: &FaultPlan, partition: &[Vec<usize>]) -> (Vec<u8>, String) {
     let job = FleetJob {
         router: &parts.router,
         workload: &parts.workload,
-        plan: &plan,
+        plan,
         horizon: parts.horizon,
         live: parts.live,
         echo: parts.echo.clone(),
@@ -220,7 +218,7 @@ fn every_partitioning_of_every_shipped_config_matches_the_oracle() {
     for (name, spec) in &shipped_configs() {
         let parts = fleet_parts(spec);
         let planes = parts.switches;
-        let (oracle_bytes, oracle_report) = oracle(&parts);
+        let (oracle_bytes, oracle_report) = oracle(&parts, &FaultPlan::default());
         assert!(
             !oracle_bytes.is_empty(),
             "{name}: oracle stream is empty — the comparison would be vacuous"
@@ -235,7 +233,7 @@ fn every_partitioning_of_every_shipped_config_matches_the_oracle() {
             ],
         ];
         for partition in &partitionings {
-            let (merged, report) = collect(&parts, partition);
+            let (merged, report) = collect(&parts, &FaultPlan::default(), partition);
             assert_eq!(
                 String::from_utf8(merged).expect("utf8"),
                 String::from_utf8(oracle_bytes.clone()).expect("utf8"),
@@ -245,6 +243,75 @@ fn every_partitioning_of_every_shipped_config_matches_the_oracle() {
                 report, oracle_report,
                 "{name}: stitched report diverges for partition {partition:?}"
             );
+        }
+    }
+}
+
+#[test]
+fn plane_down_partitions_match_the_oracle() {
+    // A plane that goes down and recovers re-splices its fibers onto
+    // the survivors for one epoch. Uneven partitions put a lone plane
+    // on a worker's calling thread and run the rest beside it on
+    // spawned threads; both must merge byte-identically.
+    let (name, spec) = shipped_configs()
+        .into_iter()
+        .find(|(name, _)| name == "fleet_small.json")
+        .expect("fleet_small.json ships");
+    let parts = fleet_parts(&spec);
+    assert_eq!(
+        parts.switches, 4,
+        "{name}: the partitions below assume 4 planes"
+    );
+    let plane = FaultKind::PlaneDown { switch: 2 };
+    let plan = FaultPlan::new()
+        .inject(SimTime::from_ns(5_000), plane)
+        .recover(SimTime::from_ns(12_000), plane);
+    plan.validate(&spec.router).expect("plan valid");
+    let (oracle_bytes, oracle_report) = oracle(&parts, &plan);
+    let (healthy_bytes, _) = oracle(&parts, &FaultPlan::default());
+    assert_ne!(
+        oracle_bytes, healthy_bytes,
+        "{name}: the plane-down window changed nothing — the comparison would be vacuous"
+    );
+    for partition in [vec![vec![0], vec![1, 2, 3]], vec![vec![0, 2], vec![1, 3]]] {
+        let (merged, report) = collect(&parts, &plan, &partition);
+        assert_eq!(
+            String::from_utf8(merged).expect("utf8"),
+            String::from_utf8(oracle_bytes.clone()).expect("utf8"),
+            "{name}: merged stream diverges for partition {partition:?}"
+        );
+        assert_eq!(
+            report, oracle_report,
+            "{name}: stitched report diverges for partition {partition:?}"
+        );
+    }
+}
+
+#[test]
+fn an_unservable_fault_plan_is_a_typed_worker_error() {
+    // One channel per stripe subset: losing channel 0 leaves plane 0's
+    // subset 0 with no live channel, which the PFI engine cannot serve.
+    let (_, mut spec) = shipped_configs().remove(0);
+    spec.router.stripe_channels = Some(1);
+    let parts = fleet_parts(&spec);
+    let at = SimTime::from_ns(5_000);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let job = FleetJob {
+        router: &parts.router,
+        workload: &parts.workload,
+        plan: &plan,
+        horizon: parts.horizon,
+        live: parts.live,
+        echo: parts.echo.clone(),
+    };
+    for subset in [vec![0], vec![1, 2]] {
+        match push_worker_stream(&job, 0, &subset, Vec::new()) {
+            Err(CollectError::Config(ConfigError::FaultPlan(FaultPlanError::Unservable {
+                at: t,
+                switch: 0,
+                ..
+            }))) => assert_eq!(t, at),
+            other => panic!("want a typed Unservable plan error, got {other:?}"),
         }
     }
 }

@@ -136,6 +136,37 @@ fn plane_source_yields_exactly_the_split_traffic() {
     }
 }
 
+/// Every plane's streaming source against the batch faulted split:
+/// identical per-plane packet sequences, and per-plane front-end drops
+/// summing to the batch totals. Returns the batch traces and drop count.
+fn assert_plane_sources_match_faulted_split(
+    router: &SpsRouter,
+    w: &SpsWorkload,
+    horizon: SimTime,
+    plan: &FaultPlan,
+) -> (Vec<Vec<Packet>>, u64) {
+    let (per_switch, batch_drops, batch_dropped_bytes) =
+        router.split_traffic_faulted(w, horizon, plan);
+    let mut fe_drops = 0u64;
+    let mut fe_bytes = rip_units::DataSize::ZERO;
+    for (plane, batch) in per_switch.iter().enumerate() {
+        let mut src = router.plane_source(w, horizon, plan, plane);
+        let mut streamed = Vec::new();
+        while let Some(p) = src.next_packet() {
+            streamed.push(p);
+        }
+        assert_eq!(
+            &streamed, batch,
+            "plane {plane} faulted stream diverged from the batch split"
+        );
+        fe_drops += src.front_end_dropped_packets();
+        fe_bytes += src.front_end_dropped();
+    }
+    assert_eq!(fe_drops, batch_drops);
+    assert_eq!(fe_bytes, batch_dropped_bytes);
+    (per_switch, batch_drops)
+}
+
 #[test]
 fn plane_source_matches_faulted_split_including_drop_totals() {
     let cfg = RouterConfig::resilience_small();
@@ -158,27 +189,58 @@ fn plane_source_matches_faulted_split_including_drop_totals() {
             },
         );
     plan.validate(&cfg).expect("plan valid");
+    let (_, drops) = assert_plane_sources_match_faulted_split(&router, &w, horizon, &plan);
+    assert!(drops > 0, "fault window should drop something");
+}
 
-    let (per_switch, batch_drops, batch_dropped_bytes) =
-        router.split_traffic_faulted(&w, horizon, &plan);
-    let mut fe_drops = 0u64;
-    let mut fe_bytes = rip_units::DataSize::ZERO;
-    for (plane, batch) in per_switch.iter().enumerate() {
-        let mut src = router.plane_source(&w, horizon, &plan, plane);
-        let mut streamed = Vec::new();
-        while let Some(p) = src.next_packet() {
-            streamed.push(p);
-        }
-        assert_eq!(
-            &streamed, batch,
-            "plane {plane} faulted stream diverged from the batch split"
+#[test]
+fn plane_source_follows_a_plane_down_re_splice_on_every_split() {
+    // A plane that goes down and comes back re-splices its fibers onto
+    // the survivors for one epoch: those fibers reach the survivors in
+    // only that epoch, and reach the dead plane in only the others. A
+    // wavelength loss across the re-splice makes the drop attribution
+    // follow the moved fibers too.
+    let cfg = RouterConfig::resilience_small();
+    let w = SpsWorkload::uniform(cfg.ribbons, 0.6, 29);
+    let horizon = SimTime::from_ns(60_000);
+    let (down, up) = (SimTime::from_ns(20_000), SimTime::from_ns(40_000));
+    let lost = FaultKind::WavelengthLoss {
+        ribbon: 2,
+        lambda: 0,
+    };
+    let plan = FaultPlan::new()
+        .inject(down, FaultKind::PlaneDown { switch: 1 })
+        .recover(up, FaultKind::PlaneDown { switch: 1 })
+        .inject(SimTime::from_ns(10_000), lost)
+        .recover(SimTime::from_ns(30_000), lost);
+    plan.validate(&cfg).expect("plan valid");
+    for pattern in [
+        SplitPattern::Striped,
+        SplitPattern::PseudoRandom { seed: 41 },
+    ] {
+        let router = SpsRouter::new(cfg.clone(), pattern).expect("valid config");
+        let (per_switch, drops) =
+            assert_plane_sources_match_faulted_split(&router, &w, horizon, &plan);
+        assert!(
+            drops > 0,
+            "{pattern:?}: the lost wavelength should drop something"
         );
-        fe_drops += src.front_end_dropped_packets();
-        fe_bytes += src.front_end_dropped();
+        assert!(
+            per_switch[1]
+                .iter()
+                .all(|p| p.arrival < down || p.arrival >= up),
+            "{pattern:?}: the dead plane received traffic while down"
+        );
+        let healthy = router.split_traffic(&w, horizon);
+        let while_down =
+            |t: &[Packet]| t.iter().filter(|p| (down..up).contains(&p.arrival)).count();
+        for plane in [0, 2, 3] {
+            assert!(
+                while_down(&per_switch[plane]) > while_down(&healthy[plane]),
+                "{pattern:?}: plane {plane} did not take over any of plane 1's fibers"
+            );
+        }
     }
-    assert!(batch_drops > 0, "fault window should drop something");
-    assert_eq!(fe_drops, batch_drops);
-    assert_eq!(fe_bytes, batch_dropped_bytes);
 }
 
 #[test]
