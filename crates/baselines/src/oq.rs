@@ -320,7 +320,7 @@ mod tests {
         let mut silent = IdealOqSwitch::new(2, DataRate::from_gbps(100));
         let want = silent.run(&pkts);
 
-        let run_streamed = || {
+        let run_live = || {
             let mut sw = IdealOqSwitch::new(2, DataRate::from_gbps(100));
             let mut sink = MemorySink::new();
             let deps = sw.run_source_streamed(
@@ -330,8 +330,8 @@ mod tests {
             );
             (deps, sink.into_records())
         };
-        let (deps_a, recs_a) = run_streamed();
-        let (deps_b, recs_b) = run_streamed();
+        let (deps_a, recs_a) = run_live();
+        let (deps_b, recs_b) = run_live();
         // Streaming telemetry must not perturb the departures, and two
         // identical runs must stream identical records.
         assert_eq!(deps_a, want);

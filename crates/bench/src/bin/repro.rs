@@ -14,13 +14,6 @@
 //! throughput run also streams per-plane epoch deltas and sampled
 //! packet-lifecycle spans to `BENCH_sps_epochs.jsonl`.
 //!
-//! `repro kernel-speed [--quick]` measures the timing-wheel event
-//! kernel against the retained binary-heap oracle — an end-to-end
-//! same-seed soak pair (byte-identical reports asserted) plus a
-//! queue-only replay with a large standing event population — and
-//! writes `BENCH_kernel_speed.json` (stable schema; the wall-clock and
-//! rate fields are the measurement, everything else is deterministic).
-//!
 //! `repro soak [--quick] [--live-epochs]` runs the long-horizon
 //! streaming soak check: it quadruples the arrival horizon and asserts
 //! that offered traffic scales with it while the engine's peak
@@ -32,7 +25,7 @@
 //! diffs it). Exits non-zero on failure.
 //!
 //! `repro fleet [--quick]` runs the distributed-collector proof: the
-//! single-process `run_streamed` oracle and several worker
+//! single-process `SpsRouter::run` oracle and several worker
 //! partitionings of the same run through the fleet wire protocol, and
 //! asserts the collector's merged telemetry stream and stitched report
 //! are byte-identical to the oracle's for every partitioning before
@@ -67,7 +60,6 @@ use rip_hbm::{
     PfiController, RandomAccessController, RegionMode,
 };
 use rip_photonics::SplitPattern;
-use rip_sim::{EventQueue, QueueKind};
 use rip_traffic::{ArrivalProcess, Attacker, FiberFill, SizeDistribution, TrafficMatrix};
 use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
 
@@ -97,11 +89,6 @@ fn main() {
         let quick = args.iter().any(|a| a == "--quick");
         let live = args.iter().any(|a| a == "--live-epochs");
         run_bench(quick, live);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("kernel-speed") {
-        let quick = args.iter().any(|a| a == "--quick");
-        run_kernel_speed(quick);
         return;
     }
     if args.first().map(String::as_str) == Some("soak") {
@@ -453,7 +440,9 @@ fn e5(o: &Opts) {
         w.fill = FiberFill::FirstFilled {
             used: cfg.fibers_per_ribbon / 4,
         };
-        let r = router.run(&w, horizon);
+        let r = router
+            .run(&w, horizon, &FaultPlan::default(), None)
+            .expect("healthy run");
         println!(
             "DES check [{pname}]: offered {}, loss {:.2}%, switch-load imbalance {:.2}x",
             r.offered,
@@ -1215,21 +1204,20 @@ fn run_bench(quick: bool, live: bool) {
             }
         };
         let mut sink = rip_telemetry::JsonlSink::new(std::io::BufWriter::new(f));
-        let r = router.run_streamed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            LiveOptions {
-                period: TimeDelta::from_ns(2_000),
-                sample_one_in: 64,
-            },
-            &mut sink,
-        );
+        let opts = LiveOptions {
+            period: TimeDelta::from_ns(2_000),
+            sample_one_in: 64,
+        };
+        let r = router
+            .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut sink)))
+            .expect("healthy run");
         sink.flush();
         println!("wrote BENCH_sps_epochs.jsonl ({} records)", sink.records());
         r
     } else {
-        router.run(&w, horizon)
+        router
+            .run(&w, horizon, &FaultPlan::default(), None)
+            .expect("healthy run")
     };
     // Merge per-plane delay histograms in plane order (deterministic).
     let mut delays = rip_sim::stats::Histogram::new();
@@ -1389,20 +1377,23 @@ fn run_bench(quick: bool, live: bool) {
     let mut stream = Vec::new();
     for _ in 0..reps {
         let t0 = std::time::Instant::now();
-        let r = tel_router.run(&tel_w, tel_horizon);
+        let r = tel_router
+            .run(&tel_w, tel_horizon, &FaultPlan::default(), None)
+            .expect("healthy run");
         silent_ms = silent_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(r.offered.bytes() > 0);
 
         let mut buf: Vec<u8> = Vec::with_capacity(1 << 20);
         let mut sink = rip_telemetry::JsonlSink::new(&mut buf);
         let t0 = std::time::Instant::now();
-        let r = tel_router.run_streamed(
-            &tel_w,
-            tel_horizon,
-            &FaultPlan::default(),
-            tel_opts,
-            &mut sink,
-        );
+        let r = tel_router
+            .run(
+                &tel_w,
+                tel_horizon,
+                &FaultPlan::default(),
+                Some((tel_opts, &mut sink)),
+            )
+            .expect("healthy run");
         live_ms = live_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         drop(sink);
         assert!(r.offered.bytes() > 0);
@@ -1479,184 +1470,6 @@ fn run_bench(quick: bool, live: bool) {
         "trace overhead (out-of-window): silent {trace_silent_ms:.1} ms, \
          traced {trace_out_ms:.1} ms ({:+.1}%, target < 5%)",
         trace_overhead * 100.0
-    );
-    println!("\ndone.");
-}
-
-// --------------------------------------------------------------------
-// `repro kernel-speed` — timing-wheel kernel vs binary-heap oracle
-// --------------------------------------------------------------------
-
-/// `BENCH_kernel_speed.json`: throughput of the timing-wheel event
-/// kernel against the retained binary-heap oracle. The `*_wall_ms`,
-/// `*_per_sec` and `*speedup*` fields are wall-clock measurements (what
-/// the bench exists to report); every simulated quantity (`offered_*`,
-/// `delivered_*`, `microkernel_checksum`) is deterministic and identical
-/// across kernels by construction — the run asserts it.
-#[derive(serde::Serialize)]
-struct KernelSpeedBench {
-    schema: &'static str,
-    config: &'static str,
-    seed: u64,
-    load: f64,
-    horizon_ns: u64,
-    offered_packets: u64,
-    delivered_packets: u64,
-    wheel_wall_ms: f64,
-    heap_wall_ms: f64,
-    wheel_packets_per_sec: f64,
-    heap_packets_per_sec: f64,
-    end_to_end_speedup: f64,
-    microkernel_standing_events: u64,
-    microkernel_ops: u64,
-    microkernel_checksum: u64,
-    wheel_events_per_sec: f64,
-    heap_events_per_sec: f64,
-    speedup_vs_heap: f64,
-}
-
-/// One end-to-end run under `kind`; returns the serialized report (for
-/// the byte-identity assert) and the min-of-`reps` wall clock of the
-/// event loop itself (source construction excluded).
-fn kernel_speed_run(
-    cfg: &RouterConfig,
-    load: f64,
-    horizon: SimTime,
-    seed: u64,
-    kind: QueueKind,
-    reps: u32,
-) -> (rip_core::SwitchReport, String, f64) {
-    let mut best_ms = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps {
-        let src = uniform_source(cfg, load, horizon, seed);
-        let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-        sw.set_queue_kind(kind);
-        let t0 = std::time::Instant::now();
-        sw.run_source(src, cfg.drain.deadline(horizon), &FaultPlan::default());
-        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        report = Some(sw.into_report());
-    }
-    let report = report.expect("at least one rep");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    (report, json, best_ms)
-}
-
-/// Queue-only replay: hold `standing` events in the queue and run
-/// `ops` pop-then-reschedule steps, timing only the steady state. The
-/// delta stream is a fixed LCG so both kernels replay the identical
-/// workload; the returned checksum folds every popped (time, event)
-/// pair and must match across kernels — that both proves the pop
-/// sequences are identical and keeps the loop from being optimized out.
-fn kernel_speed_microkernel(kind: QueueKind, standing: u64, ops: u64, reps: u32) -> (f64, u64) {
-    fn next(lcg: &mut u64) -> u64 {
-        *lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *lcg >> 33
-    }
-    let mut best_eps = 0.0f64;
-    let mut checksum = 0u64;
-    for _ in 0..reps {
-        let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
-        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
-        for i in 0..standing {
-            q.schedule(SimTime::from_ps(next(&mut lcg) % (1 << 20)), i);
-        }
-        let mut sum = 0u64;
-        let t0 = std::time::Instant::now();
-        for op in 0..ops {
-            let (t, ev) = q.pop().expect("standing population never drains");
-            sum = sum.wrapping_mul(31).wrapping_add(t.as_ps() ^ ev);
-            // Mostly short reschedules (the hot levels of the wheel)
-            // with an occasional far-future hop to touch upper levels.
-            let delta = if op % 61 == 0 {
-                next(&mut lcg) % (1 << 30)
-            } else {
-                next(&mut lcg) % (1 << 16)
-            };
-            q.schedule(SimTime::from_ps(t.as_ps() + delta + 1), ev);
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        best_eps = best_eps.max(ops as f64 / secs);
-        checksum = std::hint::black_box(sum);
-    }
-    (best_eps, checksum)
-}
-
-fn run_kernel_speed(quick: bool) {
-    println!("Petabit Router-in-a-Package — event-kernel speed benchmark");
-    println!("mode: {}", if quick { "quick" } else { "full" });
-    let cfg = RouterConfig::small();
-    let seed = 42u64;
-    let load = 0.8;
-    let horizon = SimTime::from_ns(if quick { 8_000 } else { 20_000 });
-    let reps = 3;
-
-    // End-to-end: the soak configuration under each kernel. The two
-    // serialized reports must be byte-identical — the differential
-    // contract the equivalence suite pins, re-checked here so the
-    // speed numbers are never quoted for diverging runs.
-    let (report, wheel_json, wheel_ms) =
-        kernel_speed_run(&cfg, load, horizon, seed, QueueKind::TimingWheel, reps);
-    let (_, heap_json, heap_ms) =
-        kernel_speed_run(&cfg, load, horizon, seed, QueueKind::BinaryHeap, reps);
-    assert_eq!(
-        wheel_json, heap_json,
-        "kernel-speed runs diverged across kernels"
-    );
-    let offered = report.offered_packets;
-    let delivered = report.delivered_packets;
-    assert!(offered > 0, "kernel-speed run offered no packets");
-
-    // Queue-only replay: a large standing population makes the
-    // comparator cost of the heap (O(log n) with hot cache misses)
-    // visible, which is exactly what the wheel removes.
-    // Standing population scales with the op count so the quick mode
-    // measures the same steady state: enough ops must flow through the
-    // wheel to amortize the initial bucket cascade.
-    let standing: u64 = if quick { 1 << 18 } else { 1 << 20 };
-    let ops: u64 = if quick { 2_000_000 } else { 8_000_000 };
-    let (wheel_eps, wheel_sum) =
-        kernel_speed_microkernel(QueueKind::TimingWheel, standing, ops, reps);
-    let (heap_eps, heap_sum) = kernel_speed_microkernel(QueueKind::BinaryHeap, standing, ops, reps);
-    assert_eq!(
-        wheel_sum, heap_sum,
-        "microkernel pop sequences diverged across kernels"
-    );
-
-    let bench = KernelSpeedBench {
-        schema: "rip-bench/kernel_speed/v1",
-        config: "small",
-        seed,
-        load,
-        horizon_ns: horizon.as_ps() / 1000,
-        offered_packets: offered,
-        delivered_packets: delivered,
-        wheel_wall_ms: wheel_ms,
-        heap_wall_ms: heap_ms,
-        wheel_packets_per_sec: offered as f64 / (wheel_ms / 1e3),
-        heap_packets_per_sec: offered as f64 / (heap_ms / 1e3),
-        end_to_end_speedup: heap_ms / wheel_ms,
-        microkernel_standing_events: standing,
-        microkernel_ops: ops,
-        microkernel_checksum: wheel_sum,
-        wheel_events_per_sec: wheel_eps,
-        heap_events_per_sec: heap_eps,
-        speedup_vs_heap: wheel_eps / heap_eps,
-    };
-    write_json("BENCH_kernel_speed.json", &bench);
-    println!(
-        "end-to-end: wheel {wheel_ms:.1} ms vs heap {heap_ms:.1} ms ({:.2}x), \
-         reports byte-identical",
-        heap_ms / wheel_ms
-    );
-    println!(
-        "microkernel ({standing} standing, {ops} ops): wheel {:.1} M events/s \
-         vs heap {:.1} M events/s ({:.2}x)",
-        wheel_eps / 1e6,
-        heap_eps / 1e6,
-        wheel_eps / heap_eps
     );
     println!("\ndone.");
 }
@@ -1841,7 +1654,9 @@ fn run_fleet(quick: bool) {
     let (oracle_report, oracle_alarms) = {
         let sink = JsonlSink::new(&mut oracle);
         let (mut wd, handle) = Watchdog::new(WatchdogConfig::default(), sink);
-        let report = router.run_streamed(&w, horizon, &plan, live, &mut wd);
+        let report = router
+            .run(&w, horizon, &plan, Some((live, &mut wd)))
+            .expect("healthy run");
         drop(wd);
         (report, handle.events().len() as u64)
     };

@@ -88,6 +88,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
+use rip_bench::spec::SimSpec;
 use rip_bench::{version_line, Table, SERVICE_VERSION};
 use rip_core::{
     ConfigError, DrainPolicy, FaultKind, FaultPlan, HbmSwitch, LiveOptions, RouterConfig,
@@ -100,167 +101,10 @@ use rip_telemetry::{
     WatchdogEvent, WatchdogKind,
 };
 use rip_traffic::{
-    merge_streams, ArrivalProcess, BoundedSource, FiberFill, MergedSource, PacketGenerator,
-    SizeDistribution, TrafficMatrix,
+    merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
-
-/// Destination mix of the workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum MatrixSpec {
-    /// Uniform over all outputs.
-    Uniform,
-    /// A fraction of each input's traffic targets one output.
-    Hotspot { output: usize, fraction: f64 },
-    /// Input `i` sends to output `(i + shift) mod N`.
-    Permutation { shift: usize },
-    /// Log-normally skewed demands.
-    LogNormal { sigma: f64, seed: u64 },
-}
-
-impl MatrixSpec {
-    fn build(&self, n: usize) -> Result<TrafficMatrix, String> {
-        Ok(match *self {
-            MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
-            MatrixSpec::Hotspot { output, fraction } => {
-                if output >= n || !(0.0..=1.0).contains(&fraction) {
-                    return Err("bad hotspot spec".into());
-                }
-                TrafficMatrix::hotspot(n, 1.0, output, fraction)
-            }
-            MatrixSpec::Permutation { shift } => {
-                let perm: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
-                TrafficMatrix::permutation(&perm, 1.0)?
-            }
-            MatrixSpec::LogNormal { sigma, seed } => TrafficMatrix::log_normal(n, 1.0, sigma, seed),
-        })
-    }
-}
-
-/// Packet-size mix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum SizeSpec {
-    Fixed { bytes: u64 },
-    Uniform { min: u64, max: u64 },
-    Imix,
-}
-
-impl SizeSpec {
-    fn build(&self) -> SizeDistribution {
-        match *self {
-            SizeSpec::Fixed { bytes } => {
-                SizeDistribution::Fixed(rip_units::DataSize::from_bytes(bytes))
-            }
-            SizeSpec::Uniform { min, max } => SizeDistribution::Uniform { min, max },
-            SizeSpec::Imix => SizeDistribution::Imix,
-        }
-    }
-}
-
-/// Arrival process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum ProcessSpec {
-    Poisson,
-    Cbr,
-    OnOff { mean_burst_packets: f64 },
-}
-
-impl ProcessSpec {
-    fn build(&self) -> ArrivalProcess {
-        match *self {
-            ProcessSpec::Poisson => ArrivalProcess::Poisson,
-            ProcessSpec::Cbr => ArrivalProcess::Cbr,
-            ProcessSpec::OnOff { mean_burst_packets } => {
-                ArrivalProcess::OnOff { mean_burst_packets }
-            }
-        }
-    }
-}
-
-/// The complete simulation specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SimSpec {
-    /// The switch configuration (every §2.2/§3.2 parameter).
-    router: RouterConfig,
-    /// Offered load per port, 0..=1.
-    load: f64,
-    /// Destination mix.
-    matrix: MatrixSpec,
-    /// Packet sizes.
-    sizes: SizeSpec,
-    /// Arrival process.
-    process: ProcessSpec,
-    /// Flows per port.
-    flows: usize,
-    /// RNG seed.
-    seed: u64,
-    /// Simulated arrival horizon, microseconds.
-    horizon_us: u64,
-    /// Extra drain time after the last arrival, as a multiple of the
-    /// horizon.
-    drain_factor: u64,
-    /// Live-telemetry epoch period in picoseconds (`ripsim soak`):
-    /// when set, epoch deltas and sampled lifecycle spans stream to
-    /// stdout as JSONL while the run executes. `--epoch <ps>` on the
-    /// command line overrides it. Absent/null = silent.
-    #[serde(default)]
-    epoch_ps: Option<u64>,
-}
-
-impl SimSpec {
-    fn example() -> Self {
-        SimSpec {
-            router: RouterConfig::small(),
-            load: 0.8,
-            matrix: MatrixSpec::Uniform,
-            sizes: SizeSpec::Imix,
-            process: ProcessSpec::Poisson,
-            flows: 256,
-            seed: 42,
-            horizon_us: 100,
-            drain_factor: 4,
-            epoch_ps: None,
-        }
-    }
-}
-
-/// Validate `spec` and build its pull-based packet source: the same
-/// arrival sequence the old materialized trace held, streamed lazily
-/// (one bounded generator per port, merged into one stream).
-fn build_source(
-    spec: &SimSpec,
-    horizon: SimTime,
-) -> Result<MergedSource<BoundedSource<PacketGenerator>>, String> {
-    spec.router.validate().map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&spec.load) {
-        return Err(format!("load {} out of [0, 1]", spec.load));
-    }
-    if spec.horizon_us == 0 || spec.drain_factor == 0 {
-        return Err("horizon and drain factor must be positive".into());
-    }
-    let n = spec.router.ribbons;
-    let tm = spec.matrix.build(n)?;
-    let lanes: Vec<BoundedSource<PacketGenerator>> = (0..n)
-        .map(|port| {
-            let g = PacketGenerator::new(
-                port,
-                spec.router.port_rate(),
-                (spec.load * tm.row_load(port)).min(1.0),
-                tm.row(port).to_vec(),
-                spec.sizes.build(),
-                spec.process.build(),
-                spec.flows,
-                rip_sim::rng::derive_seed(spec.seed, port as u64),
-            )?;
-            Ok(BoundedSource::new(g, horizon))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(MergedSource::new(lanes))
-}
 
 /// The spec's simulation deadline: its drain factor applied on top of
 /// the arrival horizon by the explicit [`DrainPolicy`].
@@ -273,7 +117,7 @@ fn drain_deadline(spec: &SimSpec, horizon: SimTime) -> SimTime {
 
 fn run(spec: &SimSpec) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let source = build_source(spec, horizon)?;
+    let source = spec.build_source(horizon)?;
     let n = spec.router.ribbons;
     println!(
         "spec: {} ports x {}, frame {}, load {:.2}, streaming arrivals over {} us",
@@ -640,7 +484,7 @@ fn run_soak_checkpointed(spec: &SimSpec, opts: &SoakOptions) -> Result<(), Strin
     for idx in (run_index as usize)..mults.len() {
         let mult = mults[idx];
         let horizon = SimTime::from_ns(spec.horizon_us * 1000 * mult);
-        let source = build_source(spec, horizon)?;
+        let source = spec.build_source(horizon)?;
         let plan = match opts.inject_channel_fault {
             Some(channel) => {
                 let plan = FaultPlan::new().inject(
@@ -867,7 +711,7 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
     let mut reports = Vec::new();
     for mult in [1u64, 4] {
         let horizon = SimTime::from_ns(spec.horizon_us * 1000 * mult);
-        let source = build_source(spec, horizon)?;
+        let source = spec.build_source(horizon)?;
         let plan = match opts.inject_channel_fault {
             Some(channel) => {
                 let plan = FaultPlan::new().inject(
@@ -1019,16 +863,7 @@ fn fleet_parts(spec: &SimSpec) -> Result<FleetParts, String> {
             )
         }
     };
-    let n = spec.router.ribbons;
-    let workload = SpsWorkload {
-        tm: spec.matrix.build(n)?,
-        load: spec.load,
-        fill: FiberFill::Uniform,
-        sizes: spec.sizes.build(),
-        process: spec.process.build(),
-        flows: spec.flows,
-        seed: spec.seed,
-    };
+    let workload = spec.sps_workload()?;
     let router =
         SpsRouter::new(spec.router.clone(), SplitPattern::Striped).map_err(|e| e.to_string())?;
     Ok(FleetParts {
@@ -1134,7 +969,7 @@ fn run_plane_worker(spec: &SimSpec, opts: &WorkerOptions) -> Result<(), String> 
 /// Command-line options of `ripsim collect`.
 #[derive(Default)]
 struct CollectOptions {
-    /// Run the single-process `run_streamed` oracle instead of
+    /// Run the single-process `SpsRouter::run` oracle instead of
     /// collecting — the byte-identity reference for the merged stream.
     oracle: bool,
     /// Ingest worker streams from files (offline mode, any order).
@@ -1226,13 +1061,15 @@ fn run_collect(spec: &SimSpec, opts: &CollectOptions) -> Result<(), String> {
             // the same labels the merged fleet exposition carries.
             parts.router.set_profile_hub(h.clone());
         }
-        let report = parts.router.run_streamed(
-            &parts.workload,
-            parts.horizon,
-            &FaultPlan::default(),
-            parts.live,
-            &mut wd,
-        );
+        let report = parts
+            .router
+            .run(
+                &parts.workload,
+                parts.horizon,
+                &FaultPlan::default(),
+                Some((parts.live, &mut wd)),
+            )
+            .map_err(|e| e.to_string())?;
         summary = format!(
             "oracle: offered {} delivered {} over {} planes",
             report.offered, report.delivered, spec.router.switches
@@ -1480,7 +1317,7 @@ impl Drop for JsonlGuard {
 /// two same-seed runs produce byte-identical output.
 fn run_trace(spec: &SimSpec, prof: &ProfileOptions) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let source = build_source(spec, horizon)?;
+    let source = spec.build_source(horizon)?;
     let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
     let hub = build_profile_hub(prof)?;
     if let Some(h) = &hub {
@@ -1601,7 +1438,7 @@ fn run_trace_chrome(
     prof: &ProfileOptions,
 ) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let source = build_source(spec, horizon)?;
+    let source = spec.build_source(horizon)?;
     let period = match spec.epoch_ps {
         Some(0) => return Err(ConfigError::EpochZero.to_string()),
         Some(ps) => TimeDelta::from_ps(ps),
@@ -1639,7 +1476,14 @@ fn run_trace_chrome(
         sample_one_in: 64,
     };
     let mut sps_staged = rip_telemetry::MemorySink::new();
-    router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut sps_staged);
+    router
+        .run(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            Some((opts, &mut sps_staged)),
+        )
+        .map_err(|e| e.to_string())?;
     sps_staged.replay_into(&mut chrome);
 
     rec.merge(chrome.into_recorder());

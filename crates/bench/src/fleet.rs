@@ -33,7 +33,7 @@
 //!
 //! ## Why the merged output is byte-identical to the oracle
 //!
-//! `SpsRouter::run_streamed` replays per-plane staging buffers in
+//! `SpsRouter::run` replays per-plane staging buffers in
 //! ascending plane order and closes with an `sps` `run_end` carrying
 //! the stitched registry. Plane simulations are fully self-contained,
 //! so each worker's staged records equal the oracle's for its planes;
@@ -531,7 +531,7 @@ impl Collector {
     /// Replay the merged stream (planes ascending, records in emission
     /// order) into `sink` and close it with the stitched `sps`
     /// `run_end` — the byte-identical reconstruction of the
-    /// single-process `run_streamed` output. Fails with
+    /// single-process `SpsRouter::run` output. Fails with
     /// [`CollectError::Coverage`] when planes are missing.
     pub fn finish(
         self,
@@ -606,7 +606,9 @@ mod tests {
         let report = {
             let sink = JsonlSink::new(&mut bytes);
             let (mut wd, _handle) = Watchdog::new(WatchdogConfig::default(), sink);
-            router.run_streamed(w, horizon, plan, live, &mut wd)
+            router
+                .run(w, horizon, plan, Some((live, &mut wd)))
+                .expect("valid plan")
         };
         (bytes, report)
     }

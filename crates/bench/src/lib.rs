@@ -5,6 +5,7 @@
 #![warn(missing_docs)]
 
 pub mod fleet;
+pub mod spec;
 
 use rip_core::RouterConfig;
 

@@ -7,7 +7,7 @@ use std::collections::{HashSet, VecDeque};
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
 use rip_sim::stats::Histogram;
-use rip_sim::{EventQueue, QueueKind, Series, TraceLog, VecPool};
+use rip_sim::{EventQueue, Series, TraceLog, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
     MetricsRegistry, Phase, ProfileHub, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
@@ -512,11 +512,6 @@ pub struct HbmSwitch {
     /// is off or finished. Keeps the per-event flush check to one
     /// integer compare.
     live_boundary_ps: u64,
-    /// Event-queue kernel for every run started on this switch (the
-    /// timing wheel by default; the binary-heap oracle for differential
-    /// runs). Snapshots are kernel-agnostic, so a snapshot taken under
-    /// one kind resumes byte-identically under the other.
-    queue_kind: QueueKind,
     /// Precomputed `switch.outNN.queue_depth_frames` metric names, so
     /// the per-frame depth sample does not format a fresh string.
     out_depth_keys: Vec<String>,
@@ -597,7 +592,6 @@ impl HbmSwitch {
             chrome: None,
             live: None,
             live_boundary_ps: u64::MAX,
-            queue_kind: QueueKind::default_kind(),
             out_depth_keys: (0..n)
                 .map(|o| format!("switch.out{o:02}.queue_depth_frames"))
                 .collect(),
@@ -624,20 +618,6 @@ impl HbmSwitch {
     /// merged exposition can tell planes apart.
     pub fn enable_profiler_as(&mut self, hub: ProfileHub, source: &str) {
         self.prof = Some(EngineProfiler::new(hub, source));
-    }
-
-    /// Select the event-queue kernel for subsequent runs: the timing
-    /// wheel (default) or the binary-heap differential oracle. Both
-    /// kernels realize the same `(time, insertion-seq)` total order, so
-    /// reports, telemetry and snapshots are byte-identical across
-    /// kinds — the kernel-equivalence suite runs both and compares.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue_kind = kind;
-    }
-
-    /// The event-queue kernel runs on this switch will use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue_kind
     }
 
     /// The configuration in force.
@@ -1483,7 +1463,7 @@ impl HbmSwitch {
         horizon: SimTime,
         plan: &FaultPlan,
     ) -> SwitchReport {
-        let mut q: EventQueue<Ev> = EventQueue::with_kind(self.queue_kind);
+        let mut q: EventQueue<Ev> = EventQueue::new();
         let mut last_arrival = SimTime::ZERO;
         for p in trace {
             assert!(p.arrival >= last_arrival, "trace must be arrival-ordered");
@@ -1539,7 +1519,7 @@ impl HbmSwitch {
     /// A fresh run's event queue: the plan's switch-level faults, then
     /// the first read turn.
     fn initial_queue(&self, plan: &FaultPlan) -> EventQueue<Ev> {
-        let mut q = EventQueue::with_kind(self.queue_kind);
+        let mut q = EventQueue::new();
         for ev in plan.events() {
             if !ev.kind.is_photonic() {
                 q.schedule(ev.at, Ev::Fault(*ev));
@@ -1719,6 +1699,12 @@ impl HbmSwitch {
                 "router configuration differs from the checkpointed run".into(),
             ));
         }
+        // Rebuild the queue and the feeder before any field of the
+        // switch is overwritten, so a corrupt snapshot leaves it intact.
+        let q = EventQueue::from_entries(st.queue, st.queue_next_seq, st.queue_last_popped)
+            .map_err(|e| SnapshotError::Mismatch(format!("event queue does not restore: {e}")))?;
+        let feeder = Feeder::restore(source, &st.feeder)
+            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))?;
         match (self.live.as_mut(), st.live) {
             (None, None) => {}
             (Some(live), Some(ls)) => {
@@ -1806,14 +1792,6 @@ impl HbmSwitch {
         self.hbm_occupancy = st.hbm_occupancy;
         self.metrics = st.metrics;
         self.output_depth = st.output_depth;
-        let feeder = Feeder::restore(source, &st.feeder)
-            .map_err(|e| SnapshotError::Mismatch(format!("feeder state does not decode: {e}")))?;
-        let q = EventQueue::from_entries_in(
-            self.queue_kind,
-            st.queue,
-            st.queue_next_seq,
-            st.queue_last_popped,
-        );
         Ok((q, feeder))
     }
 

@@ -62,5 +62,8 @@ pub use hbm_switch::{HbmSwitch, RunOutcome, SwitchEvent, SwitchReport};
 pub use mimic::{MimicChecker, MimicReport};
 pub use output::{OutputPort, PacketDeparture};
 pub use resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
-pub use sps::{LiveOptions, PerSwitch, PlaneRun, PlaneSource, SpsReport, SpsRouter, SpsWorkload};
+pub use sps::{
+    CheckpointedRunError, LiveOptions, PerSwitch, PlaneRun, PlaneSource, SpsReport, SpsRouter,
+    SpsWorkload,
+};
 pub use sram::{Frame, HeadSram, SramOccupancy, TailSram};

@@ -2,6 +2,8 @@
 //! splits fibers over `H` independent HBM switches; each packet crosses
 //! exactly one of them (one OEO conversion).
 
+use std::fmt;
+
 use rip_photonics::{FrontEnd, SplitMap, SplitPattern};
 use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
@@ -55,8 +57,7 @@ impl SpsWorkload {
     }
 }
 
-/// Options controlling live epoch streaming in
-/// [`SpsRouter::run_streamed`].
+/// Options controlling live epoch streaming in [`SpsRouter::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct LiveOptions {
     /// Epoch period (sim time) of every plane's epoch clock.
@@ -130,6 +131,45 @@ pub struct PlaneRun {
     pub staged: MemorySink,
 }
 
+/// Why [`SpsRouter::run_streamed_checkpointed`] failed.
+#[derive(Debug)]
+pub enum CheckpointedRunError {
+    /// The run's inputs failed validation before any plane ran.
+    Config(ConfigError),
+    /// A snapshot could not be restored or persisted.
+    Snapshot(SnapshotError),
+}
+
+impl fmt::Display for CheckpointedRunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointedRunError::Config(e) => write!(f, "{e}"),
+            CheckpointedRunError::Snapshot(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointedRunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointedRunError::Config(e) => Some(e),
+            CheckpointedRunError::Snapshot(e) => Some(e),
+        }
+    }
+}
+
+impl From<ConfigError> for CheckpointedRunError {
+    fn from(e: ConfigError) -> Self {
+        CheckpointedRunError::Config(e)
+    }
+}
+
+impl From<SnapshotError> for CheckpointedRunError {
+    fn from(e: SnapshotError) -> Self {
+        CheckpointedRunError::Snapshot(e)
+    }
+}
+
 /// The Split-Parallel Switch: `H` HBM switches behind a spatial fiber
 /// split.
 pub struct SpsRouter {
@@ -150,19 +190,17 @@ struct Epoch {
 /// The streaming front end of one plane: a pull-based demultiplexing
 /// source built by [`SpsRouter::plane_source`].
 ///
-/// It re-derives the per-fiber [`PacketGenerator`]s (same seeds as
-/// [`SpsRouter::split_traffic`]) of exactly the fibers that the split
-/// of some photonic epoch routes to this plane, k-way-merges them in
-/// global `(arrival, input, id)` order with lane order as the final
-/// tie-break — the order `split_traffic`'s stable sort produces — and
+/// It builds the per-fiber [`PacketGenerator`]s (seeded by global
+/// fiber index) of exactly the fibers that the split of some photonic
+/// epoch routes to this plane, k-way-merges them in global `(arrival,
+/// input, id)` order with lane order as the final tie-break, and
 /// filters the merged stream through the fault epochs: packets on a
 /// lost wavelength are dropped at the front end (counted here when
 /// this plane would have received them), and packets a re-spliced
 /// epoch steers to other planes are skipped. A fiber no epoch sends to
 /// this plane can contribute neither packets nor drops, so it gets no
-/// lane: generation cost per plane is O(own fibers), memory O(own
-/// fibers) with no materialized trace, and per-plane reports stay
-/// byte-identical to the batch split.
+/// lane: generation cost per plane is O(own fibers) and memory O(own
+/// fibers), with no materialized trace.
 pub struct PlaneSource {
     merged: MergedSource<BoundedSource<PacketGenerator>>,
     /// `(ribbon, fiber)` of each merged lane, indexed by lane. The
@@ -260,6 +298,21 @@ struct PlaneDone {
     records: u64,
 }
 
+/// The checkpoint side of one plane run inside
+/// [`SpsRouter::run_streamed_checkpointed`].
+struct PlaneCheckpoint<'a> {
+    /// On a mid-plane resume: the plane's engine state and the records
+    /// it had staged when the snapshot was taken.
+    resume: Option<(&'a Value, &'a [SinkRecord])>,
+    every_epochs: u64,
+    should_stop: &'a mut dyn FnMut() -> bool,
+    persist: &'a mut PlanePersist<'a>,
+}
+
+/// Receives each engine snapshot of a plane together with the records
+/// the plane has staged so far.
+type PlanePersist<'a> = dyn FnMut(&Value, Vec<SinkRecord>) -> Result<(), SnapshotError> + 'a;
+
 /// A router-level checkpoint: which plane is running, the finished
 /// planes' results, the running plane's staged (not yet replayed)
 /// records, and its engine state.
@@ -315,47 +368,11 @@ impl SpsRouter {
         &self.front_end
     }
 
-    /// Generate per-fiber traffic for `workload` and return the `H`
-    /// per-switch arrival-ordered traces (packet `input`/`output` are
-    /// ribbon indices — switch-port indices).
-    pub fn split_traffic(&self, w: &SpsWorkload, horizon: SimTime) -> Vec<Vec<Packet>> {
-        assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
-        let f = self.cfg.fibers_per_ribbon;
-        let mut per_switch: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.switches];
-        for ribbon in 0..self.cfg.ribbons {
-            // Per-fiber offered loads for this ribbon.
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
-            for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
-                    continue;
-                }
-                let mut g = PacketGenerator::new(
-                    ribbon,
-                    self.front_end.fiber_rate(),
-                    load.min(1.0),
-                    w.tm.row(ribbon).to_vec(),
-                    w.sizes.clone(),
-                    w.process,
-                    w.flows,
-                    rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
-                )
-                .expect("valid generator");
-                let sw = self.front_end.split().switch_for(ribbon, fiber);
-                per_switch[sw].extend(g.generate_until(horizon));
-            }
-        }
-        for t in per_switch.iter_mut() {
-            t.sort_by_key(|p| (p.arrival, p.input, p.id));
-        }
-        per_switch
-    }
-
     /// Build the streaming front end for one plane: a [`PlaneSource`]
-    /// yielding, in arrival order, exactly the packets that
-    /// [`SpsRouter::split_traffic`] (or, under photonic faults,
-    /// [`SpsRouter::split_traffic_faulted`]) would place in plane
-    /// `plane`'s trace — without materializing any trace. Pass
-    /// [`FaultPlan::default`] for a healthy front end.
+    /// yielding, in arrival order, exactly the packets the optical
+    /// split (under `plan`'s photonic faults) sends to plane `plane` —
+    /// without materializing any trace. Pass [`FaultPlan::default`]
+    /// for a healthy front end.
     pub fn plane_source(
         &self,
         w: &SpsWorkload,
@@ -410,66 +427,38 @@ impl SpsRouter {
         }
     }
 
-    /// Run the full router on `workload` until `horizon` (+ drain time).
+    /// Run the full router on `w` until `horizon` (+ drain time) under
+    /// `plan`, optionally streaming live telemetry.
     ///
     /// The `H` HBM switches are fully independent after the optical
     /// split — exactly the property the SPS architecture banks on — so
-    /// they are simulated on parallel threads (crossbeam scope); results
-    /// are deterministic regardless of scheduling because each switch's
-    /// simulation is self-contained.
-    pub fn run(&self, w: &SpsWorkload, horizon: SimTime) -> SpsReport {
-        self.run_with_faults(w, horizon, &FaultPlan::default())
-    }
-
-    /// Run the router while applying a [`FaultPlan`] across every layer:
-    /// photonic events (lost wavelengths, dead planes) partition time
-    /// into epochs with re-derived split maps at the front end, and HBM
-    /// events are projected onto the plane that owns each global channel
-    /// (refresh storms hit every plane's controller). An empty plan is
-    /// byte-identical to [`SpsRouter::run`].
+    /// they are simulated on parallel threads ([`Self::run_planes`]);
+    /// results are deterministic regardless of scheduling because each
+    /// switch's simulation is self-contained. Photonic events in `plan`
+    /// (lost wavelengths, dead planes) partition time into epochs with
+    /// re-derived split maps at the front end, and HBM events are
+    /// projected onto the plane that owns each global channel (refresh
+    /// storms hit every plane's controller). Pass [`FaultPlan::default`]
+    /// for a healthy run; a plan that fails [`FaultPlan::validate`] for
+    /// this router is a [`ConfigError::FaultPlan`].
     ///
-    /// # Panics
-    /// Panics if the plan fails [`FaultPlan::validate`] for this
-    /// router's configuration.
-    pub fn run_with_faults(
-        &self,
-        w: &SpsWorkload,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) -> SpsReport {
-        self.run_inner(w, horizon, plan, None)
-    }
-
-    /// [`SpsRouter::run_with_faults`] with live telemetry: every plane
-    /// streams epoch deltas (and sampled lifecycle spans) while it
-    /// runs. Per-plane records are buffered per plane and replayed
-    /// into `sink` in plane order after the ordered join, renamed
-    /// `plane00`, `plane01`, … — so the stream is byte-stable
-    /// across thread schedules, exactly like the merged report. A final
-    /// `sps` `run_end` record carries the plane-merged registry.
-    pub fn run_streamed(
-        &self,
-        w: &SpsWorkload,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        opts: LiveOptions,
-        sink: &mut dyn TelemetrySink,
-    ) -> SpsReport {
-        self.run_inner(w, horizon, plan, Some((opts, sink)))
-    }
-
-    fn run_inner(
+    /// With `live = Some((opts, sink))` every plane streams epoch deltas
+    /// (and sampled lifecycle spans) while it runs. Per-plane records
+    /// are buffered per plane and replayed into `sink` in plane order
+    /// after the ordered join, renamed `plane00`, `plane01`, … — so the
+    /// stream is byte-stable across thread schedules, exactly like the
+    /// merged report. A final `sps` `run_end` record carries the
+    /// plane-merged registry.
+    pub fn run(
         &self,
         w: &SpsWorkload,
         horizon: SimTime,
         plan: &FaultPlan,
         live: Option<(LiveOptions, &mut dyn TelemetrySink)>,
-    ) -> SpsReport {
+    ) -> Result<SpsReport, ConfigError> {
         let all: Vec<usize> = (0..self.cfg.switches).collect();
         let live_opts = live.as_ref().map(|(o, _)| *o);
-        let runs = self
-            .run_planes(w, horizon, plan, live_opts, &all)
-            .expect("fault plan must be valid for this router");
+        let runs = self.run_planes(w, horizon, plan, live_opts, &all)?;
         let report = self.stitch_report(
             runs.iter()
                 .map(|r| (r.report.clone(), r.fe_dropped_packets, r.fe_dropped))
@@ -485,7 +474,7 @@ impl SpsRouter {
             }
             sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
         }
-        report
+        Ok(report)
     }
 
     /// The drain deadline this router runs to for a given arrival
@@ -505,7 +494,7 @@ impl SpsRouter {
     /// RNG lanes derived from the plane-independent fiber index, and
     /// the fault plan projected per plane), so running planes `{0, 2}`
     /// here and `{1, 3}` in another process produces exactly the
-    /// per-plane results the single-process [`SpsRouter::run_streamed`]
+    /// per-plane results the single-process [`SpsRouter::run`]
     /// computes — byte-for-byte, for any partitioning. The subset must
     /// be non-empty, strictly ascending and within range; anything else
     /// is a [`ConfigError::PlaneSubset`].
@@ -548,16 +537,19 @@ impl SpsRouter {
             });
         }
         plan.validate(&self.cfg).map_err(ConfigError::FaultPlan)?;
-        let drain = self.cfg.drain.deadline(horizon);
+        let run = |plane| {
+            self.run_plane(w, horizon, plan, live, plane, None)
+                .ok()
+                .flatten()
+                .expect("a plane run without checkpoints completes")
+        };
         let (&last, others) = planes.split_last().expect("checked non-empty");
         let runs = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = others
                 .iter()
-                .map(|&plane| {
-                    scope.spawn(move |_| self.run_plane(w, horizon, plan, drain, live, plane))
-                })
+                .map(|&plane| scope.spawn(move |_| run(plane)))
                 .collect();
-            let last_run = self.run_plane(w, horizon, plan, drain, live, last);
+            let last_run = run(last);
             let mut runs: Vec<PlaneRun> = handles
                 .into_iter()
                 .map(|h| h.join().expect("switch simulation thread panicked"))
@@ -572,18 +564,23 @@ impl SpsRouter {
     /// Simulate one plane end to end: its streaming front-end demux
     /// feeds a fresh [`HbmSwitch`] under the plane's projection of
     /// `plan`, with live records staged into the returned run. Memory
-    /// is O(own fibers + in-flight), independent of horizon, and the
-    /// report is byte-identical to the batch split (see
-    /// [`PlaneSource`]).
+    /// is O(own fibers + in-flight), independent of horizon.
+    ///
+    /// With a checkpoint context the plane runs through
+    /// [`HbmSwitch::run_source_checkpointed`]: it resumes from the
+    /// context's engine state when there is one, hands every snapshot
+    /// to the context's `persist`, and returns `Ok(None)` when
+    /// interrupted. Without one it runs to completion and returns
+    /// `Ok(Some(_))`.
     fn run_plane(
         &self,
         w: &SpsWorkload,
         horizon: SimTime,
         plan: &FaultPlan,
-        drain: SimTime,
         live: Option<LiveOptions>,
         plane: usize,
-    ) -> PlaneRun {
+        ckpt: Option<PlaneCheckpoint<'_>>,
+    ) -> Result<Option<PlaneRun>, SnapshotError> {
         let mut src = self.plane_source(w, horizon, plan, plane);
         let staged = SharedSink::new();
         let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
@@ -593,14 +590,43 @@ impl SpsRouter {
         if let Some(o) = live {
             sw.enable_live_telemetry(o.period, o.sample_one_in, Box::new(staged.clone()));
         }
-        sw.run_source(&mut src, drain, &plan.project_switch(&self.cfg, plane));
-        PlaneRun {
+        let drain = self.drain_deadline(horizon);
+        let plan = plan.project_switch(&self.cfg, plane);
+        match ckpt {
+            None => sw.run_source(&mut src, drain, &plan),
+            Some(c) => {
+                // A mid-plane resume re-seeds the staging buffer, so the
+                // plane's replayed stream is complete.
+                let engine = c.resume.map(|(engine, records)| {
+                    for rec in records {
+                        staged.push_record(rec.clone());
+                    }
+                    engine
+                });
+                let persist = c.persist;
+                let outcome = sw.run_source_checkpointed(
+                    &mut src,
+                    drain,
+                    &plan,
+                    engine,
+                    c.every_epochs,
+                    c.should_stop,
+                    |engine: &Value, _epochs: u64, _spans: u64| {
+                        persist(engine, staged.peek_records())
+                    },
+                )?;
+                if outcome == RunOutcome::Interrupted {
+                    return Ok(None);
+                }
+            }
+        }
+        Ok(Some(PlaneRun {
             plane,
             report: sw.into_report(),
             fe_dropped_packets: src.front_end_dropped_packets(),
             fe_dropped: src.front_end_dropped(),
             staged: staged.take(),
-        }
+        }))
     }
 
     /// Fold per-plane results (in plane order) into the router-level
@@ -680,9 +706,9 @@ impl SpsRouter {
         }
     }
 
-    /// [`SpsRouter::run_streamed`] with crash-safe checkpointing: the
-    /// planes run **sequentially** (plane order, same order the
-    /// threaded runner replays them in), each through
+    /// [`SpsRouter::run`] with live telemetry and crash-safe
+    /// checkpointing: the planes run **sequentially** (plane order, the
+    /// order the threaded runner replays them in), each through
     /// [`HbmSwitch::run_source_checkpointed`], so a snapshot captures
     /// the running plane's full engine state, its staged (not yet
     /// replayed) telemetry records, and the finished planes' results.
@@ -697,9 +723,11 @@ impl SpsRouter {
     /// byte-identical to the uninterrupted run.
     ///
     /// Returns `Ok(None)` when interrupted (a final snapshot was
-    /// persisted) and `Ok(Some(report))` on completion. Resuming under
-    /// a different router configuration, workload shape, or telemetry
-    /// options fails with [`SnapshotError::Mismatch`].
+    /// persisted) and `Ok(Some(report))` on completion. A plan that
+    /// fails [`FaultPlan::validate`] for this router is a
+    /// [`ConfigError::FaultPlan`]; resuming under a different router
+    /// configuration, workload shape, or telemetry options fails with
+    /// [`SnapshotError::Mismatch`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_streamed_checkpointed(
         &self,
@@ -712,13 +740,8 @@ impl SpsRouter {
         every_epochs: u64,
         should_stop: &mut dyn FnMut() -> bool,
         persist: &mut dyn FnMut(&Value, u64) -> Result<(), SnapshotError>,
-    ) -> Result<Option<SpsReport>, SnapshotError> {
-        plan.validate(&self.cfg)
-            .expect("fault plan must be valid for this router");
-        let drain = self.cfg.drain.deadline(horizon);
-        let plans: Vec<FaultPlan> = (0..self.cfg.switches)
-            .map(|s| plan.project_switch(&self.cfg, s))
-            .collect();
+    ) -> Result<Option<SpsReport>, CheckpointedRunError> {
+        plan.validate(&self.cfg).map_err(ConfigError::FaultPlan)?;
         let cfg_echo = self.cfg.to_value();
         // Where to pick up: plane index, finished planes, and the
         // running plane's staged records + engine state.
@@ -732,7 +755,8 @@ impl SpsRouter {
                 if st.cfg != cfg_echo {
                     return Err(SnapshotError::Mismatch(
                         "router configuration differs from the checkpointed run".into(),
-                    ));
+                    )
+                    .into());
                 }
                 (st.plane as usize, st.done, st.staged, st.engine)
             }
@@ -741,69 +765,38 @@ impl SpsRouter {
         if first_plane > self.cfg.switches || done.len() != first_plane.min(self.cfg.switches) {
             return Err(SnapshotError::Mismatch(
                 "snapshot plane progress is inconsistent with this router".into(),
-            ));
+            )
+            .into());
         }
         let mut records_done: u64 = done.iter().map(|d| d.records).sum();
-        // The index drives plane_source, fault projection, snapshot
-        // labels and the resume comparison alike — iterating `plans`
-        // alone would obscure that.
-        #[allow(clippy::needless_range_loop)]
         for plane in first_plane..self.cfg.switches {
-            let mut src = self.plane_source(w, horizon, plan, plane);
-            let staged = SharedSink::new();
-            let resume_engine = if plane == first_plane && engine0 != Value::Null {
-                // Mid-plane resume: re-seed the staging buffer so the
-                // plane's replayed stream is complete, then hand the
-                // engine its own snapshot.
-                for rec in &seed_staged {
-                    staged.push_record(rec.clone());
-                }
-                Some(&engine0)
-            } else {
-                None
+            let resume = (plane == first_plane && engine0 != Value::Null)
+                .then_some((&engine0, &seed_staged[..]));
+            let ckpt = PlaneCheckpoint {
+                resume,
+                every_epochs,
+                should_stop: &mut *should_stop,
+                persist: &mut |engine: &Value, staged: Vec<SinkRecord>| {
+                    let state = SpsCkptState {
+                        cfg: cfg_echo.clone(),
+                        plane: plane as u64,
+                        done: done.clone(),
+                        staged,
+                        engine: engine.clone(),
+                    };
+                    persist(&state.to_value(), records_done)
+                },
             };
-            let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
-            if let Some(h) = self.profile.clone() {
-                sw.enable_profiler_as(h, &format!("plane{plane:02}"));
-            }
-            sw.enable_live_telemetry(opts.period, opts.sample_one_in, Box::new(staged.clone()));
-            let outcome = {
-                let done_ref = &done;
-                let staged_ref = &staged;
-                let cfg_ref = &cfg_echo;
-                sw.run_source_checkpointed(
-                    &mut src,
-                    drain,
-                    &plans[plane],
-                    resume_engine,
-                    every_epochs,
-                    &mut *should_stop,
-                    |engine: &Value, _epochs: u64, _spans: u64| {
-                        persist(
-                            &SpsCkptState {
-                                cfg: cfg_ref.clone(),
-                                plane: plane as u64,
-                                done: done_ref.clone(),
-                                staged: staged_ref.peek_records(),
-                                engine: engine.clone(),
-                            }
-                            .to_value(),
-                            records_done,
-                        )
-                    },
-                )?
-            };
-            if outcome == RunOutcome::Interrupted {
+            let Some(run) = self.run_plane(w, horizon, plan, Some(opts), plane, Some(ckpt))? else {
                 return Ok(None);
-            }
-            let staged_mem = staged.take();
-            let plane_records = staged_mem.records().len() as u64;
-            staged_mem.replay_renamed(&format!("plane{plane:02}"), sink);
+            };
+            let plane_records = run.staged.records().len() as u64;
+            run.staged.replay_renamed(&format!("plane{plane:02}"), sink);
             records_done += plane_records;
             done.push(PlaneDone {
-                report: sw.into_report(),
-                fe_packets: src.front_end_dropped_packets(),
-                fe_bytes: src.front_end_dropped(),
+                report: run.report,
+                fe_packets: run.fe_dropped_packets,
+                fe_bytes: run.fe_dropped,
                 records: plane_records,
             });
             if plane + 1 < self.cfg.switches {
@@ -828,7 +821,7 @@ impl SpsRouter {
             .map(|d| (d.report, d.fe_packets, d.fe_bytes))
             .collect();
         let report = self.stitch_report(results, horizon);
-        sink.on_run_end("sps", drain, &report.metrics);
+        sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
         Ok(Some(report))
     }
 
@@ -873,60 +866,6 @@ impl SpsRouter {
         epochs
     }
 
-    /// [`SpsRouter::split_traffic`] under photonic faults: each packet
-    /// is routed by the split map of its arrival epoch, and packets on
-    /// a lost wavelength (flow-hashed ingress lane) are dropped at the
-    /// front end before reaching any switch. Returns the per-switch
-    /// traces plus front-end drop counts. Materializing batch
-    /// counterpart of [`SpsRouter::plane_source`]; kept public as the
-    /// reference for the streaming-equivalence suite.
-    pub fn split_traffic_faulted(
-        &self,
-        w: &SpsWorkload,
-        horizon: SimTime,
-        plan: &FaultPlan,
-    ) -> (Vec<Vec<Packet>>, u64, DataSize) {
-        assert_eq!(w.tm.n(), self.cfg.ribbons, "TM must be ribbon-sized");
-        let epochs = self.epochs(plan);
-        let f = self.cfg.fibers_per_ribbon;
-        let mut per_switch: Vec<Vec<Packet>> = vec![Vec::new(); self.cfg.switches];
-        let mut dropped_packets = 0u64;
-        let mut dropped = DataSize::ZERO;
-        for ribbon in 0..self.cfg.ribbons {
-            let fiber_loads = w.fill.loads(f, w.load * f as f64);
-            for (fiber, &load) in fiber_loads.iter().enumerate() {
-                if load <= 0.0 {
-                    continue;
-                }
-                let mut g = PacketGenerator::new(
-                    ribbon,
-                    self.front_end.fiber_rate(),
-                    load.min(1.0),
-                    w.tm.row(ribbon).to_vec(),
-                    w.sizes.clone(),
-                    w.process,
-                    w.flows,
-                    rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
-                )
-                .expect("valid generator");
-                for p in g.generate_until(horizon) {
-                    let ep = &epochs[epochs.partition_point(|e| e.start <= p.arrival) - 1];
-                    let lambda = lane_for(p.flow, self.cfg.wavelengths, HashKind::Crc32c);
-                    if ep.lost[ribbon][lambda] {
-                        dropped_packets += 1;
-                        dropped += p.size;
-                        continue;
-                    }
-                    per_switch[ep.split.switch_for(ribbon, fiber)].push(p);
-                }
-            }
-        }
-        for t in per_switch.iter_mut() {
-            t.sort_by_key(|p| (p.arrival, p.input, p.id));
-        }
-        (per_switch, dropped_packets, dropped)
-    }
-
     /// Fluid-model per-switch per-output loads for `workload` (fast path
     /// for imbalance studies; no packet simulation). Returns
     /// `loads[switch][output]` in units of switch-port rate.
@@ -968,20 +907,6 @@ mod tests {
 
     fn small_router(pattern: SplitPattern) -> SpsRouter {
         SpsRouter::new(RouterConfig::small(), pattern).unwrap()
-    }
-
-    #[test]
-    fn split_traffic_routes_fibers_to_the_right_switch() {
-        let r = small_router(SplitPattern::Sequential);
-        let w = SpsWorkload::uniform(4, 0.5, 1);
-        let traces = r.split_traffic(&w, SimTime::from_ns(20_000));
-        assert_eq!(traces.len(), 4);
-        // All traces non-empty and arrival-ordered.
-        for t in &traces {
-            assert!(!t.is_empty());
-            assert!(t.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-            assert!(t.iter().all(|p| p.input < 4 && p.output < 4));
-        }
     }
 
     #[test]
@@ -1047,7 +972,9 @@ mod tests {
     fn end_to_end_uniform_run_is_lossless() {
         let r = small_router(SplitPattern::PseudoRandom { seed: 5 });
         let w = SpsWorkload::uniform(4, 0.5, 6);
-        let report = r.run(&w, SimTime::from_ns(30_000));
+        let report = r
+            .run(&w, SimTime::from_ns(30_000), &FaultPlan::default(), None)
+            .unwrap();
         assert!(report.offered.bytes() > 0);
         assert!(
             report.loss_fraction < 0.001,
@@ -1079,7 +1006,7 @@ mod tests {
         let mut w = SpsWorkload::uniform(4, 0.5, 1);
         w.tm = TrafficMatrix::uniform(8, 1.0);
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.split_traffic(&w, SimTime::from_ns(100))
+            r.plane_source(&w, SimTime::from_ns(100), &FaultPlan::default(), 0)
         }));
         assert!(res.is_err());
     }

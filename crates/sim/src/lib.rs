@@ -8,13 +8,10 @@
 //! * [`EventQueue`] — a time-ordered queue with **deterministic
 //!   tie-breaking** (FIFO among equal-time events, by insertion sequence
 //!   number), so a simulation is a pure function of its configuration and
-//!   seed. Backed by a hierarchical timing wheel on picosecond buckets;
-//!   the original binary-heap kernel survives as a runtime-selectable
-//!   differential oracle ([`QueueKind`]).
+//!   seed. One `BinaryHeap` kernel; checkpoints store its entries in pop
+//!   order and rebuild it with [`EventQueue::from_entries`].
 //! * [`arena`] — recycling pools ([`VecPool`]) that keep hot-loop
 //!   buffer churn out of the allocator without touching determinism.
-//! * [`Simulation`] — a thin driver that pops events and hands them to a
-//!   handler together with a scheduling context.
 //! * [`rng`] — seeded, stream-splittable random number generation. Every
 //!   stochastic component of the workspace takes an explicit `u64` seed.
 //! * [`snapshot`] — versioned, CRC-checked checkpoint containers with
@@ -27,22 +24,21 @@
 //! # Example
 //!
 //! ```
-//! use rip_sim::Simulation;
+//! use rip_sim::EventQueue;
 //! use rip_units::{SimTime, TimeDelta};
 //!
 //! #[derive(Debug)]
 //! enum Ev { Ping(u32) }
 //!
-//! let mut sim = Simulation::new();
-//! sim.schedule(SimTime::ZERO, Ev::Ping(0));
+//! let mut q = EventQueue::new();
+//! q.schedule(SimTime::ZERO, Ev::Ping(0));
 //! let mut seen = Vec::new();
-//! sim.run(|now, ev, q| {
-//!     let Ev::Ping(n) = ev;
+//! while let Some((now, Ev::Ping(n))) = q.pop() {
 //!     seen.push((now.as_ps(), n));
 //!     if n < 3 {
 //!         q.schedule(now + TimeDelta::from_ns(1), Ev::Ping(n + 1));
 //!     }
-//! });
+//! }
 //! assert_eq!(seen.len(), 4);
 //! ```
 
@@ -57,5 +53,5 @@ pub mod snapshot;
 pub mod stats;
 
 pub use arena::VecPool;
-pub use queue::{EventQueue, QueueKind, Simulation};
+pub use queue::{EventQueue, QueueRestoreError};
 pub use series::{Series, TraceLog};

@@ -1,11 +1,11 @@
-//! Differential property tests: the timing-wheel kernel and the
-//! binary-heap oracle must realize the same `(time, seq)` total order
-//! for arbitrary insert/pop sequences — including same-timestamp
-//! tie-breaks, far-future overflow buckets, and draining after a
-//! snapshot/rebuild merge.
+//! Model-based property tests: `EventQueue` must realize the `(time,
+//! seq)` total order of a sorted reference `Vec` for arbitrary
+//! schedule/pop scripts — including same-timestamp tie-breaks,
+//! u64-extreme times, and draining after a snapshot/`from_entries`
+//! rebuild mid-script.
 
 use proptest::prelude::*;
-use rip_sim::{EventQueue, QueueKind};
+use rip_sim::EventQueue;
 use rip_units::SimTime;
 
 /// One scripted queue operation, decoded from a `(selector, raw)` pair
@@ -14,17 +14,15 @@ use rip_units::SimTime;
 enum Op {
     /// Schedule an event `delta_ps` after the last popped time.
     Schedule(u64),
-    /// Pop one event and compare across kernels.
+    /// Pop one event and compare with the model.
     Pop,
-    /// Snapshot both queues, cross-rebuild (wheel from the heap's
-    /// entries and vice versa), and continue — drain-after-merge.
+    /// Snapshot the queue, rebuild it with `from_entries`, and continue.
     Snapshot,
 }
 
-/// Decode a raw draw into an op. The schedule deltas span every wheel
-/// regime: zero (FIFO tie-break), one bucket (2^10 ps), level-0/1/2
-/// rotations, and u64-extreme offsets that land in the top overflow
-/// levels.
+/// Decode a raw draw into an op. The schedule deltas span zero (FIFO
+/// tie-break), sub-nanosecond, microsecond and millisecond offsets, and
+/// u64-extreme offsets.
 fn decode(sel: u8, raw: u64) -> Op {
     match sel % 13 {
         0 | 1 => Op::Schedule(0),
@@ -38,60 +36,82 @@ fn decode(sel: u8, raw: u64) -> Op {
     }
 }
 
-/// Pop both kernels once and require identical `(time, event)` results
-/// plus identical post-pop observables.
-fn pop_both(wheel: &mut EventQueue<u32>, heap: &mut EventQueue<u32>) {
-    assert_eq!(wheel.peek_time(), heap.peek_time());
-    let (a, b) = (wheel.pop(), heap.pop());
-    assert_eq!(a, b, "kernels diverged on pop");
-    assert_eq!(wheel.now(), heap.now());
-    assert_eq!(wheel.len(), heap.len());
+/// The reference: pending `(time, seq, tag)` kept sorted, so the
+/// earliest entry is always at the front.
+#[derive(Default)]
+struct Model {
+    pending: Vec<(SimTime, u64, u32)>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl Model {
+    fn schedule(&mut self, at: SimTime, tag: u32) {
+        let entry = (at, self.next_seq, tag);
+        self.next_seq += 1;
+        let i = self.pending.partition_point(|e| *e < entry);
+        self.pending.insert(i, entry);
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let (t, _, tag) = self.pending.remove(0);
+        self.now = t;
+        Some((t, tag))
+    }
+}
+
+/// Pop the queue and the model once and require identical `(time,
+/// event)` results plus identical post-pop observables.
+fn pop_both(q: &mut EventQueue<u32>, model: &mut Model) {
+    assert_eq!(q.peek_time(), model.pending.first().map(|e| e.0));
+    assert_eq!(q.pop(), model.pop(), "queue diverged from the model on pop");
+    assert_eq!(q.now(), model.now);
+    assert_eq!(q.len(), model.pending.len());
 }
 
 proptest! {
-    /// Arbitrary scripts produce identical pop sequences from both
-    /// kernels, at every intermediate step and in the final drain.
+    /// Arbitrary scripts pop exactly as the sorted model does, at every
+    /// intermediate step and in the final drain.
     #[test]
-    fn wheel_matches_heap_oracle(
+    fn queue_matches_sorted_vec_model(
         raw_ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..200),
     ) {
-        let mut wheel = EventQueue::with_kind(QueueKind::TimingWheel);
-        let mut heap = EventQueue::with_kind(QueueKind::BinaryHeap);
+        let mut q = EventQueue::new();
+        let mut model = Model::default();
         let mut tag = 0u32;
         for &(sel, raw) in &raw_ops {
             match decode(sel, raw) {
                 Op::Schedule(d) => {
-                    let at = SimTime::from_ps(wheel.now().as_ps().saturating_add(d));
-                    wheel.schedule(at, tag);
-                    heap.schedule(at, tag);
+                    let at = SimTime::from_ps(q.now().as_ps().saturating_add(d));
+                    q.schedule(at, tag);
+                    model.schedule(at, tag);
                     tag += 1;
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    prop_assert_eq!(q.peek_time(), model.pending.first().map(|e| e.0));
                 }
-                Op::Pop => pop_both(&mut wheel, &mut heap),
+                Op::Pop => pop_both(&mut q, &mut model),
                 Op::Snapshot => {
-                    // Pop order is kernel-agnostic: entries written by
-                    // one kernel must rebuild under the other with the
-                    // same continuation.
-                    let we = wheel.entries();
-                    let he = heap.entries();
-                    prop_assert_eq!(&we, &he, "snapshot entries diverged");
-                    let (seq, now) = (wheel.next_seq(), wheel.now());
-                    wheel = EventQueue::from_entries_in(
-                        QueueKind::TimingWheel, he, seq, now);
-                    heap = EventQueue::from_entries_in(
-                        QueueKind::BinaryHeap, we, seq, now);
+                    // Snapshots hold the pending entries in pop order
+                    // with their original sequence numbers.
+                    let entries = q.entries();
+                    prop_assert_eq!(&entries, &model.pending, "snapshot entries diverged");
+                    prop_assert_eq!(q.next_seq(), model.next_seq);
+                    q = EventQueue::from_entries(entries, q.next_seq(), q.now())
+                        .expect("the queue's own snapshot rebuilds");
                 }
             }
         }
-        // Drain-after-merge: whatever the script left pending must pop
-        // identically to exhaustion.
-        while !wheel.is_empty() || !heap.is_empty() {
-            pop_both(&mut wheel, &mut heap);
+        // Whatever the script left pending must pop identically to
+        // exhaustion.
+        while !q.is_empty() || !model.pending.is_empty() {
+            pop_both(&mut q, &mut model);
         }
     }
 
-    /// Bursts at one instant interleaved with snapshots: FIFO seq
-    /// restoration survives rebuilds even when every pending time ties.
+    /// Bursts at one instant with a rebuild mid-burst: restored seqs keep
+    /// the burst FIFO, and schedules after the rebuild pop after it.
     #[test]
     fn same_time_bursts_stay_fifo(
         burst in 1usize..64,
@@ -99,24 +119,21 @@ proptest! {
         split in 0usize..64,
     ) {
         let t = SimTime::from_ps(t_ps);
-        let mut wheel = EventQueue::with_kind(QueueKind::TimingWheel);
+        let mut q = EventQueue::new();
         for i in 0..burst as u32 {
-            wheel.schedule(t, i);
+            q.schedule(t, i);
         }
-        // Rebuild mid-burst state under the oracle and keep scheduling.
         let split = split % (burst + 1);
         for _ in 0..split {
-            wheel.pop();
+            q.pop();
         }
-        let (seq, now) = (wheel.next_seq(), wheel.now());
-        let mut heap = EventQueue::from_entries_in(
-            QueueKind::BinaryHeap, wheel.entries(), seq, now);
+        let mut rebuilt = EventQueue::from_entries(q.entries(), q.next_seq(), q.now())
+            .expect("the queue's own snapshot rebuilds");
         for i in 0..4u32 {
-            wheel.schedule(t.max(now), 1000 + i);
-            heap.schedule(t.max(now), 1000 + i);
+            rebuilt.schedule(t, 1000 + i);
         }
-        while !wheel.is_empty() || !heap.is_empty() {
-            pop_both(&mut wheel, &mut heap);
-        }
+        let order: Vec<u32> = std::iter::from_fn(|| rebuilt.pop()).map(|(_, e)| e).collect();
+        let expected: Vec<u32> = (split as u32..burst as u32).chain(1000..1004).collect();
+        prop_assert_eq!(order, expected);
     }
 }

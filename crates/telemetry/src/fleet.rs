@@ -191,7 +191,7 @@ pub fn parse_sink_line(line: &str) -> Result<ParsedLine, LineError> {
 /// Staging cursor for fleet reassembly: buffers each plane's records in
 /// arrival order (arrival order per plane *is* sim order, because one
 /// worker produced them sequentially) and replays every plane in
-/// ascending plane-id order — the same order `SpsRouter::run_streamed`
+/// ascending plane-id order — the same order `SpsRouter::run`
 /// drains its per-plane staging buffers, which is the whole
 /// determinism argument.
 #[derive(Debug, Clone, Default)]

@@ -9,7 +9,7 @@
 //! ```
 
 use rip_analysis::{buffering, power};
-use rip_core::{RouterConfig, SpsRouter, SpsWorkload};
+use rip_core::{FaultPlan, RouterConfig, SpsRouter, SpsWorkload};
 use rip_photonics::SplitPattern;
 use rip_traffic::FiberFill;
 use rip_units::SimTime;
@@ -44,7 +44,9 @@ fn main() {
         let router = SpsRouter::new(cfg.clone(), pattern).expect("valid router");
         let fluid = router.fluid_loads(&workload);
         let max_load = fluid.iter().flatten().cloned().fold(0.0, f64::max);
-        let report = router.run(&workload, horizon);
+        let report = router
+            .run(&workload, horizon, &FaultPlan::default(), None)
+            .expect("healthy run");
         println!(
             "\n[{name}]\n  peak per-switch output load (fluid): {max_load:.3}\n  \
              measured loss: {:.3}%  |  per-switch offered imbalance: {:.2}x",

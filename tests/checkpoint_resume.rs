@@ -12,19 +12,20 @@
 //!   falls back to `.prev`, and resuming from that older checkpoint
 //!   still converges to the identical end state.
 //! * **SPS plane ordering** — the sequential checkpointed SPS runner
-//!   emits the exact stream and report of the threaded
-//!   `run_streamed`, interrupted mid-plane or not.
+//!   emits the exact stream and report of the threaded `run`,
+//!   interrupted mid-plane or not.
 
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 
 use rip_core::{
-    FaultPlan, HbmSwitch, LiveOptions, RouterConfig, RunOutcome, SpsRouter, SpsWorkload,
+    CheckpointedRunError, ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch,
+    LiveOptions, RouterConfig, RunOutcome, SpsRouter, SpsWorkload,
 };
+use rip_hbm::PfiConfigError;
 use rip_integration_tests::source_for;
 use rip_photonics::SplitPattern;
 use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
-use rip_sim::QueueKind;
 use rip_telemetry::{MemorySink, SharedSink, SinkRecord};
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
@@ -78,22 +79,9 @@ fn run_until(
     every: u64,
     stop_after: u64,
 ) -> (Vec<SinkRecord>, RunOutcome, Vec<(u64, u64)>) {
-    run_until_with(seed, path, every, stop_after, QueueKind::default_kind())
-}
-
-/// [`run_until`] under an explicit event-queue kernel, so snapshots can
-/// be produced by the binary-heap oracle for cross-kernel resume tests.
-fn run_until_with(
-    seed: u64,
-    path: &std::path::Path,
-    every: u64,
-    stop_after: u64,
-    kind: QueueKind,
-) -> (Vec<SinkRecord>, RunOutcome, Vec<(u64, u64)>) {
     let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    sw.set_queue_kind(kind);
     sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
     let written = Cell::new(0u64);
     let counts = RefCell::new(Vec::new());
@@ -120,32 +108,30 @@ fn run_until_with(
 /// Resume the engine from an on-disk snapshot payload and run to
 /// completion; returns the continuation stream and the report JSON.
 fn resume_from(seed: u64, payload: &[u8]) -> (Vec<SinkRecord>, String) {
-    resume_from_with(seed, payload, QueueKind::default_kind())
-}
-
-/// [`resume_from`] under an explicit event-queue kernel.
-fn resume_from_with(seed: u64, payload: &[u8], kind: QueueKind) -> (Vec<SinkRecord>, String) {
-    let (cfg, tm, horizon) = live_setup();
     let text = std::str::from_utf8(payload).expect("snapshot payload is JSON");
     let state = serde_json::parse(text).expect("snapshot payload parses");
+    try_resume(seed, &state).expect("resumed run")
+}
+
+/// Resume the engine from a decoded snapshot and run to completion, or
+/// return the restore error.
+fn try_resume(seed: u64, state: &Value) -> Result<(Vec<SinkRecord>, String), SnapshotError> {
+    let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    sw.set_queue_kind(kind);
     sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
-    let outcome = sw
-        .run_source_checkpointed(
-            source_for(&cfg, &tm, 0.8, horizon, seed),
-            cfg.drain.deadline(horizon),
-            &FaultPlan::default(),
-            Some(&state),
-            1_000_000,
-            || false,
-            |_, _, _| Ok(()),
-        )
-        .expect("resumed run");
+    let outcome = sw.run_source_checkpointed(
+        source_for(&cfg, &tm, 0.8, horizon, seed),
+        cfg.drain.deadline(horizon),
+        &FaultPlan::default(),
+        Some(state),
+        1_000_000,
+        || false,
+        |_, _, _| Ok(()),
+    )?;
     assert_eq!(outcome, RunOutcome::Completed);
     let records = staged.take().records().iter().cloned().collect();
-    (records, json(&sw.into_report()))
+    Ok((records, json(&sw.into_report())))
 }
 
 #[test]
@@ -210,69 +196,39 @@ fn truncated_newest_slot_falls_back_to_prev_and_still_converges() {
     assert_eq!(merged, base_records);
 }
 
-/// One cross-kernel direction: snapshot under `snap_kind`, resume under
-/// `resume_kind`, and require the merged stream and final report to be
-/// byte-identical to the uninterrupted default-kernel baseline.
-fn assert_cross_kernel_resume(seed: u64, name: &str, snap_kind: QueueKind, resume_kind: QueueKind) {
-    let path = scratch(name);
-    let (base_records, base_report) = baseline(seed);
-
-    let (_, outcome, counts) = run_until_with(seed, &path, 2, 2, snap_kind);
+#[test]
+fn a_snapshot_with_a_lowered_queue_seq_is_a_typed_error() {
+    // A hand-edited snapshot (its CRC recomputed by whoever edited it)
+    // whose next queue sequence number is not above every pending
+    // entry's would let a later event tie with a restored one. Restore
+    // must refuse it with a typed error, not panic.
+    let seed = 43;
+    let path = scratch("lowered-seq.snap");
+    let (_, outcome, _) = run_until(seed, &path, 2, 1);
     assert_eq!(outcome, RunOutcome::Interrupted);
     let (payload, _) = load_latest(&path).expect("snapshot loads");
-    let (resumed, report) = resume_from_with(seed, &payload, resume_kind);
-    assert_eq!(
-        report, base_report,
-        "{snap_kind:?} snapshot resumed under {resume_kind:?} diverged"
+    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
+    let mut state = serde_json::parse(text).expect("snapshot payload parses");
+    let Value::Array(queue) = field_mut(&mut state, "queue") else {
+        panic!("snapshot queue is not an array");
+    };
+    assert!(
+        !queue.is_empty(),
+        "no pending events — the edit would be vacuous"
     );
-    let &(epochs, spans) = counts.last().unwrap();
-    let keep = (epochs + spans) as usize;
-    let merged: Vec<SinkRecord> = base_records[..keep]
-        .iter()
-        .cloned()
-        .chain(resumed)
-        .collect();
-    assert_eq!(
-        merged, base_records,
-        "merged {snap_kind:?}->{resume_kind:?} stream diverged"
-    );
-}
-
-#[test]
-fn heap_ordered_snapshot_resumes_byte_identically_under_the_wheel_kernel() {
-    // Snapshots written before the timing-wheel rewrite were produced
-    // by the binary-heap kernel. The container stores the queue in
-    // kernel-agnostic pop order, so such a snapshot must be accepted by
-    // the wheel kernel with a byte-identical continuation — never a
-    // silent divergence.
-    assert_cross_kernel_resume(
-        37,
-        "heap-to-wheel.snap",
-        QueueKind::BinaryHeap,
-        QueueKind::TimingWheel,
-    );
-}
-
-#[test]
-fn wheel_snapshot_resumes_byte_identically_under_both_kernels() {
-    // The new kernel's own snapshots resume under itself...
-    assert_cross_kernel_resume(
-        41,
-        "wheel-to-wheel.snap",
-        QueueKind::TimingWheel,
-        QueueKind::TimingWheel,
-    );
-    // ...and remain readable by the differential heap oracle.
-    assert_cross_kernel_resume(
-        41,
-        "wheel-to-heap.snap",
-        QueueKind::TimingWheel,
-        QueueKind::BinaryHeap,
-    );
+    *field_mut(&mut state, "queue_next_seq") = serde::Serialize::to_value(&0u64);
+    match try_resume(seed, &state) {
+        Err(SnapshotError::Mismatch(msg)) => assert!(
+            msg.contains("event queue does not restore"),
+            "unexpected message: {msg}"
+        ),
+        Err(other) => panic!("want SnapshotError::Mismatch, got {other}"),
+        Ok(_) => panic!("a corrupt queue was resumed"),
+    }
 }
 
 // ------------------------------------------------------------------
-// SPS router: sequential checkpointed runner vs threaded run_streamed.
+// SPS router: sequential checkpointed runner vs threaded run.
 // ------------------------------------------------------------------
 
 fn sps_setup() -> (SpsRouter, SpsWorkload, SimTime, LiveOptions) {
@@ -290,7 +246,9 @@ fn sps_setup() -> (SpsRouter, SpsWorkload, SimTime, LiveOptions) {
 fn sps_checkpointed_runner_matches_threaded_stream_and_report() {
     let (router, w, horizon, opts) = sps_setup();
     let mut base = MemorySink::new();
-    let base_report = router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut base);
+    let base_report = router
+        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut base)))
+        .expect("healthy run");
 
     let mut sink = MemorySink::new();
     let snapshots = Cell::new(0u64);
@@ -324,7 +282,9 @@ fn sps_checkpointed_runner_matches_threaded_stream_and_report() {
 fn sps_interrupted_mid_run_resumes_byte_identically() {
     let (router, w, horizon, opts) = sps_setup();
     let mut base = MemorySink::new();
-    let base_report = router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut base);
+    let base_report = router
+        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut base)))
+        .expect("healthy run");
 
     // Interrupt after a few snapshots; keep the last snapshot and the
     // count of records already replayed into the driver sink.
@@ -504,7 +464,7 @@ fn sps_resume_rejects_a_plane_source_with_a_different_lane_count() {
         )
         .expect_err("a lane-count mismatch must be rejected");
     match err {
-        SnapshotError::Mismatch(msg) => assert!(
+        CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
             msg.contains("16 lanes, snapshot has 64"),
             "unexpected message: {msg}"
         ),
@@ -514,4 +474,43 @@ fn sps_resume_rejects_a_plane_source_with_a_different_lane_count() {
         cont.records().is_empty(),
         "a refused resume emitted records"
     );
+}
+
+#[test]
+fn sps_checkpointed_runner_rejects_an_unservable_plan() {
+    // One channel per stripe subset: losing channel 0 leaves subset 0
+    // with no live channel, which plan validation must report as a
+    // typed error before any plane runs.
+    let mut cfg = RouterConfig::small();
+    cfg.stripe_channels = Some(1);
+    let router = SpsRouter::new(cfg, SplitPattern::Striped).expect("valid config");
+    let (_, w, horizon, opts) = sps_setup();
+    let at = SimTime::from_ns(5_000);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let mut sink = MemorySink::new();
+    let err = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &plan,
+            opts,
+            &mut sink,
+            None,
+            1,
+            &mut || false,
+            &mut |_, _| Ok(()),
+        )
+        .expect_err("an unservable plan must be rejected");
+    match err {
+        CheckpointedRunError::Config(ConfigError::FaultPlan(e)) => assert_eq!(
+            e,
+            FaultPlanError::Unservable {
+                at,
+                switch: 0,
+                reason: PfiConfigError::SubsetDead { subset: 0 },
+            }
+        ),
+        other => panic!("want a typed fault-plan error, got {other}"),
+    }
+    assert!(sink.records().is_empty(), "a rejected run emitted records");
 }

@@ -2,7 +2,7 @@
 //! per-switch traces → HBM-switch DES → egress) across split patterns,
 //! loads and fault conditions.
 
-use rip_core::{HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
+use rip_core::{FaultPlan, HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::trace_for;
 use rip_photonics::SplitPattern;
 use rip_traffic::{FiberFill, TrafficMatrix};
@@ -18,7 +18,9 @@ fn sps_uniform_traffic_is_lossless_across_patterns() {
     ] {
         let router = SpsRouter::new(cfg.clone(), pattern).unwrap();
         let w = SpsWorkload::uniform(cfg.ribbons, 0.5, 21);
-        let r = router.run(&w, SimTime::from_ns(30_000));
+        let r = router
+            .run(&w, SimTime::from_ns(30_000), &FaultPlan::default(), None)
+            .unwrap();
         assert!(r.offered.bytes() > 0);
         assert!(
             r.loss_fraction < 1e-3,
@@ -38,8 +40,8 @@ fn sequential_split_concentrates_fill_skew_pseudo_random_spreads_it() {
     let seq = SpsRouter::new(cfg.clone(), SplitPattern::Sequential).unwrap();
     let rnd = SpsRouter::new(cfg.clone(), SplitPattern::PseudoRandom { seed: 3 }).unwrap();
     let horizon = SimTime::from_ns(25_000);
-    let r_seq = seq.run(&w, horizon);
-    let r_rnd = rnd.run(&w, horizon);
+    let r_seq = seq.run(&w, horizon, &FaultPlan::default(), None).unwrap();
+    let r_rnd = rnd.run(&w, horizon, &FaultPlan::default(), None).unwrap();
     // Sequential: the lit fibers all feed switch 0 -> imbalance = H.
     assert!(
         r_seq.load_imbalance > cfg.switches as f64 * 0.95,

@@ -6,96 +6,22 @@
 //! of its planes, pushing each subset through the `rip-fleet/v1` wire
 //! protocol and reassembling with the collector must produce a JSONL
 //! telemetry stream AND a stitched report byte-identical to
-//! `SpsRouter::run_streamed` through the identical watchdog chain —
+//! `SpsRouter::run` through the identical watchdog chain —
 //! regardless of the order the worker streams arrive in. Horizons are
 //! capped so the suite stays fast in debug builds; the merge replays
 //! plane-complete streams, so a capped run that diverged would diverge
 //! at full length too.
 
-use std::path::PathBuf;
-
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
+use rip_bench::spec::SimSpec;
 use rip_core::{
-    ConfigError, FaultKind, FaultPlan, FaultPlanError, LiveOptions, RouterConfig, SpsRouter,
-    SpsWorkload,
+    ConfigError, FaultKind, FaultPlan, FaultPlanError, LiveOptions, SpsRouter, SpsWorkload,
 };
+use rip_integration_tests::shipped_configs;
 use rip_photonics::SplitPattern;
 use rip_telemetry::{JsonlSink, Watchdog, WatchdogConfig};
-use rip_traffic::{ArrivalProcess, FiberFill, SizeDistribution, TrafficMatrix};
 use rip_units::{SimTime, TimeDelta};
-use serde::{Deserialize, Serialize, Value};
-
-// ---------------------------------------------------------------------
-// Local mirror of the `ripsim` spec schema (the binary does not export
-// it): only the fields the fleet runs need, decoded with the same tags
-// so every shipped config parses unchanged.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum MatrixSpec {
-    Uniform,
-    Hotspot { output: usize, fraction: f64 },
-    Permutation { shift: usize },
-    LogNormal { sigma: f64, seed: u64 },
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum SizeSpec {
-    Fixed { bytes: u64 },
-    Uniform { min: u64, max: u64 },
-    Imix,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum ProcessSpec {
-    Poisson,
-    Cbr,
-    OnOff { mean_burst_packets: f64 },
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SimSpec {
-    router: RouterConfig,
-    load: f64,
-    matrix: MatrixSpec,
-    sizes: SizeSpec,
-    process: ProcessSpec,
-    flows: usize,
-    seed: u64,
-    horizon_us: u64,
-    drain_factor: u64,
-    #[serde(default)]
-    epoch_ps: Option<u64>,
-}
-
-/// Every shipped config file, with its decoded spec.
-fn shipped_configs() -> Vec<(String, SimSpec)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
-    let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("configs/ directory exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "no configs found in {}", dir.display());
-    names
-        .into_iter()
-        .map(|p| {
-            let name = p
-                .file_name()
-                .expect("file name")
-                .to_string_lossy()
-                .into_owned();
-            let text = std::fs::read_to_string(&p).expect("config readable");
-            let spec: SimSpec = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("{name} does not decode as a SimSpec: {e}"));
-            (name, spec)
-        })
-        .collect()
-}
+use serde::{Serialize, Value};
 
 /// Debug-profile cap on arrival horizons.
 const HORIZON_CAP_US: u64 = 20;
@@ -114,43 +40,11 @@ struct Parts {
 }
 
 fn fleet_parts(spec: &SimSpec) -> Parts {
-    let n = spec.router.ribbons;
-    let tm = match spec.matrix {
-        MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
-        MatrixSpec::Hotspot { output, fraction } => {
-            TrafficMatrix::hotspot(n, 1.0, output, fraction)
-        }
-        MatrixSpec::Permutation { shift } => {
-            let perm: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
-            TrafficMatrix::permutation(&perm, 1.0).expect("valid permutation")
-        }
-        MatrixSpec::LogNormal { sigma, seed } => TrafficMatrix::log_normal(n, 1.0, sigma, seed),
-    };
-    let sizes = match spec.sizes {
-        SizeSpec::Fixed { bytes } => {
-            SizeDistribution::Fixed(rip_units::DataSize::from_bytes(bytes))
-        }
-        SizeSpec::Uniform { min, max } => SizeDistribution::Uniform { min, max },
-        SizeSpec::Imix => SizeDistribution::Imix,
-    };
-    let process = match spec.process {
-        ProcessSpec::Poisson => ArrivalProcess::Poisson,
-        ProcessSpec::Cbr => ArrivalProcess::Cbr,
-        ProcessSpec::OnOff { mean_burst_packets } => ArrivalProcess::OnOff { mean_burst_packets },
-    };
     Parts {
         router: SpsRouter::new(spec.router.clone(), SplitPattern::Striped)
             .expect("shipped config is valid"),
         switches: spec.router.switches,
-        workload: SpsWorkload {
-            tm,
-            load: spec.load,
-            fill: FiberFill::Uniform,
-            sizes,
-            process,
-            flows: spec.flows,
-            seed: spec.seed,
-        },
+        workload: spec.sps_workload().expect("shipped config builds"),
         horizon: SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000),
         live: LiveOptions {
             period: TimeDelta::from_ps(spec.epoch_ps.unwrap_or(2_000_000)),
@@ -170,7 +64,13 @@ fn oracle(parts: &Parts, plan: &FaultPlan) -> (Vec<u8>, String) {
         let (mut wd, _handle) = Watchdog::new(WatchdogConfig::default(), sink);
         parts
             .router
-            .run_streamed(&parts.workload, parts.horizon, plan, parts.live, &mut wd)
+            .run(
+                &parts.workload,
+                parts.horizon,
+                plan,
+                Some((parts.live, &mut wd)),
+            )
+            .expect("valid plan")
     };
     (
         bytes,

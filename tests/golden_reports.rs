@@ -9,7 +9,7 @@
 //! report — the simulation or the JSON writer — must update the
 //! digest on purpose.
 
-use rip_core::{HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
+use rip_core::{FaultPlan, HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::trace_for;
 use rip_photonics::SplitPattern;
 use rip_traffic::hash::fnv1a;
@@ -38,7 +38,9 @@ fn sps_report_json() -> String {
     let cfg = RouterConfig::resilience_small();
     let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
     let w = SpsWorkload::uniform(cfg.ribbons, 0.8, 7);
-    let r = router.run(&w, SimTime::from_ns(100_000));
+    let r = router
+        .run(&w, SimTime::from_ns(100_000), &FaultPlan::default(), None)
+        .expect("healthy run");
     serde_json::to_string(&r).expect("report serializes")
 }
 

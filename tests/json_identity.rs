@@ -16,53 +16,12 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 
 use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome, SpsRouter, SpsWorkload};
-use rip_integration_tests::source_for;
+use rip_integration_tests::{shipped_configs, source_for};
 use rip_photonics::SplitPattern;
 use rip_telemetry::{JsonlSink, ProfileHub, SharedSink};
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::{Deserialize, Serialize, Value};
-
-/// The part of a `ripsim` spec these runs need; other fields are
-/// ignored, so every shipped config decodes.
-#[derive(Debug, Clone, Deserialize)]
-struct SpecSubset {
-    router: RouterConfig,
-    load: f64,
-    seed: u64,
-    #[serde(default)]
-    epoch_ps: Option<u64>,
-}
-
-/// Every shipped config: file name, raw text, decoded subset.
-fn shipped_configs() -> Vec<(String, String, SpecSubset)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("configs/ directory exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    assert!(
-        paths.len() >= 4,
-        "expected the shipped configs in {}",
-        dir.display()
-    );
-    paths
-        .into_iter()
-        .map(|p| {
-            let name = p
-                .file_name()
-                .expect("file name")
-                .to_string_lossy()
-                .into_owned();
-            let text = std::fs::read_to_string(&p).expect("config readable");
-            let spec: SpecSubset = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("{name} does not decode: {e}"));
-            (name, text, spec)
-        })
-        .collect()
-}
+use serde::{Serialize, Value};
 
 const HORIZON: SimTime = SimTime::from_ns(20_000);
 
@@ -96,7 +55,7 @@ fn assert_identical<T: Serialize>(what: &str, x: &T) {
 
 #[test]
 fn switch_outputs_serialize_identically_on_every_shipped_config() {
-    for (name, _, spec) in shipped_configs() {
+    for (name, spec) in shipped_configs() {
         let cfg = spec.router.clone();
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let staged = SharedSink::new();
@@ -164,18 +123,22 @@ fn switch_outputs_serialize_identically_on_every_shipped_config() {
 
 #[test]
 fn sps_report_serializes_identically_on_every_shipped_config() {
-    for (name, _, spec) in shipped_configs() {
+    for (name, spec) in shipped_configs() {
         let router = SpsRouter::new(spec.router.clone(), SplitPattern::Striped)
             .expect("shipped config is valid");
         let w = SpsWorkload::uniform(spec.router.ribbons, spec.load, spec.seed);
-        let report = router.run(&w, HORIZON);
+        let report = router
+            .run(&w, HORIZON, &FaultPlan::default(), None)
+            .expect("healthy run");
         assert_identical(&format!("{name}: SpsReport"), &report);
     }
 }
 
 #[test]
 fn every_shipped_config_parses_within_the_nesting_limit() {
-    for (name, text, _) in shipped_configs() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
+    for (name, _) in shipped_configs() {
+        let text = std::fs::read_to_string(dir.join(&name)).expect("config readable");
         let tree = serde_json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let compact = serde_json::to_string(&tree).expect("prints");
         assert!(

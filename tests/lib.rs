@@ -1,7 +1,9 @@
 //! Shared helpers for the cross-crate integration tests.
 
 use std::collections::VecDeque;
+use std::path::PathBuf;
 
+use rip_bench::spec::SimSpec;
 use rip_core::RouterConfig;
 use rip_hbm::{HbmCommand, HbmCommandKind, HbmTiming};
 use rip_traffic::{
@@ -9,6 +11,37 @@ use rip_traffic::{
     SizeDistribution, TrafficMatrix,
 };
 use rip_units::{DataRate, SimTime};
+
+/// Every shipped config file in `configs/`, by file name, decoded as
+/// the `ripsim` spec it is.
+pub fn shipped_configs() -> Vec<(String, SimSpec)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
+    let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("configs/ directory exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    names.sort();
+    assert!(
+        names.len() >= 4,
+        "expected the shipped configs in {}",
+        dir.display()
+    );
+    names
+        .into_iter()
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            let text = std::fs::read_to_string(&p).expect("config readable");
+            let spec: SimSpec = serde_json::from_str(&text)
+                .unwrap_or_else(|e| panic!("{name} does not decode as a SimSpec: {e}"));
+            (name, spec)
+        })
+        .collect()
+}
 
 /// Build an arrival-ordered trace for an HBM switch.
 pub fn trace_for(

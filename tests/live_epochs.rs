@@ -201,9 +201,13 @@ fn sps_per_plane_deltas_reconstruct_merged_report() {
     };
 
     let mut sink = MemorySink::new();
-    let r = router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut sink);
+    let r = router
+        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut sink)))
+        .expect("healthy run");
     let mut sink2 = MemorySink::new();
-    let r2 = router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut sink2);
+    let r2 = router
+        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut sink2)))
+        .expect("healthy run");
     assert_eq!(
         sink.records(),
         sink2.records(),

@@ -51,7 +51,9 @@ fn export(seed: u64, window: TraceWindow) -> Vec<u8> {
         sample_one_in: 64,
     };
     let mut sps = MemorySink::new();
-    router.run_streamed(&w, horizon, &FaultPlan::default(), opts, &mut sps);
+    router
+        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut sps)))
+        .expect("healthy run");
     sps.replay_into(&mut chrome);
 
     rec.merge(chrome.into_recorder());

@@ -2,7 +2,7 @@
 //!
 //! The profiler observes and must never participate: enabling it may
 //! not change one byte of any deterministic output surface. This suite
-//! runs every shipped config under every entry point x kernel pairing twice
+//! runs every shipped config through both entry points twice
 //! — once silent, once with a [`ProfileHub`] attached — and demands
 //! byte-identical final reports and JSONL telemetry streams. The same
 //! contract is checked for the two remaining deterministic surfaces:
@@ -12,137 +12,17 @@
 //! identity claims vacuous.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use rip_bench::spec::SimSpec;
 use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome};
-use rip_integration_tests::source_for;
-use rip_sim::QueueKind;
+use rip_integration_tests::{shipped_configs, source_for};
 use rip_telemetry::{JsonlSink, Phase, ProfileHub, ProfileRecord, SharedSink, TraceWindow};
-use rip_traffic::{
-    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution, TrafficMatrix,
-};
+use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::Deserialize;
-
-// ---------------------------------------------------------------------
-// Local mirror of the `ripsim` spec schema (the binary does not export
-// it) — the same subset `kernel_equivalence.rs` decodes, so every
-// shipped config parses unchanged.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum MatrixSpec {
-    Uniform,
-    Hotspot { output: usize, fraction: f64 },
-    Permutation { shift: usize },
-    LogNormal { sigma: f64, seed: u64 },
-}
-
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum SizeSpec {
-    Fixed { bytes: u64 },
-    Uniform { min: u64, max: u64 },
-    Imix,
-}
-
-#[derive(Debug, Clone, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum ProcessSpec {
-    Poisson,
-    Cbr,
-    OnOff { mean_burst_packets: f64 },
-}
-
-#[derive(Debug, Clone, Deserialize)]
-struct SimSpec {
-    router: RouterConfig,
-    load: f64,
-    matrix: MatrixSpec,
-    sizes: SizeSpec,
-    process: ProcessSpec,
-    flows: usize,
-    seed: u64,
-    horizon_us: u64,
-    drain_factor: u64,
-    #[serde(default)]
-    epoch_ps: Option<u64>,
-}
-
-fn build_source(spec: &SimSpec, horizon: SimTime) -> MergedSource<BoundedSource<PacketGenerator>> {
-    let n = spec.router.ribbons;
-    let tm = match spec.matrix {
-        MatrixSpec::Uniform => TrafficMatrix::uniform(n, 1.0),
-        MatrixSpec::Hotspot { output, fraction } => {
-            TrafficMatrix::hotspot(n, 1.0, output, fraction)
-        }
-        MatrixSpec::Permutation { shift } => {
-            let perm: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
-            TrafficMatrix::permutation(&perm, 1.0).expect("valid permutation")
-        }
-        MatrixSpec::LogNormal { sigma, seed } => TrafficMatrix::log_normal(n, 1.0, sigma, seed),
-    };
-    let sizes = match spec.sizes {
-        SizeSpec::Fixed { bytes } => {
-            SizeDistribution::Fixed(rip_units::DataSize::from_bytes(bytes))
-        }
-        SizeSpec::Uniform { min, max } => SizeDistribution::Uniform { min, max },
-        SizeSpec::Imix => SizeDistribution::Imix,
-    };
-    let process = match spec.process {
-        ProcessSpec::Poisson => ArrivalProcess::Poisson,
-        ProcessSpec::Cbr => ArrivalProcess::Cbr,
-        ProcessSpec::OnOff { mean_burst_packets } => ArrivalProcess::OnOff { mean_burst_packets },
-    };
-    let lanes = (0..n)
-        .map(|port| {
-            let g = PacketGenerator::new(
-                port,
-                spec.router.port_rate(),
-                (spec.load * tm.row_load(port)).min(1.0),
-                tm.row(port).to_vec(),
-                sizes.clone(),
-                process,
-                spec.flows,
-                rip_sim::rng::derive_seed(spec.seed, port as u64),
-            )
-            .expect("config builds a valid generator");
-            BoundedSource::new(g, horizon)
-        })
-        .collect();
-    MergedSource::new(lanes)
-}
 
 fn epoch_period(spec: &SimSpec) -> TimeDelta {
     TimeDelta::from_ps(spec.epoch_ps.unwrap_or(2_000_000))
-}
-
-/// Every shipped config file, with its decoded spec.
-fn shipped_configs() -> Vec<(String, SimSpec)> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
-    let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("configs/ directory exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "no configs found in {}", dir.display());
-    names
-        .into_iter()
-        .map(|p| {
-            let name = p
-                .file_name()
-                .expect("file name")
-                .to_string_lossy()
-                .into_owned();
-            let text = std::fs::read_to_string(&p).expect("config readable");
-            let spec: SimSpec = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("{name} does not decode as a SimSpec: {e}"));
-            (name, spec)
-        })
-        .collect()
 }
 
 /// Debug-profile cap on arrival horizons — identity needs identical
@@ -158,12 +38,10 @@ enum Entry {
     Checkpointed,
 }
 
-/// Run `spec` through `entry` under `kind`, optionally with a profiler
-/// attached, and return the serialized final report plus the rendered
+/// Run `spec` through `entry`, optionally with a profiler attached, and return the serialized final report plus the rendered
 /// JSONL telemetry stream.
 fn run_spec(
     spec: &SimSpec,
-    kind: QueueKind,
     entry: Entry,
     horizon: SimTime,
     hub: Option<&ProfileHub>,
@@ -171,12 +49,11 @@ fn run_spec(
     let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
-    sw.set_queue_kind(kind);
     if let Some(h) = hub {
         sw.enable_profiler(h.clone());
     }
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
-    let source = build_source(spec, horizon);
+    let source = spec.build_source(horizon).expect("shipped config builds");
     match entry {
         Entry::Plain => sw.run_source(source, deadline, &FaultPlan::default()),
         Entry::Checkpointed => {
@@ -206,30 +83,27 @@ fn run_spec(
 #[test]
 fn profiler_leaves_every_engine_and_kernel_byte_identical() {
     let entries = [Entry::Plain, Entry::Checkpointed];
-    let kinds = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
     for (name, spec) in &shipped_configs() {
         let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
         for entry in entries {
-            for kind in kinds {
-                let silent = run_spec(spec, kind, entry, horizon, None);
-                // A ring-only hub, exactly what `--profile` without an
-                // output stream attaches.
-                let hub = ProfileHub::new();
-                let profiled = run_spec(spec, kind, entry, horizon, Some(&hub));
-                assert_eq!(
-                    silent.0, profiled.0,
-                    "{name}: {entry:?}/{kind:?} report changed under profiling"
-                );
-                assert_eq!(
-                    silent.1, profiled.1,
-                    "{name}: {entry:?}/{kind:?} JSONL stream changed under profiling"
-                );
-                assert!(!silent.1.is_empty(), "{name}: comparison was vacuous");
-                assert!(
-                    hub.records_total() > 0,
-                    "{name}: {entry:?}/{kind:?} profiled run recorded nothing"
-                );
-            }
+            let silent = run_spec(spec, entry, horizon, None);
+            // A ring-only hub, exactly what `--profile` without an
+            // output stream attaches.
+            let hub = ProfileHub::new();
+            let profiled = run_spec(spec, entry, horizon, Some(&hub));
+            assert_eq!(
+                silent.0, profiled.0,
+                "{name}: {entry:?} report changed under profiling"
+            );
+            assert_eq!(
+                silent.1, profiled.1,
+                "{name}: {entry:?} JSONL stream changed under profiling"
+            );
+            assert!(!silent.1.is_empty(), "{name}: comparison was vacuous");
+            assert!(
+                hub.records_total() > 0,
+                "{name}: {entry:?} profiled run recorded nothing"
+            );
         }
     }
 }
@@ -270,7 +144,7 @@ fn checkpointed_runs_record_the_same_engine_phases() {
         let hub = ProfileHub::new();
         let out = SharedBuf::default();
         hub.set_output(Box::new(out.clone()));
-        run_spec(&spec, QueueKind::TimingWheel, entry, horizon, Some(&hub));
+        run_spec(&spec, entry, horizon, Some(&hub));
         hub.flush_output();
         let text = String::from_utf8(out.0.lock().expect("buffer lock").clone())
             .expect("profile stream is UTF-8");
@@ -322,11 +196,8 @@ fn profiler_leaves_chrome_traces_byte_identical() {
             sw.enable_profiler(h.clone());
         }
         sw.enable_chrome_trace(TraceWindow::all());
-        sw.run_source(
-            build_source(&spec, horizon),
-            deadline,
-            &FaultPlan::default(),
-        );
+        let source = spec.build_source(horizon).expect("shipped config builds");
+        sw.run_source(source, deadline, &FaultPlan::default());
         let rec = sw.take_chrome_trace().expect("trace enabled");
         let mut json: Vec<u8> = Vec::new();
         rec.write_chrome_json(&mut json).expect("trace serializes");
@@ -421,13 +292,7 @@ fn profile_records_are_well_formed() {
     let (name, spec) = shipped_configs().remove(0);
     let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
     let hub = ProfileHub::new();
-    run_spec(
-        &spec,
-        QueueKind::TimingWheel,
-        Entry::Plain,
-        horizon,
-        Some(&hub),
-    );
+    run_spec(&spec, Entry::Plain, horizon, Some(&hub));
     let records = hub.recent();
     assert!(!records.is_empty(), "{name}: no records to validate");
     let known: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();

@@ -12,12 +12,14 @@
 use proptest::prelude::*;
 use rip_baselines::IdealOqSwitch;
 use rip_core::{
-    FaultKind, FaultPlan, HbmSwitch, MimicChecker, RouterConfig, SpsRouter, SpsWorkload,
+    FaultAction, FaultKind, FaultPlan, HbmSwitch, MimicChecker, RouterConfig, SpsRouter,
+    SpsWorkload,
 };
 use rip_integration_tests::{source_for, trace_for};
 use rip_photonics::SplitPattern;
-use rip_traffic::{Packet, PacketSource, ReplaySource, TrafficMatrix};
-use rip_units::SimTime;
+use rip_traffic::hash::{lane_for, HashKind};
+use rip_traffic::{Packet, PacketGenerator, PacketSource, ReplaySource, TrafficMatrix};
+use rip_units::{DataSize, SimTime};
 
 fn report_json(r: &rip_core::SwitchReport) -> String {
     serde_json::to_string(r).expect("report serializes")
@@ -115,13 +117,107 @@ fn live_source_matches_materialized_trace_end_to_end() {
     assert_eq!(report_json(&rb), report_json(&rs));
 }
 
+/// The materialized reference for [`SpsRouter::plane_source`]: every
+/// fiber's whole trace generated up front, each packet routed by the
+/// split map of its arrival's photonic epoch or dropped at the front end
+/// when its flow hashes onto a lost wavelength, and each plane's trace
+/// sorted by `(arrival, input, id)`. The epochs are derived here from
+/// the public [`FaultPlan::events`] and `FrontEnd::degraded_split`, not
+/// from the library's own epoch table; an empty plan is the healthy
+/// split. Returns the per-plane traces and the front-end drop totals.
+fn reference_split(
+    router: &SpsRouter,
+    cfg: &RouterConfig,
+    w: &SpsWorkload,
+    horizon: SimTime,
+    plan: &FaultPlan,
+) -> (Vec<Vec<Packet>>, u64, DataSize) {
+    let fe = router.front_end();
+    // (start, split, lost[ribbon][lambda]) per epoch; events at one
+    // instant collapse into a single epoch.
+    let mut alive = vec![true; cfg.switches];
+    let mut lost = vec![vec![false; cfg.wavelengths]; cfg.ribbons];
+    let mut epochs = vec![(SimTime::ZERO, fe.split().clone(), lost.clone())];
+    for ev in plan.events().iter().filter(|e| e.kind.is_photonic()) {
+        let inject = matches!(ev.action, FaultAction::Inject);
+        match ev.kind {
+            FaultKind::WavelengthLoss { ribbon, lambda } => lost[ribbon][lambda] = inject,
+            FaultKind::PlaneDown { switch } => alive[switch] = !inject,
+            _ => unreachable!("filtered to photonic events"),
+        }
+        let split = if alive.iter().all(|&a| a) {
+            fe.split().clone()
+        } else {
+            fe.degraded_split(&alive)
+                .expect("a validated plan keeps a plane alive")
+        };
+        if epochs.last().is_some_and(|e| e.0 == ev.at) {
+            epochs.pop();
+        }
+        epochs.push((ev.at, split, lost.clone()));
+    }
+    let f = cfg.fibers_per_ribbon;
+    let mut per_switch: Vec<Vec<Packet>> = vec![Vec::new(); cfg.switches];
+    let mut dropped_packets = 0u64;
+    let mut dropped = DataSize::ZERO;
+    for ribbon in 0..cfg.ribbons {
+        let fiber_loads = w.fill.loads(f, w.load * f as f64);
+        for (fiber, &load) in fiber_loads.iter().enumerate() {
+            if load <= 0.0 {
+                continue;
+            }
+            let mut g = PacketGenerator::new(
+                ribbon,
+                fe.fiber_rate(),
+                load.min(1.0),
+                w.tm.row(ribbon).to_vec(),
+                w.sizes.clone(),
+                w.process,
+                w.flows,
+                rip_sim::rng::derive_seed(w.seed, (ribbon * f + fiber) as u64),
+            )
+            .expect("valid generator");
+            for p in g.generate_until(horizon) {
+                let (_, split, lost) = &epochs[epochs.partition_point(|e| e.0 <= p.arrival) - 1];
+                if lost[ribbon][lane_for(p.flow, cfg.wavelengths, HashKind::Crc32c)] {
+                    dropped_packets += 1;
+                    dropped += p.size;
+                    continue;
+                }
+                per_switch[split.switch_for(ribbon, fiber)].push(p);
+            }
+        }
+    }
+    for t in per_switch.iter_mut() {
+        t.sort_by_key(|p| (p.arrival, p.input, p.id));
+    }
+    (per_switch, dropped_packets, dropped)
+}
+
 #[test]
-fn plane_source_yields_exactly_the_split_traffic() {
+fn reference_split_routes_fibers_to_the_right_switch() {
+    let cfg = RouterConfig::small();
+    let router = SpsRouter::new(cfg.clone(), SplitPattern::Sequential).expect("valid config");
+    let w = SpsWorkload::uniform(cfg.ribbons, 0.5, 1);
+    let horizon = SimTime::from_ns(20_000);
+    let (traces, drops, _) = reference_split(&router, &cfg, &w, horizon, &FaultPlan::default());
+    assert_eq!(traces.len(), 4);
+    assert_eq!(drops, 0);
+    // All traces non-empty and arrival-ordered.
+    for t in &traces {
+        assert!(!t.is_empty());
+        assert!(t.windows(2).all(|w| w[0].arrival <= w[1].arrival));
+        assert!(t.iter().all(|p| p.input < 4 && p.output < 4));
+    }
+}
+
+#[test]
+fn plane_source_yields_exactly_the_reference_split() {
     let cfg = RouterConfig::resilience_small();
     let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
     let w = SpsWorkload::uniform(cfg.ribbons, 0.6, 11);
     let horizon = SimTime::from_ns(50_000);
-    let per_switch = router.split_traffic(&w, horizon);
+    let (per_switch, _, _) = reference_split(&router, &cfg, &w, horizon, &FaultPlan::default());
     for (plane, batch) in per_switch.iter().enumerate() {
         let mut src = router.plane_source(&w, horizon, &FaultPlan::default(), plane);
         let mut streamed = Vec::new();
@@ -130,25 +226,27 @@ fn plane_source_yields_exactly_the_split_traffic() {
         }
         assert_eq!(
             &streamed, batch,
-            "plane {plane} stream diverged from the batch split"
+            "plane {plane} stream diverged from the reference split"
         );
         assert_eq!(src.front_end_dropped_packets(), 0);
     }
 }
 
-/// Every plane's streaming source against the batch faulted split:
+/// Every plane's streaming source against the faulted reference split:
 /// identical per-plane packet sequences, and per-plane front-end drops
-/// summing to the batch totals. Returns the batch traces and drop count.
+/// summing to the reference totals. Returns the reference traces and
+/// drop count.
 fn assert_plane_sources_match_faulted_split(
     router: &SpsRouter,
+    cfg: &RouterConfig,
     w: &SpsWorkload,
     horizon: SimTime,
     plan: &FaultPlan,
 ) -> (Vec<Vec<Packet>>, u64) {
     let (per_switch, batch_drops, batch_dropped_bytes) =
-        router.split_traffic_faulted(w, horizon, plan);
+        reference_split(router, cfg, w, horizon, plan);
     let mut fe_drops = 0u64;
-    let mut fe_bytes = rip_units::DataSize::ZERO;
+    let mut fe_bytes = DataSize::ZERO;
     for (plane, batch) in per_switch.iter().enumerate() {
         let mut src = router.plane_source(w, horizon, plan, plane);
         let mut streamed = Vec::new();
@@ -157,7 +255,7 @@ fn assert_plane_sources_match_faulted_split(
         }
         assert_eq!(
             &streamed, batch,
-            "plane {plane} faulted stream diverged from the batch split"
+            "plane {plane} faulted stream diverged from the reference split"
         );
         fe_drops += src.front_end_dropped_packets();
         fe_bytes += src.front_end_dropped();
@@ -189,7 +287,7 @@ fn plane_source_matches_faulted_split_including_drop_totals() {
             },
         );
     plan.validate(&cfg).expect("plan valid");
-    let (_, drops) = assert_plane_sources_match_faulted_split(&router, &w, horizon, &plan);
+    let (_, drops) = assert_plane_sources_match_faulted_split(&router, &cfg, &w, horizon, &plan);
     assert!(drops > 0, "fault window should drop something");
 }
 
@@ -220,7 +318,7 @@ fn plane_source_follows_a_plane_down_re_splice_on_every_split() {
     ] {
         let router = SpsRouter::new(cfg.clone(), pattern).expect("valid config");
         let (per_switch, drops) =
-            assert_plane_sources_match_faulted_split(&router, &w, horizon, &plan);
+            assert_plane_sources_match_faulted_split(&router, &cfg, &w, horizon, &plan);
         assert!(
             drops > 0,
             "{pattern:?}: the lost wavelength should drop something"
@@ -231,7 +329,7 @@ fn plane_source_follows_a_plane_down_re_splice_on_every_split() {
                 .all(|p| p.arrival < down || p.arrival >= up),
             "{pattern:?}: the dead plane received traffic while down"
         );
-        let healthy = router.split_traffic(&w, horizon);
+        let (healthy, _, _) = reference_split(&router, &cfg, &w, horizon, &FaultPlan::default());
         let while_down =
             |t: &[Packet]| t.iter().filter(|p| (down..up).contains(&p.arrival)).count();
         for plane in [0, 2, 3] {
@@ -251,9 +349,11 @@ fn sps_streaming_run_matches_per_plane_batch_runs() {
     let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
     let w = SpsWorkload::uniform(cfg.ribbons, 0.7, 19);
     let horizon = SimTime::from_ns(40_000);
-    let r = router.run(&w, horizon);
+    let r = router
+        .run(&w, horizon, &FaultPlan::default(), None)
+        .expect("healthy run");
 
-    let per_switch = router.split_traffic(&w, horizon);
+    let (per_switch, _, _) = reference_split(&router, &cfg, &w, horizon, &FaultPlan::default());
     let deadline = cfg.drain.deadline(horizon);
     for (plane, trace) in per_switch.iter().enumerate() {
         let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
