@@ -170,6 +170,28 @@ if grep -q 'panicked' "$bench_dir/stripe1.log"; then
   echo "unservable fault plan panicked"; exit 1
 fi
 
+# expect_fails <code> <log> <typed-regex> <cmd>... — the command exits
+# with exactly <code>, its stderr carries the typed message, and nothing
+# panicked.
+expect_fails() {
+  local want="$1" log="$2" pat="$3" rc=0
+  shift 3
+  "$@" > /dev/null 2> "$log" || rc=$?
+  test "$rc" = "$want" || { echo "$* exited $rc, want $want"; exit 1; }
+  grep -q -e "$pat" "$log" || { echo "$* gave no typed error matching $pat"; exit 1; }
+  if grep -q 'panicked' "$log"; then
+    echo "$* panicked"; exit 1
+  fi
+}
+# The soak runs one switch: channel 8 is outside its 0..8 channels even
+# though the router as a whole has 32.
+expect_fails 1 "$bench_dir/ch8.log" 'channel 8 out of range' \
+  target/release/ripsim soak configs/soak_live.json --inject-channel-fault 8
+expect_fails 2 "$bench_dir/trace_metrics.log" '--metrics does not apply to trace' \
+  target/release/ripsim trace --metrics 127.0.0.1:0
+expect_fails 2 "$bench_dir/repro_e99.log" 'unknown experiment E99' \
+  target/release/repro E99
+
 echo "==> flight recorder smoke (watchdog trip dumps a parseable bundle)"
 mkdir "$bench_dir/flight"
 if target/release/ripsim soak configs/soak_live.json --inject-channel-fault 0 \

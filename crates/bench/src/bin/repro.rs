@@ -5,6 +5,9 @@
 //!   --quick   shrink simulation horizons (CI-friendly)
 //!   `E<n>`    run only the listed experiments
 //!
+//! An unknown experiment id, or a flag the mode does not take, is a
+//! usage error (exit 2).
+//!
 //! `repro bench [--quick] [--live-epochs]` instead runs the
 //! perf-trajectory benchmarks and writes `BENCH_sps_throughput.json`,
 //! `BENCH_hbm_access.json`, `BENCH_streaming_memory.json` and
@@ -50,7 +53,7 @@ use rip_analysis::{
 use rip_baselines::{
     DesignPoint, LoadBalancedRouter, MeshFabric, ParallelPacketSwitch, SprayingHbmSwitch,
 };
-use rip_bench::{f, switch_trace, uniform_source, uniform_trace, version_line, Table};
+use rip_bench::{f, soak_scales, switch_trace, uniform_source, uniform_trace, version_line, Table};
 use rip_core::{
     DrainPolicy, FaultPlan, HbmSwitch, LiveOptions, MimicChecker, RouterConfig, SpsRouter,
     SpsWorkload,
@@ -65,13 +68,58 @@ use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
 
 struct Opts {
     quick: bool,
-    only: Vec<String>,
 }
 
-impl Opts {
-    fn wants(&self, id: &str) -> bool {
-        self.only.is_empty() || self.only.iter().any(|e| e.eq_ignore_ascii_case(id))
+/// One experiment's table printer.
+type Experiment = fn(&Opts);
+
+/// Every experiment, in run order: `repro E<n>...` runs the named ones
+/// (case-insensitive), bare `repro` runs them all.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("E1", e1),
+    ("E2", e2),
+    ("E3", e3),
+    ("E4", e4),
+    ("E5", e5),
+    ("E6", e6),
+    ("E7", e7),
+    ("E8", e8),
+    ("E9", e9),
+    ("E10", e10),
+    ("E11", e11),
+    ("E12", e12),
+    ("E13", e13),
+    ("E14", e14),
+    ("E15", e15),
+    ("E16", e16),
+    ("E17", e17),
+    ("E18", e18),
+    ("E19", e19),
+    ("E20", e20),
+];
+
+/// The subcommands and the flags each accepts; the experiment run
+/// (no subcommand) accepts `--quick` only.
+const MODES: &[(&str, &[&str])] = &[
+    ("bench", &["--quick", "--live-epochs"]),
+    ("soak", &["--quick", "--live-epochs"]),
+    ("fleet", &["--quick"]),
+    ("profile-overhead", &["--quick"]),
+];
+
+/// The usage text, built from [`EXPERIMENTS`] and [`MODES`].
+fn usage() -> String {
+    let first = EXPERIMENTS.first().map_or("", |e| e.0);
+    let last = EXPERIMENTS.last().map_or("", |e| e.0);
+    let mut text = format!("usage: repro [--quick] [{first}..{last} ...]");
+    for (mode, flags) in MODES {
+        text.push_str(&format!("\n       repro {mode}"));
+        for flag in *flags {
+            text.push_str(&format!(" [{flag}]"));
+        }
     }
+    text.push_str("\n       repro --version");
+    text
 }
 
 fn main() {
@@ -80,93 +128,45 @@ fn main() {
         println!("{}", version_line("repro"));
         return;
     }
-    if args.first().map(String::as_str) == Some("profile-overhead") {
-        let quick = args.iter().any(|a| a == "--quick");
-        run_profile_overhead(quick);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let live = args.iter().any(|a| a == "--live-epochs");
-        run_bench(quick, live);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("soak") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let live = args.iter().any(|a| a == "--live-epochs");
-        run_soak(quick, live);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        let quick = args.iter().any(|a| a == "--quick");
-        run_fleet(quick);
-        return;
-    }
-    let opts = Opts {
-        quick: args.iter().any(|a| a == "--quick"),
-        only: args.into_iter().filter(|a| !a.starts_with("--")).collect(),
+    let (mode, accepted, rest) = match MODES
+        .iter()
+        .find(|m| args.first().is_some_and(|a| a == m.0))
+    {
+        Some(&(mode, flags)) => (mode, flags, &args[1..]),
+        None => ("", &["--quick"][..], &args[..]),
     };
+    let mut only = Vec::new();
+    for a in rest {
+        let (known, what) = if a.starts_with("--") {
+            (accepted.contains(&a.as_str()), "flag")
+        } else if mode.is_empty() {
+            only.push(a.as_str());
+            let known = EXPERIMENTS.iter().any(|e| e.0.eq_ignore_ascii_case(a));
+            (known, "experiment")
+        } else {
+            (false, "argument")
+        };
+        if !known {
+            eprintln!("repro: unknown {what} {a}\n{}", usage());
+            std::process::exit(2);
+        }
+    }
+    let quick = rest.iter().any(|a| a == "--quick");
+    let live = rest.iter().any(|a| a == "--live-epochs");
+    match mode {
+        "bench" => return run_bench(quick, live),
+        "soak" => return run_soak(quick, live),
+        "fleet" => return run_fleet(quick),
+        "profile-overhead" => return run_profile_overhead(quick),
+        _ => {}
+    }
     println!("Petabit Router-in-a-Package — experiment reproduction");
-    println!("mode: {}", if opts.quick { "quick" } else { "full" });
-    if opts.wants("E1") {
-        e1(&opts);
-    }
-    if opts.wants("E2") {
-        e2(&opts);
-    }
-    if opts.wants("E3") {
-        e3(&opts);
-    }
-    if opts.wants("E4") {
-        e4(&opts);
-    }
-    if opts.wants("E5") {
-        e5(&opts);
-    }
-    if opts.wants("E6") {
-        e6();
-    }
-    if opts.wants("E7") {
-        e7();
-    }
-    if opts.wants("E8") {
-        e8();
-    }
-    if opts.wants("E9") {
-        e9(&opts);
-    }
-    if opts.wants("E10") {
-        e10();
-    }
-    if opts.wants("E11") {
-        e11();
-    }
-    if opts.wants("E12") {
-        e12();
-    }
-    if opts.wants("E13") {
-        e13();
-    }
-    if opts.wants("E14") {
-        e14(&opts);
-    }
-    if opts.wants("E15") {
-        e15(&opts);
-    }
-    if opts.wants("E16") {
-        e16();
-    }
-    if opts.wants("E17") {
-        e17();
-    }
-    if opts.wants("E18") {
-        e18(&opts);
-    }
-    if opts.wants("E19") {
-        e19();
-    }
-    if opts.wants("E20") {
-        e20(&opts);
+    println!("mode: {}", if quick { "quick" } else { "full" });
+    let opts = Opts { quick };
+    for (id, run) in EXPERIMENTS {
+        if only.is_empty() || only.iter().any(|a| a.eq_ignore_ascii_case(id)) {
+            run(&opts);
+        }
     }
     println!("\ndone.");
 }
@@ -455,7 +455,7 @@ fn e5(o: &Opts) {
 // --------------------------------------------------------------------
 // E6 — mesh guaranteed capacity (§2.1 Challenge 2)
 // --------------------------------------------------------------------
-fn e6() {
+fn e6(_: &Opts) {
     let mut t = Table::new(&[
         "mesh",
         "bound 2c/k",
@@ -480,7 +480,7 @@ fn e6() {
 // --------------------------------------------------------------------
 // E7 — OEO conversions across the design space (§2.1 Challenge 3)
 // --------------------------------------------------------------------
-fn e7() {
+fn e7(_: &Opts) {
     let total_io = DataRate::from_bps(1_310_720_000_000_000);
     let mut t = Table::new(&[
         "design",
@@ -508,7 +508,7 @@ fn e7() {
 // --------------------------------------------------------------------
 // E8 — buffer sizing (§4)
 // --------------------------------------------------------------------
-fn e8() {
+fn e8(_: &Opts) {
     let r = buffering::reference();
     let mut t = Table::new(&["quantity", "value", "paper"]);
     t.row(&[
@@ -593,7 +593,7 @@ fn e9(o: &Opts) {
 // --------------------------------------------------------------------
 // E10 — power estimate (§4)
 // --------------------------------------------------------------------
-fn e10() {
+fn e10(_: &Opts) {
     let r = power::reference();
     let p = r.per_switch;
     let mut t = Table::new(&["component", "per HBM switch", "paper"]);
@@ -655,7 +655,7 @@ fn e10() {
 // --------------------------------------------------------------------
 // E11 — area estimate (§4)
 // --------------------------------------------------------------------
-fn e11() {
+fn e11(_: &Opts) {
     let a = area::reference();
     let mut t = Table::new(&["quantity", "value", "paper"]);
     t.row(&[
@@ -679,7 +679,7 @@ fn e11() {
 // --------------------------------------------------------------------
 // E12 — capacity increase (§5)
 // --------------------------------------------------------------------
-fn e12() {
+fn e12(_: &Opts) {
     let c = capacity::reference();
     let mut t = Table::new(&["quantity", "value", "paper"]);
     t.row(&[
@@ -703,7 +703,7 @@ fn e12() {
 // --------------------------------------------------------------------
 // E13 — memory roadmap (§5)
 // --------------------------------------------------------------------
-fn e13() {
+fn e13(_: &Opts) {
     let mut t = Table::new(&[
         "generation",
         "stacks needed per switch",
@@ -802,7 +802,7 @@ fn e15(o: &Opts) {
 // --------------------------------------------------------------------
 // E16 — datacenter variant: smaller frames (§5)
 // --------------------------------------------------------------------
-fn e16() {
+fn e16(_: &Opts) {
     let rows = datacenter::sweep(
         128,
         4,
@@ -834,7 +834,7 @@ fn e16() {
 // --------------------------------------------------------------------
 // E17 — adversarial exploitation of the split pattern (§2.1)
 // --------------------------------------------------------------------
-fn e17() {
+fn e17(_: &Opts) {
     let (ribbons, fibers, switches) = (16usize, 64usize, 16usize);
     let mk = |p: SplitPattern| {
         rip_photonics::SplitMap::new(ribbons, fibers, switches, p).expect("valid split")
@@ -927,7 +927,7 @@ fn e18(o: &Opts) {
 // --------------------------------------------------------------------
 // E19 — internal traffic savings + modularity (§5, §2.2)
 // --------------------------------------------------------------------
-fn e19() {
+fn e19(_: &Opts) {
     let mut t = Table::new(&[
         "PoP composition",
         "port capacity bought per unit served",
@@ -1535,12 +1535,11 @@ fn run_soak(quick: bool, live: bool) {
             r.offered_packets, r.delivered_packets, r.peak_in_flight_packets
         );
     }
-    // 4x the horizon must offer at least ~3x the packets (Poisson noise
-    // margin) while the working set stays bounded: flat up to a small
-    // additive allowance, nowhere near the 4x a materialized trace pays.
-    let offered_scales = r2.offered_packets >= 3 * r1.offered_packets;
-    let peak_flat = r2.peak_in_flight_packets <= 2 * r1.peak_in_flight_packets + 64;
-    if !offered_scales || !peak_flat {
+    let scaling = soak_scales(
+        [r1.offered_packets, r2.offered_packets],
+        [r1.peak_in_flight_packets, r2.peak_in_flight_packets],
+    );
+    if scaling.is_err() {
         eprintln!(
             "soak FAILED: offered {} -> {} (want >= 3x), peak in-flight {} -> {} (want flat)",
             r1.offered_packets,

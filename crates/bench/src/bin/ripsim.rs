@@ -58,6 +58,12 @@
 //! worker that dies mid-stream surfaces as a typed `worker_lost`
 //! watchdog record and a nonzero exit, never a hang.
 //!
+//! Every subcommand parses its arguments against one flag table. An
+//! unknown flag, a flag of another subcommand, a flag without its
+//! value, a second operand, `--profile-out` without `--profile` and
+//! `--trace-window` without `--chrome` are usage errors (exit 2), as is
+//! a spec that does not load; a run that fails exits 1.
+//!
 //! All simulation modes are pull-based: arrivals are generated on
 //! demand by a merged packet source, never materialized as a trace, so
 //! the horizon can grow without the memory footprint following it.
@@ -89,19 +95,17 @@ use std::sync::{Arc, Mutex};
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
 use rip_bench::spec::SimSpec;
-use rip_bench::{version_line, Table, SERVICE_VERSION};
+use rip_bench::{soak_scales, uniform_trace, version_line, SoakFailure, Table, SERVICE_VERSION};
 use rip_core::{
     ConfigError, DrainPolicy, FaultKind, FaultPlan, HbmSwitch, LiveOptions, RouterConfig,
     RunOutcome, SpsRouter, SpsWorkload,
 };
 use rip_photonics::SplitPattern;
+use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
     ChromeTraceSink, FanoutSink, FlightRecorder, FlightTee, FrameListener, JsonlSink,
     MetricsEndpoint, ProfileHub, SharedSink, TelemetrySink, TraceWindow, Watchdog, WatchdogConfig,
     WatchdogEvent, WatchdogKind,
-};
-use rip_traffic::{
-    merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
@@ -188,9 +192,6 @@ struct ProfileOptions {
 /// reads.
 fn build_profile_hub(opts: &ProfileOptions) -> Result<Option<ProfileHub>, String> {
     if !opts.profile {
-        if opts.profile_out.is_some() {
-            return Err("--profile-out needs --profile".into());
-        }
         return Ok(None);
     }
     let hub = ProfileHub::new();
@@ -205,18 +206,123 @@ fn build_profile_hub(opts: &ProfileOptions) -> Result<Option<ProfileHub>, String
     Ok(Some(hub))
 }
 
-/// Command-line options of `ripsim soak` beyond the spec itself.
+// ------------------------------------------------------------------
+// The metrics endpoint and output chain shared by `soak` and `collect`
+// ------------------------------------------------------------------
+
+/// `--metrics`, `--metrics-port-file` and `--metrics-hold-ms`.
 #[derive(Default)]
-struct SoakOptions {
+struct MetricsOptions {
     /// Serve Prometheus exposition of the live epoch stream at this
     /// address (e.g. `127.0.0.1:0` for an ephemeral port).
-    metrics: Option<String>,
+    addr: Option<String>,
     /// Write the bound metrics port to this file once the endpoint is
     /// up — how CI discovers an ephemeral port.
-    metrics_port_file: Option<String>,
+    port_file: Option<String>,
     /// Keep the metrics endpoint alive this long after the runs finish
     /// so a scraper can read the final totals.
-    metrics_hold_ms: u64,
+    hold_ms: u64,
+}
+
+impl MetricsOptions {
+    /// Bind the endpoint when `--metrics` is given: build info, the
+    /// profiler's families when profiling, and the bound port announced
+    /// on stderr and in the port file.
+    fn bind(&self, hub: &Option<ProfileHub>) -> Result<Option<SharedEndpoint>, String> {
+        let Some(addr) = &self.addr else {
+            return Ok(None);
+        };
+        let mut ep = MetricsEndpoint::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
+        ep.set_build_info("ripsim", SERVICE_VERSION);
+        if let Some(h) = hub {
+            ep.attach_profile_hub("ripsim", h.clone());
+        }
+        let port = ep.local_addr().port();
+        eprintln!("metrics endpoint on port {port}");
+        if let Some(path) = &self.port_file {
+            std::fs::write(path, format!("{port}\n"))
+                .map_err(|e| format!("metrics port file: {e}"))?;
+        }
+        Ok(Some(SharedEndpoint(Arc::new(Mutex::new(ep)))))
+    }
+
+    /// Keep a bound endpoint serving for `--metrics-hold-ms`.
+    fn hold(&self, endpoint: &Option<SharedEndpoint>) {
+        if self.hold_ms > 0 && endpoint.is_some() {
+            eprintln!("holding metrics endpoint for {} ms", self.hold_ms);
+            std::thread::sleep(std::time::Duration::from_millis(self.hold_ms));
+        }
+    }
+}
+
+/// A clonable handle sharing one [`MetricsEndpoint`] across the soak's
+/// two runs (the endpoint owns the listener, so each run's fanout gets
+/// a handle instead).
+#[derive(Clone)]
+struct SharedEndpoint(Arc<Mutex<MetricsEndpoint>>);
+
+impl SharedEndpoint {
+    /// Poison-tolerant lock: a panic on another thread must not
+    /// cascade a second panic into the telemetry export path — the
+    /// endpoint's state is a monotone counter set, safe to keep
+    /// serving.
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsEndpoint> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl TelemetrySink for SharedEndpoint {
+    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &rip_telemetry::EpochDelta) {
+        self.lock().on_epoch(source, epoch, delta);
+    }
+
+    fn on_span(&mut self, source: &str, span: &rip_telemetry::SpanEvent) {
+        self.lock().on_span(source, span);
+    }
+
+    fn on_watchdog(&mut self, source: &str, event: &rip_telemetry::WatchdogEvent) {
+        self.lock().on_watchdog(source, event);
+    }
+
+    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &rip_telemetry::MetricsRegistry) {
+        self.lock().on_run_end(source, at, totals);
+    }
+}
+
+/// The live stream's outputs: JSONL on buffered stdout, teed into the
+/// metrics endpoint when one is bound.
+fn output_fanout(endpoint: &Option<SharedEndpoint>) -> FanoutSink {
+    let mut fan = FanoutSink::new();
+    fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
+        std::io::stdout(),
+    ))));
+    if let Some(ep) = endpoint {
+        fan.push(Box::new(ep.clone()));
+    }
+    fan
+}
+
+/// One stderr line per fired watchdog alarm.
+fn print_watchdogs(events: &[WatchdogEvent]) {
+    for e in events {
+        eprintln!(
+            "watchdog: {} epoch {} at {} ps: {:?}",
+            e.source,
+            e.epoch,
+            e.at.as_ps(),
+            e.kind
+        );
+    }
+}
+
+// ------------------------------------------------------------------
+// `ripsim soak`
+// ------------------------------------------------------------------
+
+/// Command-line options of `ripsim soak` beyond the spec, the profiler
+/// and the metrics endpoint.
+#[derive(Default)]
+struct SoakOptions {
     /// Kill this HBM channel a quarter into the arrival horizon and
     /// never recover it — the degraded-capacity watchdog must fire.
     inject_channel_fault: Option<usize>,
@@ -226,16 +332,14 @@ struct SoakOptions {
     checkpoint_path: Option<String>,
     /// Continue a killed soak from this snapshot.
     resume: Option<String>,
-    /// Wall-clock self-profiler options.
-    prof: ProfileOptions,
     /// Where flight-recorder post-mortem bundles land (default `.`).
     flight_dir: Option<String>,
 }
 
 // ------------------------------------------------------------------
-// Graceful-stop plumbing for checkpointed soaks. The handler only
-// flips an atomic (the async-signal-safe subset); the run loop polls
-// it at epoch boundaries and exits through a final snapshot.
+// Graceful-stop plumbing for soaks. The handler only flips an atomic
+// (the async-signal-safe subset); the run loop polls it at epoch
+// boundaries and exits through a final snapshot or a flight dump.
 // ------------------------------------------------------------------
 
 // `signal(2)` from the platform libc this binary already links; used
@@ -244,7 +348,7 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
-/// Set by SIGINT/SIGTERM; polled by the checkpointed soak loop.
+/// Set by SIGINT/SIGTERM; polled by the soak at epoch boundaries.
 static STOP: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn request_stop(_signum: i32) {
@@ -340,9 +444,8 @@ struct RunDone {
     peak_in_flight: u64,
 }
 
-/// The payload of a soak snapshot (wrapped in the CRC envelope by
-/// `rip_sim::snapshot`): where in the two-run soak we are, how many
-/// stdout lines are already final, and the running engine's state.
+/// Where a soak stands; a checkpointed soak writes it as its snapshot
+/// payload (wrapped in the CRC envelope by `rip_sim::snapshot`).
 #[derive(Serialize, Deserialize)]
 struct SoakSnapshot {
     /// JSON echo of the spec; resuming under a different spec is
@@ -351,7 +454,7 @@ struct SoakSnapshot {
     /// Checkpoint interval in epochs (reused on resume unless
     /// overridden).
     every: u64,
-    /// Index of the run in progress within the soak's mult sequence.
+    /// Index of the run in progress within [`SOAK_MULTS`].
     run_index: u64,
     /// JSONL lines fully emitted by completed runs, incl. `run_end`s.
     lines_done: u64,
@@ -363,55 +466,50 @@ struct SoakSnapshot {
     engine: Value,
 }
 
-/// Serialize and crash-safely write one soak snapshot.
-#[allow(clippy::too_many_arguments)]
-fn persist_soak(
-    path: &str,
-    spec_echo: &str,
-    every: u64,
-    run_index: u64,
-    lines_done: u64,
-    done: &[RunDone],
-    records: u64,
-    engine: &Value,
-) -> Result<(), rip_sim::snapshot::SnapshotError> {
-    let snap = SoakSnapshot {
-        spec: spec_echo.to_string(),
-        every,
-        run_index,
-        lines_done,
-        done: done.to_vec(),
-        records,
-        engine: engine.clone(),
-    };
-    let payload = serde_json::to_string(&snap).expect("snapshot serializes");
-    rip_sim::snapshot::write_snapshot(Path::new(path), payload.as_bytes())
+impl SoakSnapshot {
+    /// Record the running run's `records` lines and `engine` state
+    /// (`Null` between runs) and crash-safely write the snapshot.
+    fn persist(&mut self, path: &str, records: u64, engine: &Value) -> Result<(), SnapshotError> {
+        self.records = records;
+        self.engine = engine.clone();
+        let payload = serde_json::to_string(self).expect("snapshot serializes");
+        self.engine = Value::Null;
+        rip_sim::snapshot::write_snapshot(Path::new(path), payload.as_bytes())
+    }
 }
 
-/// The crash-safe variant of [`run_soak`]: same two runs, same JSONL
-/// stream, but through [`HbmSwitch::run_source_checkpointed`] with a
-/// snapshot every `--checkpoint-every` epochs (and on SIGINT/SIGTERM,
-/// which exit cleanly after one final snapshot). A `--resume` picks up
-/// at the snapshotted run and epoch; stderr reports `keep_lines=K`, the
-/// prefix of the interrupted stdout stream that is still valid —
-/// `head -n K interrupted.jsonl` + the resumed stream is byte-identical
-/// to the uninterrupted run.
-///
-/// The stream goes to stdout unbuffered-per-line (no `BufWriter`), so
-/// every line a snapshot counts is on disk before the snapshot is; a
-/// SIGKILL can only lose lines *after* the last checkpoint, which the
-/// `keep_lines` prefix cuts anyway. Watchdogs and `--metrics` are off
-/// in this mode: their cumulative state is not part of the snapshot.
-fn run_soak_checkpointed(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
-    let period = match spec.epoch_ps {
-        Some(0) => return Err(ConfigError::EpochZero.to_string()),
-        Some(ps) => TimeDelta::from_ps(ps),
-        None => return Err(ConfigError::CheckpointNeedsEpochs.to_string()),
+/// The soak's arrival horizons, as multiples of the spec's.
+const SOAK_MULTS: [u64; 2] = [1, 4];
+
+/// The soak's starting progress and, when it is crash-safe
+/// (`--checkpoint-every` or `--resume`), its snapshot path. A
+/// `--resume` restores the progress from the newest valid snapshot and
+/// reports `keep_lines=K` on stderr.
+fn soak_progress(
+    spec: &SimSpec,
+    cli: &Cli,
+    period: Option<TimeDelta>,
+) -> Result<(SoakSnapshot, Option<String>), String> {
+    let opts = &cli.soak;
+    let mut progress = SoakSnapshot {
+        spec: serde_json::to_string(spec).expect("spec serializes"),
+        every: opts.checkpoint_every.unwrap_or(0),
+        run_index: 0,
+        lines_done: 0,
+        done: Vec::new(),
+        records: 0,
+        engine: Value::Null,
     };
-    if opts.checkpoint_every == Some(0) {
-        return Err(ConfigError::CheckpointIntervalZero.to_string());
+    if opts.checkpoint_every.is_none() && opts.resume.is_none() {
+        if opts.checkpoint_path.is_some() {
+            return Err("--checkpoint-path needs --checkpoint-every or --resume".into());
+        }
+        return Ok((progress, None));
     }
-    if opts.metrics.is_some() {
+    if period.is_none() {
+        return Err(ConfigError::CheckpointNeedsEpochs.to_string());
+    }
+    if cli.metrics.addr.is_some() {
         return Err(
             "--metrics cannot be combined with checkpointing: the endpoint's cumulative \
              state is not part of the snapshot"
@@ -423,254 +521,69 @@ fn run_soak_checkpointed(spec: &SimSpec, opts: &SoakOptions) -> Result<(), Strin
         .clone()
         .or_else(|| opts.resume.clone())
         .unwrap_or_else(|| "ripsim-soak.snapshot".into());
-    let spec_echo = serde_json::to_string(spec).expect("spec serializes");
-    let (every, run_index, mut lines_done, mut done, records0, engine0) = match &opts.resume {
-        Some(from) => {
-            let (payload, slot) =
-                rip_sim::snapshot::load_latest(Path::new(from)).map_err(|e| e.to_string())?;
-            let text = String::from_utf8(payload)
-                .map_err(|_| "snapshot payload is not UTF-8".to_string())?;
-            let snap: SoakSnapshot = serde_json::from_str(&text)
-                .map_err(|e| format!("snapshot payload does not decode: {e}"))?;
-            if snap.spec != spec_echo {
-                return Err("snapshot mismatch: it was taken from a different spec".into());
-            }
-            let every = opts.checkpoint_every.unwrap_or(snap.every);
-            if every == 0 {
-                return Err(ConfigError::CheckpointIntervalZero.to_string());
-            }
-            eprintln!(
-                "ripsim: resuming soak (run {}) from {} -- keep_lines={}",
-                snap.run_index + 1,
-                slot.display(),
-                snap.lines_done + snap.records
-            );
-            (
-                every,
-                snap.run_index,
-                snap.lines_done,
-                snap.done,
-                snap.records,
-                snap.engine,
-            )
+    if let Some(from) = &opts.resume {
+        let (payload, slot) =
+            rip_sim::snapshot::load_latest(Path::new(from)).map_err(|e| e.to_string())?;
+        let text = String::from_utf8(payload).map_err(|_| "snapshot payload is not UTF-8")?;
+        let snap: SoakSnapshot = serde_json::from_str(&text)
+            .map_err(|e| format!("snapshot payload does not decode: {e}"))?;
+        if snap.spec != progress.spec {
+            return Err("snapshot mismatch: it was taken from a different spec".into());
         }
-        None => {
-            let every = opts
-                .checkpoint_every
-                .expect("dispatch requires --checkpoint-every or --resume");
-            (every, 0, 0, Vec::new(), 0, Value::Null)
+        if snap.run_index as usize >= SOAK_MULTS.len() || snap.done.len() != snap.run_index as usize
+        {
+            return Err("snapshot mismatch: run progress is inconsistent with this soak".into());
         }
-    };
+        eprintln!(
+            "ripsim: resuming soak (run {}) from {} -- keep_lines={}",
+            snap.run_index + 1,
+            slot.display(),
+            snap.lines_done + snap.records
+        );
+        progress = SoakSnapshot {
+            every: opts.checkpoint_every.unwrap_or(snap.every),
+            ..snap
+        };
+    }
+    if progress.every == 0 {
+        return Err(ConfigError::CheckpointIntervalZero.to_string());
+    }
     // Fail on an unwritable snapshot path now, not minutes into a run.
     let probe = format!("{path}.probe");
-    if let Err(e) = std::fs::write(&probe, b"probe") {
-        return Err(ConfigError::CheckpointDir {
-            path: path.clone(),
-            reason: e.to_string(),
-        }
-        .to_string());
-    }
+    std::fs::write(&probe, b"probe").map_err(|e| {
+        let (path, reason) = (path.clone(), e.to_string());
+        ConfigError::CheckpointDir { path, reason }.to_string()
+    })?;
     let _ = std::fs::remove_file(&probe);
-    install_stop_handlers();
-    let hub = build_profile_hub(&opts.prof)?;
-    let flight = build_flight_recorder(spec, &hub);
-    let flight_dir = opts.flight_dir.clone().unwrap_or_else(|| ".".into());
-    install_flight_panic_hook(flight.clone(), flight_dir.clone());
-
-    let mults = [1u64, 4];
-    if run_index as usize >= mults.len() || done.len() != run_index as usize {
-        return Err("snapshot mismatch: run progress is inconsistent with this soak".into());
-    }
-    for idx in (run_index as usize)..mults.len() {
-        let mult = mults[idx];
-        let horizon = SimTime::from_ns(spec.horizon_us * 1000 * mult);
-        let source = spec.build_source(horizon)?;
-        let plan = match opts.inject_channel_fault {
-            Some(channel) => {
-                let plan = FaultPlan::new().inject(
-                    SimTime::from_ps(horizon.as_ps() / 4),
-                    FaultKind::HbmChannelDown { channel },
-                );
-                plan.validate(&spec.router).map_err(|e| e.to_string())?;
-                plan
-            }
-            None => FaultPlan::default(),
-        };
-        let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
-        if let Some(h) = &hub {
-            sw.enable_profiler(h.clone());
-        }
-        // Line-buffered stdout, not BufWriter: each record line must be
-        // out of the process before the snapshot that counts it lands.
-        let mut sink = JsonlSink::new(std::io::stdout());
-        let resume_engine = if idx as u64 == run_index && engine0 != Value::Null {
-            // Mid-run resume: the restored engine continues the record
-            // stream, and the sink's counter continues where the
-            // interrupted run's stream left off (the final `run_end`
-            // carries the full-run record count either way).
-            sink.set_records(records0);
-            Some(&engine0)
-        } else {
-            None
-        };
-        // The flight tee forwards every record unchanged (the stream
-        // bytes — and the snapshots counting them — are identical with
-        // or without it); it only copies recent epochs into the ring.
-        sw.enable_live_telemetry(period, 256, Box::new(FlightTee::new(flight.clone(), sink)));
-        let outcome = sw
-            .run_source_checkpointed(
-                source,
-                drain_deadline(spec, horizon),
-                &plan,
-                resume_engine,
-                every,
-                || STOP.load(Ordering::SeqCst),
-                |engine: &Value, epochs: u64, spans: u64| {
-                    persist_soak(
-                        &path,
-                        &spec_echo,
-                        every,
-                        idx as u64,
-                        lines_done,
-                        &done,
-                        epochs + spans,
-                        engine,
-                    )
-                },
-            )
-            .map_err(|e| e.to_string())?;
-        if outcome == RunOutcome::Interrupted {
-            eprintln!(
-                "ripsim: stop requested; snapshot written to {path} -- \
-                 resume with: ripsim soak <spec.json> --resume {path}"
-            );
-            report_flight_dump(&flight, &flight_dir, "signal");
-            if let Some(h) = &hub {
-                h.flush_output();
-            }
-            return Ok(());
-        }
-        let epochs = sw.live_epochs_emitted();
-        let spans = sw.live_spans_emitted();
-        let r = sw.into_report();
-        eprintln!(
-            "horizon {} us: offered {}, delivered {}, peak in-flight {}",
-            spec.horizon_us * mult,
-            r.offered_packets,
-            r.delivered_packets,
-            r.peak_in_flight_packets
-        );
-        eprintln!("streamed {epochs} epoch deltas and {spans} lifecycle spans");
-        lines_done += epochs + spans + 1; // + the run_end line
-        done.push(RunDone {
-            offered_packets: r.offered_packets,
-            delivered_packets: r.delivered_packets,
-            peak_in_flight: r.peak_in_flight_packets,
-        });
-        if idx + 1 < mults.len() {
-            // Inter-run snapshot: the next run starts fresh.
-            persist_soak(
-                &path,
-                &spec_echo,
-                every,
-                (idx + 1) as u64,
-                lines_done,
-                &done,
-                0,
-                &Value::Null,
-            )
-            .map_err(|e| e.to_string())?;
-            if STOP.load(Ordering::SeqCst) {
-                eprintln!(
-                    "ripsim: stop requested between runs; snapshot written to {path} -- \
-                     resume with: ripsim soak <spec.json> --resume {path}"
-                );
-                return Ok(());
-            }
-        }
-    }
-    if let Some(h) = &hub {
-        h.flush_output();
-    }
-    let (r1, r2) = (&done[0], &done[1]);
-    if r2.offered_packets < 3 * r1.offered_packets {
-        return Err(format!(
-            "offered packets did not scale with the horizon: {} -> {}",
-            r1.offered_packets, r2.offered_packets
-        ));
-    }
-    if r2.peak_in_flight > 2 * r1.peak_in_flight + 64 {
-        return Err(format!(
-            "peak in-flight grew with the horizon: {} -> {}",
-            r1.peak_in_flight, r2.peak_in_flight
-        ));
-    }
-    eprintln!("soak OK: in-flight working set stays bounded at 4x the horizon");
-    Ok(())
+    Ok((progress, Some(path)))
 }
 
-/// A clonable handle sharing one [`MetricsEndpoint`] across the soak's
-/// two runs (the endpoint owns the listener, so each run's fanout gets
-/// a handle instead).
-#[derive(Clone)]
-struct SharedEndpoint(Arc<Mutex<MetricsEndpoint>>);
-
-impl SharedEndpoint {
-    /// Poison-tolerant lock: a panic on another thread must not
-    /// cascade a second panic into the telemetry export path — the
-    /// endpoint's state is a monotone counter set, safe to keep
-    /// serving.
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsEndpoint> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl TelemetrySink for SharedEndpoint {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &rip_telemetry::EpochDelta) {
-        self.lock().on_epoch(source, epoch, delta);
-    }
-
-    fn on_span(&mut self, source: &str, span: &rip_telemetry::SpanEvent) {
-        self.lock().on_span(source, span);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &rip_telemetry::WatchdogEvent) {
-        self.lock().on_watchdog(source, event);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &rip_telemetry::MetricsRegistry) {
-        self.lock().on_run_end(source, at, totals);
-    }
-}
-
-/// `ripsim soak [spec.json] [--epoch <ps>]`: run the spec streaming at
-/// its horizon and again at 4x the horizon, and check that offered
-/// traffic scales with the horizon while the engine's peak in-flight
-/// packet count stays flat — the O(in-flight) memory property of the
-/// pull-based engine. With an epoch period, both runs stream live
-/// epoch deltas (plus 1-in-256 sampled lifecycle spans) to stdout as
-/// JSONL while they execute, and the human summary moves to stderr so
-/// the stream stays machine-clean.
+/// `ripsim soak`: run the spec streaming at its horizon and again at 4x
+/// the horizon, and check that offered traffic scales with the horizon
+/// while the engine's peak in-flight packet count stays flat — the
+/// O(in-flight) memory property of the pull-based engine. With an epoch
+/// period, both runs stream live epoch deltas (plus 1-in-256 sampled
+/// lifecycle spans) to stdout as JSONL, and the human summary moves to
+/// stderr so the stream stays machine-clean.
 ///
-/// The epoch stream is always consumed in-process by the SLO watchdogs
-/// (stall / drop-rate / degraded-capacity); a fired watchdog fails the
-/// soak. `--metrics <addr>` additionally serves the stream's cumulative
-/// totals as a Prometheus scrape endpoint, and
-/// `--inject-channel-fault <ch>` kills an HBM channel mid-run to prove
-/// the degraded-capacity alarm path end to end.
-fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
-    if opts.checkpoint_every.is_some() || opts.resume.is_some() {
-        return run_soak_checkpointed(spec, opts);
-    }
-    if opts.checkpoint_path.is_some() {
-        return Err("--checkpoint-path needs --checkpoint-every or --resume".into());
-    }
+/// A plain soak's stream also feeds the SLO watchdogs (a fired alarm
+/// fails the soak), the flight ring, `--metrics` and the SIGINT/SIGTERM
+/// poll. A crash-safe soak runs the same loop through
+/// [`HbmSwitch::run_source_checkpointed`] instead, snapshotting every
+/// `--checkpoint-every` epochs and on SIGINT/SIGTERM; `head -n K
+/// interrupted.jsonl` + the resumed stream is byte-identical to the
+/// uninterrupted run. It writes stdout line by line (no `BufWriter`),
+/// so every line a snapshot counts is out of the process before the
+/// snapshot is, and leaves out the watchdogs and `--metrics`, whose
+/// cumulative state is not part of the snapshot.
+fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
+    let opts = &cli.soak;
     let period = match spec.epoch_ps {
         Some(0) => return Err(ConfigError::EpochZero.to_string()),
-        Some(ps) => Some(TimeDelta::from_ps(ps)),
-        None => None,
+        ps => ps.map(TimeDelta::from_ps),
     };
-    if opts.metrics.is_some() && period.is_none() {
+    let (mut progress, checkpoint) = soak_progress(spec, cli, period)?;
+    if cli.metrics.addr.is_some() && period.is_none() {
         return Err("--metrics needs an epoch period (--epoch or spec epoch_ps)".into());
     }
     // Route the human lines to stderr whenever JSONL owns stdout.
@@ -679,77 +592,96 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
     } else {
         |a| println!("{a}")
     };
-    let hub = build_profile_hub(&opts.prof)?;
+    let hub = build_profile_hub(&cli.prof)?;
     let flight = build_flight_recorder(spec, &hub);
     let flight_dir = opts.flight_dir.clone().unwrap_or_else(|| ".".into());
     install_flight_panic_hook(flight.clone(), flight_dir.clone());
     if period.is_some() {
-        // SIGINT/SIGTERM flip the stop flag; SignalWatch polls it at
-        // epoch boundaries and exits through a flight dump. Without an
-        // epoch period nothing polls the flag, so leave the default
-        // (killing) disposition in place.
+        // Only an epoch boundary polls the stop flag; without epochs,
+        // keep the default (killing) disposition.
         install_stop_handlers();
     }
-    let endpoint = match &opts.metrics {
-        Some(addr) => {
-            let mut ep = MetricsEndpoint::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
-            ep.set_build_info("ripsim", SERVICE_VERSION);
-            if let Some(h) = &hub {
-                ep.attach_profile_hub("ripsim", h.clone());
-            }
-            let port = ep.local_addr().port();
-            say(format_args!("metrics endpoint on port {port}"));
-            if let Some(path) = &opts.metrics_port_file {
-                std::fs::write(path, format!("{port}\n"))
-                    .map_err(|e| format!("metrics port file: {e}"))?;
-            }
-            Some(SharedEndpoint(Arc::new(Mutex::new(ep))))
+    let endpoint = cli.metrics.bind(&hub)?;
+    // A stop request ends a checkpointed soak at an epoch boundary or
+    // between runs, after its snapshot.
+    let stopped = |path: &str| {
+        eprintln!(
+            "ripsim: stop requested; snapshot written to {path} -- \
+             resume with: ripsim soak <spec.json> --resume {path}"
+        );
+        report_flight_dump(&flight, &flight_dir, "signal");
+        if let Some(h) = &hub {
+            h.flush_output();
         }
-        None => None,
     };
     let mut watchdog_events = Vec::new();
-    let mut reports = Vec::new();
-    for mult in [1u64, 4] {
+    let first = progress.run_index as usize;
+    for (idx, mult) in SOAK_MULTS.into_iter().enumerate().skip(first) {
         let horizon = SimTime::from_ns(spec.horizon_us * 1000 * mult);
         let source = spec.build_source(horizon)?;
-        let plan = match opts.inject_channel_fault {
-            Some(channel) => {
-                let plan = FaultPlan::new().inject(
-                    SimTime::from_ps(horizon.as_ps() / 4),
-                    FaultKind::HbmChannelDown { channel },
-                );
-                plan.validate(&spec.router).map_err(|e| e.to_string())?;
-                plan
-            }
-            None => FaultPlan::default(),
-        };
+        let mut plan = FaultPlan::new();
+        if let Some(channel) = opts.inject_channel_fault {
+            let at = SimTime::from_ps(horizon.as_ps() / 4);
+            plan = plan.inject(at, FaultKind::HbmChannelDown { channel });
+        }
+        // The soak runs one switch, whose channels are `0..T`.
+        plan.validate_switch(&spec.router)
+            .map_err(|e| e.to_string())?;
         let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
         if let Some(h) = &hub {
             sw.enable_profiler(h.clone());
         }
-        let handle = period.map(|period| {
-            let mut fan = FanoutSink::new();
-            fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
-                std::io::stdout(),
-            ))));
-            if let Some(ep) = &endpoint {
-                fan.push(Box::new(ep.clone()));
+        let deadline = drain_deadline(spec, horizon);
+        let mut handle = None;
+        // A checkpoint always has a period (`soak_progress` refuses one
+        // without). The flight tee and the signal poll forward every
+        // record unchanged: the stream bytes (and the snapshots
+        // counting them) are identical with or without them.
+        match (&checkpoint, period) {
+            (Some(path), Some(period)) => {
+                let mut sink = JsonlSink::new(std::io::stdout());
+                let resume = std::mem::replace(&mut progress.engine, Value::Null);
+                if resume != Value::Null {
+                    // Mid-run resume: the sink's record count continues
+                    // where the interrupted run's stream left off.
+                    sink.set_records(progress.records);
+                }
+                let tee = FlightTee::new(flight.clone(), sink);
+                sw.enable_live_telemetry(period, 256, Box::new(tee));
+                let every = progress.every;
+                let outcome = sw
+                    .run_source_checkpointed(
+                        source,
+                        deadline,
+                        &plan,
+                        (resume != Value::Null).then_some(&resume),
+                        every,
+                        || STOP.load(Ordering::SeqCst),
+                        |engine: &Value, epochs: u64, spans: u64| {
+                            progress.persist(path, epochs + spans, engine)
+                        },
+                    )
+                    .map_err(|e| e.to_string())?;
+                if outcome == RunOutcome::Interrupted {
+                    stopped(path);
+                    return Ok(());
+                }
             }
-            // Chain: watchdog detection -> flight ring -> outputs,
-            // with the signal poll outermost. The tee and the poll
-            // forward every record unchanged, so the stdout bytes are
-            // identical with or without them.
-            let tee = FlightTee::new(flight.clone(), fan);
-            let (wd, handle) = Watchdog::new(WatchdogConfig::default(), tee);
-            let watch = SignalWatch {
-                inner: wd,
-                rec: flight.clone(),
-                dir: flight_dir.clone(),
-            };
-            sw.enable_live_telemetry(period, 256, Box::new(watch));
-            handle
-        });
-        sw.run_source(source, drain_deadline(spec, horizon), &plan);
+            _ => {
+                if let Some(period) = period {
+                    let tee = FlightTee::new(flight.clone(), output_fanout(&endpoint));
+                    let (wd, h) = Watchdog::new(WatchdogConfig::default(), tee);
+                    let watch = SignalWatch {
+                        inner: wd,
+                        rec: flight.clone(),
+                        dir: flight_dir.clone(),
+                    };
+                    sw.enable_live_telemetry(period, 256, Box::new(watch));
+                    handle = Some(h);
+                }
+                sw.run_source(source, deadline, &plan);
+            }
+        }
         let epochs = sw.live_epochs_emitted();
         let spans = sw.live_spans_emitted();
         let r = sw.into_report();
@@ -765,22 +697,30 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
                 "streamed {epochs} epoch deltas and {spans} lifecycle spans"
             ));
         }
-        if let Some(handle) = handle {
-            watchdog_events.extend(handle.events());
+        watchdog_events.extend(handle.map(|h| h.events()).unwrap_or_default());
+        progress.run_index += 1;
+        progress.lines_done += epochs + spans + 1; // + the run_end line
+        progress.done.push(RunDone {
+            offered_packets: r.offered_packets,
+            delivered_packets: r.delivered_packets,
+            peak_in_flight: r.peak_in_flight_packets,
+        });
+        if let Some(path) = checkpoint.as_deref().filter(|_| idx + 1 < SOAK_MULTS.len()) {
+            // Inter-run snapshot: the next run starts fresh.
+            progress
+                .persist(path, 0, &Value::Null)
+                .map_err(|e| e.to_string())?;
+            if STOP.load(Ordering::SeqCst) {
+                stopped(path);
+                return Ok(());
+            }
         }
-        reports.push(r);
     }
     if let Some(h) = &hub {
         h.flush_output();
     }
-    if opts.metrics_hold_ms > 0 && endpoint.is_some() {
-        say(format_args!(
-            "holding metrics endpoint for {} ms",
-            opts.metrics_hold_ms
-        ));
-        std::thread::sleep(std::time::Duration::from_millis(opts.metrics_hold_ms));
-    }
-    if period.is_some() {
+    cli.metrics.hold(&endpoint);
+    if checkpoint.is_none() && period.is_some() {
         // Always-on count, alarm or not: scrapers and log parsers get
         // the same line either way, matching the Prometheus
         // `rip_watchdog_alarms_total` family the endpoint exports.
@@ -790,38 +730,31 @@ fn run_soak(spec: &SimSpec, opts: &SoakOptions) -> Result<(), String> {
         ));
     }
     if !watchdog_events.is_empty() {
-        for e in &watchdog_events {
-            say(format_args!(
-                "watchdog: {} epoch {} at {} ps: {:?}",
-                e.source,
-                e.epoch,
-                e.at.as_ps(),
-                e.kind
-            ));
-        }
+        print_watchdogs(&watchdog_events);
         report_flight_dump(&flight, &flight_dir, "watchdog");
-        return Err(format!(
-            "{} watchdog alarm(s) fired during the soak",
-            watchdog_events.len()
-        ));
+        let n = watchdog_events.len();
+        return Err(format!("{n} watchdog alarm(s) fired during the soak"));
     }
-    let (r1, r2) = (&reports[0], &reports[1]);
-    if r2.offered_packets < 3 * r1.offered_packets {
-        return Err(format!(
+    let (r1, r4) = (&progress.done[0], &progress.done[1]);
+    match soak_scales(
+        [r1.offered_packets, r4.offered_packets],
+        [r1.peak_in_flight, r4.peak_in_flight],
+    ) {
+        Err(SoakFailure::OfferedDidNotScale) => Err(format!(
             "offered packets did not scale with the horizon: {} -> {}",
-            r1.offered_packets, r2.offered_packets
-        ));
-    }
-    if r2.peak_in_flight_packets > 2 * r1.peak_in_flight_packets + 64 {
-        return Err(format!(
+            r1.offered_packets, r4.offered_packets
+        )),
+        Err(SoakFailure::PeakGrew) => Err(format!(
             "peak in-flight grew with the horizon: {} -> {}",
-            r1.peak_in_flight_packets, r2.peak_in_flight_packets
-        ));
+            r1.peak_in_flight, r4.peak_in_flight
+        )),
+        Ok(()) => {
+            say(format_args!(
+                "soak OK: in-flight working set stays bounded at 4x the horizon"
+            ));
+            Ok(())
+        }
     }
-    say(format_args!(
-        "soak OK: in-flight working set stays bounded at 4x the horizon"
-    ));
-    Ok(())
 }
 
 // --------------------------------------------------------------------
@@ -878,13 +811,14 @@ fn fleet_parts(spec: &SimSpec) -> Result<FleetParts, String> {
     })
 }
 
-/// Command-line options of `ripsim plane-worker`.
+/// Command-line options of `ripsim plane-worker` (`--worker` and
+/// `--planes` are required by the flag table).
+#[derive(Default)]
 struct WorkerOptions {
     worker: u64,
     planes: Vec<usize>,
     connect: Option<String>,
     out: Option<String>,
-    prof: ProfileOptions,
 }
 
 /// Parse a `--planes` list: comma-separated plane indices, strictly
@@ -904,9 +838,10 @@ fn parse_planes(v: &str) -> Result<Vec<usize>, String> {
 /// `--planes` and push their framed telemetry stream to a collector
 /// (`--connect`, with retries — the collector may still be binding) or
 /// to a file (`--out`, for offline `collect --from` ingest).
-fn run_plane_worker(spec: &SimSpec, opts: &WorkerOptions) -> Result<(), String> {
+fn run_plane_worker(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
+    let opts = &cli.worker;
     let mut parts = fleet_parts(spec)?;
-    let hub = build_profile_hub(&opts.prof)?;
+    let hub = build_profile_hub(&cli.prof)?;
     if let Some(h) = &hub {
         // The planes profile as `planeNN` into the hub; the worker
         // stream ships the recent records to the collector, which
@@ -966,7 +901,8 @@ fn run_plane_worker(spec: &SimSpec, opts: &WorkerOptions) -> Result<(), String> 
     Ok(())
 }
 
-/// Command-line options of `ripsim collect`.
+/// Command-line options of `ripsim collect` beyond the spec, the
+/// profiler and the metrics endpoint.
 #[derive(Default)]
 struct CollectOptions {
     /// Run the single-process `SpsRouter::run` oracle instead of
@@ -980,38 +916,13 @@ struct CollectOptions {
     /// Write the bound listen port to this file — how workers (and CI)
     /// discover an ephemeral port.
     port_file: Option<String>,
-    /// Give up when coverage is still incomplete after this long.
-    timeout_ms: u64,
-    /// Serve the merged stream's cumulative totals as a fleet-wide
-    /// Prometheus scrape endpoint at this address.
-    metrics: Option<String>,
-    /// Write the bound metrics port to this file.
-    metrics_port_file: Option<String>,
-    /// Keep the metrics endpoint alive this long after the merge.
-    metrics_hold_ms: u64,
+    /// Give up when coverage is still incomplete after this long
+    /// (default 30 s).
+    timeout_ms: Option<u64>,
     /// Bound each plane's staging buffer to this many records
     /// (forfeits byte-identity when it evicts; reported in the
     /// summary's `dropped_records`).
     stage_cap: Option<usize>,
-    /// Wall-clock self-profiler options.
-    prof: ProfileOptions,
-}
-
-/// The collector's output chain — identical to the oracle's, which is
-/// what makes watchdog alarm positions (and the stream bytes around
-/// them) line up: JSONL on buffered stdout, optionally teed into the
-/// shared Prometheus endpoint, wrapped by the SLO watchdogs.
-fn collect_sink(
-    endpoint: &Option<SharedEndpoint>,
-) -> (Watchdog<FanoutSink>, rip_telemetry::WatchdogHandle) {
-    let mut fan = FanoutSink::new();
-    fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
-        std::io::stdout(),
-    ))));
-    if let Some(ep) = endpoint {
-        fan.push(Box::new(ep.clone()));
-    }
-    Watchdog::new(WatchdogConfig::default(), fan)
 }
 
 /// Report a lost worker: a typed `worker_lost` watchdog record into the
@@ -1032,27 +943,15 @@ fn note_worker_lost(sink: &mut dyn TelemetrySink, worker: u64, why: &str) {
 /// `ripsim collect`: reassemble worker streams into the
 /// single-process telemetry stream and report — or, with `--oracle`,
 /// produce that single-process stream directly for a byte diff.
-fn run_collect(spec: &SimSpec, opts: &CollectOptions) -> Result<(), String> {
+fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
+    let opts = &cli.collect;
     let mut parts = fleet_parts(spec)?;
-    let hub = build_profile_hub(&opts.prof)?;
-    let endpoint = match &opts.metrics {
-        Some(addr) => {
-            let mut ep = MetricsEndpoint::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
-            ep.set_build_info("ripsim", SERVICE_VERSION);
-            if let Some(h) = &hub {
-                ep.attach_profile_hub("ripsim", h.clone());
-            }
-            let port = ep.local_addr().port();
-            eprintln!("metrics endpoint on port {port}");
-            if let Some(path) = &opts.metrics_port_file {
-                std::fs::write(path, format!("{port}\n"))
-                    .map_err(|e| format!("metrics port file: {e}"))?;
-            }
-            Some(SharedEndpoint(Arc::new(Mutex::new(ep))))
-        }
-        None => None,
-    };
-    let (mut wd, handle) = collect_sink(&endpoint);
+    let hub = build_profile_hub(&cli.prof)?;
+    let endpoint = cli.metrics.bind(&hub)?;
+    // The same output chain as the oracle's, which is what makes
+    // watchdog alarm positions (and the stream bytes around them) line
+    // up: the stream outputs wrapped by the SLO watchdogs.
+    let (mut wd, handle) = Watchdog::new(WatchdogConfig::default(), output_fanout(&endpoint));
 
     let summary: String;
     if opts.oracle {
@@ -1107,13 +1006,13 @@ fn run_collect(spec: &SimSpec, opts: &CollectOptions) -> Result<(), String> {
             if let Some(path) = &opts.port_file {
                 std::fs::write(path, format!("{port}\n")).map_err(|e| format!("port file: {e}"))?;
             }
-            let deadline = std::time::Instant::now()
-                + std::time::Duration::from_millis(opts.timeout_ms.max(1));
+            let timeout_ms = opts.timeout_ms.unwrap_or(30_000);
+            let deadline =
+                std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms.max(1));
             while !collector.missing_planes().is_empty() {
                 if std::time::Instant::now() >= deadline {
                     return Err(format!(
-                        "timed out after {} ms with planes {:?} still missing",
-                        opts.timeout_ms,
+                        "timed out after {timeout_ms} ms with planes {:?} still missing",
                         collector.missing_planes()
                     ));
                 }
@@ -1168,22 +1067,11 @@ fn run_collect(spec: &SimSpec, opts: &CollectOptions) -> Result<(), String> {
     if let Some(h) = &hub {
         h.flush_output();
     }
-    if opts.metrics_hold_ms > 0 && endpoint.is_some() {
-        eprintln!("holding metrics endpoint for {} ms", opts.metrics_hold_ms);
-        std::thread::sleep(std::time::Duration::from_millis(opts.metrics_hold_ms));
-    }
+    cli.metrics.hold(&endpoint);
     let events = handle.events();
     eprintln!("{summary} watchdog_alarms={}", events.len());
     if !events.is_empty() {
-        for e in &events {
-            eprintln!(
-                "watchdog: {} epoch {} at {} ps: {:?}",
-                e.source,
-                e.epoch,
-                e.at.as_ps(),
-                e.kind
-            );
-        }
+        print_watchdogs(&events);
         return Err(format!("{} watchdog alarm(s) fired", events.len()));
     }
     Ok(())
@@ -1554,33 +1442,6 @@ fn flight_check(path: &str) -> Result<String, String> {
     ))
 }
 
-/// Build a uniform IMIX/Poisson trace for `cfg` at `load` over `horizon`.
-fn uniform_trace(
-    cfg: &RouterConfig,
-    load: f64,
-    horizon: SimTime,
-    seed: u64,
-) -> Vec<rip_traffic::Packet> {
-    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let streams: Vec<_> = (0..cfg.ribbons)
-        .map(|port| {
-            let mut g = PacketGenerator::new(
-                port,
-                cfg.port_rate(),
-                load * tm.row_load(port),
-                tm.row(port).to_vec(),
-                SizeDistribution::Imix,
-                ArrivalProcess::Poisson,
-                256,
-                rip_sim::rng::derive_seed(seed, port as u64),
-            )
-            .expect("valid generator");
-            g.generate_until(horizon)
-        })
-        .collect();
-    merge_streams(streams)
-}
-
 /// Delivered bits within `[from, to)`, from the departure log.
 fn window_bits(
     r: &rip_core::SwitchReport,
@@ -1597,7 +1458,7 @@ fn window_bits(
 
 /// The canned fault-injection demo: 1-of-4 HBM channels down at `T`,
 /// recovered at `2T`, with the before/during/after timeline.
-fn run_resilience() {
+fn run_resilience() -> Result<(), String> {
     let cfg = RouterConfig::resilience_small();
     let t_fault = SimTime::from_ns(150 * 1000); // T = 150 us
     let t_recover = SimTime::from_ns(300 * 1000); // 2T
@@ -1606,7 +1467,6 @@ fn run_resilience() {
     let plan = FaultPlan::new()
         .inject(t_fault, FaultKind::HbmChannelDown { channel: 3 })
         .recover(t_recover, FaultKind::HbmChannelDown { channel: 3 });
-    plan.validate(&cfg).expect("demo plan valid");
 
     println!(
         "resilience demo: {} channels x {}, channel 3 down {} -> {}",
@@ -1620,8 +1480,10 @@ fn run_resilience() {
     // ~3/4 cliff, the post-recovery window the backlog catch-up.
     let trace = uniform_trace(&cfg, 0.75, horizon, 42);
     let sizes: HashMap<u64, DataSize> = trace.iter().map(|p| (p.id, p.size)).collect();
-    let sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    let r = sw.run_with_faults(&trace, drain, &plan);
+    let sw = HbmSwitch::new(cfg.clone()).map_err(|e| e.to_string())?;
+    let r = sw
+        .run_with_faults(&trace, drain, &plan)
+        .map_err(|e| e.to_string())?;
 
     let window_secs = 150e-6;
     let rate = |bits: u64| bits as f64 / window_secs / 1e9; // Gb/s
@@ -1666,8 +1528,10 @@ fn run_resilience() {
     // same fault costs zero packets.
     let safe_load = 0.5;
     let trace = uniform_trace(&cfg, safe_load, horizon, 42);
-    let sw = HbmSwitch::new(cfg).expect("valid config");
-    let r = sw.run_with_faults(&trace, drain, &plan);
+    let sw = HbmSwitch::new(cfg).map_err(|e| e.to_string())?;
+    let r = sw
+        .run_with_faults(&trace, drain, &plan)
+        .map_err(|e| e.to_string())?;
     println!(
         "at offered {:.2} (<= 0.7 of degraded capacity): {} fault drops, {} congestion drops, delivery {:.4}%",
         safe_load,
@@ -1675,36 +1539,256 @@ fn run_resilience() {
         r.dropped_packets_congestion,
         r.delivery_fraction * 100.0
     );
+    Ok(())
 }
 
-/// Read and parse a spec file, exiting with a usage error on failure.
-fn load_spec(path: &str) -> SimSpec {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ripsim: cannot read {path}: {e}");
-            std::process::exit(2);
+// --------------------------------------------------------------------
+// The command line: one flag table, one parser
+// --------------------------------------------------------------------
+
+/// The subcommands.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Cmd {
+    #[default]
+    Run,
+    Trace,
+    Soak,
+    Worker,
+    Collect,
+    FlightCheck,
+    Resilience,
+}
+
+/// Each subcommand with the word that selects it (empty for the bare
+/// run) and its operand in usage form: `<..>` required, `[..]`
+/// optional, empty for none.
+const COMMANDS: [(Cmd, &str, &str); 7] = [
+    (Cmd::Run, "", "<spec.json>"),
+    (Cmd::Trace, "trace", "[spec.json]"),
+    (Cmd::Soak, "soak", "[spec.json]"),
+    (Cmd::Worker, "plane-worker", "<spec.json>"),
+    (Cmd::Collect, "collect", "<spec.json>"),
+    (Cmd::FlightCheck, "flight-check", "<bundle.json>"),
+    (Cmd::Resilience, "resilience", ""),
+];
+
+/// One flag: its name, its value placeholder (empty for a switch) and
+/// the subcommands that accept it. [`Cli::apply`] stores its value.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    cmds: &'static [Cmd],
+}
+
+const fn flag(name: &'static str, value: &'static str, cmds: &'static [Cmd]) -> Flag {
+    Flag { name, value, cmds }
+}
+
+const PROFILED: &[Cmd] = &[Cmd::Trace, Cmd::Soak, Cmd::Worker, Cmd::Collect];
+const METERED: &[Cmd] = &[Cmd::Soak, Cmd::Collect];
+
+/// Every flag `ripsim` accepts. `--version` is answered before parsing,
+/// whatever else the command line holds.
+const FLAGS: &[Flag] = &[
+    flag("--example-spec", "", &[Cmd::Run]),
+    flag("--chrome", "<out.json>", &[Cmd::Trace]),
+    flag("--trace-window", "<start_ps>:<end_ps>", &[Cmd::Trace]),
+    flag("--epoch", "<ps>", &[Cmd::Soak, Cmd::Worker, Cmd::Collect]),
+    flag("--worker", "<id>", &[Cmd::Worker]),
+    flag("--planes", "<i,j,..>", &[Cmd::Worker]),
+    flag("--connect", "<addr>", &[Cmd::Worker]),
+    flag("--out", "<path>", &[Cmd::Worker]),
+    flag("--oracle", "", &[Cmd::Collect]),
+    flag("--from", "<file>", &[Cmd::Collect]),
+    flag("--listen", "<addr>", &[Cmd::Collect]),
+    flag("--port-file", "<path>", &[Cmd::Collect]),
+    flag("--timeout-ms", "<ms>", &[Cmd::Collect]),
+    flag("--stage-cap", "<n>", &[Cmd::Collect]),
+    flag("--inject-channel-fault", "<ch>", &[Cmd::Soak]),
+    flag("--checkpoint-every", "<epochs>", &[Cmd::Soak]),
+    flag("--checkpoint-path", "<path>", &[Cmd::Soak]),
+    flag("--resume", "<path>", &[Cmd::Soak]),
+    flag("--flight-dir", "<dir>", &[Cmd::Soak]),
+    flag("--metrics", "<addr>", METERED),
+    flag("--metrics-port-file", "<path>", METERED),
+    flag("--metrics-hold-ms", "<ms>", METERED),
+    flag("--profile", "", PROFILED),
+    flag("--profile-out", "<path>", PROFILED),
+];
+
+/// Flags that only make sense with another flag, and flags a
+/// subcommand cannot run without.
+const NEEDS: [(&str, &str); 2] = [
+    ("--profile-out", "--profile"),
+    ("--trace-window", "--chrome"),
+];
+const REQUIRED: [(Cmd, &str); 2] = [(Cmd::Worker, "--worker"), (Cmd::Worker, "--planes")];
+
+/// Everything the command line sets; each subcommand reads its part.
+#[derive(Default)]
+struct Cli {
+    cmd: Cmd,
+    /// The word that selected the subcommand, for messages.
+    name: &'static str,
+    /// The positional operand: a spec file, or a flight bundle.
+    operand: Option<String>,
+    example_spec: bool,
+    /// `--epoch`: overrides the spec's `epoch_ps`.
+    epoch: Option<u64>,
+    chrome: Option<String>,
+    window: Option<TraceWindow>,
+    prof: ProfileOptions,
+    metrics: MetricsOptions,
+    soak: SoakOptions,
+    worker: WorkerOptions,
+    collect: CollectOptions,
+}
+
+/// Parse a numeric flag value.
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("bad {flag} value {v}: {e}"))
+}
+
+impl Cli {
+    /// Store one flag's value (`v` is empty for a switch).
+    fn apply(&mut self, flag: &str, v: &str) -> Result<(), String> {
+        let text = Some(v.to_string());
+        match flag {
+            "--example-spec" => self.example_spec = true,
+            "--chrome" => self.chrome = text,
+            "--trace-window" => {
+                let w = TraceWindow::parse(v).map_err(|e| ConfigError::from(e).to_string())?;
+                self.window = Some(w);
+            }
+            "--epoch" => self.epoch = Some(number(flag, v)?),
+            "--worker" => self.worker.worker = number(flag, v)?,
+            "--planes" => self.worker.planes = parse_planes(v)?,
+            "--connect" => self.worker.connect = text,
+            "--out" => self.worker.out = text,
+            "--oracle" => self.collect.oracle = true,
+            "--from" => self.collect.from.push(v.to_string()),
+            "--listen" => self.collect.listen = text,
+            "--port-file" => self.collect.port_file = text,
+            "--timeout-ms" => self.collect.timeout_ms = Some(number(flag, v)?),
+            "--stage-cap" => match number(flag, v)? {
+                0 => return Err("--stage-cap must be positive".into()),
+                n => self.collect.stage_cap = Some(n),
+            },
+            "--inject-channel-fault" => self.soak.inject_channel_fault = Some(number(flag, v)?),
+            "--checkpoint-every" => self.soak.checkpoint_every = Some(number(flag, v)?),
+            "--checkpoint-path" => self.soak.checkpoint_path = text,
+            "--resume" => self.soak.resume = text,
+            "--flight-dir" => self.soak.flight_dir = text,
+            "--metrics" => self.metrics.addr = text,
+            "--metrics-port-file" => self.metrics.port_file = text,
+            "--metrics-hold-ms" => self.metrics.hold_ms = number(flag, v)?,
+            "--profile" => self.prof.profile = true,
+            "--profile-out" => self.prof.profile_out = text,
+            _ => return Err(format!("unknown flag {flag}")),
         }
+        Ok(())
+    }
+
+    /// The spec the operand names (the example spec when there is
+    /// none), with `--epoch` applied.
+    fn spec(&self) -> Result<SimSpec, String> {
+        let mut spec = match &self.operand {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                serde_json::from_str(&text).map_err(|e| format!("bad spec: {e}"))?
+            }
+            None => SimSpec::example(),
+        };
+        if self.epoch.is_some() {
+            spec.epoch_ps = self.epoch;
+        }
+        Ok(spec)
+    }
+}
+
+/// Parse the arguments after the program name against [`COMMANDS`] and
+/// [`FLAGS`]. Every usage error is an `Err`: an unknown flag, a flag of
+/// another subcommand, a missing value, operand or required flag, a
+/// flag without the one it needs, and a second operand.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let (cmd, word, operand) = COMMANDS[1..]
+        .iter()
+        .find(|c| args.first().is_some_and(|a| a == c.1))
+        .copied()
+        .unwrap_or(COMMANDS[0]);
+    let name = if word.is_empty() { "ripsim" } else { word };
+    let mut cli = Cli {
+        cmd,
+        name,
+        ..Cli::default()
     };
-    match serde_json::from_str(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ripsim: bad spec: {e}");
-            std::process::exit(2);
+    let mut seen = Vec::new();
+    let mut it = args[usize::from(!word.is_empty())..].iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            if operand.is_empty() || cli.operand.is_some() {
+                return Err(format!("unexpected argument {a}"));
+            }
+            cli.operand = Some(a.clone());
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name == a) else {
+            return Err(format!("unknown flag {a}"));
+        };
+        if !flag.cmds.contains(&cmd) {
+            return Err(format!("{a} does not apply to {name}"));
+        }
+        let value = match flag.value {
+            "" => "",
+            hint => it.next().ok_or_else(|| format!("{a} needs {hint}"))?,
+        };
+        cli.apply(a, value)?;
+        seen.push(flag.name);
+    }
+    for (flag, needs) in NEEDS {
+        if seen.contains(&flag) && !seen.contains(&needs) {
+            return Err(format!("{flag} needs {needs}"));
         }
     }
+    for (_, flag) in REQUIRED.iter().filter(|r| r.0 == cmd) {
+        if !seen.contains(flag) {
+            return Err(format!("{name} needs {flag}"));
+        }
+    }
+    if operand.starts_with('<') && cli.operand.is_none() && !cli.example_spec {
+        return Err(format!("{name} needs {operand}"));
+    }
+    Ok(cli)
 }
 
-/// Pull the value of `flag` off the argument iterator, exiting with a
-/// usage error when it is missing.
-fn require_value<'a>(rest: &mut std::slice::Iter<'a, String>, flag: &str, what: &str) -> &'a str {
-    match rest.next() {
-        Some(v) => v,
-        None => {
-            eprintln!("ripsim: {flag} needs {what}");
-            std::process::exit(2);
+/// The usage text: one line per subcommand with exactly the flags the
+/// table gives it.
+fn usage() -> String {
+    let mut text = String::from("usage:");
+    for (cmd, word, operand) in COMMANDS {
+        let mut line = vec!["ripsim".to_string(), word.into(), operand.into()];
+        for f in FLAGS.iter().filter(|f| f.cmds.contains(&cmd)) {
+            let body = format!("{} {}", f.name, f.value).trim_end().to_string();
+            if REQUIRED.contains(&(cmd, f.name)) {
+                line.push(body);
+            } else {
+                line.push(format!("[{body}]"));
+            }
         }
+        line.retain(|part| !part.is_empty());
+        text.push_str(&format!("\n  {}", line.join(" ")));
     }
+    text + "\n  ripsim --version"
+}
+
+/// Print `ripsim: <msg>` on stderr and exit with `code`.
+fn die(code: i32, msg: &str) -> ! {
+    eprintln!("ripsim: {msg}");
+    std::process::exit(code)
 }
 
 fn main() {
@@ -1713,348 +1797,171 @@ fn main() {
         println!("{}", version_line("ripsim"));
         return;
     }
-    if args.first().map(String::as_str) == Some("resilience") {
-        run_resilience();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("flight-check") {
-        let Some(path) = args.get(1) else {
-            eprintln!("ripsim: flight-check needs a bundle path");
-            std::process::exit(2);
-        };
-        match flight_check(path) {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => {
-                eprintln!("ripsim: flight-check FAILED: {e}");
-                std::process::exit(1);
-            }
+    let cli = parse_args(&args).unwrap_or_else(|e| die(2, &format!("{e}\n{}", usage())));
+    // A spec that does not load is a usage error, like a bad flag.
+    let spec = || cli.spec().unwrap_or_else(|e| die(2, &e));
+    let result = match cli.cmd {
+        Cmd::Run if cli.example_spec => {
+            let text = serde_json::to_string_pretty(&SimSpec::example()).expect("spec serializes");
+            println!("{text}");
+            Ok(())
         }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        let mut spec_path: Option<&str> = None;
-        let mut chrome: Option<&str> = None;
-        let mut window: Option<TraceWindow> = None;
-        let mut prof = ProfileOptions::default();
-        let mut rest = args[1..].iter();
-        while let Some(a) = rest.next() {
-            if a == "--profile" {
-                prof.profile = true;
-            } else if a == "--profile-out" {
-                prof.profile_out = Some(require_value(&mut rest, "--profile-out", "a path").into());
-            } else if a == "--chrome" {
-                chrome = Some(require_value(&mut rest, "--chrome", "an output path"));
-            } else if a == "--trace-window" {
-                let v = require_value(&mut rest, "--trace-window", "<start_ps>:<end_ps>");
-                match TraceWindow::parse(v) {
-                    Ok(w) => window = Some(w),
-                    Err(e) => {
-                        eprintln!("ripsim: {}", ConfigError::from(e));
-                        std::process::exit(2);
-                    }
-                }
-            } else if spec_path.is_none() {
-                spec_path = Some(a);
-            } else {
-                eprintln!("ripsim: unexpected argument {a}");
-                std::process::exit(2);
-            }
-        }
-        if window.is_some() && chrome.is_none() {
-            eprintln!("ripsim: --trace-window only applies to --chrome exports");
-            std::process::exit(2);
-        }
-        let spec = spec_path.map_or_else(SimSpec::example, load_spec);
-        let result = match chrome {
+        Cmd::Run => run(&spec()),
+        Cmd::Trace => match &cli.chrome {
             Some(path) => {
-                run_trace_chrome(&spec, path, window.unwrap_or_else(TraceWindow::all), &prof)
+                let window = cli.window.unwrap_or_else(TraceWindow::all);
+                run_trace_chrome(&spec(), path, window, &cli.prof)
             }
-            None => run_trace(&spec, &prof),
-        };
-        if let Err(e) = result {
-            eprintln!("ripsim: {e}");
-            std::process::exit(1);
+            None => run_trace(&spec(), &cli.prof),
+        },
+        Cmd::Soak => run_soak(&spec(), &cli),
+        Cmd::Worker => run_plane_worker(&spec(), &cli),
+        Cmd::Collect => run_collect(&spec(), &cli),
+        Cmd::FlightCheck => {
+            flight_check(cli.operand.as_deref().unwrap_or_default()).map(|s| println!("{s}"))
         }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("soak") {
-        let mut spec_path: Option<&str> = None;
-        let mut epoch: Option<u64> = None;
-        let mut opts = SoakOptions::default();
-        let mut rest = args[1..].iter();
-        while let Some(a) = rest.next() {
-            if a == "--epoch" {
-                let v = require_value(&mut rest, "--epoch", "a period in picoseconds");
-                match v.parse::<u64>() {
-                    Ok(ps) => epoch = Some(ps),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --epoch value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--metrics" {
-                opts.metrics = Some(require_value(&mut rest, "--metrics", "a bind address").into());
-            } else if a == "--metrics-port-file" {
-                opts.metrics_port_file =
-                    Some(require_value(&mut rest, "--metrics-port-file", "a path").into());
-            } else if a == "--metrics-hold-ms" {
-                let v = require_value(&mut rest, "--metrics-hold-ms", "milliseconds");
-                match v.parse::<u64>() {
-                    Ok(ms) => opts.metrics_hold_ms = ms,
-                    Err(e) => {
-                        eprintln!("ripsim: bad --metrics-hold-ms value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--inject-channel-fault" {
-                let v = require_value(&mut rest, "--inject-channel-fault", "a channel index");
-                match v.parse::<usize>() {
-                    Ok(ch) => opts.inject_channel_fault = Some(ch),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --inject-channel-fault value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--checkpoint-every" {
-                let v = require_value(&mut rest, "--checkpoint-every", "an epoch count");
-                match v.parse::<u64>() {
-                    Ok(n) => opts.checkpoint_every = Some(n),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --checkpoint-every value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--checkpoint-path" {
-                opts.checkpoint_path =
-                    Some(require_value(&mut rest, "--checkpoint-path", "a path").into());
-            } else if a == "--resume" {
-                opts.resume = Some(require_value(&mut rest, "--resume", "a snapshot path").into());
-            } else if a == "--profile" {
-                opts.prof.profile = true;
-            } else if a == "--profile-out" {
-                opts.prof.profile_out =
-                    Some(require_value(&mut rest, "--profile-out", "a path").into());
-            } else if a == "--flight-dir" {
-                opts.flight_dir =
-                    Some(require_value(&mut rest, "--flight-dir", "a directory").into());
-            } else if spec_path.is_none() {
-                spec_path = Some(a);
-            } else {
-                eprintln!("ripsim: unexpected argument {a}");
-                std::process::exit(2);
-            }
-        }
-        let mut spec = spec_path.map_or_else(SimSpec::example, load_spec);
-        if epoch.is_some() {
-            spec.epoch_ps = epoch;
-        }
-        if let Err(e) = run_soak(&spec, &opts) {
-            eprintln!("ripsim: soak FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("plane-worker") {
-        let mut spec_path: Option<&str> = None;
-        let mut epoch: Option<u64> = None;
-        let mut worker: Option<u64> = None;
-        let mut planes: Option<Vec<usize>> = None;
-        let mut wopts = WorkerOptions {
-            worker: 0,
-            planes: Vec::new(),
-            connect: None,
-            out: None,
-            prof: ProfileOptions::default(),
-        };
-        let mut rest = args[1..].iter();
-        while let Some(a) = rest.next() {
-            if a == "--worker" {
-                let v = require_value(&mut rest, "--worker", "a worker id");
-                match v.parse::<u64>() {
-                    Ok(w) => worker = Some(w),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --worker value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--planes" {
-                let v = require_value(&mut rest, "--planes", "a comma-separated plane list");
-                match parse_planes(v) {
-                    Ok(p) => planes = Some(p),
-                    Err(e) => {
-                        eprintln!("ripsim: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--epoch" {
-                let v = require_value(&mut rest, "--epoch", "a period in picoseconds");
-                match v.parse::<u64>() {
-                    Ok(ps) => epoch = Some(ps),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --epoch value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--connect" {
-                wopts.connect = Some(require_value(&mut rest, "--connect", "an address").into());
-            } else if a == "--out" {
-                wopts.out = Some(require_value(&mut rest, "--out", "a path").into());
-            } else if a == "--profile" {
-                wopts.prof.profile = true;
-            } else if a == "--profile-out" {
-                wopts.prof.profile_out =
-                    Some(require_value(&mut rest, "--profile-out", "a path").into());
-            } else if spec_path.is_none() {
-                spec_path = Some(a);
-            } else {
-                eprintln!("ripsim: unexpected argument {a}");
-                std::process::exit(2);
-            }
-        }
-        let Some(path) = spec_path else {
-            eprintln!("ripsim: plane-worker needs a spec file");
-            std::process::exit(2);
-        };
-        let (Some(worker), Some(planes)) = (worker, planes) else {
-            eprintln!("ripsim: plane-worker needs --worker and --planes");
-            std::process::exit(2);
-        };
-        wopts.worker = worker;
-        wopts.planes = planes;
-        let mut spec = load_spec(path);
-        if epoch.is_some() {
-            spec.epoch_ps = epoch;
-        }
-        if let Err(e) = run_plane_worker(&spec, &wopts) {
-            eprintln!("ripsim: plane-worker FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("collect") {
-        let mut spec_path: Option<&str> = None;
-        let mut epoch: Option<u64> = None;
-        let mut copts = CollectOptions {
-            timeout_ms: 30_000,
-            ..CollectOptions::default()
-        };
-        let mut rest = args[1..].iter();
-        while let Some(a) = rest.next() {
-            if a == "--oracle" {
-                copts.oracle = true;
-            } else if a == "--from" {
-                copts
-                    .from
-                    .push(require_value(&mut rest, "--from", "a stream file").into());
-            } else if a == "--listen" {
-                copts.listen = Some(require_value(&mut rest, "--listen", "a bind address").into());
-            } else if a == "--port-file" {
-                copts.port_file = Some(require_value(&mut rest, "--port-file", "a path").into());
-            } else if a == "--timeout-ms" {
-                let v = require_value(&mut rest, "--timeout-ms", "milliseconds");
-                match v.parse::<u64>() {
-                    Ok(ms) => copts.timeout_ms = ms,
-                    Err(e) => {
-                        eprintln!("ripsim: bad --timeout-ms value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--epoch" {
-                let v = require_value(&mut rest, "--epoch", "a period in picoseconds");
-                match v.parse::<u64>() {
-                    Ok(ps) => epoch = Some(ps),
-                    Err(e) => {
-                        eprintln!("ripsim: bad --epoch value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--metrics" {
-                copts.metrics =
-                    Some(require_value(&mut rest, "--metrics", "a bind address").into());
-            } else if a == "--metrics-port-file" {
-                copts.metrics_port_file =
-                    Some(require_value(&mut rest, "--metrics-port-file", "a path").into());
-            } else if a == "--metrics-hold-ms" {
-                let v = require_value(&mut rest, "--metrics-hold-ms", "milliseconds");
-                match v.parse::<u64>() {
-                    Ok(ms) => copts.metrics_hold_ms = ms,
-                    Err(e) => {
-                        eprintln!("ripsim: bad --metrics-hold-ms value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if a == "--profile" {
-                copts.prof.profile = true;
-            } else if a == "--profile-out" {
-                copts.prof.profile_out =
-                    Some(require_value(&mut rest, "--profile-out", "a path").into());
-            } else if a == "--stage-cap" {
-                let v = require_value(&mut rest, "--stage-cap", "a record count");
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => copts.stage_cap = Some(n),
-                    Ok(_) => {
-                        eprintln!("ripsim: --stage-cap must be positive");
-                        std::process::exit(2);
-                    }
-                    Err(e) => {
-                        eprintln!("ripsim: bad --stage-cap value {v}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            } else if spec_path.is_none() {
-                spec_path = Some(a);
-            } else {
-                eprintln!("ripsim: unexpected argument {a}");
-                std::process::exit(2);
-            }
-        }
-        let Some(path) = spec_path else {
-            eprintln!("ripsim: collect needs a spec file");
-            std::process::exit(2);
-        };
-        let mut spec = load_spec(path);
-        if epoch.is_some() {
-            spec.epoch_ps = epoch;
-        }
-        if let Err(e) = run_collect(&spec, &copts) {
-            eprintln!("ripsim: collect FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--example-spec") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&SimSpec::example()).expect("spec serializes")
-        );
-        return;
-    }
-    let Some(path) = args.first() else {
-        eprintln!(
-            "usage: ripsim <spec.json> | \
-             ripsim trace [spec.json] [--chrome <out.json>] \
-             [--trace-window <a>:<b>] [--profile [--profile-out <path>]] | \
-             ripsim soak [spec.json] [--epoch <ps>] [--metrics <addr>] \
-             [--metrics-port-file <path>] [--metrics-hold-ms <ms>] \
-             [--inject-channel-fault <ch>] [--checkpoint-every <epochs>] \
-             [--checkpoint-path <path>] [--resume <path>] \
-             [--profile [--profile-out <path>]] [--flight-dir <dir>] | \
-             ripsim plane-worker <spec.json> --worker <id> --planes <i,j,..> \
-             [--epoch <ps>] (--connect <addr> | --out <path>) \
-             [--profile [--profile-out <path>]] | \
-             ripsim collect <spec.json> [--epoch <ps>] (--oracle | --from <file>... | \
-             --listen <addr> [--port-file <path>] [--timeout-ms <ms>]) \
-             [--metrics <addr>] [--metrics-port-file <path>] \
-             [--metrics-hold-ms <ms>] [--stage-cap <n>] \
-             [--profile [--profile-out <path>]] | \
-             ripsim flight-check <bundle.json> | \
-             ripsim --example-spec | ripsim --version | ripsim resilience"
-        );
-        std::process::exit(2);
+        Cmd::Resilience => run_resilience(),
     };
-    let spec = load_spec(path);
-    if let Err(e) = run(&spec) {
-        eprintln!("ripsim: {e}");
-        std::process::exit(1);
+    match result {
+        Err(e) if matches!(cli.cmd, Cmd::Run | Cmd::Trace) => die(1, &e),
+        Err(e) => die(1, &format!("{} FAILED: {e}", cli.name)),
+        Ok(()) => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn each_subcommand_accepts_exactly_its_old_flags() {
+        // Each subcommand's flags, written out so that a table edit
+        // which adds a flag to a subcommand or drops one fails here.
+        let profile = "--profile --profile-out";
+        let metrics = "--metrics --metrics-port-file --metrics-hold-ms";
+        let expected = [
+            (Cmd::Run, "--example-spec".to_string()),
+            (Cmd::Trace, format!("--chrome --trace-window {profile}")),
+            (
+                Cmd::Soak,
+                format!(
+                    "--epoch --inject-channel-fault --checkpoint-every --checkpoint-path \
+                     --resume --flight-dir {profile} {metrics}"
+                ),
+            ),
+            (
+                Cmd::Worker,
+                format!("--worker --planes --epoch --connect --out {profile}"),
+            ),
+            (
+                Cmd::Collect,
+                format!(
+                    "--oracle --from --listen --port-file --timeout-ms --epoch --stage-cap \
+                     {profile} {metrics}"
+                ),
+            ),
+            (Cmd::FlightCheck, String::new()),
+            (Cmd::Resilience, String::new()),
+        ];
+        for (cmd, flags) in expected {
+            let mut want: Vec<&str> = flags.split_whitespace().collect();
+            let mut got: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.cmds.contains(&cmd))
+                .map(|f| f.name)
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{cmd:?}");
+        }
+    }
+
+    #[test]
+    fn every_table_flag_applies() {
+        for f in FLAGS {
+            let v = match (f.name, f.value) {
+                ("--trace-window", _) => "0:1000",
+                (_, "") => "",
+                _ => "1",
+            };
+            assert_eq!(Cli::default().apply(f.name, v), Ok(()), "{}", f.name);
+        }
+    }
+
+    #[test]
+    fn usage_errors_are_errs() {
+        for (line, why) in [
+            ("trace --metrics x", "--metrics does not apply to trace"),
+            ("soak --chrome x", "--chrome does not apply to soak"),
+            ("s.json --profile", "--profile does not apply to ripsim"),
+            (
+                "resilience --epoch 5",
+                "--epoch does not apply to resilience",
+            ),
+            ("soak --no-such-flag", "unknown flag --no-such-flag"),
+            ("soak --epoch", "--epoch needs <ps>"),
+            ("collect s.json --from", "--from needs <file>"),
+            (
+                "soak --epoch x",
+                "bad --epoch value x: invalid digit found in string",
+            ),
+            (
+                "collect s.json --stage-cap 0",
+                "--stage-cap must be positive",
+            ),
+            ("soak --profile-out p", "--profile-out needs --profile"),
+            ("trace --trace-window 0:9", "--trace-window needs --chrome"),
+            ("s.json extra", "unexpected argument extra"),
+            ("trace a.json b.json", "unexpected argument b.json"),
+            ("flight-check a b", "unexpected argument b"),
+            ("resilience extra", "unexpected argument extra"),
+            ("", "ripsim needs <spec.json>"),
+            ("collect --oracle", "collect needs <spec.json>"),
+            (
+                "plane-worker s.json --planes 0",
+                "plane-worker needs --worker",
+            ),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(why), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn flags_land_in_their_options() {
+        let cli = parse("plane-worker s.json --worker 3 --planes 1,2 --epoch 7").unwrap();
+        assert_eq!(
+            (cli.cmd, cli.operand.as_deref()),
+            (Cmd::Worker, Some("s.json"))
+        );
+        assert_eq!(
+            (cli.worker.worker, &cli.worker.planes[..]),
+            (3, &[1, 2][..])
+        );
+        assert_eq!(cli.epoch, Some(7));
+        let cli = parse("collect s.json --from a --from b --profile --profile-out p").unwrap();
+        assert_eq!(cli.collect.from, ["a", "b"]);
+        assert_eq!(cli.prof.profile_out.as_deref(), Some("p"));
+        assert!(parse("--example-spec").unwrap().example_spec);
+        assert!(parse("trace --chrome t.json --trace-window 0:10").is_ok());
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_table_flags() {
+        let text = usage();
+        let mut listed: Vec<&str> = text
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        listed.sort_unstable();
+        listed.dedup();
+        let mut table: Vec<&str> = FLAGS.iter().map(|f| f.name).collect();
+        table.push("--version");
+        table.sort_unstable();
+        assert_eq!(listed, table);
     }
 }

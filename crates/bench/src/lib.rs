@@ -130,6 +130,30 @@ pub fn uniform_source(
     )
 }
 
+/// Which half of the streaming soak's acceptance check failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SoakFailure {
+    /// The 4x-horizon run offered fewer than 3x the packets.
+    OfferedDidNotScale,
+    /// Peak in-flight packets grew past 2x + 64.
+    PeakGrew,
+}
+
+/// The streaming soak's acceptance check between a run at the arrival
+/// horizon and one at 4x it, each given as `[1x, 4x]`: offered packets
+/// scale at least 3x (a Poisson noise margin under the 4x) while the
+/// engine's peak in-flight packet count stays flat — within 2x plus 64
+/// packets, nowhere near the 4x a materialized trace pays.
+pub fn soak_scales(offered: [u64; 2], peak_in_flight: [u64; 2]) -> Result<(), SoakFailure> {
+    if offered[1] < 3 * offered[0] {
+        return Err(SoakFailure::OfferedDidNotScale);
+    }
+    if peak_in_flight[1] > 2 * peak_in_flight[0] + 64 {
+        return Err(SoakFailure::PeakGrew);
+    }
+    Ok(())
+}
+
 /// A fixed-width text table writer for the repro binary's output.
 pub struct Table {
     headers: Vec<String>,
@@ -213,6 +237,17 @@ mod tests {
         let batch = uniform_trace(&cfg, 0.5, h, 1);
         let streamed: Vec<Packet> = uniform_source(&cfg, 0.5, h, 1).packets().collect();
         assert_eq!(batch, streamed);
+    }
+
+    #[test]
+    fn soak_scaling_bounds_are_inclusive() {
+        assert_eq!(soak_scales([100, 300], [50, 164]), Ok(()));
+        let short = soak_scales([100, 299], [50, 50]);
+        assert_eq!(short, Err(SoakFailure::OfferedDidNotScale));
+        assert_eq!(
+            soak_scales([100, 400], [50, 165]),
+            Err(SoakFailure::PeakGrew)
+        );
     }
 
     #[test]

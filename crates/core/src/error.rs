@@ -79,7 +79,9 @@ pub enum ConfigError {
         reason: String,
     },
     /// The fault plan handed to [`crate::SpsRouter::run_planes`] failed
-    /// [`crate::FaultPlan::validate`] for the router's configuration.
+    /// [`crate::FaultPlan::validate`] for the router's configuration,
+    /// or the one handed to [`crate::HbmSwitch::run_with_faults`] failed
+    /// [`crate::FaultPlan::validate_switch`] for the switch's.
     FaultPlan(FaultPlanError),
 }
 

@@ -1424,32 +1424,36 @@ impl HbmSwitch {
     /// report takes ownership of the delay histogram and departure log
     /// instead of cloning them. Use [`HbmSwitch::run_source`] to keep
     /// the switch alive for post-run inspection.
-    pub fn run(self, trace: &[Packet], horizon: SimTime) -> SwitchReport {
-        self.run_with_faults(trace, horizon, &FaultPlan::default())
+    pub fn run(mut self, trace: &[Packet], horizon: SimTime) -> SwitchReport {
+        self.run_source(ReplaySource::new(trace), horizon, &FaultPlan::default());
+        self.into_report()
     }
 
     /// Run a trace while applying `plan` mid-flight: channels fail and
     /// recover, banks stick, refresh storms rage — and the report's
     /// degraded-mode fields account for it. Channel indices in the plan
-    /// are switch-local (`0..T`); photonic events are ignored here (the
-    /// SPS layer applies them at the front end). An empty plan is
+    /// are switch-local (`0..T`); wavelength events are ignored here
+    /// (the SPS layer applies them at the front end). An empty plan is
     /// byte-identical to [`HbmSwitch::run`].
+    ///
+    /// The plan is checked first with [`FaultPlan::validate_switch`]; a
+    /// plan this switch cannot run (a channel outside `0..T`, or faults
+    /// that leave the PFI engine unable to place frames) is
+    /// [`ConfigError::FaultPlan`] and nothing runs.
     ///
     /// Internally this replays the trace through the streaming engine
     /// ([`HbmSwitch::run_source`]); same-seed results are byte-identical
     /// to the materialized batch engine ([`HbmSwitch::run_preloaded`]).
-    ///
-    /// # Panics
-    /// Panics if the plan degrades the device past what the PFI engine
-    /// can redistribute (see `PfiController::check_degraded`).
     pub fn run_with_faults(
         mut self,
         trace: &[Packet],
         horizon: SimTime,
         plan: &FaultPlan,
-    ) -> SwitchReport {
+    ) -> Result<SwitchReport, ConfigError> {
+        plan.validate_switch(&self.cfg)
+            .map_err(ConfigError::FaultPlan)?;
         self.run_source(ReplaySource::new(trace), horizon, plan);
-        self.into_report()
+        Ok(self.into_report())
     }
 
     /// The materialized-trace reference engine: pre-schedules every

@@ -257,6 +257,19 @@ impl FaultPlan {
         self.check_servable(cfg)
     }
 
+    /// Check a plan for one [`crate::HbmSwitch`] run on its own, the
+    /// way [`crate::HbmSwitch::run_with_faults`] and `ripsim soak` run
+    /// it: the same checks as [`FaultPlan::validate`], but with channel
+    /// indices switch-local (`0..T`) and the switch as the router's
+    /// only plane — so a plane-down event leaves nothing to carry
+    /// traffic.
+    pub fn validate_switch(&self, cfg: &RouterConfig) -> Result<(), FaultPlanError> {
+        self.validate(&RouterConfig {
+            switches: 1,
+            ..cfg.clone()
+        })
+    }
+
     /// Replay each switch plane's channel/bank faults in event order on
     /// a healthy copy of its HBM group, and check after every
     /// transition that the PFI engine can still place every frame
@@ -339,11 +352,12 @@ impl FaultPlan {
 /// Why a [`FaultPlan`] was rejected for a configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlanError {
-    /// A channel index exceeds the router's `H·T` channels.
+    /// A channel index exceeds the plan's channel range: the router's
+    /// `H·T`, or one switch's `T` for [`FaultPlan::validate_switch`].
     ChannelOutOfRange {
         /// Offending index.
         channel: usize,
-        /// Router-wide channel count.
+        /// Channels the plan may name.
         channels: usize,
     },
     /// A bank index exceeds the banks per channel.
@@ -411,7 +425,7 @@ impl fmt::Display for FaultPlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FaultPlanError::ChannelOutOfRange { channel, channels } => {
-                write!(f, "channel {channel} out of range (router has {channels})")
+                write!(f, "channel {channel} out of range ({channels} channels)")
             }
             FaultPlanError::BankOutOfRange {
                 channel,

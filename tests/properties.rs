@@ -268,7 +268,9 @@ proptest! {
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let trace = trace_for(&cfg, &tm, load, horizon, seed);
         let sw = HbmSwitch::new(cfg).unwrap();
-        let r = sw.run_with_faults(&trace, SimTime::from_ns(600_000), &plan);
+        let r = sw
+            .run_with_faults(&trace, SimTime::from_ns(600_000), &plan)
+            .expect("strategy only builds valid plans");
         prop_assert_eq!(
             r.delivered_packets + r.dropped_packets_fault + r.dropped_packets_congestion,
             trace.len() as u64,
@@ -290,8 +292,10 @@ proptest! {
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let trace = trace_for(&cfg, &tm, load, horizon, seed);
         let plain = HbmSwitch::new(cfg.clone()).unwrap().run(&trace, drain);
-        let faulted =
-            HbmSwitch::new(cfg).unwrap().run_with_faults(&trace, drain, &FaultPlan::new());
+        let faulted = HbmSwitch::new(cfg)
+            .unwrap()
+            .run_with_faults(&trace, drain, &FaultPlan::new())
+            .expect("an empty plan is valid");
         prop_assert_eq!(plain.delivered_packets, faulted.delivered_packets);
         prop_assert_eq!(&plain.departures, &faulted.departures);
         prop_assert_eq!(faulted.time_degraded, rip_units::TimeDelta::ZERO);
@@ -314,7 +318,9 @@ proptest! {
         let sizes: std::collections::HashMap<u64, u64> =
             trace.iter().map(|p| (p.id, p.size.bits())).collect();
         let sw = HbmSwitch::new(cfg).unwrap();
-        let r = sw.run_with_faults(&trace, SimTime::from_ns(16 * t), &plan);
+        let r = sw
+            .run_with_faults(&trace, SimTime::from_ns(16 * t), &plan)
+            .expect("plan valid for one switch");
         let window = |i: u64| -> u64 {
             r.departures
                 .iter()

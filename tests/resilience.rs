@@ -12,7 +12,9 @@
 
 use std::collections::HashMap;
 
-use rip_core::{FaultKind, FaultPlan, FaultPlanError, HbmSwitch, RouterConfig, SwitchReport};
+use rip_core::{
+    ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch, RouterConfig, SwitchReport,
+};
 use rip_hbm::PfiConfigError;
 use rip_sim::rng::derive_seed;
 use rip_traffic::{
@@ -81,7 +83,9 @@ fn degraded_rate_tracks_surviving_channels_and_recovers() {
     let sizes: HashMap<u64, DataSize> = trace.iter().map(|p| (p.id, p.size)).collect();
 
     let sw = HbmSwitch::new(cfg).expect("valid config");
-    let r = sw.run_with_faults(&trace, drain, &plan);
+    let r = sw
+        .run_with_faults(&trace, drain, &plan)
+        .expect("plan valid for one switch");
 
     let w = |i: u64| {
         window_bits(
@@ -139,7 +143,9 @@ fn no_fault_loss_below_degraded_capacity() {
     let trace = uniform_trace(&cfg, 0.5, horizon, 42);
 
     let sw = HbmSwitch::new(cfg).expect("valid config");
-    let r = sw.run_with_faults(&trace, drain, &plan);
+    let r = sw
+        .run_with_faults(&trace, drain, &plan)
+        .expect("plan valid for one switch");
 
     assert_eq!(r.dropped_packets_fault, 0, "fault-attributed drops");
     assert_eq!(r.dropped_packets_congestion, 0, "congestion drops");
@@ -198,4 +204,47 @@ fn unservable_channel_fault_is_a_typed_plan_error() {
     sequential
         .validate(&wide)
         .expect("one dead channel at a time is servable");
+}
+
+#[test]
+fn one_switch_run_checks_its_plan_against_switch_local_channels() {
+    // Router-wide, channel T names plane 1's first channel and the plan
+    // is valid. One switch has only channels 0..T, so running the same
+    // plan on it is a typed error before anything runs — not an index
+    // panic inside the HBM group.
+    let cfg = RouterConfig::resilience_small();
+    let t = cfg.channels();
+    let at = SimTime::from_ns(T * 1000);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: t });
+    plan.validate(&cfg)
+        .expect("router-wide, channel T is on plane 1");
+    let local = FaultPlanError::ChannelOutOfRange {
+        channel: t,
+        channels: t,
+    };
+    assert_eq!(plan.validate_switch(&cfg), Err(local.clone()));
+
+    let trace = uniform_trace(&cfg, 0.5, SimTime::from_ns(2 * T * 1000), 42);
+    let sw = HbmSwitch::new(cfg.clone()).expect("valid config");
+    let err = sw
+        .run_with_faults(&trace, SimTime::from_ns(8 * T * 1000), &plan)
+        .expect_err("channel T is outside one switch");
+    assert_eq!(err, ConfigError::FaultPlan(local));
+    assert!(
+        err.to_string().contains("out of range"),
+        "untyped message: {err}"
+    );
+
+    // An unservable plan is the same typed error on the one-switch path.
+    let mut one_stripe = RouterConfig::small();
+    one_stripe.stripe_channels = Some(1);
+    let dead = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let sw = HbmSwitch::new(one_stripe).expect("valid config");
+    assert!(matches!(
+        sw.run_with_faults(&trace, SimTime::from_ns(8 * T * 1000), &dead),
+        Err(ConfigError::FaultPlan(FaultPlanError::Unservable {
+            switch: 0,
+            ..
+        }))
+    ));
 }
