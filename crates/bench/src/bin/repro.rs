@@ -748,8 +748,8 @@ fn e14(o: &Opts) {
             let trace = uniform_trace(&cfg, load, horizon, 0xE14);
             let sw = HbmSwitch::new(cfg).unwrap();
             let r = sw.run(&trace, drain);
-            let mean = r.delays_ns.mean().unwrap_or(f64::NAN) / 1000.0;
-            let p99 = r.delays_ns.quantile(0.99).unwrap_or(f64::NAN) / 1000.0;
+            let mean = r.delays_ns().mean().unwrap_or(f64::NAN) / 1000.0;
+            let p99 = r.delays_ns().quantile(0.99).unwrap_or(f64::NAN) / 1000.0;
             t.row(&[
                 f(load, 2),
                 if pb { "on" } else { "off" }.into(),
@@ -1006,8 +1006,7 @@ fn e20(o: &Opts) {
     let sw = HbmSwitch::new(cfg.clone()).unwrap();
     let r = sw.run(&trace, SimTime::from_ps(horizon.as_ps() * 4));
     let mean = r
-        .delays_ns
-        .clone()
+        .delays_ns()
         .mean()
         .map(|ns| format!("{:.3} us", ns / 1000.0))
         .unwrap_or_default();
@@ -1222,7 +1221,7 @@ fn run_bench(quick: bool, live: bool) {
     // Merge per-plane delay histograms in plane order (deterministic).
     let mut delays = rip_sim::stats::Histogram::new();
     for s in &r.switches {
-        delays.merge_from(&s.report.delays_ns);
+        delays.merge_from(&s.report.delays_ns());
     }
     let span_ps: u64 = r
         .switches

@@ -151,8 +151,8 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         "delay mean / p99".into(),
         format!(
             "{:.2} us / {:.2} us",
-            r.delays_ns.mean().unwrap_or(f64::NAN) / 1e3,
-            r.delays_ns.quantile(0.99).unwrap_or(f64::NAN) / 1e3
+            r.delays_ns().mean().unwrap_or(f64::NAN) / 1e3,
+            r.delays_ns().quantile(0.99).unwrap_or(f64::NAN) / 1e3
         ),
     ]);
     t.row(&[
@@ -1221,7 +1221,11 @@ fn run_trace(spec: &SimSpec, prof: &ProfileOptions) -> Result<(), String> {
         .events()
         .copied()
         .collect();
-    let hbm_points: Vec<(SimTime, f64)> = sw.hbm_occupancy().points().to_vec();
+    let hbm_points: Vec<(SimTime, f64)> = sw
+        .hbm_occupancy()
+        .expect("tracing enabled")
+        .points()
+        .to_vec();
     let output_points: Vec<Vec<(SimTime, f64)>> = (0..spec.router.ribbons)
         .map(|o| sw.output_depth(o).points().to_vec())
         .collect();

@@ -15,9 +15,10 @@
 //! 2. for each owned plane, ascending: the plane's telemetry lines
 //!    exactly as [`rip_telemetry::JsonlSink`] emits them (sources
 //!    already renamed `planeNN`), then
-//!    `{"record":"plane_done","plane":N,"fe_packets":..,"fe_bytes":..,
-//!    "report":<SwitchReport>}` carrying the results the single-process
-//!    runner would have gotten from the plane's thread join;
+//!    `{"record":"plane_done",` followed by the fields of the plane's
+//!    [`rip_core::PlaneResult`] (`"plane":N,"fe_packets":..,
+//!    "fe_bytes":..,"report":<SwitchReport>}`) — the result the
+//!    single-process runner gets from the plane's thread join;
 //! 3. when the worker profiled itself, its recent wall-clock profile
 //!    records as `{"record":"profile","data":<ProfileRecord>}` control
 //!    lines — a bounded best-effort sidecar the collector routes into
@@ -49,14 +50,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 
-use rip_core::SwitchReport;
-use rip_core::{ConfigError, FaultPlan, LiveOptions, SpsReport, SpsRouter, SpsWorkload};
+use rip_core::{
+    ConfigError, FaultPlan, LiveOptions, PlaneResult, SpsReport, SpsRouter, SpsWorkload,
+};
 use rip_telemetry::{
     parse_plane_source, parse_sink_line, plane_source_name, prof_add, prof_lap, prof_now,
     EngineProfiler, FrameError, JsonlSink, LengthFramedReader, LengthFramedWriter, LineError,
     ParsedLine, Phase, PlaneMerge, ProfileHub, ProfileRecord, SinkRecord, TelemetrySink,
 };
-use rip_units::{DataSize, SimTime};
+use rip_units::SimTime;
 use serde::{Deserialize, Serialize, Value};
 
 /// The wire schema tag every `fleet_hello` must carry.
@@ -173,16 +175,6 @@ impl From<LineError> for CollectError {
     }
 }
 
-/// Per-plane results carried by a `plane_done` line — exactly what the
-/// single-process runner gets from the plane's thread join.
-#[derive(Debug, Clone, Deserialize)]
-struct PlaneDoneMsg {
-    plane: u64,
-    fe_packets: u64,
-    fe_bytes: DataSize,
-    report: SwitchReport,
-}
-
 /// Run `planes` of the job and push the framed fleet stream into
 /// `out`. Returns the writer (flushed) so a caller can keep the
 /// underlying connection. This is the whole worker: everything else is
@@ -210,27 +202,23 @@ pub fn push_worker_stream<W: Write>(
     // (megabytes on a big plane) is written into it once and handed to
     // the framer in one write, never through intermediate strings.
     let mut line = String::new();
-    for run in runs {
+    for (result, staged) in runs {
         {
             // The sink writes the plane's lines through the framer —
             // byte-for-byte the lines the oracle's merged stream holds
             // for this plane (except `run_end.records`, recomputed by
             // the collector's sink).
             let mut sink = JsonlSink::new(&mut framed);
-            run.staged
-                .replay_renamed(&plane_source_name(run.plane), &mut sink);
+            staged.replay_renamed(&plane_source_name(result.plane), &mut sink);
         }
-        // The fields of a `PlaneDoneMsg`, after the record kind.
+        // The record kind, then the result's own fields: its opening
+        // brace is dropped.
         line.clear();
-        line.push_str("{\"record\":\"plane_done\",\"plane\":");
-        run.plane.write_json(&mut line);
-        line.push_str(",\"fe_packets\":");
-        run.fe_dropped_packets.write_json(&mut line);
-        line.push_str(",\"fe_bytes\":");
-        run.fe_dropped.write_json(&mut line);
-        line.push_str(",\"report\":");
-        run.report.write_json(&mut line);
-        line.push_str("}\n");
+        line.push_str("{\"record\":\"plane_done\",");
+        let fields = line.len();
+        result.write_json(&mut line);
+        line.remove(fields);
+        line.push('\n');
         framed.write_all(line.as_bytes())?;
     }
     // Wall-clock sidecar: when the router carries a profile hub (the
@@ -249,15 +237,6 @@ pub fn push_worker_stream<W: Write>(
     writeln!(framed, "{{\"record\":\"fleet_end\",\"worker\":{worker}}}")?;
     framed.flush()?;
     Ok(framed.into_inner())
-}
-
-/// One committed plane: its telemetry records and join results.
-#[derive(Debug, Clone)]
-struct PlaneContribution {
-    worker: u64,
-    fe_packets: u64,
-    fe_bytes: DataSize,
-    report: SwitchReport,
 }
 
 /// The merged outcome of a completed collection.
@@ -282,7 +261,8 @@ pub struct Collector {
     switches: usize,
     capacity: Option<usize>,
     merge: PlaneMerge,
-    committed: BTreeMap<usize, PlaneContribution>,
+    /// Each committed plane's result and the worker that delivered it.
+    committed: BTreeMap<usize, (u64, PlaneResult)>,
     workers: BTreeSet<u64>,
     prof: Option<EngineProfiler>,
 }
@@ -411,7 +391,7 @@ impl Collector {
         }
         // --- telemetry + plane_done until fleet_end ---------------------
         let mut staged: BTreeMap<usize, Vec<SinkRecord>> = BTreeMap::new();
-        let mut done: BTreeMap<usize, PlaneDoneMsg> = BTreeMap::new();
+        let mut done: BTreeMap<usize, PlaneResult> = BTreeMap::new();
         loop {
             let mut t0 = prof_now(&self.prof);
             // Once the hello has identified the worker, both ways its
@@ -452,16 +432,16 @@ impl Collector {
                     prof_add(&mut self.prof, Phase::Staging, t0);
                 }
                 ParsedLine::Control { kind, value } if kind == "plane_done" => {
-                    let msg = PlaneDoneMsg::from_value(&value).map_err(|e| {
+                    let result = PlaneResult::from_value(&value).map_err(|e| {
                         CollectError::Protocol(format!("plane_done does not decode: {e}"))
                     })?;
-                    let plane = msg.plane as usize;
+                    let plane = result.plane;
                     if !owned.contains(&plane) {
                         return Err(CollectError::Protocol(format!(
                             "worker {worker} finished plane {plane}, outside its declared set"
                         )));
                     }
-                    done.insert(plane, msg);
+                    done.insert(plane, result);
                 }
                 ParsedLine::Control { kind, .. } if kind == "fleet_end" => break,
                 ParsedLine::Control { kind, value } if kind == "profile" => {
@@ -494,8 +474,8 @@ impl Collector {
                     "worker {worker} sent fleet_end without plane_done for plane {plane}"
                 )));
             }
-            if let Some(prev) = self.committed.get(&plane) {
-                if prev.worker != worker {
+            if let Some(&(owner, _)) = self.committed.get(&plane) {
+                if owner != worker {
                     return Err(CollectError::PlaneConflict { plane, worker });
                 }
                 // Same worker re-pushing (reconnect after a partial
@@ -504,19 +484,11 @@ impl Collector {
                 self.merge.clear_plane(plane);
             }
         }
-        for (plane, msg) in done {
+        for (plane, result) in done {
             for rec in staged.remove(&plane).unwrap_or_default() {
                 self.merge.push(plane, rec);
             }
-            self.committed.insert(
-                plane,
-                PlaneContribution {
-                    worker,
-                    fe_packets: msg.fe_packets,
-                    fe_bytes: msg.fe_bytes,
-                    report: msg.report,
-                },
-            );
+            self.committed.insert(plane, (worker, result));
         }
         self.workers.insert(worker);
         prof_add(&mut self.prof, Phase::Staging, tc);
@@ -548,11 +520,7 @@ impl Collector {
         let dropped_records = self.merge.dropped_records();
         let t0 = prof_now(&prof);
         self.merge.replay_into(sink);
-        let results = self
-            .committed
-            .into_values()
-            .map(|c| (c.report, c.fe_packets, c.fe_bytes))
-            .collect();
+        let results = self.committed.into_values().map(|(_, r)| r).collect();
         let report = router.stitch_report(results, horizon);
         sink.on_run_end("sps", router.drain_deadline(horizon), &report.metrics);
         prof_add(&mut prof, Phase::MergeReplay, t0);

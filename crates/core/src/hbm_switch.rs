@@ -2,7 +2,9 @@
 //! input ports, cyclical crossbars, tail SRAM, the PFI-driven HBM group,
 //! head SRAM and output ports.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
@@ -69,15 +71,23 @@ const LIVE_SOURCE: &str = "switch";
 /// never perturbs the simulation itself — two same-seed runs stream
 /// byte-identical records, and the silent path is untouched.
 struct LiveTelemetry {
+    state: LiveState,
+    sink: Box<dyn TelemetrySink + Send>,
+}
+
+/// The checkpointed part of [`LiveTelemetry`]: everything but the sink
+/// (a resuming run supplies its own; the record counters carry over so
+/// the merged stream is byte-identical).
+#[derive(Clone, Serialize, Deserialize)]
+struct LiveState {
     clock: EpochClock,
     /// Registry state at the last flushed boundary.
     prev: Snapshot,
-    sink: Box<dyn TelemetrySink + Send>,
     /// Lifecycle sampling: packets whose flow hash satisfies
     /// `fnv1a(flow) % sample_one_in == 0` get span events (0 = off).
     sample_one_in: u64,
     /// Ids of sampled packets currently inside the switch.
-    sampled: PacketIdSet,
+    sampled: IdSet<BuildHasherDefault<PacketIdHasher>>,
     epochs_emitted: u64,
     spans_emitted: u64,
     /// `run_source` finished and the terminal records were emitted.
@@ -86,8 +96,55 @@ struct LiveTelemetry {
 
 impl LiveTelemetry {
     fn samples_flow(&self, flow: &rip_traffic::FlowKey) -> bool {
-        self.sample_one_in > 0
-            && rip_traffic::hash::fnv1a(&flow.to_bytes()).is_multiple_of(self.sample_one_in)
+        self.state.sample_one_in > 0
+            && rip_traffic::hash::fnv1a(&flow.to_bytes()).is_multiple_of(self.state.sample_one_in)
+    }
+
+    /// Emit one span record and count it.
+    fn span(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
+        self.state.spans_emitted += 1;
+        self.sink.on_span(
+            LIVE_SOURCE,
+            &SpanEvent {
+                packet,
+                stage,
+                at,
+                port,
+            },
+        );
+    }
+}
+
+/// A packet-id set that serializes as an ascending list, so two
+/// snapshots of the same state are byte-identical whatever the hash
+/// iteration order.
+#[derive(Clone, Default)]
+struct IdSet<S>(HashSet<u64, S>);
+
+impl<S> std::ops::Deref for IdSet<S> {
+    type Target = HashSet<u64, S>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<S> std::ops::DerefMut for IdSet<S> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<S> Serialize for IdSet<S> {
+    fn to_value(&self) -> Value {
+        let mut ids: Vec<u64> = self.0.iter().copied().collect();
+        ids.sort_unstable();
+        ids.to_value()
+    }
+}
+
+impl<S: BuildHasher + Default> Deserialize for IdSet<S> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(IdSet(Vec::<u64>::from_value(v)?.into_iter().collect()))
     }
 }
 
@@ -145,8 +202,6 @@ impl std::hash::Hasher for PacketIdHasher {
         self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
-
-type PacketIdSet = HashSet<u64, std::hash::BuildHasherDefault<PacketIdHasher>>;
 
 /// Events of the switch simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -292,21 +347,6 @@ struct FeederState {
     source: Value,
 }
 
-/// Serialized [`LiveTelemetry`] minus the sink (the resuming run
-/// supplies its own sink; record counters carry over so the merged
-/// stream is byte-identical).
-#[derive(Serialize, Deserialize)]
-struct LiveState {
-    clock: EpochClock,
-    prev: Snapshot,
-    sample_one_in: u64,
-    /// Sorted, so same-state snapshots serialize byte-identically.
-    sampled: Vec<u64>,
-    epochs_emitted: u64,
-    spans_emitted: u64,
-    finished: bool,
-}
-
 /// The complete mutable state of a mid-run [`HbmSwitch`], as written
 /// into a snapshot by [`HbmSwitch::run_source_checkpointed`]. The
 /// configuration rides along as a [`Value`] echo so a resume under a
@@ -314,22 +354,44 @@ struct LiveState {
 #[derive(Serialize, Deserialize)]
 struct SwitchState {
     cfg: Value,
+    run: RunState,
+    live: Option<LiveState>,
+    /// Pending events in pop order with their original tie-break
+    /// sequence numbers.
+    queue: Vec<(SimTime, u64, Ev)>,
+    queue_next_seq: u64,
+    queue_last_popped: SimTime,
+    feeder: FeederState,
+}
+
+/// Everything a run changes in an [`HbmSwitch`]: the pipeline, the
+/// device model and the statistics. A checkpoint saves it whole and a
+/// resume restores it whole.
+#[derive(Clone, Serialize, Deserialize)]
+struct RunState {
     group: HbmGroup,
     pfi: PfiController,
     assemblers: Vec<BatchAssembler>,
     input_xbar_free: Vec<SimTime>,
     flush_pending: Vec<Vec<bool>>,
     tail: TailSram,
+    /// Simulator-side mirror of the HBM per-output FIFOs: frame
+    /// contents + write-completion time. (The switch itself needs no
+    /// such bookkeeping — the controller's two counters per output are
+    /// its whole state, the paper's "no bookkeeping" claim.)
     hbm_frames: Vec<VecDeque<(Frame, SimTime)>>,
     head: HeadSram,
     pending_to_head: Vec<usize>,
     outputs: Vec<OutputPort>,
     drain_scheduled: Vec<bool>,
     read_cursor: usize,
+    /// Batches striping toward the tail SRAM (scheduled BatchAtTail
+    /// events) — tracked so the read engine does not shut down while
+    /// data is still in flight.
     batches_in_flight: usize,
     arrivals_done: bool,
-    /// Sorted, so same-state snapshots serialize byte-identically.
-    dropped_ids: Vec<u64>,
+    dropped_ids: IdSet<RandomState>,
+    // Statistics.
     offered_packets: u64,
     offered_bytes: DataSize,
     delivered_packets: u64,
@@ -338,8 +400,12 @@ struct SwitchState {
     dropped_frames: u64,
     dropped_bytes: DataSize,
     padded_bytes: DataSize,
+    /// Packets accepted but not yet delivered or dropped, and the
+    /// high-water mark — the streaming engine's O(in-flight) memory
+    /// argument, measured.
     live_packets: u64,
     peak_in_flight: u64,
+    // Fault / degraded-mode accounting.
     active_faults: usize,
     dead_channels: usize,
     last_roll: SimTime,
@@ -350,21 +416,24 @@ struct SwitchState {
     recovery_drain: Option<TimeDelta>,
     dropped_packets_fault: u64,
     dropped_packets_congestion: u64,
-    delays_ns: Histogram,
     departures: Vec<PacketDeparture>,
     first_arrival: Option<SimTime>,
     last_departure: SimTime,
     input_peak: DataSize,
-    hbm_occupancy: Series,
+    /// Always-on deterministic telemetry accumulated during the run
+    /// (completed by device/photonic aggregates in [`HbmSwitch::report`]).
     metrics: MetricsRegistry,
+    /// Per-output HBM queue depth over time (frames), sampled at every
+    /// frame write/read with bounded memory.
     output_depth: Vec<Series>,
-    live: Option<LiveState>,
-    /// Pending events in pop order with their original tie-break
-    /// sequence numbers.
-    queue: Vec<(SimTime, u64, Ev)>,
-    queue_next_seq: u64,
-    queue_last_popped: SimTime,
-    feeder: FeederState,
+}
+
+/// The optional event trace ([`HbmSwitch::enable_trace`]): the bounded
+/// milestone log plus the HBM frame occupancy sampled at each
+/// milestone. Diagnostic only, so it is never checkpointed.
+struct EventTrace {
+    log: TraceLog<SwitchEvent>,
+    hbm_occupancy: Series,
 }
 
 /// End-of-run report of one HBM switch.
@@ -395,9 +464,9 @@ pub struct SwitchReport {
     /// the streaming engine's memory high-water mark: it depends on
     /// load and congestion, not on the simulated horizon.
     pub peak_in_flight_packets: u64,
-    /// Per-packet delay histogram, in nanoseconds.
-    pub delays_ns: Histogram,
-    /// All packet departures (for mimicking comparisons).
+    /// Every delivered packet's departure, in delivery order: the
+    /// mimicking comparisons read it, and [`SwitchReport::delays_ns`]
+    /// derives the delay distribution from it.
     pub departures: Vec<PacketDeparture>,
     /// Simulated span from first arrival to last departure.
     pub span: TimeDelta,
@@ -433,6 +502,20 @@ pub struct SwitchReport {
     pub metrics: MetricsRegistry,
 }
 
+impl SwitchReport {
+    /// Per-packet delay histogram in nanoseconds: one sample per entry
+    /// of [`SwitchReport::departures`], `time - arrival`, in delivery
+    /// order. Built on each call, so keep the result when querying it
+    /// more than once.
+    pub fn delays_ns(&self) -> Histogram {
+        let mut h = Histogram::new();
+        for d in &self.departures {
+            h.record(d.time.since(d.arrival).as_ns_f64());
+        }
+        h
+    }
+}
+
 /// The HBM switch simulator.
 ///
 /// Feed an arrival-ordered packet trace (`input`/`output` are switch
@@ -441,69 +524,9 @@ pub struct SwitchReport {
 /// reports throughput, delay, loss, occupancy and utilization.
 pub struct HbmSwitch {
     cfg: RouterConfig,
-    group: HbmGroup,
-    pfi: PfiController,
-    assemblers: Vec<BatchAssembler>,
-    input_xbar_free: Vec<SimTime>,
-    flush_pending: Vec<Vec<bool>>,
-    tail: TailSram,
-    /// Simulator-side mirror of the HBM per-output FIFOs: frame
-    /// contents + write-completion time. (The switch itself needs no
-    /// such bookkeeping — the controller's two counters per output are
-    /// its whole state, the paper's "no bookkeeping" claim.)
-    hbm_frames: Vec<VecDeque<(Frame, SimTime)>>,
-    head: HeadSram,
-    pending_to_head: Vec<usize>,
-    outputs: Vec<OutputPort>,
-    drain_scheduled: Vec<bool>,
-    read_cursor: usize,
-    /// Batches striping toward the tail SRAM (scheduled BatchAtTail
-    /// events) — tracked so the read engine does not shut down while
-    /// data is still in flight.
-    batches_in_flight: usize,
-    arrivals_done: bool,
-    dropped_ids: HashSet<u64>,
-    // Statistics.
-    offered_packets: u64,
-    offered_bytes: DataSize,
-    delivered_packets: u64,
-    delivered_bytes: DataSize,
-    dropped_input: u64,
-    dropped_frames: u64,
-    dropped_bytes: DataSize,
-    padded_bytes: DataSize,
-    /// Packets accepted but not yet delivered or dropped, and the
-    /// high-water mark — the streaming engine's O(in-flight) memory
-    /// argument, measured.
-    live_packets: u64,
-    peak_in_flight: u64,
-    // Fault / degraded-mode accounting.
-    active_faults: usize,
-    dead_channels: usize,
-    last_roll: SimTime,
-    time_degraded: TimeDelta,
-    capacity_lost: DataSize,
-    baseline_occupancy: Option<u64>,
-    pending_recovery: Option<SimTime>,
-    recovery_drain: Option<TimeDelta>,
-    dropped_packets_fault: u64,
-    dropped_packets_congestion: u64,
-    delays_ns: Histogram,
-    departures: Vec<PacketDeparture>,
-    first_arrival: Option<SimTime>,
-    last_departure: SimTime,
-    input_peak: DataSize,
+    run: RunState,
     /// Optional event trace (None = tracing off).
-    trace: Option<TraceLog<SwitchEvent>>,
-    /// Total frames buffered in the HBM over time (sampled at frame
-    /// writes/reads when tracing is on).
-    hbm_occupancy: Series,
-    /// Always-on deterministic telemetry accumulated during the run
-    /// (completed by device/photonic aggregates in [`HbmSwitch::report`]).
-    metrics: MetricsRegistry,
-    /// Per-output HBM queue depth over time (frames), sampled at every
-    /// frame write/read with bounded memory.
-    output_depth: Vec<Series>,
+    trace: Option<EventTrace>,
     /// Chrome trace-event capture (None = off).
     chrome: Option<ChromeTrace>,
     /// Live epoch streaming + lifecycle sampling (None = silent).
@@ -537,7 +560,7 @@ impl HbmSwitch {
         let group = HbmGroup::new(cfg.stacks_per_switch, cfg.hbm_geometry, cfg.hbm_timing);
         let pfi = PfiController::new(cfg.pfi(), &group)?;
         let k = cfg.batch_size();
-        Ok(HbmSwitch {
+        let run = RunState {
             assemblers: (0..n).map(|i| BatchAssembler::new(i, n, k)).collect(),
             input_xbar_free: vec![SimTime::ZERO; n],
             flush_pending: vec![vec![false; n]; n],
@@ -559,7 +582,7 @@ impl HbmSwitch {
             read_cursor: 0,
             batches_in_flight: 0,
             arrivals_done: false,
-            dropped_ids: HashSet::new(),
+            dropped_ids: IdSet::default(),
             offered_packets: 0,
             offered_bytes: DataSize::ZERO,
             delivered_packets: 0,
@@ -580,15 +603,18 @@ impl HbmSwitch {
             recovery_drain: None,
             dropped_packets_fault: 0,
             dropped_packets_congestion: 0,
-            delays_ns: Histogram::new(),
             departures: Vec::new(),
             first_arrival: None,
             last_departure: SimTime::ZERO,
             input_peak: DataSize::ZERO,
-            trace: None,
-            hbm_occupancy: Series::new(4096),
             metrics: MetricsRegistry::new(),
             output_depth: (0..n).map(|_| Series::new(1024)).collect(),
+            group,
+            pfi,
+        };
+        Ok(HbmSwitch {
+            run,
+            trace: None,
             chrome: None,
             live: None,
             live_boundary_ps: u64::MAX,
@@ -598,8 +624,6 @@ impl HbmSwitch {
             batch_scratch: Vec::new(),
             chunk_pool: VecPool::default(),
             prof: None,
-            group,
-            pfi,
             cfg,
         })
     }
@@ -628,12 +652,21 @@ impl HbmSwitch {
     /// Record switch milestones into a bounded trace (keep the most
     /// recent `capacity` events) and sample the HBM frame occupancy.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceLog::new(capacity));
+        self.trace = Some(EventTrace {
+            log: TraceLog::new(capacity),
+            hbm_occupancy: Series::new(4096),
+        });
     }
 
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&TraceLog<SwitchEvent>> {
-        self.trace.as_ref()
+        self.trace.as_ref().map(|t| &t.log)
+    }
+
+    /// Total frames buffered in the HBM over time, sampled at every
+    /// traced milestone (`None` when tracing is off).
+    pub fn hbm_occupancy(&self) -> Option<&Series> {
+        self.trace.as_ref().map(|t| &t.hbm_occupancy)
     }
 
     /// Capture a Chrome trace-event timeline of the run, gated by
@@ -644,13 +677,13 @@ impl HbmSwitch {
     /// command recording (the same hook the timing-conformance checker
     /// replays).
     pub fn enable_chrome_trace(&mut self, window: TraceWindow) {
-        self.group.set_record_commands(true);
+        self.run.group.set_record_commands(true);
         // Capture-time bound: keep only commands that can overlap the
         // window once their derived spans (ACT covers tRCD, PRE tRP,
         // REFsb tRFCsb) are attached — widen the start by the longest
         // such span so `take_chrome_trace`'s precise overlap filter
         // still sees every candidate.
-        let t = self.group.timing();
+        let t = self.run.group.timing();
         let timing_slack = t
             .t_rcd
             .as_ps()
@@ -660,7 +693,7 @@ impl HbmSwitch {
         // RD/WR spans run to bus release, which trails the issue time by
         // queueing + transfer; 100 ns dwarfs both on every geometry.
         let slack = timing_slack + 100_000;
-        self.group.set_record_window(Some((
+        self.run.group.set_record_window(Some((
             SimTime::from_ps(window.start().as_ps().saturating_sub(slack)),
             window.end(),
         )));
@@ -703,10 +736,10 @@ impl HbmSwitch {
     pub fn take_chrome_trace(&mut self) -> Option<TraceRecorder> {
         let mut ct = self.chrome.take()?;
         let window = ct.rec.window();
-        let timing = *self.group.timing();
-        let bpc = self.group.geometry().banks_per_channel;
+        let timing = *self.run.group.timing();
+        let bpc = self.run.group.geometry().banks_per_channel;
         let lanes = bpc as u64 + 1;
-        for (c, ch) in self.group.channels().enumerate() {
+        for (c, ch) in self.run.group.channels().enumerate() {
             let mut named = vec![false; bpc + 1];
             for cmd in ch.commands() {
                 let (name, start, end) = match cmd.kind {
@@ -770,25 +803,27 @@ impl HbmSwitch {
         let clock = EpochClock::new(period);
         self.live_boundary_ps = clock.next_boundary().as_ps();
         self.live = Some(LiveTelemetry {
-            clock,
-            prev: Snapshot::empty(),
+            state: LiveState {
+                clock,
+                prev: Snapshot::empty(),
+                sample_one_in,
+                sampled: IdSet::default(),
+                epochs_emitted: 0,
+                spans_emitted: 0,
+                finished: false,
+            },
             sink,
-            sample_one_in,
-            sampled: PacketIdSet::default(),
-            epochs_emitted: 0,
-            spans_emitted: 0,
-            finished: false,
         });
     }
 
     /// Epoch records emitted so far (0 when live telemetry is off).
     pub fn live_epochs_emitted(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.epochs_emitted)
+        self.live.as_ref().map_or(0, |l| l.state.epochs_emitted)
     }
 
     /// Span records emitted so far (0 when live telemetry is off).
     pub fn live_spans_emitted(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.spans_emitted)
+        self.live.as_ref().map_or(0, |l| l.state.spans_emitted)
     }
 
     /// Flush every epoch whose boundary is at or before the next event
@@ -813,17 +848,17 @@ impl HbmSwitch {
     /// Close the currently accumulating epoch and emit its delta.
     fn live_flush_one(&mut self, pulled: u64) {
         let t0 = prof_now(&self.prof);
-        // Take `live` out so the sink call can borrow `self.metrics`
+        // Take `live` out so the sink call can borrow `self.run.metrics`
         // without aliasing.
         let mut live = self.live.take().expect("live checked by caller");
-        let (epoch, _from, to) = live.clock.advance();
-        self.live_boundary_ps = live.clock.next_boundary().as_ps();
+        let (epoch, _from, to) = live.state.clock.advance();
+        self.live_boundary_ps = live.state.clock.next_boundary().as_ps();
         self.stamp_live_gauges(to, pulled);
-        let snap = self.metrics.snapshot(to);
-        let delta = snap.delta_since(&live.prev);
+        let snap = self.run.metrics.snapshot(to);
+        let delta = snap.delta_since(&live.state.prev);
         live.sink.on_epoch(LIVE_SOURCE, epoch, &delta);
-        live.prev = snap;
-        live.epochs_emitted += 1;
+        live.state.prev = snap;
+        live.state.epochs_emitted += 1;
         self.live = Some(live);
         prof_add(&mut self.prof, Phase::TelemetryExport, t0);
         // One profile record per telemetry epoch, emitted after the
@@ -836,33 +871,38 @@ impl HbmSwitch {
     /// The per-epoch gauge series: working-set and source progress,
     /// stamped at the epoch boundary so soak runs can watch growth live.
     fn stamp_live_gauges(&mut self, at: SimTime, pulled: u64) {
-        self.metrics
-            .set_gauge("switch.packets.in_flight", at, self.live_packets as f64);
-        self.metrics.set_gauge(
+        self.run
+            .metrics
+            .set_gauge("switch.packets.in_flight", at, self.run.live_packets as f64);
+        self.run.metrics.set_gauge(
             "switch.packets.peak_in_flight",
             at,
-            self.peak_in_flight as f64,
+            self.run.peak_in_flight as f64,
         );
-        self.metrics.set_gauge(
+        self.run.metrics.set_gauge(
             "switch.packets.delivered",
             at,
-            self.delivered_packets as f64,
+            self.run.delivered_packets as f64,
         );
-        self.metrics
+        self.run
+            .metrics
             .set_gauge("switch.feeder.pulled_packets", at, pulled as f64);
         // Watchdog inputs: drop/offered/capacity state visible every
         // epoch, not just at run end.
-        self.metrics
-            .set_gauge("switch.packets.offered", at, self.offered_packets as f64);
-        self.metrics.set_gauge(
+        self.run.metrics.set_gauge(
+            "switch.packets.offered",
+            at,
+            self.run.offered_packets as f64,
+        );
+        self.run.metrics.set_gauge(
             "switch.packets.dropped",
             at,
-            (self.dropped_packets_fault + self.dropped_packets_congestion) as f64,
+            (self.run.dropped_packets_fault + self.run.dropped_packets_congestion) as f64,
         );
-        self.metrics.set_gauge(
+        self.run.metrics.set_gauge(
             "switch.capacity.dead_channels",
             at,
-            self.dead_channels as f64,
+            self.run.dead_channels as f64,
         );
     }
 
@@ -871,25 +911,25 @@ impl HbmSwitch {
     /// [`SwitchReport::metrics`] exactly), then `run_end` with the
     /// totals.
     fn live_finish(&mut self, pulled: u64) {
-        if self.live.as_ref().is_none_or(|l| l.finished) {
+        if self.live.as_ref().is_none_or(|l| l.state.finished) {
             return;
         }
         // Same end-of-run instant the report derives.
-        let first = self.first_arrival.unwrap_or(SimTime::ZERO);
-        let span = self.last_departure.saturating_since(first);
+        let first = self.run.first_arrival.unwrap_or(SimTime::ZERO);
+        let span = self.run.last_departure.saturating_since(first);
         let end = first + span;
         let t0 = prof_now(&self.prof);
         let mut live = self.live.take().expect("checked above");
-        let epoch = live.clock.epoch();
+        let epoch = live.state.clock.epoch();
         self.stamp_live_gauges(end, pulled);
         let final_metrics = self.final_metrics(end, span);
         let snap = final_metrics.snapshot(end);
-        let delta = snap.delta_since(&live.prev);
+        let delta = snap.delta_since(&live.state.prev);
         live.sink.on_epoch(LIVE_SOURCE, epoch, &delta);
-        live.epochs_emitted += 1;
+        live.state.epochs_emitted += 1;
         live.sink.on_run_end(LIVE_SOURCE, end, &final_metrics);
-        live.prev = snap;
-        live.finished = true;
+        live.state.prev = snap;
+        live.state.finished = true;
         self.live_boundary_ps = u64::MAX;
         self.live = Some(live);
         prof_add(&mut self.prof, Phase::TelemetryExport, t0);
@@ -917,17 +957,8 @@ impl HbmSwitch {
     /// Emit `stage` for `packet` if it is being sampled.
     fn live_span(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
         if let Some(live) = self.live.as_mut() {
-            if live.sampled.contains(&packet) {
-                live.spans_emitted += 1;
-                live.sink.on_span(
-                    LIVE_SOURCE,
-                    &SpanEvent {
-                        packet,
-                        stage,
-                        at,
-                        port,
-                    },
-                );
+            if live.state.sampled.contains(&packet) {
+                live.span(packet, stage, at, port);
             }
         }
     }
@@ -935,33 +966,19 @@ impl HbmSwitch {
     /// Emit a terminal `stage` for `packet` and stop sampling it.
     fn live_span_end(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
         if let Some(live) = self.live.as_mut() {
-            if live.sampled.remove(&packet) {
-                live.spans_emitted += 1;
-                live.sink.on_span(
-                    LIVE_SOURCE,
-                    &SpanEvent {
-                        packet,
-                        stage,
-                        at,
-                        port,
-                    },
-                );
+            if live.state.sampled.remove(&packet) {
+                live.span(packet, stage, at, port);
             }
         }
     }
 
-    /// HBM frame-occupancy series (non-empty only when tracing is on).
-    pub fn hbm_occupancy(&self) -> &Series {
-        &self.hbm_occupancy
-    }
-
     fn record(&mut self, now: SimTime, ev: SwitchEvent) {
-        if let Some(log) = self.trace.as_mut() {
-            log.push(now, ev);
+        if let Some(t) = self.trace.as_mut() {
+            t.log.push(now, ev);
             let buffered: u64 = (0..self.cfg.ribbons)
-                .map(|o| self.pfi.frames_buffered(o))
+                .map(|o| self.run.pfi.frames_buffered(o))
                 .sum();
-            self.hbm_occupancy.record(now, buffered as f64);
+            t.hbm_occupancy.record(now, buffered as f64);
         }
     }
 
@@ -990,9 +1007,9 @@ impl HbmSwitch {
     fn send_batch(&mut self, q: &mut EventQueue<Ev>, now: SimTime, batch: Batch) {
         let i = batch.input;
         let dt = self.batch_time();
-        let t0 = now.max(self.input_xbar_free[i]);
-        self.input_xbar_free[i] = t0 + dt;
-        self.batches_in_flight += 1;
+        let t0 = now.max(self.run.input_xbar_free[i]);
+        self.run.input_xbar_free[i] = t0 + dt;
+        self.run.batches_in_flight += 1;
         // Serialization over N crossbar slots plus worst-case alignment
         // until the input faces module 0.
         q.schedule(t0 + dt + dt, Ev::BatchAtTail(batch));
@@ -1013,16 +1030,18 @@ impl HbmSwitch {
         }
         // Frame fill efficiency: payload actually carried vs. the fixed
         // frame capacity the HBM write pays for.
-        self.metrics
+        self.run
+            .metrics
             .inc("switch.frame.payload_bytes", frame.payload().bytes());
-        self.metrics
+        self.run
+            .metrics
             .inc("switch.frame.capacity_bytes", self.cfg.frame_size().bytes());
-        self.metrics.inc("switch.frames.written", 1);
-        let op = self.pfi.write_frame(&mut self.group, now, o);
+        self.run.metrics.inc("switch.frames.written", 1);
+        let op = self.run.pfi.write_frame(&mut self.run.group, now, o);
         if let Some(ct) = self.chrome.as_mut() {
             ct.frame_span(o, FRAME_LANE_WRITE, "write", now, op.end);
         }
-        self.hbm_frames[o].push_back((frame, op.end));
+        self.run.hbm_frames[o].push_back((frame, op.end));
         self.sample_output_depth(now, o);
         self.record(
             now,
@@ -1036,31 +1055,31 @@ impl HbmSwitch {
     /// Sample output `o`'s HBM queue depth (frames) into its series and
     /// depth histogram.
     fn sample_output_depth(&mut self, now: SimTime, o: usize) {
-        let depth = self.pfi.frames_buffered(o) as f64;
-        self.output_depth[o].record(now, depth);
-        self.metrics.observe(&self.out_depth_keys[o], depth);
+        let depth = self.run.pfi.frames_buffered(o) as f64;
+        self.run.output_depth[o].record(now, depth);
+        self.run.metrics.observe(&self.out_depth_keys[o], depth);
     }
 
     /// Total frames currently buffered in the HBM across outputs.
     fn hbm_frames_total(&self) -> u64 {
         (0..self.cfg.ribbons)
-            .map(|o| self.pfi.frames_buffered(o))
+            .map(|o| self.run.pfi.frames_buffered(o))
             .sum()
     }
 
     /// Integrate degraded-time and lost-capacity up to `now`.
     fn roll_capacity(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_roll);
+        let dt = now.saturating_since(self.run.last_roll);
         if !dt.is_zero() {
-            if self.active_faults > 0 {
-                self.time_degraded += dt;
+            if self.run.active_faults > 0 {
+                self.run.time_degraded += dt;
             }
-            if self.dead_channels > 0 {
-                let lost = self.cfg.hbm_geometry.channel_rate() * self.dead_channels as u64;
-                self.capacity_lost += lost.data_in(dt);
+            if self.run.dead_channels > 0 {
+                let lost = self.cfg.hbm_geometry.channel_rate() * self.run.dead_channels as u64;
+                self.run.capacity_lost += lost.data_in(dt);
             }
         }
-        self.last_roll = self.last_roll.max(now);
+        self.run.last_roll = self.run.last_roll.max(now);
     }
 
     fn on_fault(&mut self, q: &mut EventQueue<Ev>, now: SimTime, f: FaultEvent) {
@@ -1068,31 +1087,31 @@ impl HbmSwitch {
             return; // front-end scope; applied by the SPS layer
         }
         self.roll_capacity(now);
-        if self.baseline_occupancy.is_none() && matches!(f.action, FaultAction::Inject) {
-            self.baseline_occupancy = Some(self.hbm_frames_total());
+        if self.run.baseline_occupancy.is_none() && matches!(f.action, FaultAction::Inject) {
+            self.run.baseline_occupancy = Some(self.hbm_frames_total());
         }
         match (f.kind, f.action) {
             (FaultKind::HbmChannelDown { channel }, FaultAction::Inject) => {
-                self.group.fail_channel(channel);
-                self.dead_channels += 1;
-                self.active_faults += 1;
+                self.run.group.fail_channel(channel);
+                self.run.dead_channels += 1;
+                self.run.active_faults += 1;
             }
             (FaultKind::HbmChannelDown { channel }, FaultAction::Recover) => {
-                self.group.recover_channel(channel);
-                self.dead_channels -= 1;
-                self.active_faults -= 1;
+                self.run.group.recover_channel(channel);
+                self.run.dead_channels -= 1;
+                self.run.active_faults -= 1;
             }
             (FaultKind::HbmBankStuck { channel, bank }, FaultAction::Inject) => {
-                self.group.stick_bank(channel, bank);
-                self.active_faults += 1;
+                self.run.group.stick_bank(channel, bank);
+                self.run.active_faults += 1;
             }
             (FaultKind::HbmBankStuck { channel, bank }, FaultAction::Recover) => {
-                self.group.unstick_bank(channel, bank);
-                self.active_faults -= 1;
+                self.run.group.unstick_bank(channel, bank);
+                self.run.active_faults -= 1;
             }
             (FaultKind::RefreshStorm { duration }, FaultAction::Inject) => {
-                self.pfi.set_refresh_storm(now + duration);
-                self.active_faults += 1;
+                self.run.pfi.set_refresh_storm(now + duration);
+                self.run.active_faults += 1;
                 // Storms self-recover: schedule the bookkeeping event.
                 q.schedule(
                     now + duration,
@@ -1104,50 +1123,55 @@ impl HbmSwitch {
                 );
             }
             (FaultKind::RefreshStorm { .. }, FaultAction::Recover) => {
-                self.active_faults -= 1;
+                self.run.active_faults -= 1;
             }
             (FaultKind::WavelengthLoss { .. } | FaultKind::PlaneDown { .. }, _) => {
                 unreachable!("photonic faults returned above")
             }
         }
-        if let Err(e) = self.pfi.check_degraded(&self.group) {
+        if let Err(e) = self.run.pfi.check_degraded(&self.run.group) {
             panic!("fault plan drives the PFI engine past redistribution limits: {e}");
         }
-        if self.active_faults == 0
-            && self.pending_recovery.is_none()
-            && self.recovery_drain.is_none()
+        if self.run.active_faults == 0
+            && self.run.pending_recovery.is_none()
+            && self.run.recovery_drain.is_none()
         {
-            self.pending_recovery = Some(now);
+            self.run.pending_recovery = Some(now);
         }
     }
 
     fn system_empty(&self) -> bool {
-        self.arrivals_done
-            && self.batches_in_flight == 0
-            && self.assemblers.iter().all(|a| a.total_queued().is_zero())
-            && self.tail.occupancy().bytes.is_zero()
+        self.run.arrivals_done
+            && self.run.batches_in_flight == 0
+            && self
+                .run
+                .assemblers
+                .iter()
+                .all(|a| a.total_queued().is_zero())
+            && self.run.tail.occupancy().bytes.is_zero()
             && (0..self.cfg.ribbons).all(|o| {
-                self.pfi.frames_buffered(o) == 0
-                    && self.pending_to_head[o] == 0
-                    && !self.head.has_data(o)
-                    && !self.drain_scheduled[o]
+                self.run.pfi.frames_buffered(o) == 0
+                    && self.run.pending_to_head[o] == 0
+                    && !self.run.head.has_data(o)
+                    && !self.run.drain_scheduled[o]
             })
     }
 
     fn handle(&mut self, q: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival(p) => self.on_arrival(q, now, p),
-            Ev::ArrivalsDone => self.arrivals_done = true,
+            Ev::ArrivalsDone => self.run.arrivals_done = true,
             Ev::BatchAtTail(b) => {
-                self.batches_in_flight -= 1;
+                self.run.batches_in_flight -= 1;
                 self.on_batch_at_tail(now, b);
             }
             Ev::FlushTimeout { input, output } => {
-                self.flush_pending[input][output] = false;
-                if !self.assemblers[input].queued(output).is_zero() {
-                    if let Some(b) = self.assemblers[input].flush_with(output, &mut self.chunk_pool)
+                self.run.flush_pending[input][output] = false;
+                if !self.run.assemblers[input].queued(output).is_zero() {
+                    if let Some(b) =
+                        self.run.assemblers[input].flush_with(output, &mut self.chunk_pool)
                     {
-                        self.padded_bytes += b.padding;
+                        self.run.padded_bytes += b.padding;
                         self.send_batch(q, now, b);
                     }
                 }
@@ -1155,10 +1179,10 @@ impl HbmSwitch {
             Ev::ReadTurn => self.on_read_turn(q, now),
             Ev::FrameAtHead(frame) => {
                 let o = frame.output;
-                self.pending_to_head[o] -= 1;
-                self.head.push_frame(frame);
-                if !self.drain_scheduled[o] && self.head.has_data(o) {
-                    self.drain_scheduled[o] = true;
+                self.run.pending_to_head[o] -= 1;
+                self.run.head.push_frame(frame);
+                if !self.run.drain_scheduled[o] && self.run.head.has_data(o) {
+                    self.run.drain_scheduled[o] = true;
                     q.schedule(now, Ev::Drain(o));
                 }
             }
@@ -1167,76 +1191,58 @@ impl HbmSwitch {
         }
         // After the last recovery, watch for the HBM backlog returning
         // to its pre-fault level — the time-to-drain metric.
-        if let (Some(t0), Some(base)) = (self.pending_recovery, self.baseline_occupancy) {
+        if let (Some(t0), Some(base)) = (self.run.pending_recovery, self.run.baseline_occupancy) {
             if self.hbm_frames_total() <= base {
-                self.recovery_drain = Some(now.saturating_since(t0));
-                self.pending_recovery = None;
+                self.run.recovery_drain = Some(now.saturating_since(t0));
+                self.run.pending_recovery = None;
             }
         }
     }
 
     fn on_arrival(&mut self, q: &mut EventQueue<Ev>, now: SimTime, p: Packet) {
-        self.offered_packets += 1;
-        self.offered_bytes += p.size;
-        self.first_arrival.get_or_insert(now);
-        let a = &mut self.assemblers[p.input];
+        self.run.offered_packets += 1;
+        self.run.offered_bytes += p.size;
+        self.run.first_arrival.get_or_insert(now);
+        let a = &mut self.run.assemblers[p.input];
         if a.total_queued() + p.size > self.cfg.input_queue_limit {
-            self.dropped_input += 1;
-            self.dropped_bytes += p.size;
-            self.dropped_ids.insert(p.id);
-            if self.active_faults > 0 {
-                self.dropped_packets_fault += 1;
+            self.run.dropped_input += 1;
+            self.run.dropped_bytes += p.size;
+            self.run.dropped_ids.insert(p.id);
+            if self.run.active_faults > 0 {
+                self.run.dropped_packets_fault += 1;
             } else {
-                self.dropped_packets_congestion += 1;
+                self.run.dropped_packets_congestion += 1;
             }
             self.record(now, SwitchEvent::InputDrop { input: p.input });
             // A would-be-sampled packet's drop is still visible in the
             // span stream (it was never admitted, so it is not tracked).
             if let Some(live) = self.live.as_mut() {
                 if live.samples_flow(&p.flow) {
-                    live.spans_emitted += 1;
-                    live.sink.on_span(
-                        LIVE_SOURCE,
-                        &SpanEvent {
-                            packet: p.id,
-                            stage: "input_drop",
-                            at: now,
-                            port: p.input,
-                        },
-                    );
+                    live.span(p.id, "input_drop", now, p.input);
                 }
             }
             return;
         }
-        self.live_packets += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.live_packets);
+        self.run.live_packets += 1;
+        self.run.peak_in_flight = self.run.peak_in_flight.max(self.run.live_packets);
         if let Some(live) = self.live.as_mut() {
             if live.samples_flow(&p.flow) {
-                live.sampled.insert(p.id);
-                live.spans_emitted += 1;
-                live.sink.on_span(
-                    LIVE_SOURCE,
-                    &SpanEvent {
-                        packet: p.id,
-                        stage: "arrival",
-                        at: now,
-                        port: p.input,
-                    },
-                );
+                live.state.sampled.insert(p.id);
+                live.span(p.id, "arrival", now, p.input);
             }
         }
         let was_empty = a.queued(p.output).is_zero();
         let mut batches = std::mem::take(&mut self.batch_scratch);
         debug_assert!(batches.is_empty());
-        self.assemblers[p.input].push_into(&p, &mut self.chunk_pool, &mut batches);
-        let queued = self.assemblers[p.input].total_queued();
-        self.input_peak = self.input_peak.max(queued);
+        self.run.assemblers[p.input].push_into(&p, &mut self.chunk_pool, &mut batches);
+        let queued = self.run.assemblers[p.input].total_queued();
+        self.run.input_peak = self.run.input_peak.max(queued);
         if was_empty
             && self.cfg.batch_timeout_batches > 0
-            && !self.assemblers[p.input].queued(p.output).is_zero()
-            && !self.flush_pending[p.input][p.output]
+            && !self.run.assemblers[p.input].queued(p.output).is_zero()
+            && !self.run.flush_pending[p.input][p.output]
         {
-            self.flush_pending[p.input][p.output] = true;
+            self.run.flush_pending[p.input][p.output] = true;
             let timeout = self.batch_time() * self.cfg.batch_timeout_batches;
             q.schedule(
                 now + timeout,
@@ -1268,25 +1274,25 @@ impl HbmSwitch {
         if let Some(ct) = self.chrome.as_mut() {
             ct.fill_start[batch_output].get_or_insert(now);
         }
-        if let Some(frame) = self.tail.push_batch(b) {
+        if let Some(frame) = self.run.tail.push_batch(b) {
             let o = frame.output;
             if let Some(ct) = self.chrome.as_mut() {
                 if let Some(start) = ct.fill_start[o].take() {
                     ct.frame_span(o, FRAME_LANE_FILL, "fill", start, now);
                 }
             }
-            if !self.pfi.can_accept_frame(&self.group, o) {
+            if !self.run.pfi.can_accept_frame(&self.run.group, o) {
                 // Per-output HBM region full: the frame is lost.
-                self.dropped_frames += 1;
-                self.dropped_bytes += frame.payload();
+                self.run.dropped_frames += 1;
+                self.run.dropped_bytes += frame.payload();
                 for batch in &frame.batches {
                     for c in &batch.chunks {
-                        if self.dropped_ids.insert(c.packet) {
-                            self.live_packets -= 1;
-                            if self.active_faults > 0 {
-                                self.dropped_packets_fault += 1;
+                        if self.run.dropped_ids.insert(c.packet) {
+                            self.run.live_packets -= 1;
+                            if self.run.active_faults > 0 {
+                                self.run.dropped_packets_fault += 1;
                             } else {
-                                self.dropped_packets_congestion += 1;
+                                self.run.dropped_packets_congestion += 1;
                             }
                             self.live_span_end(c.packet, "frame_drop", now, o);
                         }
@@ -1303,20 +1309,22 @@ impl HbmSwitch {
     }
 
     fn on_read_turn(&mut self, q: &mut EventQueue<Ev>, now: SimTime) {
-        let o = self.read_cursor;
-        self.read_cursor = (self.read_cursor + 1) % self.cfg.ribbons;
-        let room = self.head.frames_buffered(o) + self.pending_to_head[o] < self.cfg.head_frames;
+        let o = self.run.read_cursor;
+        self.run.read_cursor = (self.run.read_cursor + 1) % self.cfg.ribbons;
+        let room =
+            self.run.head.frames_buffered(o) + self.run.pending_to_head[o] < self.cfg.head_frames;
         if room {
-            let hbm_ready = self.hbm_frames[o]
+            let hbm_ready = self.run.hbm_frames[o]
                 .front()
                 .is_some_and(|&(_, ready)| ready <= now);
-            if self.pfi.frames_buffered(o) > 0 && hbm_ready {
+            if self.run.pfi.frames_buffered(o) > 0 && hbm_ready {
                 let op = self
+                    .run
                     .pfi
-                    .read_frame(&mut self.group, now, o)
+                    .read_frame(&mut self.run.group, now, o)
                     .expect("frames_buffered > 0");
-                let (frame, written) = self.hbm_frames[o].pop_front().expect("mirror in sync");
-                self.pending_to_head[o] += 1;
+                let (frame, written) = self.run.hbm_frames[o].pop_front().expect("mirror in sync");
+                self.run.pending_to_head[o] += 1;
                 if let Some(ct) = self.chrome.as_mut() {
                     ct.frame_span(o, FRAME_LANE_READ, "read", now, op.end);
                 }
@@ -1332,9 +1340,10 @@ impl HbmSwitch {
                     }
                 }
                 // HBM-path latency: write completion → head arrival.
-                self.metrics
+                self.run
+                    .metrics
                     .observe("switch.path.hbm_ns", op.end.since(written).as_ns_f64());
-                self.metrics.inc("switch.frames.read", 1);
+                self.run.metrics.inc("switch.frames.read", 1);
                 self.sample_output_depth(now, o);
                 self.record(
                     now,
@@ -1345,14 +1354,14 @@ impl HbmSwitch {
                 );
                 q.schedule(op.end, Ev::FrameAtHead(frame));
             } else if self.cfg.padding_and_bypass
-                && self.pfi.frames_buffered(o) == 0
-                && self.tail.forming_len(o) > 0
+                && self.run.pfi.frames_buffered(o) == 0
+                && self.run.tail.forming_len(o) > 0
             {
                 // HBM empty for this output: pad the partial frame and
                 // bypass the HBM straight into the head SRAM (§4).
-                let frame = self.tail.take_padded_frame(o).expect("forming_len > 0");
-                self.padded_bytes += self.cfg.batch_size() * frame.padded_batches;
-                self.pending_to_head[o] += 1;
+                let frame = self.run.tail.take_padded_frame(o).expect("forming_len > 0");
+                self.run.padded_bytes += self.cfg.batch_size() * frame.padded_batches;
+                self.run.pending_to_head[o] += 1;
                 let bypass_end = now + self.bypass_latency();
                 if let Some(ct) = self.chrome.as_mut() {
                     // A padded frame ends its fill here and bypasses the
@@ -1373,9 +1382,10 @@ impl HbmSwitch {
                         }
                     }
                 }
-                self.metrics
+                self.run
+                    .metrics
                     .observe("switch.path.bypass_ns", self.bypass_latency().as_ns_f64());
-                self.metrics.inc("switch.frames.bypass", 1);
+                self.run.metrics.inc("switch.frames.bypass", 1);
                 self.record(now, SwitchEvent::Bypass { output: o });
                 q.schedule(now + self.bypass_latency(), Ev::FrameAtHead(frame));
             }
@@ -1386,27 +1396,26 @@ impl HbmSwitch {
     }
 
     fn on_drain(&mut self, q: &mut EventQueue<Ev>, now: SimTime, o: usize) {
-        match self.head.pop_batch(o) {
+        match self.run.head.pop_batch(o) {
             Some(batch) => {
                 let payload = batch.payload();
-                let (end, deps) = self.outputs[o].drain_batch(&batch, now);
+                let (end, deps) = self.run.outputs[o].drain_batch(&batch, now);
                 if let Some(ct) = self.chrome.as_mut() {
                     ct.frame_span(o, FRAME_LANE_DRAIN, "drain", now, end);
                 }
-                self.delivered_bytes += payload;
+                self.run.delivered_bytes += payload;
                 // Loss-free runs keep the drop set empty; skip the
                 // per-departure probe entirely then.
-                let check_drops = !self.dropped_ids.is_empty();
+                let check_drops = !self.run.dropped_ids.is_empty();
                 for d in deps {
-                    if check_drops && self.dropped_ids.contains(&d.packet) {
+                    if check_drops && self.run.dropped_ids.contains(&d.packet) {
                         continue; // partially dropped packet: not delivered
                     }
-                    self.delivered_packets += 1;
-                    self.live_packets -= 1;
-                    self.delays_ns.record(d.time.since(d.arrival).as_ns_f64());
-                    self.last_departure = self.last_departure.max(d.time);
+                    self.run.delivered_packets += 1;
+                    self.run.live_packets -= 1;
+                    self.run.last_departure = self.run.last_departure.max(d.time);
                     self.live_span_end(d.packet, "departure", d.time, o);
-                    self.departures.push(d);
+                    self.run.departures.push(d);
                 }
                 // The batch's payload left the switch; recycle its
                 // chunk storage for future batch formation.
@@ -1414,16 +1423,16 @@ impl HbmSwitch {
                 q.schedule(end, Ev::Drain(o));
             }
             None => {
-                self.drain_scheduled[o] = false;
+                self.run.drain_scheduled[o] = false;
             }
         }
     }
 
     /// Run an arrival-ordered trace to completion (or `horizon`,
     /// whichever comes first) and report. Consumes the switch: the
-    /// report takes ownership of the delay histogram and departure log
-    /// instead of cloning them. Use [`HbmSwitch::run_source`] to keep
-    /// the switch alive for post-run inspection.
+    /// report takes ownership of the departure log instead of cloning
+    /// it. Use [`HbmSwitch::run_source`] to keep the switch alive for
+    /// post-run inspection.
     pub fn run(mut self, trace: &[Packet], horizon: SimTime) -> SwitchReport {
         self.run_source(ReplaySource::new(trace), horizon, &FaultPlan::default());
         self.into_report()
@@ -1488,7 +1497,7 @@ impl HbmSwitch {
             let (now, ev) = q.pop().expect("peeked");
             self.handle(&mut q, now, ev);
         }
-        self.roll_capacity(self.last_departure);
+        self.roll_capacity(self.run.last_departure);
         self.report()
     }
 
@@ -1550,7 +1559,7 @@ impl HbmSwitch {
     ) -> Result<RunOutcome, SnapshotError> {
         loop {
             if feeder.is_exhausted() {
-                self.arrivals_done = true;
+                self.run.arrivals_done = true;
             }
             // Lap structure when the profiler is attached: peeks and
             // pops are `KernelPop`, the epoch flush self-attributes to
@@ -1594,7 +1603,7 @@ impl HbmSwitch {
             self.handle(q, now, ev);
             prof_add(&mut self.prof, phase, t0);
         }
-        self.roll_capacity(self.last_departure);
+        self.roll_capacity(self.run.last_departure);
         self.live_finish(feeder.pulled());
         self.prof_finish();
         Ok(RunOutcome::Completed)
@@ -1618,67 +1627,10 @@ impl HbmSwitch {
                 "chrome trace capture cannot be checkpointed".into(),
             ));
         }
-        let mut dropped_ids: Vec<u64> = self.dropped_ids.iter().copied().collect();
-        dropped_ids.sort_unstable();
-        let live = self.live.as_ref().map(|l| {
-            let mut sampled: Vec<u64> = l.sampled.iter().copied().collect();
-            sampled.sort_unstable();
-            LiveState {
-                clock: l.clock.clone(),
-                prev: l.prev.clone(),
-                sample_one_in: l.sample_one_in,
-                sampled,
-                epochs_emitted: l.epochs_emitted,
-                spans_emitted: l.spans_emitted,
-                finished: l.finished,
-            }
-        });
         Ok(SwitchState {
             cfg: self.cfg.to_value(),
-            group: self.group.clone(),
-            pfi: self.pfi.clone(),
-            assemblers: self.assemblers.clone(),
-            input_xbar_free: self.input_xbar_free.clone(),
-            flush_pending: self.flush_pending.clone(),
-            tail: self.tail.clone(),
-            hbm_frames: self.hbm_frames.clone(),
-            head: self.head.clone(),
-            pending_to_head: self.pending_to_head.clone(),
-            outputs: self.outputs.clone(),
-            drain_scheduled: self.drain_scheduled.clone(),
-            read_cursor: self.read_cursor,
-            batches_in_flight: self.batches_in_flight,
-            arrivals_done: self.arrivals_done,
-            dropped_ids,
-            offered_packets: self.offered_packets,
-            offered_bytes: self.offered_bytes,
-            delivered_packets: self.delivered_packets,
-            delivered_bytes: self.delivered_bytes,
-            dropped_input: self.dropped_input,
-            dropped_frames: self.dropped_frames,
-            dropped_bytes: self.dropped_bytes,
-            padded_bytes: self.padded_bytes,
-            live_packets: self.live_packets,
-            peak_in_flight: self.peak_in_flight,
-            active_faults: self.active_faults,
-            dead_channels: self.dead_channels,
-            last_roll: self.last_roll,
-            time_degraded: self.time_degraded,
-            capacity_lost: self.capacity_lost,
-            baseline_occupancy: self.baseline_occupancy,
-            pending_recovery: self.pending_recovery,
-            recovery_drain: self.recovery_drain,
-            dropped_packets_fault: self.dropped_packets_fault,
-            dropped_packets_congestion: self.dropped_packets_congestion,
-            delays_ns: self.delays_ns.clone(),
-            departures: self.departures.clone(),
-            first_arrival: self.first_arrival,
-            last_departure: self.last_departure,
-            input_peak: self.input_peak,
-            hbm_occupancy: self.hbm_occupancy.clone(),
-            metrics: self.metrics.clone(),
-            output_depth: self.output_depth.clone(),
-            live,
+            run: self.run.clone(),
+            live: self.live.as_ref().map(|l| l.state.clone()),
             queue: q.entries(),
             queue_next_seq: q.next_seq(),
             queue_last_popped: q.now(),
@@ -1712,35 +1664,25 @@ impl HbmSwitch {
         match (self.live.as_mut(), st.live) {
             (None, None) => {}
             (Some(live), Some(ls)) => {
-                if live.clock.period() != ls.clock.period() {
+                if live.state.clock.period() != ls.clock.period() {
                     return Err(SnapshotError::Mismatch(format!(
                         "telemetry epoch period differs: run has {}, snapshot has {}",
-                        live.clock.period(),
+                        live.state.clock.period(),
                         ls.clock.period()
                     )));
                 }
-                if live.sample_one_in != ls.sample_one_in {
+                if live.state.sample_one_in != ls.sample_one_in {
                     return Err(SnapshotError::Mismatch(format!(
                         "span sampling rate differs: run has 1-in-{}, snapshot has 1-in-{}",
-                        live.sample_one_in, ls.sample_one_in
+                        live.state.sample_one_in, ls.sample_one_in
                     )));
                 }
-                live.clock = ls.clock;
-                live.prev = ls.prev;
-                live.sampled = ls.sampled.into_iter().collect();
-                live.epochs_emitted = ls.epochs_emitted;
-                live.spans_emitted = ls.spans_emitted;
-                live.finished = ls.finished;
                 self.live_boundary_ps = if ls.finished {
                     u64::MAX
                 } else {
-                    self.live
-                        .as_ref()
-                        .expect("just matched")
-                        .clock
-                        .next_boundary()
-                        .as_ps()
+                    ls.clock.next_boundary().as_ps()
                 };
+                live.state = ls;
             }
             (Some(_), None) => {
                 return Err(SnapshotError::Mismatch(
@@ -1753,49 +1695,7 @@ impl HbmSwitch {
                 ));
             }
         }
-        self.group = st.group;
-        self.pfi = st.pfi;
-        self.assemblers = st.assemblers;
-        self.input_xbar_free = st.input_xbar_free;
-        self.flush_pending = st.flush_pending;
-        self.tail = st.tail;
-        self.hbm_frames = st.hbm_frames;
-        self.head = st.head;
-        self.pending_to_head = st.pending_to_head;
-        self.outputs = st.outputs;
-        self.drain_scheduled = st.drain_scheduled;
-        self.read_cursor = st.read_cursor;
-        self.batches_in_flight = st.batches_in_flight;
-        self.arrivals_done = st.arrivals_done;
-        self.dropped_ids = st.dropped_ids.into_iter().collect();
-        self.offered_packets = st.offered_packets;
-        self.offered_bytes = st.offered_bytes;
-        self.delivered_packets = st.delivered_packets;
-        self.delivered_bytes = st.delivered_bytes;
-        self.dropped_input = st.dropped_input;
-        self.dropped_frames = st.dropped_frames;
-        self.dropped_bytes = st.dropped_bytes;
-        self.padded_bytes = st.padded_bytes;
-        self.live_packets = st.live_packets;
-        self.peak_in_flight = st.peak_in_flight;
-        self.active_faults = st.active_faults;
-        self.dead_channels = st.dead_channels;
-        self.last_roll = st.last_roll;
-        self.time_degraded = st.time_degraded;
-        self.capacity_lost = st.capacity_lost;
-        self.baseline_occupancy = st.baseline_occupancy;
-        self.pending_recovery = st.pending_recovery;
-        self.recovery_drain = st.recovery_drain;
-        self.dropped_packets_fault = st.dropped_packets_fault;
-        self.dropped_packets_congestion = st.dropped_packets_congestion;
-        self.delays_ns = st.delays_ns;
-        self.departures = st.departures;
-        self.first_arrival = st.first_arrival;
-        self.last_departure = st.last_departure;
-        self.input_peak = st.input_peak;
-        self.hbm_occupancy = st.hbm_occupancy;
-        self.metrics = st.metrics;
-        self.output_depth = st.output_depth;
+        self.run = st.run;
         Ok((q, feeder))
     }
 
@@ -1872,76 +1772,79 @@ impl HbmSwitch {
         self.drive(&mut q, &mut feeder, horizon, Some(&mut checkpoint))
     }
 
-    /// Build the report from current state, cloning the delay histogram
-    /// and departure log (use [`HbmSwitch::into_report`] at end of run
-    /// to avoid the clones).
+    /// Build the report from current state, cloning the departure log
+    /// (use [`HbmSwitch::into_report`] at end of run to avoid the
+    /// clone).
     pub fn report(&self) -> SwitchReport {
-        self.build_report(self.delays_ns.clone(), self.departures.clone())
+        self.build_report(self.run.departures.clone())
     }
 
-    /// Build the end-of-run report, consuming the switch: the delay
-    /// histogram and the (potentially very large) departure log move
-    /// into the report instead of being cloned.
+    /// Build the end-of-run report, consuming the switch: the
+    /// (potentially very large) departure log moves into the report
+    /// instead of being cloned.
     pub fn into_report(mut self) -> SwitchReport {
-        let delays_ns = std::mem::replace(&mut self.delays_ns, Histogram::new());
-        let departures = std::mem::take(&mut self.departures);
-        self.build_report(delays_ns, departures)
+        let departures = std::mem::take(&mut self.run.departures);
+        self.build_report(departures)
     }
 
-    fn build_report(&self, delays_ns: Histogram, departures: Vec<PacketDeparture>) -> SwitchReport {
-        let first = self.first_arrival.unwrap_or(SimTime::ZERO);
-        let span = self.last_departure.saturating_since(first);
+    fn build_report(&self, departures: Vec<PacketDeparture>) -> SwitchReport {
+        let first = self.run.first_arrival.unwrap_or(SimTime::ZERO);
+        let span = self.run.last_departure.saturating_since(first);
         let delivered_rate = if span.is_zero() {
             DataRate::ZERO
         } else {
             DataRate::from_bps(
                 u64::try_from(
-                    self.delivered_bytes.bits() as u128 * rip_units::PS_PER_S as u128
+                    self.run.delivered_bytes.bits() as u128 * rip_units::PS_PER_S as u128
                         / span.as_ps() as u128,
                 )
                 .expect("rate overflow"),
             )
         };
         let end = first + span;
-        let lane_cv = if self.outputs.is_empty() {
+        let lane_cv = if self.run.outputs.is_empty() {
             0.0
         } else {
-            self.outputs.iter().map(|p| p.lane_spread_cv()).sum::<f64>() / self.outputs.len() as f64
+            self.run
+                .outputs
+                .iter()
+                .map(|p| p.lane_spread_cv())
+                .sum::<f64>()
+                / self.run.outputs.len() as f64
         };
         let metrics = self.final_metrics(end, span);
         SwitchReport {
-            offered_packets: self.offered_packets,
-            offered_bytes: self.offered_bytes,
-            delivered_packets: self.delivered_packets,
-            delivered_bytes: self.delivered_bytes,
-            dropped_input: self.dropped_input,
-            dropped_frames: self.dropped_frames,
-            dropped_bytes: self.dropped_bytes,
-            padded_bytes: self.padded_bytes,
-            peak_in_flight_packets: self.peak_in_flight,
-            delays_ns,
+            offered_packets: self.run.offered_packets,
+            offered_bytes: self.run.offered_bytes,
+            delivered_packets: self.run.delivered_packets,
+            delivered_bytes: self.run.delivered_bytes,
+            dropped_input: self.run.dropped_input,
+            dropped_frames: self.run.dropped_frames,
+            dropped_bytes: self.run.dropped_bytes,
+            padded_bytes: self.run.padded_bytes,
+            peak_in_flight_packets: self.run.peak_in_flight,
             departures,
             span,
             delivered_rate,
-            delivery_fraction: if self.offered_bytes.is_zero() {
+            delivery_fraction: if self.run.offered_bytes.is_zero() {
                 1.0
             } else {
-                self.delivered_bytes.bits() as f64 / self.offered_bytes.bits() as f64
+                self.run.delivered_bytes.bits() as f64 / self.run.offered_bytes.bits() as f64
             },
             hbm_utilization: if span.is_zero() {
                 0.0
             } else {
-                self.group.utilization(first, end)
+                self.run.group.utilization(first, end)
             },
-            input_peak: self.input_peak,
-            tail_peak: self.tail.occupancy().peak,
-            head_peak: self.head.occupancy().peak,
+            input_peak: self.run.input_peak,
+            tail_peak: self.run.tail.occupancy().peak,
+            head_peak: self.run.head.occupancy().peak,
             lane_spread_cv: lane_cv,
-            dropped_packets_fault: self.dropped_packets_fault,
-            dropped_packets_congestion: self.dropped_packets_congestion,
-            time_degraded: self.time_degraded,
-            capacity_lost: self.capacity_lost,
-            recovery_drain: self.recovery_drain,
+            dropped_packets_fault: self.run.dropped_packets_fault,
+            dropped_packets_congestion: self.run.dropped_packets_congestion,
+            time_degraded: self.run.time_degraded,
+            capacity_lost: self.run.capacity_lost,
+            recovery_drain: self.run.recovery_drain,
             metrics,
         }
     }
@@ -1951,12 +1854,12 @@ impl HbmSwitch {
     /// derives from sim time and deterministic counters — never
     /// wall-clock — so repeated same-seed runs serialize identically.
     fn final_metrics(&self, end: SimTime, span: TimeDelta) -> MetricsRegistry {
-        let mut m = self.metrics.clone();
+        let mut m = self.run.metrics.clone();
         // HBM command mix, row locality and stall accounting.
         let (mut act, mut pre, mut rd, mut wr, mut refr) = (0u64, 0u64, 0u64, 0u64, 0u64);
         let (mut hits, mut misses) = (0u64, 0u64);
         let (mut faw_ps, mut turn_ps, mut bus_ps) = (0u64, 0u64, 0u64);
-        for ch in self.group.channels() {
+        for ch in self.run.group.channels() {
             let s = ch.stats();
             act += s.activates.get();
             pre += s.precharges.get();
@@ -1997,15 +1900,15 @@ impl HbmSwitch {
         // Streaming-memory high-water mark; summed across planes when
         // SPS merges registries, giving an upper bound on the router's
         // total in-flight footprint.
-        m.inc("switch.packets.peak_in_flight", self.peak_in_flight);
+        m.inc("switch.packets.peak_in_flight", self.run.peak_in_flight);
         // Run totals as counters (additive across planes under the SPS
         // merge; the live gauge series of the same names carries the
         // per-epoch view).
-        m.inc("switch.packets.offered", self.offered_packets);
-        m.inc("switch.packets.delivered", self.delivered_packets);
+        m.inc("switch.packets.offered", self.run.offered_packets);
+        m.inc("switch.packets.delivered", self.run.delivered_packets);
         m.inc(
             "switch.packets.dropped",
-            self.dropped_packets_fault + self.dropped_packets_congestion,
+            self.run.dropped_packets_fault + self.run.dropped_packets_congestion,
         );
         // Frame fill efficiency over everything written to the HBM.
         let cap = m.counter("switch.frame.capacity_bytes");
@@ -2021,7 +1924,7 @@ impl HbmSwitch {
         let mut oeo_events = 0u64;
         let mut oeo_joules = 0.0f64;
         let lane_bps = self.cfg.rate_per_wavelength.bps();
-        for p in &self.outputs {
+        for p in &self.run.outputs {
             oeo_bits += p.oeo().total_converted().bits();
             oeo_events += p.oeo().conversions();
             oeo_joules += p.oeo_energy_joules();
@@ -2043,31 +1946,31 @@ impl HbmSwitch {
 
     /// Access to the HBM group (device-level stats).
     pub fn hbm(&self) -> &HbmGroup {
-        &self.group
+        &self.run.group
     }
 
     /// The live telemetry registry (run-time metrics only; the full
     /// set including device/photonic aggregates is in
     /// [`SwitchReport::metrics`]).
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.run.metrics
     }
 
     /// Per-output HBM queue depth series (frames over sim time).
     pub fn output_depth(&self, o: usize) -> &Series {
-        &self.output_depth[o]
+        &self.run.output_depth[o]
     }
 
     /// Toggle HBM command recording on every channel, so a run's
     /// complete ACT/RD/WR/PRE/REFsb stream can be replayed through an
     /// independent timing-conformance checker afterwards.
     pub fn set_hbm_command_recording(&mut self, on: bool) {
-        self.group.set_record_commands(on);
+        self.run.group.set_record_commands(on);
     }
 
     /// Access to an output port (lane stats, OEO energy).
     pub fn output_port(&self, o: usize) -> &OutputPort {
-        &self.outputs[o]
+        &self.run.outputs[o]
     }
 }
 
@@ -2211,7 +2114,7 @@ mod tests {
         assert!(r.padded_bytes.bytes() > 0, "padding must have been used");
         // Delay bounded by the flush timeout + pipeline, far below the
         // horizon.
-        let p99 = r.delays_ns.quantile(0.99).unwrap();
+        let p99 = r.delays_ns().quantile(0.99).unwrap();
         assert!(p99 < 200_000.0, "p99 delay {p99} ns too large");
     }
 
@@ -2301,8 +2204,8 @@ mod tests {
         assert!(ra.delivery_fraction > 0.999);
         assert!(rl.delivery_fraction > 0.999, "{}", rl.delivery_fraction);
         // ...but the lane model pays per-wavelength serialization.
-        let ma = ra.delays_ns.mean().unwrap();
-        let ml = rl.delays_ns.mean().unwrap();
+        let ma = ra.delays_ns().mean().unwrap();
+        let ml = rl.delays_ns().mean().unwrap();
         assert!(ml > ma, "lane mean {ml} !> aggregate mean {ma}");
     }
 
@@ -2335,7 +2238,7 @@ mod tests {
         assert!(writes > 0, "frames must have been written");
         assert!(reads <= writes, "cannot read more frames than written");
         // Occupancy series populated and bounded by what was written.
-        let occ = sw.hbm_occupancy();
+        let occ = sw.hbm_occupancy().expect("tracing enabled");
         assert!(occ.samples_seen() > 0);
         assert!(occ.max().unwrap() <= writes as f64);
     }
@@ -2352,7 +2255,7 @@ mod tests {
             &FaultPlan::default(),
         );
         assert!(sw.trace().is_none());
-        assert_eq!(sw.hbm_occupancy().samples_seen(), 0);
+        assert!(sw.hbm_occupancy().is_none());
     }
 
     #[test]

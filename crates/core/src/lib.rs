@@ -63,7 +63,7 @@ pub use mimic::{MimicChecker, MimicReport};
 pub use output::{OutputPort, PacketDeparture};
 pub use resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use sps::{
-    CheckpointedRunError, LiveOptions, PerSwitch, PlaneRun, PlaneSource, SpsReport, SpsRouter,
+    CheckpointedRunError, LiveOptions, PerSwitch, PlaneResult, PlaneSource, SpsReport, SpsRouter,
     SpsWorkload,
 };
 pub use sram::{Frame, HeadSram, SramOccupancy, TailSram};

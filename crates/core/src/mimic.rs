@@ -59,36 +59,8 @@ impl MimicChecker {
     /// shadow sees the identical arrival sequence without any
     /// materialized trace.
     pub fn run_source<S: PacketSource>(&self, source: S, horizon: SimTime) -> MimicReport {
-        self.run_source_inner(source, horizon, None)
-    }
-
-    /// [`MimicChecker::run_source`] with live telemetry on the HBM side:
-    /// the switch under test streams epoch deltas and sampled lifecycle
-    /// spans into `sink` while the mimicking comparison runs, so a long
-    /// mimic study is observable before it finishes. The OQ shadow is a
-    /// pure reference and stays silent.
-    pub fn run_source_streamed<S: PacketSource>(
-        &self,
-        source: S,
-        horizon: SimTime,
-        period: TimeDelta,
-        sample_one_in: u64,
-        sink: Box<dyn rip_telemetry::TelemetrySink + Send>,
-    ) -> MimicReport {
-        self.run_source_inner(source, horizon, Some((period, sample_one_in, sink)))
-    }
-
-    fn run_source_inner<S: PacketSource>(
-        &self,
-        source: S,
-        horizon: SimTime,
-        live: Option<(TimeDelta, u64, Box<dyn rip_telemetry::TelemetrySink + Send>)>,
-    ) -> MimicReport {
         let mut shadow = IdealOqSwitch::new(self.cfg.ribbons, self.cfg.port_rate());
         let mut switch = HbmSwitch::new(self.cfg.clone()).expect("valid config");
-        if let Some((period, sample_one_in, sink)) = live {
-            switch.enable_live_telemetry(period, sample_one_in, sink);
-        }
         let mut tap = ShadowTap {
             inner: source,
             shadow: &mut shadow,

@@ -69,12 +69,6 @@ pub struct LiveOptions {
 /// Per-switch summary within an SPS report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerSwitch {
-    /// Offered bytes at this switch.
-    pub offered: DataSize,
-    /// Delivered bytes.
-    pub delivered: DataSize,
-    /// Dropped bytes.
-    pub dropped: DataSize,
     /// Full switch report.
     pub report: SwitchReport,
 }
@@ -111,24 +105,21 @@ pub struct SpsReport {
     pub metrics: MetricsRegistry,
 }
 
-/// One plane's complete outcome from [`SpsRouter::run_planes`]: the
-/// switch report, the front-end drop accounting attributed to the
-/// plane, and the plane's staged live-telemetry records (empty when the
-/// subset ran silent). Replaying `staged` renamed to `planeNN` in
-/// ascending plane order — across however many processes ran the
-/// subsets — reproduces the single-process stream byte-for-byte.
-#[derive(Debug, Clone)]
-pub struct PlaneRun {
+/// One finished plane: its switch report and the front-end drops
+/// attributed to it. [`SpsRouter::run_planes`] returns it, an SPS
+/// checkpoint keeps one per finished plane, a fleet worker's
+/// `plane_done` line carries one, and [`SpsRouter::stitch_report`]
+/// folds a full set into the router-level report.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PlaneResult {
     /// Global plane index.
     pub plane: usize,
+    /// Packets the optical front end dropped toward this plane.
+    pub fe_packets: u64,
+    /// Bytes the optical front end dropped toward this plane.
+    pub fe_bytes: DataSize,
     /// The plane's switch report.
     pub report: SwitchReport,
-    /// Packets the optical front end dropped toward this plane.
-    pub fe_dropped_packets: u64,
-    /// Bytes the optical front end dropped toward this plane.
-    pub fe_dropped: DataSize,
-    /// The plane's buffered telemetry records, in emission order.
-    pub staged: MemorySink,
 }
 
 /// Why [`SpsRouter::run_streamed_checkpointed`] failed.
@@ -286,18 +277,6 @@ impl StatefulSource for PlaneSource {
     }
 }
 
-/// One completed plane inside an SPS checkpoint: everything the final
-/// merge needs, plus how many records the plane contributed to the
-/// driver sink (so a resume can report how much of a partial stream to
-/// keep).
-#[derive(Clone, Serialize, Deserialize)]
-struct PlaneDone {
-    report: SwitchReport,
-    fe_packets: u64,
-    fe_bytes: DataSize,
-    records: u64,
-}
-
 /// The checkpoint side of one plane run inside
 /// [`SpsRouter::run_streamed_checkpointed`].
 struct PlaneCheckpoint<'a> {
@@ -321,7 +300,10 @@ struct SpsCkptState {
     /// Config echo; resuming under a different config is refused.
     cfg: Value,
     plane: u64,
-    done: Vec<PlaneDone>,
+    done: Vec<PlaneResult>,
+    /// Records the finished planes replayed into the driver sink, so a
+    /// resume can report how much of a partial stream to keep.
+    records: u64,
     staged: Vec<SinkRecord>,
     /// [`Value::Null`] between planes (the next plane starts fresh).
     engine: Value,
@@ -458,20 +440,18 @@ impl SpsRouter {
     ) -> Result<SpsReport, ConfigError> {
         let all: Vec<usize> = (0..self.cfg.switches).collect();
         let live_opts = live.as_ref().map(|(o, _)| *o);
-        let runs = self.run_planes(w, horizon, plan, live_opts, &all)?;
-        let report = self.stitch_report(
-            runs.iter()
-                .map(|r| (r.report.clone(), r.fe_dropped_packets, r.fe_dropped))
-                .collect(),
-            horizon,
-        );
-        if let Some((_, sink)) = live {
-            // Replay each plane's buffered stream in plane order, then
-            // close with the router-level merged totals.
-            for run in &runs {
-                run.staged
-                    .replay_renamed(&format!("plane{:02}", run.plane), sink);
+        let mut sink = live.map(|(_, sink)| sink);
+        let mut results = Vec::with_capacity(all.len());
+        for (result, staged) in self.run_planes(w, horizon, plan, live_opts, &all)? {
+            // Replay each plane's buffered stream in plane order.
+            if let Some(sink) = sink.as_deref_mut() {
+                staged.replay_renamed(&format!("plane{:02}", result.plane), sink);
             }
+            results.push(result);
+        }
+        let report = self.stitch_report(results, horizon);
+        if let Some(sink) = sink {
+            // Close with the router-level merged totals.
             sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
         }
         Ok(report)
@@ -486,8 +466,11 @@ impl SpsRouter {
     }
 
     /// Run only the given subset of planes, returning each plane's
-    /// switch report, front-end drop accounting and (when `live` is
-    /// set) its staged telemetry records.
+    /// result with its staged telemetry records in emission order
+    /// (empty when `live` is unset). Replaying the records renamed to
+    /// `planeNN` in ascending plane order — across however many
+    /// processes ran the subsets — reproduces the single-process stream
+    /// byte-for-byte.
     ///
     /// This is the worker half of the fleet split: each plane's
     /// simulation is fully self-contained (its own [`PlaneSource`],
@@ -512,7 +495,7 @@ impl SpsRouter {
         plan: &FaultPlan,
         live: Option<LiveOptions>,
         planes: &[usize],
-    ) -> Result<Vec<PlaneRun>, ConfigError> {
+    ) -> Result<Vec<(PlaneResult, MemorySink)>, ConfigError> {
         if planes.is_empty() {
             return Err(ConfigError::PlaneSubset {
                 reason: "the subset is empty".into(),
@@ -550,7 +533,7 @@ impl SpsRouter {
                 .map(|&plane| scope.spawn(move |_| run(plane)))
                 .collect();
             let last_run = run(last);
-            let mut runs: Vec<PlaneRun> = handles
+            let mut runs: Vec<_> = handles
                 .into_iter()
                 .map(|h| h.join().expect("switch simulation thread panicked"))
                 .collect();
@@ -563,7 +546,7 @@ impl SpsRouter {
 
     /// Simulate one plane end to end: its streaming front-end demux
     /// feeds a fresh [`HbmSwitch`] under the plane's projection of
-    /// `plan`, with live records staged into the returned run. Memory
+    /// `plan`, with live records staged into the returned sink. Memory
     /// is O(own fibers + in-flight), independent of horizon.
     ///
     /// With a checkpoint context the plane runs through
@@ -580,7 +563,7 @@ impl SpsRouter {
         live: Option<LiveOptions>,
         plane: usize,
         ckpt: Option<PlaneCheckpoint<'_>>,
-    ) -> Result<Option<PlaneRun>, SnapshotError> {
+    ) -> Result<Option<(PlaneResult, MemorySink)>, SnapshotError> {
         let mut src = self.plane_source(w, horizon, plan, plane);
         let staged = SharedSink::new();
         let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
@@ -620,13 +603,13 @@ impl SpsRouter {
                 }
             }
         }
-        Ok(Some(PlaneRun {
+        let result = PlaneResult {
             plane,
+            fe_packets: src.front_end_dropped_packets(),
+            fe_bytes: src.front_end_dropped(),
             report: sw.into_report(),
-            fe_dropped_packets: src.front_end_dropped_packets(),
-            fe_dropped: src.front_end_dropped(),
-            staged: staged.take(),
-        }))
+        };
+        Ok(Some((result, staged.take())))
     }
 
     /// Fold per-plane results (in plane order) into the router-level
@@ -637,33 +620,29 @@ impl SpsRouter {
     /// byte-identical reports from the same per-plane results.
     ///
     /// `results` must hold every plane of this router, in plane order.
-    pub fn stitch_report(
-        &self,
-        results: Vec<(SwitchReport, u64, DataSize)>,
-        horizon: SimTime,
-    ) -> SpsReport {
-        let mut fe_dropped_packets = 0u64;
-        let mut fe_dropped = DataSize::ZERO;
-        let reports: Vec<SwitchReport> = results
-            .into_iter()
-            .map(|(report, fe_pkts, fe_bytes)| {
-                fe_dropped_packets += fe_pkts;
-                fe_dropped += fe_bytes;
-                report
-            })
-            .collect();
+    pub fn stitch_report(&self, results: Vec<PlaneResult>, horizon: SimTime) -> SpsReport {
         // Plane ingress capacity over the generation horizon.
         let plane_capacity =
             (self.cfg.port_rate() * self.cfg.ribbons as u64).data_in(horizon.since(SimTime::ZERO));
-        let mut switches = Vec::with_capacity(reports.len());
+        let mut switches = Vec::with_capacity(results.len());
         let mut offered = DataSize::ZERO;
         let mut delivered = DataSize::ZERO;
-        let mut plane_overload = Vec::with_capacity(reports.len());
-        // Deterministic telemetry merge: reports arrive in spawn (plane)
-        // order from the ordered join above, and the merge itself is
-        // associative/commutative, so thread scheduling cannot change it.
+        let mut fe_dropped_packets = 0u64;
+        let mut fe_dropped = DataSize::ZERO;
+        let mut plane_overload = Vec::with_capacity(results.len());
+        // Deterministic telemetry merge: results arrive in plane order,
+        // and the merge itself is associative/commutative, so thread
+        // scheduling cannot change it.
         let mut metrics = MetricsRegistry::new();
-        for report in reports {
+        for PlaneResult {
+            fe_packets,
+            fe_bytes,
+            report,
+            ..
+        } in results
+        {
+            fe_dropped_packets += fe_packets;
+            fe_dropped += fe_bytes;
             metrics.merge(&report.metrics);
             offered += report.offered_bytes;
             delivered += report.delivered_bytes;
@@ -672,14 +651,13 @@ impl SpsRouter {
             } else {
                 report.offered_bytes.bits() as f64 / plane_capacity.bits() as f64
             });
-            switches.push(PerSwitch {
-                offered: report.offered_bytes,
-                delivered: report.delivered_bytes,
-                dropped: report.dropped_bytes,
-                report,
-            });
+            switches.push(PerSwitch { report });
         }
-        let max = switches.iter().map(|s| s.offered.bits()).max().unwrap_or(0);
+        let max = switches
+            .iter()
+            .map(|s| s.report.offered_bytes.bits())
+            .max()
+            .unwrap_or(0);
         let mean = if switches.is_empty() {
             0
         } else {
@@ -745,7 +723,7 @@ impl SpsRouter {
         let cfg_echo = self.cfg.to_value();
         // Where to pick up: plane index, finished planes, and the
         // running plane's staged records + engine state.
-        let (first_plane, mut done, seed_staged, engine0) = match resume {
+        let (first_plane, mut done, mut records_done, seed_staged, engine0) = match resume {
             Some(v) => {
                 let st = SpsCkptState::from_value(v).map_err(|e| {
                     SnapshotError::Mismatch(format!(
@@ -758,17 +736,19 @@ impl SpsRouter {
                     )
                     .into());
                 }
-                (st.plane as usize, st.done, st.staged, st.engine)
+                (st.plane as usize, st.done, st.records, st.staged, st.engine)
             }
-            None => (0, Vec::new(), Vec::new(), Value::Null),
+            None => (0, Vec::new(), 0, Vec::new(), Value::Null),
         };
-        if first_plane > self.cfg.switches || done.len() != first_plane.min(self.cfg.switches) {
+        if first_plane > self.cfg.switches
+            || done.len() != first_plane.min(self.cfg.switches)
+            || done.iter().enumerate().any(|(i, d)| d.plane != i)
+        {
             return Err(SnapshotError::Mismatch(
                 "snapshot plane progress is inconsistent with this router".into(),
             )
             .into());
         }
-        let mut records_done: u64 = done.iter().map(|d| d.records).sum();
         for plane in first_plane..self.cfg.switches {
             let resume = (plane == first_plane && engine0 != Value::Null)
                 .then_some((&engine0, &seed_staged[..]));
@@ -781,24 +761,21 @@ impl SpsRouter {
                         cfg: cfg_echo.clone(),
                         plane: plane as u64,
                         done: done.clone(),
+                        records: records_done,
                         staged,
                         engine: engine.clone(),
                     };
                     persist(&state.to_value(), records_done)
                 },
             };
-            let Some(run) = self.run_plane(w, horizon, plan, Some(opts), plane, Some(ckpt))? else {
+            let Some((result, staged)) =
+                self.run_plane(w, horizon, plan, Some(opts), plane, Some(ckpt))?
+            else {
                 return Ok(None);
             };
-            let plane_records = run.staged.records().len() as u64;
-            run.staged.replay_renamed(&format!("plane{plane:02}"), sink);
-            records_done += plane_records;
-            done.push(PlaneDone {
-                report: run.report,
-                fe_packets: run.fe_dropped_packets,
-                fe_bytes: run.fe_dropped,
-                records: plane_records,
-            });
+            records_done += staged.records().len() as u64;
+            staged.replay_renamed(&format!("plane{plane:02}"), sink);
+            done.push(result);
             if plane + 1 < self.cfg.switches {
                 // Inter-plane snapshot: the next plane starts fresh, so
                 // the engine slot is Null and nothing is staged.
@@ -806,6 +783,7 @@ impl SpsRouter {
                     cfg: cfg_echo.clone(),
                     plane: (plane + 1) as u64,
                     done: done.clone(),
+                    records: records_done,
                     staged: Vec::new(),
                     engine: Value::Null,
                 }
@@ -816,11 +794,7 @@ impl SpsRouter {
                 }
             }
         }
-        let results = done
-            .into_iter()
-            .map(|d| (d.report, d.fe_packets, d.fe_bytes))
-            .collect();
-        let report = self.stitch_report(results, horizon);
+        let report = self.stitch_report(done, horizon);
         sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
         Ok(Some(report))
     }

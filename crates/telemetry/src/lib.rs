@@ -49,8 +49,8 @@ pub use profile::{
     PhaseSample, PhaseScope, ProfileHub, ProfileRecord, SAMPLE_STRIDE,
 };
 pub use sink::{
-    intern_stage, FanoutSink, JsonlSink, MemorySink, PrometheusSink, SharedSink, SinkRecord,
-    SpanEvent, TelemetrySink, SPAN_STAGES,
+    intern_stage, FanoutSink, JsonlSink, MemorySink, SharedSink, SinkRecord, SpanEvent,
+    TelemetrySink, SPAN_STAGES,
 };
 pub use trace::{
     ChromeTraceSink, TraceRecorder, TraceWindow, TraceWindowError, PID_DYNAMIC_BASE, PID_FRAMES,

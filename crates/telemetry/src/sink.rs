@@ -12,9 +12,6 @@
 //!
 //! * [`JsonlSink`] — one JSON object per line, the format diffed
 //!   byte-for-byte by CI;
-//! * [`PrometheusSink`] — accumulates deltas and renders one
-//!   grammar-valid Prometheus text exposition when finished (or
-//!   dropped);
 //! * [`MemorySink`] — buffers records for tests and for replay, with
 //!   an optional ring capacity so soaks cannot grow it unboundedly;
 //! * [`SharedSink`] — a clonable, thread-safe handle over a
@@ -369,69 +366,6 @@ pub(crate) fn render_exposition<W: Write>(
     Ok(())
 }
 
-/// Prometheus-style text exposition writer.
-///
-/// Epoch deltas are accumulated into one cumulative registry per
-/// source (each source's `run_end` totals are authoritative when they
-/// arrive); the exposition text is rendered exactly once — by
-/// [`PrometheusSink::finish`], or on drop — so every metric family
-/// appears once with `# HELP`/`# TYPE` ahead of all its samples, as
-/// the exposition grammar requires. Metric names are sanitized to
-/// `[a-zA-Z0-9_]` and prefixed `rip_`; the source becomes a
-/// `source="..."` label, so per-plane registries share metric families.
-pub struct PrometheusSink<W: Write> {
-    out: W,
-    cumulative: BTreeMap<String, MetricsRegistry>,
-    rendered: bool,
-}
-
-impl<W: Write> PrometheusSink<W> {
-    /// A sink rendering to `out` when finished (or dropped).
-    pub fn new(out: W) -> Self {
-        PrometheusSink {
-            out,
-            cumulative: BTreeMap::new(),
-            rendered: false,
-        }
-    }
-
-    /// Render the accumulated exposition now. Idempotent; also runs on
-    /// drop if never called.
-    pub fn finish(&mut self) {
-        if !self.rendered {
-            self.rendered = true;
-            render_exposition(&self.cumulative, &mut self.out).expect("telemetry sink write");
-            self.out.flush().expect("telemetry sink flush");
-        }
-    }
-}
-
-impl<W: Write> TelemetrySink for PrometheusSink<W> {
-    fn on_epoch(&mut self, source: &str, _epoch: u64, delta: &EpochDelta) {
-        self.cumulative
-            .entry(source.to_string())
-            .or_default()
-            .apply_delta(delta);
-    }
-
-    fn on_run_end(&mut self, source: &str, _at: SimTime, totals: &MetricsRegistry) {
-        // `totals` is authoritative (it includes report-time
-        // aggregates); prefer it over the replayed deltas.
-        self.cumulative.insert(source.to_string(), totals.clone());
-    }
-}
-
-impl<W: Write> Drop for PrometheusSink<W> {
-    fn drop(&mut self) {
-        if !self.rendered {
-            self.rendered = true;
-            // Best-effort in drop: never panic while unwinding.
-            let _ = render_exposition(&self.cumulative, &mut self.out);
-            let _ = self.out.flush();
-        }
-    }
-}
-
 /// One buffered record, as received by a [`MemorySink`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SinkRecord {
@@ -782,10 +716,7 @@ mod tests {
         reg.observe("lat.ns", 100.0);
         reg.observe("lat.ns", 200.0);
         let mut buf = Vec::new();
-        {
-            let mut sink = PrometheusSink::new(&mut buf);
-            sink.on_run_end("switch", SimTime::from_ns(10), &reg);
-        }
+        render_exposition(&BTreeMap::from([("switch".to_string(), reg)]), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("rip_switch_packets_total{source=\"switch\"} 9"));
         assert!(text.contains("rip_queue_depth{source=\"switch\"} 4.5"));

@@ -56,7 +56,7 @@ fn main() {
         for (i, s) in report.switches.iter().enumerate() {
             println!(
                 "  switch {i}: offered {} delivered {} dropped {}",
-                s.offered, s.delivered, s.dropped
+                s.report.offered_bytes, s.report.delivered_bytes, s.report.dropped_bytes
             );
         }
     }

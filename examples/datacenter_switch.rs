@@ -44,8 +44,8 @@ fn run_variant(name: &str, cfg: RouterConfig, load: f64) {
     println!(
         "{name}: frame {} | mean delay {:.2} us | p99 {:.2} us | delivered {:.2}% | HBM util {:.0}%",
         cfg.frame_size(),
-        r.delays_ns.mean().unwrap_or(0.0) / 1e3,
-        r.delays_ns.quantile(0.99).unwrap_or(0.0) / 1e3,
+        r.delays_ns().mean().unwrap_or(0.0) / 1e3,
+        r.delays_ns().quantile(0.99).unwrap_or(0.0) / 1e3,
         r.delivery_fraction * 100.0,
         r.hbm_utilization * 100.0
     );

@@ -83,6 +83,6 @@ fn main() {
         "\nswitch run: delivered {:.2}% ({} packets), mean delay {:.2} us",
         r.delivery_fraction * 100.0,
         r.delivered_packets,
-        r.delays_ns.mean().unwrap_or(0.0) / 1e3
+        r.delays_ns().mean().unwrap_or(0.0) / 1e3
     );
 }

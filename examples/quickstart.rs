@@ -64,8 +64,8 @@ fn main() {
     println!("HBM utilization   : {:.1}%", report.hbm_utilization * 100.0);
     println!(
         "delay mean/p99    : {:.2} us / {:.2} us",
-        report.delays_ns.mean().unwrap_or(0.0) / 1e3,
-        report.delays_ns.quantile(0.99).unwrap_or(0.0) / 1e3
+        report.delays_ns().mean().unwrap_or(0.0) / 1e3,
+        report.delays_ns().quantile(0.99).unwrap_or(0.0) / 1e3
     );
     println!(
         "SRAM peaks        : input {} | tail {} | head {}",

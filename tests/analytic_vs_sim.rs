@@ -140,7 +140,7 @@ fn e14_measured_delay_brackets_the_first_order_model() {
         .collect();
     let sw = HbmSwitch::new(cfg.clone()).unwrap();
     let r = sw.run(&merge_streams(streams), SimTime::from_ns(900_000));
-    let measured_ns = r.delays_ns.mean().unwrap();
+    let measured_ns = r.delays_ns().mean().unwrap();
     let hbm_frame_time = cfg.hbm_peak().transfer_time(cfg.frame_size());
     let model =
         datacenter::expected_switch_delay(cfg.frame_size(), cfg.port_rate(), load, hbm_frame_time);

@@ -227,6 +227,69 @@ fn a_snapshot_with_a_lowered_queue_seq_is_a_typed_error() {
     }
 }
 
+#[test]
+fn a_switch_snapshot_in_the_flat_layout_is_refused() {
+    // A switch snapshot keeps the run state in one `run` member. One
+    // written with those members at its top level (the layout before
+    // `run` existed) must be refused with a typed error, and the
+    // refusing switch must be left exactly as it was built.
+    let seed = 47;
+    let path = scratch("flat-layout.snap");
+    let (_, outcome, _) = run_until(seed, &path, 2, 1);
+    assert_eq!(outcome, RunOutcome::Interrupted);
+    let (payload, _) = load_latest(&path).expect("snapshot loads");
+    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
+    let mut state = serde_json::parse(text).expect("snapshot payload parses");
+    let Value::Object(fields) = &mut state else {
+        panic!("snapshot is not an object");
+    };
+    let at = fields
+        .iter()
+        .position(|(k, _)| k == "run")
+        .expect("snapshot has a `run` member");
+    let Value::Object(members) = fields.remove(at).1 else {
+        panic!("`run` is not an object");
+    };
+    fields.splice(at..at, members);
+
+    let (cfg, tm, horizon) = live_setup();
+    let staged = SharedSink::new();
+    let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
+    sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
+    let err = sw
+        .run_source_checkpointed(
+            source_for(&cfg, &tm, 0.8, horizon, seed),
+            cfg.drain.deadline(horizon),
+            &FaultPlan::default(),
+            Some(&state),
+            1_000_000,
+            || false,
+            |_, _, _| Ok(()),
+        )
+        .expect_err("a flat-layout snapshot must be refused");
+    match err {
+        SnapshotError::Mismatch(msg) => assert!(
+            msg.contains("does not decode as a switch state"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("want SnapshotError::Mismatch, got {other}"),
+    }
+    assert!(
+        staged.take().records().is_empty(),
+        "a refused resume emitted records"
+    );
+    // Nothing was overwritten: the same switch still runs the fresh
+    // workload to the baseline's report and stream.
+    sw.run_source(
+        source_for(&cfg, &tm, 0.8, horizon, seed),
+        cfg.drain.deadline(horizon),
+        &FaultPlan::default(),
+    );
+    let (base_records, base_report) = baseline(seed);
+    assert_eq!(json(&sw.into_report()), base_report);
+    assert_eq!(*staged.take().records(), base_records);
+}
+
 // ------------------------------------------------------------------
 // SPS router: sequential checkpointed runner vs threaded run.
 // ------------------------------------------------------------------
@@ -466,6 +529,85 @@ fn sps_resume_rejects_a_plane_source_with_a_different_lane_count() {
     match err {
         CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
             msg.contains("16 lanes, snapshot has 64"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("want SnapshotError::Mismatch, got {other}"),
+    }
+    assert!(
+        cont.records().is_empty(),
+        "a refused resume emitted records"
+    );
+}
+
+#[test]
+fn sps_resume_rejects_finished_planes_in_the_old_layout() {
+    // A finished plane inside an SPS snapshot is a `PlaneResult`
+    // (`plane`, `fe_packets`, `fe_bytes`, `report`), and the replayed
+    // record count is one top-level `records`. A snapshot in the older
+    // layout — per-plane `{report, fe_packets, fe_bytes, records}` with
+    // no plane index — must be refused with a typed error.
+    let (router, w, horizon, opts) = sps_setup();
+    let mut sink = MemorySink::new();
+    let first_done: RefCell<Option<Value>> = RefCell::new(None);
+    router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut sink,
+            None,
+            3,
+            &mut || false,
+            &mut |state, _| {
+                let mut state = state.clone();
+                let finished =
+                    matches!(field_mut(&mut state, "done"), Value::Array(d) if !d.is_empty());
+                if finished && first_done.borrow().is_none() {
+                    *first_done.borrow_mut() = Some(state);
+                }
+                Ok(())
+            },
+        )
+        .expect("checkpointed run")
+        .expect("ran to completion");
+    let mut state = first_done
+        .into_inner()
+        .expect("a snapshot after the first plane was taken");
+
+    let records = field_mut(&mut state, "records").clone();
+    let Value::Object(fields) = &mut state else {
+        panic!("snapshot is not an object");
+    };
+    fields.retain(|(k, _)| k != "records");
+    let Value::Array(done) = field_mut(&mut state, "done") else {
+        panic!("`done` is not an array");
+    };
+    for plane in done.iter_mut() {
+        let Value::Object(members) = plane else {
+            panic!("a finished plane is not an object");
+        };
+        members.retain(|(k, _)| k != "plane");
+        members.push(("records".to_string(), records.clone()));
+    }
+
+    let mut cont = MemorySink::new();
+    let err = router
+        .run_streamed_checkpointed(
+            &w,
+            horizon,
+            &FaultPlan::default(),
+            opts,
+            &mut cont,
+            Some(&state),
+            1_000_000,
+            &mut || false,
+            &mut |_, _| Ok(()),
+        )
+        .expect_err("an old-layout snapshot must be refused");
+    match err {
+        CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
+            msg.contains("does not decode as an SPS router state") && msg.contains("`plane`"),
             "unexpected message: {msg}"
         ),
         other => panic!("want SnapshotError::Mismatch, got {other}"),

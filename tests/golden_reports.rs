@@ -17,10 +17,10 @@ use rip_traffic::TrafficMatrix;
 use rip_units::SimTime;
 
 /// FNV-1a digest of [`switch_report_json`] (`RouterConfig::small`).
-const SWITCH_REPORT_FNV1A: u64 = 0x15fd_72b6_20af_45b1;
+const SWITCH_REPORT_FNV1A: u64 = 0xa0ed_86a8_5487_2dfb;
 
 /// FNV-1a digest of [`sps_report_json`] (`RouterConfig::resilience_small`).
-const SPS_REPORT_FNV1A: u64 = 0xf3cb_9ca0_f159_8cb5;
+const SPS_REPORT_FNV1A: u64 = 0xed02_bb94_8ad1_5ec1;
 
 /// One quickstart-style switch run, serialized.
 fn switch_report_json() -> String {
