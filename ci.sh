@@ -218,6 +218,37 @@ test -f "$bench_dir/flight/flight_watchdog.json" \
 target/release/ripsim flight-check "$bench_dir/flight/flight_watchdog.json" \
   || { echo "flight bundle failed validation"; exit 1; }
 
+echo "==> plain-soak SIGINT smoke (exit 130 with a signal flight bundle)"
+# The shipped soak ends in well under a second; a 1000x horizon keeps
+# it streaming until the signal is polled at the next epoch boundary.
+sed 's/"horizon_us": 20,/"horizon_us": 20000,/' configs/soak_live.json \
+  > "$bench_dir/soak_long.json"
+grep -q '"horizon_us": 20000,' "$bench_dir/soak_long.json" \
+  || { echo "could not derive the long-horizon soak spec"; exit 1; }
+mkdir "$bench_dir/flight_sig"
+target/release/ripsim soak "$bench_dir/soak_long.json" --flight-dir "$bench_dir/flight_sig" \
+  > "$bench_dir/soak_sig.jsonl" 2> "$bench_dir/soak_sig.log" &
+sig_pid=$!
+for _ in $(seq 1 200); do
+  grep -q '"record":"epoch"' "$bench_dir/soak_sig.jsonl" && break
+  sleep 0.05
+done
+if ! grep -q '"record":"epoch"' "$bench_dir/soak_sig.jsonl"; then
+  kill -9 "$sig_pid" 2> /dev/null || true
+  echo "long soak streamed no epoch line"; exit 1
+fi
+kill -INT "$sig_pid"
+sig_rc=0
+wait "$sig_pid" || sig_rc=$?
+test "$sig_rc" = 130 || { echo "interrupted soak exited $sig_rc, want 130"; exit 1; }
+test -f "$bench_dir/flight_sig/flight_signal.json" \
+  || { echo "interrupted soak left no flight_signal.json"; exit 1; }
+target/release/ripsim flight-check "$bench_dir/flight_sig/flight_signal.json" \
+  || { echo "signal flight bundle failed validation"; exit 1; }
+if grep -q 'panicked' "$bench_dir/soak_sig.log"; then
+  echo "interrupted soak panicked"; exit 1
+fi
+
 echo "==> checkpoint/resume smoke (SIGKILL mid-soak, byte-identical continuation)"
 target/release/ripsim soak configs/soak_ckpt.json \
   > "$bench_dir/ckpt_base.jsonl" 2> /dev/null

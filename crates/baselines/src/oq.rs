@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use rip_telemetry::{EpochClock, MetricsRegistry, Snapshot, TelemetrySink};
 use rip_traffic::Packet;
 use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize};
@@ -122,58 +121,6 @@ impl IdealOqSwitch {
             out.push(self.offer(&p));
         }
         out
-    }
-
-    /// Like [`IdealOqSwitch::run_source`] but streaming per-epoch
-    /// telemetry deltas into `sink` as the run progresses. The ideal
-    /// switch has no internal event loop — it advances with each
-    /// arrival — so epochs flush whenever an arrival crosses an epoch
-    /// boundary. Metrics are a small reference set: packet/byte
-    /// counters, a per-output queued-bytes gauge series, and the
-    /// packet-delay histogram. Everything is SimTime-stamped, so two
-    /// same-seed runs stream byte-identical deltas.
-    pub fn run_source_streamed<S: rip_traffic::PacketSource>(
-        &mut self,
-        mut source: S,
-        period: TimeDelta,
-        sink: &mut dyn TelemetrySink,
-    ) -> Vec<Departure> {
-        const SOURCE: &str = "oq";
-        let mut clock = EpochClock::new(period);
-        let mut prev = Snapshot::empty();
-        let mut metrics = MetricsRegistry::new();
-        let mut out = Vec::new();
-        let mut last_arrival = SimTime::ZERO;
-        while let Some(p) = source.next_packet() {
-            while p.arrival >= clock.next_boundary() {
-                let (epoch, _, to) = clock.advance();
-                self.stamp_oq_gauges(&mut metrics, to);
-                let snap = metrics.snapshot(to);
-                sink.on_epoch(SOURCE, epoch, &snap.delta_since(&prev));
-                prev = snap;
-            }
-            last_arrival = p.arrival;
-            let d = self.offer(&p);
-            metrics.inc("oq.packets", 1);
-            metrics.inc("oq.bytes", p.size.bytes());
-            metrics.observe("oq.delay_ns", d.departure.since(p.arrival).as_ns_f64());
-            out.push(d);
-        }
-        // Final epoch: stamp at the last event time the run saw so the
-        // stream never references wall-clock state.
-        let end = self.last_departure().unwrap_or(last_arrival);
-        self.stamp_oq_gauges(&mut metrics, end);
-        let snap = metrics.snapshot(end);
-        sink.on_epoch(SOURCE, clock.epoch(), &snap.delta_since(&prev));
-        sink.on_run_end(SOURCE, end, &metrics);
-        out
-    }
-
-    fn stamp_oq_gauges(&self, metrics: &mut MetricsRegistry, at: SimTime) {
-        let queued: u64 = self.queued.iter().map(|q| q.bytes()).sum();
-        let peak: u64 = self.peak_queued.iter().map(|q| q.bytes()).sum();
-        metrics.set_gauge("oq.queued_bytes", at, queued as f64);
-        metrics.set_gauge("oq.peak_queued_bytes", at, peak as f64);
     }
 
     /// All departures so far, in offer order.
@@ -308,53 +255,6 @@ mod tests {
             rate.gbps()
         );
         assert_eq!(sw.mean_delay(&pkts), TimeDelta::from_ns(80));
-    }
-
-    #[test]
-    fn streamed_run_matches_run_and_reconstructs_metrics() {
-        use rip_telemetry::MemorySink;
-
-        let pkts: Vec<Packet> = (0..200)
-            .map(|i| pkt(i, (i % 2) as usize, 500, i * 37))
-            .collect();
-        let mut silent = IdealOqSwitch::new(2, DataRate::from_gbps(100));
-        let want = silent.run(&pkts);
-
-        let run_live = || {
-            let mut sw = IdealOqSwitch::new(2, DataRate::from_gbps(100));
-            let mut sink = MemorySink::new();
-            let deps = sw.run_source_streamed(
-                rip_traffic::ReplaySource::new(&pkts),
-                TimeDelta::from_ns(1_000),
-                &mut sink,
-            );
-            (deps, sink.into_records())
-        };
-        let (deps_a, recs_a) = run_live();
-        let (deps_b, recs_b) = run_live();
-        // Streaming telemetry must not perturb the departures, and two
-        // identical runs must stream identical records.
-        assert_eq!(deps_a, want);
-        assert_eq!(deps_b, want);
-        assert_eq!(recs_a, recs_b);
-        assert!(!recs_a.is_empty());
-
-        // Replaying every epoch delta reconstructs the final registry.
-        let mut rebuilt = rip_telemetry::MetricsRegistry::new();
-        let mut totals = None;
-        for r in &recs_a {
-            match r {
-                rip_telemetry::SinkRecord::Epoch { delta, .. } => rebuilt.apply_delta(delta),
-                rip_telemetry::SinkRecord::RunEnd { totals: t, .. } => totals = Some(t.clone()),
-                rip_telemetry::SinkRecord::Span { .. }
-                | rip_telemetry::SinkRecord::Watchdog { .. } => {}
-            }
-        }
-        let totals = totals.expect("run_end record");
-        assert_eq!(
-            serde_json::to_string(&rebuilt).unwrap(),
-            serde_json::to_string(&totals).unwrap()
-        );
     }
 
     #[test]

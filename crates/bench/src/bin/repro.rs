@@ -1496,14 +1496,10 @@ fn run_soak(quick: bool, live: bool) {
     let (r1, r2, sinks) = if live {
         let (r1, m1, wd1) = stream_run_live(&cfg, load, h1, seed, period);
         let (r2, m2, wd2) = stream_run_live(&cfg, load, h2, seed, period);
-        // Always-on telemetry accounting, alarm or not: the same
-        // counts the Prometheus families (`rip_watchdog_alarms_total`,
-        // `rip_telemetry_dropped_records`) would report for this run.
-        println!(
-            "soak telemetry: watchdog_alarms={} dropped_records={}",
-            wd1.len() + wd2.len(),
-            m1.dropped_records() + m2.dropped_records()
-        );
+        // Always-on telemetry accounting, alarm or not: the count the
+        // Prometheus family `rip_watchdog_alarms_total` would report
+        // for this run.
+        println!("soak telemetry: watchdog_alarms={}", wd1.len() + wd2.len());
         // A healthy soak must not trip any SLO watchdog (stall,
         // drop-rate, degraded capacity): no false alarms.
         if !wd1.is_empty() || !wd2.is_empty() {
@@ -1620,7 +1616,6 @@ struct FleetBench {
     partitionings: u64,
     stream_records: u64,
     stream_bytes: u64,
-    dropped_records: u64,
     watchdog_alarms: u64,
     offered_bytes: u64,
     delivered_bytes: u64,
@@ -1687,7 +1682,6 @@ fn run_fleet(quick: bool) {
         echo: echo.clone(),
     };
     let mut records = 0u64;
-    let mut dropped = 0u64;
     for (i, partition) in partitionings.iter().enumerate() {
         let mut collector = Collector::new(echo.clone(), planes);
         let mut streams: Vec<Vec<u8>> = Vec::new();
@@ -1726,7 +1720,6 @@ fn run_fleet(quick: bool) {
             outcome.records
         );
         records = outcome.records;
-        dropped = outcome.dropped_records;
     }
 
     let bench = FleetBench {
@@ -1740,7 +1733,6 @@ fn run_fleet(quick: bool) {
         partitionings: partitionings.len() as u64,
         stream_records: records,
         stream_bytes: oracle.len() as u64,
-        dropped_records: dropped,
         watchdog_alarms: oracle_alarms,
         offered_bytes: oracle_report.offered.bytes(),
         delivered_bytes: oracle_report.delivered.bytes(),

@@ -104,8 +104,8 @@ use rip_photonics::SplitPattern;
 use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
     ChromeTraceSink, FanoutSink, FlightRecorder, FlightTee, FrameListener, JsonlSink,
-    MetricsEndpoint, ProfileHub, SharedSink, TelemetrySink, TraceWindow, Watchdog, WatchdogConfig,
-    WatchdogEvent, WatchdogKind,
+    MetricsEndpoint, ProfileHub, Record, SharedSink, TelemetrySink, TraceWindow, Watchdog,
+    WatchdogConfig, WatchdogEvent, WatchdogKind,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
@@ -272,20 +272,8 @@ impl SharedEndpoint {
 }
 
 impl TelemetrySink for SharedEndpoint {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &rip_telemetry::EpochDelta) {
-        self.lock().on_epoch(source, epoch, delta);
-    }
-
-    fn on_span(&mut self, source: &str, span: &rip_telemetry::SpanEvent) {
-        self.lock().on_span(source, span);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &rip_telemetry::WatchdogEvent) {
-        self.lock().on_watchdog(source, event);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &rip_telemetry::MetricsRegistry) {
-        self.lock().on_run_end(source, at, totals);
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        self.lock().record(source, rec);
     }
 }
 
@@ -413,25 +401,13 @@ struct SignalWatch<S: TelemetrySink> {
 }
 
 impl<S: TelemetrySink> TelemetrySink for SignalWatch<S> {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &rip_telemetry::EpochDelta) {
-        self.inner.on_epoch(source, epoch, delta);
-        if STOP.load(Ordering::SeqCst) {
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        self.inner.record(source, rec);
+        if matches!(rec, Record::Epoch { .. }) && STOP.load(Ordering::SeqCst) {
             eprintln!("ripsim: stop requested; dumping flight bundle");
             report_flight_dump(&self.rec, &self.dir, "signal");
             std::process::exit(130);
         }
-    }
-
-    fn on_span(&mut self, source: &str, span: &rip_telemetry::SpanEvent) {
-        self.inner.on_span(source, span);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        self.inner.on_watchdog(source, event);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &rip_telemetry::MetricsRegistry) {
-        self.inner.on_run_end(source, at, totals);
     }
 }
 
@@ -919,10 +895,6 @@ struct CollectOptions {
     /// Give up when coverage is still incomplete after this long
     /// (default 30 s).
     timeout_ms: Option<u64>,
-    /// Bound each plane's staging buffer to this many records
-    /// (forfeits byte-identity when it evicts; reported in the
-    /// summary's `dropped_records`).
-    stage_cap: Option<usize>,
 }
 
 /// Report a lost worker: a typed `worker_lost` watchdog record into the
@@ -937,7 +909,7 @@ fn note_worker_lost(sink: &mut dyn TelemetrySink, worker: u64, why: &str) {
         at: SimTime::ZERO,
         kind: WatchdogKind::WorkerLost { worker },
     };
-    sink.on_watchdog("collector", &event);
+    sink.record("collector", Record::Watchdog(&event));
 }
 
 /// `ripsim collect`: reassemble worker streams into the
@@ -975,9 +947,6 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
         );
     } else {
         let mut collector = Collector::new(parts.echo.clone(), spec.router.switches);
-        if let Some(cap) = opts.stage_cap {
-            collector = collector.with_plane_capacity(cap);
-        }
         if let Some(h) = &hub {
             collector = collector.with_profiler(h.clone());
         }
@@ -1047,20 +1016,9 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
         let outcome = collector
             .finish(&parts.router, parts.horizon, &mut wd)
             .map_err(|e| e.to_string())?;
-        if let Some(ep) = &endpoint {
-            ep.lock().note_dropped_records(
-                "sps",
-                parts.router.drain_deadline(parts.horizon),
-                outcome.dropped_records,
-            );
-        }
         summary = format!(
-            "collector: workers={} records={} dropped_records={} offered {} delivered {}",
-            workers,
-            outcome.records,
-            outcome.dropped_records,
-            outcome.report.offered,
-            outcome.report.delivered
+            "collector: workers={} records={} offered {} delivered {}",
+            workers, outcome.records, outcome.report.offered, outcome.report.delivered
         );
     }
     drop(wd); // flush the merged stream before reporting
@@ -1607,7 +1565,6 @@ const FLAGS: &[Flag] = &[
     flag("--listen", "<addr>", &[Cmd::Collect]),
     flag("--port-file", "<path>", &[Cmd::Collect]),
     flag("--timeout-ms", "<ms>", &[Cmd::Collect]),
-    flag("--stage-cap", "<n>", &[Cmd::Collect]),
     flag("--inject-channel-fault", "<ch>", &[Cmd::Soak]),
     flag("--checkpoint-every", "<epochs>", &[Cmd::Soak]),
     flag("--checkpoint-path", "<path>", &[Cmd::Soak]),
@@ -1677,10 +1634,6 @@ impl Cli {
             "--listen" => self.collect.listen = text,
             "--port-file" => self.collect.port_file = text,
             "--timeout-ms" => self.collect.timeout_ms = Some(number(flag, v)?),
-            "--stage-cap" => match number(flag, v)? {
-                0 => return Err("--stage-cap must be positive".into()),
-                n => self.collect.stage_cap = Some(n),
-            },
             "--inject-channel-fault" => self.soak.inject_channel_fault = Some(number(flag, v)?),
             "--checkpoint-every" => self.soak.checkpoint_every = Some(number(flag, v)?),
             "--checkpoint-path" => self.soak.checkpoint_path = text,
@@ -1865,7 +1818,7 @@ mod tests {
             (
                 Cmd::Collect,
                 format!(
-                    "--oracle --from --listen --port-file --timeout-ms --epoch --stage-cap \
+                    "--oracle --from --listen --port-file --timeout-ms --epoch \
                      {profile} {metrics}"
                 ),
             ),
@@ -1914,10 +1867,7 @@ mod tests {
                 "soak --epoch x",
                 "bad --epoch value x: invalid digit found in string",
             ),
-            (
-                "collect s.json --stage-cap 0",
-                "--stage-cap must be positive",
-            ),
+            ("collect s.json --stage-cap 4", "unknown flag --stage-cap"),
             ("soak --profile-out p", "--profile-out needs --profile"),
             ("trace --trace-window 0:9", "--trace-window needs --chrome"),
             ("s.json extra", "unexpected argument extra"),

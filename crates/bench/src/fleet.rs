@@ -34,14 +34,14 @@
 //!
 //! ## Why the merged output is byte-identical to the oracle
 //!
-//! `SpsRouter::run` replays per-plane staging buffers in
-//! ascending plane order and closes with an `sps` `run_end` carrying
-//! the stitched registry. Plane simulations are fully self-contained,
-//! so each worker's staged records equal the oracle's for its planes;
-//! [`Collector::finish`] replays the committed planes in the same
-//! ascending order through the caller's sink and closes with
-//! [`rip_core::SpsRouter::stitch_report`] over the pushed per-plane
-//! results — the same fold, in the same order, over the same values.
+//! `SpsRouter::run` ends in [`rip_core::SpsRouter::finish_run`]: it
+//! replays per-plane staging buffers in ascending plane order and
+//! closes with an `sps` `run_end` carrying the stitched registry. Plane
+//! simulations are fully self-contained, so each worker's staged
+//! records equal the oracle's for its planes; [`Collector::finish`]
+//! hands the committed planes' pushed results and staged records to
+//! the same `finish_run` — the same replay and fold, in the same order,
+//! over the same values.
 //! Line `records` counters are recomputed by the consumer's own
 //! `JsonlSink` (the wire deliberately does not carry them: no single
 //! worker can know how many lines the planes before its own
@@ -56,7 +56,7 @@ use rip_core::{
 use rip_telemetry::{
     parse_plane_source, parse_sink_line, plane_source_name, prof_add, prof_lap, prof_now,
     EngineProfiler, FrameError, JsonlSink, LengthFramedReader, LengthFramedWriter, LineError,
-    ParsedLine, Phase, PlaneMerge, ProfileHub, ProfileRecord, SinkRecord, TelemetrySink,
+    MemorySink, ParsedLine, Phase, ProfileHub, ProfileRecord, TelemetrySink,
 };
 use rip_units::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -247,9 +247,6 @@ pub struct FleetOutcome {
     /// Telemetry records replayed into the sink (excluding the final
     /// `sps` `run_end` the replay closes with).
     pub records: u64,
-    /// Records evicted by bounded staging (always 0 unbounded; a
-    /// nonzero value means the merged stream is NOT byte-complete).
-    pub dropped_records: u64,
 }
 
 /// Reassembles worker streams into the single-process telemetry stream
@@ -259,10 +256,9 @@ pub struct FleetOutcome {
 pub struct Collector {
     echo: Value,
     switches: usize,
-    capacity: Option<usize>,
-    merge: PlaneMerge,
-    /// Each committed plane's result and the worker that delivered it.
-    committed: BTreeMap<usize, (u64, PlaneResult)>,
+    /// Each committed plane: the worker that delivered it, its result
+    /// and its staged records in emission order.
+    committed: BTreeMap<usize, (u64, PlaneResult, MemorySink)>,
     workers: BTreeSet<u64>,
     prof: Option<EngineProfiler>,
 }
@@ -288,8 +284,6 @@ impl Collector {
         Collector {
             echo,
             switches,
-            capacity: None,
-            merge: PlaneMerge::new(),
             committed: BTreeMap::new(),
             workers: BTreeSet::new(),
             prof: None,
@@ -303,16 +297,6 @@ impl Collector {
     /// Profiling never alters the merged stream or the report.
     pub fn with_profiler(mut self, hub: ProfileHub) -> Self {
         self.prof = Some(EngineProfiler::new(hub, "collect"));
-        self
-    }
-
-    /// Bound each plane's staging buffer to `capacity` records (oldest
-    /// evicted, counted in [`FleetOutcome::dropped_records`]). Bounded
-    /// staging keeps scrape-only collectors in O(capacity) memory but
-    /// forfeits the byte-identity guarantee when it evicts.
-    pub fn with_plane_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = Some(capacity);
-        self.merge = PlaneMerge::with_plane_capacity(capacity);
         self
     }
 
@@ -335,7 +319,10 @@ impl Collector {
 
     /// Records staged across all committed planes.
     pub fn staged_records(&self) -> usize {
-        self.merge.staged_records()
+        self.committed
+            .values()
+            .map(|(_, _, staged)| staged.records().len())
+            .sum()
     }
 
     /// Consume one worker stream to completion; returns the worker id
@@ -390,7 +377,7 @@ impl Collector {
             )));
         }
         // --- telemetry + plane_done until fleet_end ---------------------
-        let mut staged: BTreeMap<usize, Vec<SinkRecord>> = BTreeMap::new();
+        let mut staged: BTreeMap<usize, MemorySink> = BTreeMap::new();
         let mut done: BTreeMap<usize, PlaneResult> = BTreeMap::new();
         loop {
             let mut t0 = prof_now(&self.prof);
@@ -412,13 +399,8 @@ impl Collector {
             prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
             match parsed {
                 ParsedLine::Telemetry(rec) => {
-                    let source = match &rec {
-                        SinkRecord::Epoch { source, .. }
-                        | SinkRecord::Span { source, .. }
-                        | SinkRecord::Watchdog { source, .. }
-                        | SinkRecord::RunEnd { source, .. } => source.clone(),
-                    };
-                    let plane = parse_plane_source(&source).ok_or_else(|| {
+                    let source = rec.view().0;
+                    let plane = parse_plane_source(source).ok_or_else(|| {
                         CollectError::Protocol(format!(
                             "worker {worker} pushed a record for non-plane source {source:?}"
                         ))
@@ -428,7 +410,7 @@ impl Collector {
                             "worker {worker} pushed plane {plane}, outside its declared set"
                         )));
                     }
-                    staged.entry(plane).or_default().push(rec);
+                    staged.entry(plane).or_default().push_record(rec);
                     prof_add(&mut self.prof, Phase::Staging, t0);
                 }
                 ParsedLine::Control { kind, value } if kind == "plane_done" => {
@@ -474,21 +456,18 @@ impl Collector {
                     "worker {worker} sent fleet_end without plane_done for plane {plane}"
                 )));
             }
-            if let Some(&(owner, _)) = self.committed.get(&plane) {
+            // Same worker re-pushing (reconnect after a partial stream
+            // that never committed, or an idempotent retry): the new
+            // stream replaces the old contribution below.
+            if let Some(&(owner, ..)) = self.committed.get(&plane) {
                 if owner != worker {
                     return Err(CollectError::PlaneConflict { plane, worker });
                 }
-                // Same worker re-pushing (reconnect after a partial
-                // stream that never committed, or an idempotent retry):
-                // the new stream replaces the old contribution.
-                self.merge.clear_plane(plane);
             }
         }
         for (plane, result) in done {
-            for rec in staged.remove(&plane).unwrap_or_default() {
-                self.merge.push(plane, rec);
-            }
-            self.committed.insert(plane, (worker, result));
+            let records = staged.remove(&plane).unwrap_or_default();
+            self.committed.insert(plane, (worker, result, records));
         }
         self.workers.insert(worker);
         prof_add(&mut self.prof, Phase::Staging, tc);
@@ -502,9 +481,9 @@ impl Collector {
 
     /// Replay the merged stream (planes ascending, records in emission
     /// order) into `sink` and close it with the stitched `sps`
-    /// `run_end` — the byte-identical reconstruction of the
-    /// single-process `SpsRouter::run` output. Fails with
-    /// [`CollectError::Coverage`] when planes are missing.
+    /// `run_end` through [`SpsRouter::finish_run`] — the byte-identical
+    /// reconstruction of the single-process `SpsRouter::run` output.
+    /// Fails with [`CollectError::Coverage`] when planes are missing.
     pub fn finish(
         self,
         router: &SpsRouter,
@@ -515,23 +494,16 @@ impl Collector {
         if !missing.is_empty() {
             return Err(CollectError::Coverage { missing });
         }
+        let records = self.staged_records() as u64;
         let mut prof = self.prof;
-        let records = self.merge.staged_records() as u64;
-        let dropped_records = self.merge.dropped_records();
         let t0 = prof_now(&prof);
-        self.merge.replay_into(sink);
-        let results = self.committed.into_values().map(|(_, r)| r).collect();
-        let report = router.stitch_report(results, horizon);
-        sink.on_run_end("sps", router.drain_deadline(horizon), &report.metrics);
+        let planes = self.committed.into_values().map(|(_, r, s)| (r, s));
+        let report = router.finish_run(planes, horizon, Some(sink));
         prof_add(&mut prof, Phase::MergeReplay, t0);
         if let Some(p) = prof.as_mut() {
             p.flush_nonempty();
         }
-        Ok(FleetOutcome {
-            report,
-            records,
-            dropped_records,
-        })
+        Ok(FleetOutcome { report, records })
     }
 }
 
@@ -702,6 +674,49 @@ mod tests {
         ));
         // An idempotent re-push by the owner is fine.
         collector.ingest(&stream[..]).expect("owner re-push");
+    }
+
+    #[test]
+    fn committed_planes_replay_in_plane_order() {
+        let (router, w, plan, horizon, live, echo) = job_parts();
+        let job = FleetJob {
+            router: &router,
+            workload: &w,
+            plan: &plan,
+            horizon,
+            live,
+            echo: echo.clone(),
+        };
+        let planes = RouterConfig::small().switches;
+        let mut collector = Collector::new(echo, planes);
+        // One worker per plane, committed in a scrambled order.
+        for plane in (0..planes).rev().step_by(2).chain((0..planes).step_by(2)) {
+            let stream = push_worker_stream(&job, plane as u64, &[plane], Vec::new())
+                .expect("worker pushes");
+            collector.ingest(&stream[..]).expect("stream ingests");
+        }
+        let staged = collector.staged_records();
+        let mut sink = MemorySink::new();
+        let outcome = collector
+            .finish(&router, horizon, &mut sink)
+            .expect("full coverage");
+        assert_eq!(outcome.records as usize, staged);
+        // Every staged record, then the `sps` close.
+        let sources: Vec<&str> = sink.records().iter().map(|r| r.view().0).collect();
+        assert_eq!(sources.len(), staged + 1);
+        assert_eq!(sources.last(), Some(&"sps"));
+        let order: Vec<&str> = sources.iter().copied().fold(Vec::new(), |mut seen, s| {
+            if seen.last() != Some(&s) {
+                seen.push(s);
+            }
+            seen
+        });
+        let want: Vec<String> = (0..planes).map(plane_source_name).collect();
+        assert_eq!(
+            order[..planes],
+            want[..],
+            "planes replay in ascending order"
+        );
     }
 
     #[test]

@@ -23,14 +23,14 @@ pub fn version_line(service: &str) -> String {
     format!("{service} {SERVICE_VERSION} (rip-bench workspace build)")
 }
 use rip_traffic::{
-    merge_streams, ArrivalProcess, BoundedSource, MergedSource, Packet, PacketGenerator,
+    ArrivalProcess, BoundedSource, MergedSource, Packet, PacketGenerator, PacketSource,
     SizeDistribution, TrafficMatrix,
 };
 use rip_units::SimTime;
 
 /// Build an arrival-ordered per-port trace for an HBM switch: one
 /// generator per port, loads scaled by `load` on top of the matrix's
-/// own row loads.
+/// own row loads — [`switch_source`]'s packets, materialized.
 pub fn switch_trace(
     cfg: &RouterConfig,
     tm: &TrafficMatrix,
@@ -40,27 +40,9 @@ pub fn switch_trace(
     horizon: SimTime,
     seed: u64,
 ) -> Vec<Packet> {
-    let streams: Vec<Vec<Packet>> = (0..cfg.ribbons)
-        .map(|i| {
-            let row_load = (load * tm.row_load(i)).min(1.0);
-            if row_load <= 0.0 {
-                return Vec::new();
-            }
-            let mut g = PacketGenerator::new(
-                i,
-                cfg.port_rate(),
-                row_load,
-                tm.row(i).to_vec(),
-                sizes.clone(),
-                process,
-                256,
-                rip_sim::rng::derive_seed(seed, i as u64),
-            )
-            .expect("valid generator");
-            g.generate_until(horizon)
-        })
-        .collect();
-    merge_streams(streams)
+    switch_source(cfg, tm, load, sizes, process, horizon, seed)
+        .packets()
+        .collect()
 }
 
 /// Convenience: a uniform IMIX Poisson trace.
@@ -76,10 +58,10 @@ pub fn uniform_trace(cfg: &RouterConfig, load: f64, horizon: SimTime, seed: u64)
     )
 }
 
-/// Pull-based counterpart of [`switch_trace`]: a merged source yielding
-/// the identical packet sequence without materializing the trace (one
-/// generator per port makes `(arrival, input, id)` unique, so the merge
-/// order equals the batch sort order).
+/// A merged source over one generator per port (see [`switch_trace`])
+/// that pulls packets in arrival order without materializing the
+/// trace. One generator per port makes `(arrival, input, id)` unique,
+/// so the merge order equals `merge_streams`' sort order.
 pub fn switch_source(
     cfg: &RouterConfig,
     tm: &TrafficMatrix,

@@ -12,7 +12,7 @@ use rip_sim::stats::Histogram;
 use rip_sim::{EventQueue, Series, TraceLog, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
-    MetricsRegistry, Phase, ProfileHub, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
+    MetricsRegistry, Phase, ProfileHub, Record, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
     TraceWindow, PID_FRAMES, PID_HBM,
 };
 use rip_traffic::{Packet, PacketSource, ReplaySource, StatefulSource};
@@ -103,15 +103,13 @@ impl LiveTelemetry {
     /// Emit one span record and count it.
     fn span(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
         self.state.spans_emitted += 1;
-        self.sink.on_span(
-            LIVE_SOURCE,
-            &SpanEvent {
-                packet,
-                stage,
-                at,
-                port,
-            },
-        );
+        let span = SpanEvent {
+            packet,
+            stage,
+            at,
+            port,
+        };
+        self.sink.record(LIVE_SOURCE, Record::Span(&span));
     }
 }
 
@@ -720,11 +718,6 @@ impl HbmSwitch {
         });
     }
 
-    /// Whether [`HbmSwitch::enable_chrome_trace`] is active.
-    pub fn chrome_trace_enabled(&self) -> bool {
-        self.chrome.is_some()
-    }
-
     /// Take the recorded Chrome trace, folding the HBM command log
     /// into per-bank duration tracks: one track per `(channel, bank)`
     /// carrying ACT (shown over its tRCD window), RD/WR (to bus
@@ -856,7 +849,13 @@ impl HbmSwitch {
         self.stamp_live_gauges(to, pulled);
         let snap = self.run.metrics.snapshot(to);
         let delta = snap.delta_since(&live.state.prev);
-        live.sink.on_epoch(LIVE_SOURCE, epoch, &delta);
+        live.sink.record(
+            LIVE_SOURCE,
+            Record::Epoch {
+                epoch,
+                delta: &delta,
+            },
+        );
         live.state.prev = snap;
         live.state.epochs_emitted += 1;
         self.live = Some(live);
@@ -925,9 +924,21 @@ impl HbmSwitch {
         let final_metrics = self.final_metrics(end, span);
         let snap = final_metrics.snapshot(end);
         let delta = snap.delta_since(&live.state.prev);
-        live.sink.on_epoch(LIVE_SOURCE, epoch, &delta);
+        live.sink.record(
+            LIVE_SOURCE,
+            Record::Epoch {
+                epoch,
+                delta: &delta,
+            },
+        );
         live.state.epochs_emitted += 1;
-        live.sink.on_run_end(LIVE_SOURCE, end, &final_metrics);
+        live.sink.record(
+            LIVE_SOURCE,
+            Record::RunEnd {
+                at: end,
+                totals: &final_metrics,
+            },
+        );
         live.state.prev = snap;
         live.state.finished = true;
         self.live_boundary_ps = u64::MAX;
@@ -1967,11 +1978,6 @@ impl HbmSwitch {
     pub fn set_hbm_command_recording(&mut self, on: bool) {
         self.run.group.set_record_commands(on);
     }
-
-    /// Access to an output port (lane stats, OEO energy).
-    pub fn output_port(&self, o: usize) -> &OutputPort {
-        &self.run.outputs[o]
-    }
 }
 
 #[cfg(test)]
@@ -2492,7 +2498,7 @@ mod tests {
                 .chain(resumed.records().iter())
                 .cloned()
                 .collect();
-            let expect: Vec<_> = base_records.iter().cloned().collect();
+            let expect = base_records.to_vec();
             assert_eq!(
                 merged, expect,
                 "stream diverged resuming from epoch {epochs}"
@@ -2562,7 +2568,7 @@ mod tests {
             .chain(resumed.records().iter())
             .cloned()
             .collect();
-        let expect: Vec<_> = base_records.records().iter().cloned().collect();
+        let expect = base_records.records().to_vec();
         assert_eq!(merged, expect);
     }
 

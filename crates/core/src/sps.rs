@@ -7,7 +7,8 @@ use std::fmt;
 use rip_photonics::{FrontEnd, SplitMap, SplitPattern};
 use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
-    MemorySink, MetricsRegistry, ProfileHub, SharedSink, SinkRecord, TelemetrySink,
+    plane_source_name, MemorySink, MetricsRegistry, ProfileHub, Record, SharedSink, SinkRecord,
+    TelemetrySink,
 };
 use rip_traffic::hash::{lane_for, HashKind};
 use rip_traffic::{
@@ -108,7 +109,7 @@ pub struct SpsReport {
 /// One finished plane: its switch report and the front-end drops
 /// attributed to it. [`SpsRouter::run_planes`] returns it, an SPS
 /// checkpoint keeps one per finished plane, a fleet worker's
-/// `plane_done` line carries one, and [`SpsRouter::stitch_report`]
+/// `plane_done` line carries one, and [`SpsRouter::finish_run`]
 /// folds a full set into the router-level report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlaneResult {
@@ -439,22 +440,9 @@ impl SpsRouter {
         live: Option<(LiveOptions, &mut dyn TelemetrySink)>,
     ) -> Result<SpsReport, ConfigError> {
         let all: Vec<usize> = (0..self.cfg.switches).collect();
-        let live_opts = live.as_ref().map(|(o, _)| *o);
-        let mut sink = live.map(|(_, sink)| sink);
-        let mut results = Vec::with_capacity(all.len());
-        for (result, staged) in self.run_planes(w, horizon, plan, live_opts, &all)? {
-            // Replay each plane's buffered stream in plane order.
-            if let Some(sink) = sink.as_deref_mut() {
-                staged.replay_renamed(&format!("plane{:02}", result.plane), sink);
-            }
-            results.push(result);
-        }
-        let report = self.stitch_report(results, horizon);
-        if let Some(sink) = sink {
-            // Close with the router-level merged totals.
-            sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
-        }
-        Ok(report)
+        let (opts, sink) = live.unzip();
+        let planes = self.run_planes(w, horizon, plan, opts, &all)?;
+        Ok(self.finish_run(planes, horizon, sink))
     }
 
     /// The drain deadline this router runs to for a given arrival
@@ -568,7 +556,7 @@ impl SpsRouter {
         let staged = SharedSink::new();
         let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
         if let Some(h) = &self.profile {
-            sw.enable_profiler_as(h.clone(), &format!("plane{plane:02}"));
+            sw.enable_profiler_as(h.clone(), &plane_source_name(plane));
         }
         if let Some(o) = live {
             sw.enable_live_telemetry(o.period, o.sample_one_in, Box::new(staged.clone()));
@@ -612,35 +600,45 @@ impl SpsRouter {
         Ok(Some((result, staged.take())))
     }
 
-    /// Fold per-plane results (in plane order) into the router-level
-    /// report: front-end drop totals, per-plane overload against the
-    /// ingress capacity, load imbalance and the deterministic metrics
-    /// merge. Shared by the threaded runner, the checkpointed runner
-    /// and the out-of-process fleet collector, so all three produce
-    /// byte-identical reports from the same per-plane results.
-    ///
-    /// `results` must hold every plane of this router, in plane order.
-    pub fn stitch_report(&self, results: Vec<PlaneResult>, horizon: SimTime) -> SpsReport {
+    /// Close a run over every plane of this router, in plane order:
+    /// replay each plane's staged records into `sink` renamed
+    /// `planeNN`, fold the results into the router-level report
+    /// (front-end drop totals, per-plane overload against the ingress
+    /// capacity, load imbalance and the deterministic metrics merge) and
+    /// close the stream with an `sps` `run_end` carrying the merged
+    /// registry. The threaded runner, the checkpointed runner and the
+    /// out-of-process fleet collector all end here, so all three
+    /// produce byte-identical streams and reports from the same
+    /// per-plane results.
+    pub fn finish_run(
+        &self,
+        planes: impl IntoIterator<Item = (PlaneResult, MemorySink)>,
+        horizon: SimTime,
+        mut sink: Option<&mut dyn TelemetrySink>,
+    ) -> SpsReport {
         // Plane ingress capacity over the generation horizon.
         let plane_capacity =
             (self.cfg.port_rate() * self.cfg.ribbons as u64).data_in(horizon.since(SimTime::ZERO));
-        let mut switches = Vec::with_capacity(results.len());
+        let mut switches = Vec::with_capacity(self.cfg.switches);
         let mut offered = DataSize::ZERO;
         let mut delivered = DataSize::ZERO;
         let mut fe_dropped_packets = 0u64;
         let mut fe_dropped = DataSize::ZERO;
-        let mut plane_overload = Vec::with_capacity(results.len());
+        let mut plane_overload = Vec::with_capacity(self.cfg.switches);
         // Deterministic telemetry merge: results arrive in plane order,
         // and the merge itself is associative/commutative, so thread
         // scheduling cannot change it.
         let mut metrics = MetricsRegistry::new();
-        for PlaneResult {
-            fe_packets,
-            fe_bytes,
-            report,
-            ..
-        } in results
-        {
+        for (result, staged) in planes {
+            if let Some(sink) = sink.as_deref_mut() {
+                staged.replay_renamed(&plane_source_name(result.plane), sink);
+            }
+            let PlaneResult {
+                fe_packets,
+                fe_bytes,
+                report,
+                ..
+            } = result;
             fe_dropped_packets += fe_packets;
             fe_dropped += fe_bytes;
             metrics.merge(&report.metrics);
@@ -663,7 +661,7 @@ impl SpsRouter {
         } else {
             offered.bits() / switches.len() as u64
         };
-        SpsReport {
+        let report = SpsReport {
             offered,
             delivered,
             loss_fraction: if offered.is_zero() {
@@ -681,7 +679,13 @@ impl SpsRouter {
             front_end_dropped: fe_dropped,
             plane_overload,
             metrics,
+        };
+        if let Some(sink) = sink {
+            let at = self.drain_deadline(horizon);
+            let totals = &report.metrics;
+            sink.record("sps", Record::RunEnd { at, totals });
         }
+        report
     }
 
     /// [`SpsRouter::run`] with live telemetry and crash-safe
@@ -774,7 +778,7 @@ impl SpsRouter {
                 return Ok(None);
             };
             records_done += staged.records().len() as u64;
-            staged.replay_renamed(&format!("plane{plane:02}"), sink);
+            staged.replay_renamed(&plane_source_name(plane), sink);
             done.push(result);
             if plane + 1 < self.cfg.switches {
                 // Inter-plane snapshot: the next plane starts fresh, so
@@ -794,9 +798,9 @@ impl SpsRouter {
                 }
             }
         }
-        let report = self.stitch_report(done, horizon);
-        sink.on_run_end("sps", self.drain_deadline(horizon), &report.metrics);
-        Ok(Some(report))
+        // Each plane's records were replayed as it finished.
+        let planes = done.into_iter().map(|r| (r, MemorySink::new()));
+        Ok(Some(self.finish_run(planes, horizon, Some(sink))))
     }
 
     /// The photonic-fault epochs of `plan`: every wavelength-loss or

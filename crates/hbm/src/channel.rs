@@ -342,11 +342,6 @@ impl Channel {
         &self.commands
     }
 
-    /// Drop the recorded command stream (recording state unchanged).
-    pub fn clear_commands(&mut self) {
-        self.commands.clear();
-    }
-
     /// Restrict recording to commands issued inside `[start, end)`.
     /// Commands have derived completion spans (ACT covers tRCD, REFsb
     /// covers tRFCsb), so a caller wanting every command *overlapping*
@@ -390,11 +385,6 @@ impl Channel {
             SimTime::ZERO
         };
         b.idle_at().max(faw_gate).max(self.last_act)
-    }
-
-    /// Issue time of the most recent ACT on this channel.
-    pub fn last_act_time(&self) -> SimTime {
-        self.last_act
     }
 
     /// Issue an ACT: open `row` in `bank` at time `now`.

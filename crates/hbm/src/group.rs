@@ -1,6 +1,6 @@
 //! A group of HBM stacks presented as `T` parallel channels.
 
-use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
+use rip_units::{DataRate, DataSize, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::channel::Channel;
@@ -223,18 +223,6 @@ impl HbmGroup {
     /// Fraction of peak bandwidth achieved over `[start, end]`.
     pub fn utilization(&self, start: SimTime, end: SimTime) -> f64 {
         self.achieved_rate(start, end).fraction_of(self.peak_rate())
-    }
-
-    /// Mean data-bus busy fraction across channels over `elapsed`.
-    pub fn mean_bus_utilization(&self, elapsed: TimeDelta) -> f64 {
-        if self.channels.is_empty() {
-            return 0.0;
-        }
-        self.channels
-            .iter()
-            .map(|c| c.stats().bus_busy.utilization(elapsed))
-            .sum::<f64>()
-            / self.channels.len() as f64
     }
 }
 

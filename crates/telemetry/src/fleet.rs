@@ -1,12 +1,12 @@
 //! Fleet-side telemetry reassembly: parse worker JSONL lines back into
-//! [`SinkRecord`]s and stage them per plane for deterministic replay.
+//! [`SinkRecord`]s for per-plane staging and deterministic replay.
 //!
 //! A plane worker serializes its telemetry with a [`crate::JsonlSink`]
 //! (sources renamed to `planeNN`), so the wire format *is* the sink's
 //! line format. The collector parses every line back into the typed
 //! record it came from — [`parse_sink_line`] is the exact inverse of
-//! the sink's four `on_*` serializers — and pushes it into a
-//! [`PlaneMerge`] staging cursor. Replaying the cursor in ascending
+//! the sink's serializer — and stages it in the plane's
+//! [`crate::MemorySink`]. Replaying the staged planes in ascending
 //! plane order through a fresh `JsonlSink` reproduces the
 //! single-process stream byte-for-byte:
 //!
@@ -23,13 +23,12 @@
 //!   per-plane record order is independent of which worker ran the
 //!   plane or when its stream arrived.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use rip_units::SimTime;
 use serde::{Deserialize, Value};
 
-use crate::sink::{intern_stage, MemorySink, SinkRecord, SpanEvent, TelemetrySink};
+use crate::sink::{intern_stage, SinkRecord, SpanEvent};
 use crate::{EpochDelta, MetricsRegistry, WatchdogEvent, WatchdogKind};
 
 /// The canonical source name a plane's telemetry is renamed to when it
@@ -188,88 +187,10 @@ pub fn parse_sink_line(line: &str) -> Result<ParsedLine, LineError> {
     Ok(ParsedLine::Telemetry(record))
 }
 
-/// Staging cursor for fleet reassembly: buffers each plane's records in
-/// arrival order (arrival order per plane *is* sim order, because one
-/// worker produced them sequentially) and replays every plane in
-/// ascending plane-id order — the same order `SpsRouter::run`
-/// drains its per-plane staging buffers, which is the whole
-/// determinism argument.
-#[derive(Debug, Clone, Default)]
-pub struct PlaneMerge {
-    planes: BTreeMap<usize, MemorySink>,
-    capacity: Option<usize>,
-}
-
-impl PlaneMerge {
-    /// An unbounded cursor.
-    pub fn new() -> Self {
-        PlaneMerge::default()
-    }
-
-    /// A cursor whose per-plane staging buffers are bounded rings of
-    /// `capacity` records; evictions are counted in
-    /// [`PlaneMerge::dropped_records`]. Bounding trades byte-identity
-    /// for memory — only use it for scrape-only collection.
-    pub fn with_plane_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "plane staging capacity must be positive");
-        PlaneMerge {
-            planes: BTreeMap::new(),
-            capacity: Some(capacity),
-        }
-    }
-
-    /// Stage one record for `plane`.
-    pub fn push(&mut self, plane: usize, rec: SinkRecord) {
-        let sink = self
-            .planes
-            .entry(plane)
-            .or_insert_with(|| match self.capacity {
-                Some(cap) => MemorySink::with_capacity(cap),
-                None => MemorySink::default(),
-            });
-        sink.push_record(rec);
-    }
-
-    /// Plane ids staged so far, ascending.
-    pub fn planes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.planes.keys().copied()
-    }
-
-    /// Records staged for `plane` (None if the plane never appeared).
-    pub fn plane_records(&self, plane: usize) -> Option<usize> {
-        self.planes.get(&plane).map(|s| s.records().len())
-    }
-
-    /// Total records staged across planes.
-    pub fn staged_records(&self) -> usize {
-        self.planes.values().map(|s| s.records().len()).sum()
-    }
-
-    /// Records evicted by bounded staging, across planes.
-    pub fn dropped_records(&self) -> u64 {
-        self.planes.values().map(MemorySink::dropped_records).sum()
-    }
-
-    /// Replay every staged record into `sink`: planes in ascending id
-    /// order, records in arrival order within a plane, sources
-    /// preserved.
-    pub fn replay_into(&self, sink: &mut dyn TelemetrySink) {
-        for stage in self.planes.values() {
-            stage.replay_into(sink);
-        }
-    }
-
-    /// Drop one plane's staged records (a worker reconnect replaces its
-    /// earlier partial contribution).
-    pub fn clear_plane(&mut self, plane: usize) {
-        self.planes.remove(&plane);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JsonlSink, Snapshot};
+    use crate::{JsonlSink, MemorySink, Snapshot, TelemetrySink};
 
     fn sample_registry(at: SimTime) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
@@ -348,16 +269,8 @@ mod tests {
         let mut again = Vec::new();
         let mut sink2 = JsonlSink::new(&mut again);
         for rec in &parsed {
-            match rec {
-                SinkRecord::Epoch {
-                    source,
-                    epoch,
-                    delta,
-                } => sink2.on_epoch(source, *epoch, delta),
-                SinkRecord::Span { source, span } => sink2.on_span(source, span),
-                SinkRecord::Watchdog { source, event } => sink2.on_watchdog(source, event),
-                SinkRecord::RunEnd { source, at, totals } => sink2.on_run_end(source, *at, totals),
-            }
+            let (source, view) = rec.view();
+            sink2.record(source, view);
         }
         drop(sink2);
         assert_eq!(String::from_utf8(again).expect("utf8"), text);
@@ -411,45 +324,5 @@ mod tests {
         assert_eq!(parse_plane_source("plane"), None);
         assert_eq!(parse_plane_source("plane007"), None);
         assert_eq!(parse_plane_source("plane-1"), None);
-    }
-
-    #[test]
-    fn plane_merge_replays_in_plane_order_and_counts_evictions() {
-        let span = |packet| SinkRecord::Span {
-            source: "x".to_string(),
-            span: SpanEvent {
-                packet,
-                stage: "arrival",
-                at: SimTime::from_ns(packet),
-                port: 0,
-            },
-        };
-        let mut merge = PlaneMerge::new();
-        merge.push(2, span(20));
-        merge.push(0, span(1));
-        merge.push(2, span(21));
-        merge.push(1, span(10));
-        let mut out = MemorySink::default();
-        merge.replay_into(&mut out);
-        let packets: Vec<u64> = out
-            .records()
-            .iter()
-            .map(|r| match r {
-                SinkRecord::Span { span, .. } => span.packet,
-                other => panic!("unexpected record {other:?}"),
-            })
-            .collect();
-        assert_eq!(packets, vec![1, 10, 20, 21]);
-        assert_eq!(merge.staged_records(), 4);
-        assert_eq!(merge.dropped_records(), 0);
-
-        let mut bounded = PlaneMerge::with_plane_capacity(1);
-        bounded.push(0, span(1));
-        bounded.push(0, span(2));
-        bounded.push(1, span(3));
-        assert_eq!(bounded.staged_records(), 2);
-        assert_eq!(bounded.dropped_records(), 1);
-        bounded.clear_plane(1);
-        assert_eq!(bounded.staged_records(), 1);
     }
 }

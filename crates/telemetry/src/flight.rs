@@ -24,12 +24,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rip_units::SimTime;
 use serde::Serialize;
 use serde_json::Value;
 
 use crate::profile::{ProfileHub, ProfileRecord};
-use crate::{EpochDelta, MetricsRegistry, TelemetrySink, WatchdogEvent};
+use crate::{EpochDelta, Record, TelemetrySink, WatchdogEvent};
 
 /// One remembered epoch: the delta plus the stream identity the sink
 /// saw it under.
@@ -211,23 +210,14 @@ impl<S: TelemetrySink> FlightTee<S> {
 }
 
 impl<S: TelemetrySink> TelemetrySink for FlightTee<S> {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
-        self.recorder.note_epoch(source, epoch, delta);
-        self.inner.on_epoch(source, epoch, delta);
-    }
-
-    fn on_span(&mut self, source: &str, span: &crate::SpanEvent) {
-        self.inner.on_span(source, span);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        self.recorder.note_watchdog(event);
-        self.inner.on_watchdog(source, event);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        self.recorder.note_run_end();
-        self.inner.on_run_end(source, at, totals);
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        match rec {
+            Record::Epoch { epoch, delta } => self.recorder.note_epoch(source, epoch, delta),
+            Record::Watchdog(event) => self.recorder.note_watchdog(event),
+            Record::RunEnd { .. } => self.recorder.note_run_end(),
+            Record::Span(_) => {}
+        }
+        self.inner.record(source, rec);
     }
 }
 
@@ -235,7 +225,8 @@ impl<S: TelemetrySink> TelemetrySink for FlightTee<S> {
 mod tests {
     use super::*;
     use crate::profile::PhaseAcc;
-    use crate::{MemorySink, Snapshot, WatchdogKind};
+    use crate::{MemorySink, MetricsRegistry, Snapshot, WatchdogKind};
+    use rip_units::SimTime;
     use serde::Deserialize;
 
     fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
@@ -283,17 +274,29 @@ mod tests {
     fn tee_forwards_and_records() {
         let rec = FlightRecorder::new("ripsim", "0.0.0", 8);
         let mut tee = FlightTee::new(rec.clone(), MemorySink::default());
-        tee.on_epoch("sps", 0, &delta(1));
-        tee.on_watchdog(
+        tee.record(
             "sps",
-            &WatchdogEvent {
+            Record::Epoch {
+                epoch: 0,
+                delta: &delta(1),
+            },
+        );
+        tee.record(
+            "sps",
+            Record::Watchdog(&WatchdogEvent {
                 source: "sps".to_string(),
                 epoch: 0,
                 at: SimTime::from_ns(5),
                 kind: WatchdogKind::Stall { epochs: 2 },
+            }),
+        );
+        tee.record(
+            "sps",
+            Record::RunEnd {
+                at: SimTime::from_ns(9),
+                totals: &MetricsRegistry::new(),
             },
         );
-        tee.on_run_end("sps", SimTime::from_ns(9), &MetricsRegistry::new());
         assert_eq!(rec.watchdogs_seen(), 1);
         let dir = std::env::temp_dir().join("rip_flight_tee_test");
         fs::create_dir_all(&dir).unwrap();

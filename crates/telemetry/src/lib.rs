@@ -36,9 +36,7 @@ use rip_units::SimTime;
 use serde::{Deserialize, Serialize};
 
 pub use epoch::{EpochClock, EpochDelta, Snapshot};
-pub use fleet::{
-    parse_plane_source, parse_sink_line, plane_source_name, LineError, ParsedLine, PlaneMerge,
-};
+pub use fleet::{parse_plane_source, parse_sink_line, plane_source_name, LineError, ParsedLine};
 pub use flight::{FlightEpoch, FlightRecorder, FlightTee};
 pub use net::{
     FrameError, FrameListener, LengthFramedReader, LengthFramedWriter, MetricsEndpoint,
@@ -49,7 +47,7 @@ pub use profile::{
     PhaseSample, PhaseScope, ProfileHub, ProfileRecord, SAMPLE_STRIDE,
 };
 pub use sink::{
-    intern_stage, FanoutSink, JsonlSink, MemorySink, SharedSink, SinkRecord, SpanEvent,
+    intern_stage, FanoutSink, JsonlSink, MemorySink, Record, SharedSink, SinkRecord, SpanEvent,
     TelemetrySink, SPAN_STAGES,
 };
 pub use trace::{
@@ -243,21 +241,6 @@ impl LogHistogram {
         self.quantile_bounds(q).map(|(lo, _)| lo)
     }
 
-    /// Approximate mean, reconstructed from bucket lower edges. Derived
-    /// from the (exactly mergeable) bucket counts rather than a stored
-    /// `f64` sum, so merge order can never change it.
-    pub fn approx_mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .map(|&(idx, n)| bucket_lower_edge(idx) * n as f64)
-            .sum();
-        Some(sum / self.count as f64)
-    }
-
     /// The non-empty buckets as `(lower_edge, count)` pairs, in value
     /// order.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
@@ -429,32 +412,6 @@ impl MetricsRegistry {
         }
         for (name, &g) in delta.gauges() {
             self.gauges.insert(name.clone(), g);
-        }
-    }
-
-    /// Merge another registry under a name prefix (`prefix` + `.` +
-    /// original name) — used to keep per-plane breakdowns alongside the
-    /// merged totals.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &MetricsRegistry) {
-        for (name, &v) in &other.counters {
-            *self.counters.entry(format!("{prefix}.{name}")).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(format!("{prefix}.{name}"))
-                .or_default()
-                .merge(h);
-        }
-        for (name, &g) in &other.gauges {
-            let key = format!("{prefix}.{name}");
-            self.gauges
-                .entry(key)
-                .and_modify(|cur| {
-                    if (g.at, g.value) > (cur.at, cur.value) {
-                        *cur = g;
-                    }
-                })
-                .or_insert(g);
         }
     }
 }

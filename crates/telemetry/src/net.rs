@@ -34,10 +34,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use rip_units::SimTime;
-
 use crate::sink::{escape_label, render_exposition};
-use crate::{EpochDelta, MetricsRegistry, TelemetrySink, WatchdogEvent};
+use crate::{MetricsRegistry, Record, TelemetrySink};
 
 /// A minimal single-threaded HTTP scrape endpoint over `TcpListener`.
 ///
@@ -215,18 +213,6 @@ impl MetricsEndpoint {
         self.server.set_build_info(service, version);
     }
 
-    /// Surface telemetry loss at scrape time: record that `source`'s
-    /// staging buffer evicted `dropped` records (a bounded
-    /// [`crate::MemorySink`] ring overflowed) as a
-    /// `rip_telemetry_dropped_records` gauge.
-    pub fn note_dropped_records(&mut self, source: &str, at: SimTime, dropped: u64) {
-        self.cumulative
-            .entry(source.to_string())
-            .or_default()
-            .set_gauge("telemetry.dropped_records", at, dropped as f64);
-        self.republish();
-    }
-
     fn republish(&mut self) {
         let mut out = Vec::new();
         render_exposition(&self.cumulative, &mut out).expect("vec write");
@@ -239,37 +225,30 @@ impl MetricsEndpoint {
 }
 
 impl TelemetrySink for MetricsEndpoint {
-    fn on_epoch(&mut self, source: &str, _epoch: u64, delta: &EpochDelta) {
-        self.cumulative
-            .entry(source.to_string())
-            .or_default()
-            .apply_delta(delta);
-        self.republish();
-    }
-
-    fn on_watchdog(&mut self, source: &str, _event: &WatchdogEvent) {
-        // Alarm tallies survive as a counter family so silent streams
-        // and alarmed streams are distinguishable at scrape time.
-        self.cumulative
-            .entry(source.to_string())
-            .or_default()
-            .inc("watchdog.alarms", 1);
-        self.republish();
-    }
-
-    fn on_run_end(&mut self, source: &str, _at: SimTime, totals: &MetricsRegistry) {
-        // `totals` is authoritative for the engine's own metrics, but
-        // watchdog alarm counts are stream-side observations that the
-        // engine registry never carries — preserve them across the
-        // overwrite.
-        let alarms = self
-            .cumulative
-            .get(source)
-            .and_then(|reg| reg.counters().get("watchdog.alarms").copied());
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        // Spans carry no registry state.
+        if let Record::Span(_) = rec {
+            return;
+        }
         let entry = self.cumulative.entry(source.to_string()).or_default();
-        *entry = totals.clone();
-        if let Some(n) = alarms {
-            entry.inc("watchdog.alarms", n);
+        match rec {
+            Record::Epoch { delta, .. } => entry.apply_delta(delta),
+            // Alarm tallies survive as a counter family so silent
+            // streams and alarmed streams are distinguishable at
+            // scrape time.
+            Record::Watchdog(_) => entry.inc("watchdog.alarms", 1),
+            Record::RunEnd { totals, .. } => {
+                // `totals` is authoritative for the engine's own
+                // metrics, but watchdog alarm counts are stream-side
+                // observations that the engine registry never carries —
+                // preserve them across the overwrite.
+                let alarms = entry.counters().get("watchdog.alarms").copied();
+                *entry = totals.clone();
+                if let Some(n) = alarms {
+                    entry.inc("watchdog.alarms", n);
+                }
+            }
+            Record::Span(_) => {}
         }
         self.republish();
     }
@@ -524,6 +503,7 @@ impl FrameListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rip_units::SimTime;
 
     #[test]
     fn server_serves_published_body_on_ephemeral_port() {
@@ -551,7 +531,13 @@ mod tests {
         let prev = reg.snapshot(SimTime::ZERO);
         reg.inc("switch.packets", 5);
         let delta = reg.snapshot(SimTime::from_ns(100)).delta_since(&prev);
-        endpoint.on_epoch("switch", 0, &delta);
+        endpoint.record(
+            "switch",
+            Record::Epoch {
+                epoch: 0,
+                delta: &delta,
+            },
+        );
         let scrape = || {
             let mut stream = TcpStream::connect(addr).expect("connect");
             stream
@@ -566,7 +552,13 @@ mod tests {
             "epoch totals must be scrapable mid-run"
         );
         reg.inc("switch.packets", 2);
-        endpoint.on_run_end("switch", SimTime::from_ns(200), &reg);
+        endpoint.record(
+            "switch",
+            Record::RunEnd {
+                at: SimTime::from_ns(200),
+                totals: &reg,
+            },
+        );
         assert!(scrape().contains("rip_switch_packets_total{source=\"switch\"} 7"));
     }
 
@@ -610,18 +602,23 @@ mod tests {
     fn endpoint_counts_watchdog_alarms_across_run_end() {
         let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
         let addr = endpoint.local_addr();
-        let event = WatchdogEvent {
+        let event = crate::WatchdogEvent {
             source: "plane00".into(),
             epoch: 3,
             at: SimTime::from_ns(100),
             kind: crate::WatchdogKind::Stall { epochs: 16 },
         };
-        endpoint.on_watchdog("plane00", &event);
-        endpoint.on_watchdog("plane00", &event);
+        endpoint.record("plane00", Record::Watchdog(&event));
+        endpoint.record("plane00", Record::Watchdog(&event));
         let mut totals = MetricsRegistry::new();
         totals.inc("switch.packets", 9);
-        endpoint.on_run_end("plane00", SimTime::from_ns(200), &totals);
-        endpoint.note_dropped_records("plane00", SimTime::from_ns(200), 5);
+        endpoint.record(
+            "plane00",
+            Record::RunEnd {
+                at: SimTime::from_ns(200),
+                totals: &totals,
+            },
+        );
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .write_all(b"GET / HTTP/1.0\r\n\r\n")
@@ -629,17 +626,13 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("response");
         // run_end's authoritative totals must not erase the stream-side
-        // alarm tally, and eviction counts surface as a gauge.
+        // alarm tally.
         assert!(
             response.contains("rip_watchdog_alarms_total{source=\"plane00\"} 2"),
             "{response}"
         );
         assert!(
             response.contains("rip_switch_packets_total{source=\"plane00\"} 9"),
-            "{response}"
-        );
-        assert!(
-            response.contains("rip_telemetry_dropped_records{source=\"plane00\"} 5"),
             "{response}"
         );
     }

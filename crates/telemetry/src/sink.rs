@@ -1,9 +1,10 @@
 //! Telemetry sinks: where live epoch deltas and span events go.
 //!
-//! Engines push four kinds of records into a [`TelemetrySink`] while
-//! they run: per-epoch registry deltas, sampled packet-lifecycle span
-//! events, watchdog alarms, and one terminal `run_end` carrying the
-//! final cumulative registry. Everything a sink receives is derived
+//! Engines push four kinds of [`Record`] into a [`TelemetrySink`]
+//! while they run, all through its one method: per-epoch registry
+//! deltas, sampled packet-lifecycle span events, watchdog alarms, and
+//! one terminal `run_end` carrying the final cumulative registry.
+//! Everything a sink receives is derived
 //! from sim time and seeded state only, so any sink that serializes
 //! records in arrival order produces a byte-identical stream across
 //! same-seed runs.
@@ -12,15 +13,15 @@
 //!
 //! * [`JsonlSink`] — one JSON object per line, the format diffed
 //!   byte-for-byte by CI;
-//! * [`MemorySink`] — buffers records for tests and for replay, with
-//!   an optional ring capacity so soaks cannot grow it unboundedly;
+//! * [`MemorySink`] — buffers records as [`SinkRecord`]s, for tests
+//!   and as the one per-plane staging buffer replayed in plane order;
 //! * [`SharedSink`] — a clonable, thread-safe handle over a
 //!   [`MemorySink`], used by per-plane worker threads whose buffered
 //!   records are replayed into the caller's sink in plane order;
 //! * [`FanoutSink`] — forwards every record to several sinks (e.g.
 //!   stdout JSONL plus a [`crate::MetricsEndpoint`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -87,28 +88,36 @@ impl Deserialize for SpanEvent {
     }
 }
 
-/// Receiver for live telemetry records. All methods take `&mut self`;
-/// engines own their sink (or a clonable handle) for the duration of a
-/// run.
-pub trait TelemetrySink {
-    /// One closed epoch from registry `source`.
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta);
-
-    /// One sampled packet-lifecycle event from `source`.
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        let _ = (source, span);
-    }
-
-    /// A watchdog alarm raised while consuming `source`'s stream.
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        let _ = (source, event);
-    }
-
+/// One live telemetry record, borrowed from the engine that emits it —
+/// what a [`TelemetrySink`] receives. [`SinkRecord`] is its owned form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Record<'a> {
+    /// One closed epoch.
+    Epoch {
+        /// Epoch index.
+        epoch: u64,
+        /// The epoch's registry delta.
+        delta: &'a EpochDelta,
+    },
+    /// One sampled packet-lifecycle event.
+    Span(&'a SpanEvent),
+    /// A watchdog alarm raised while consuming the stream.
+    Watchdog(&'a WatchdogEvent),
     /// The run finished at sim time `at`; `totals` is the final
     /// cumulative registry (what the end-of-run report serializes).
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        let _ = (source, at, totals);
-    }
+    RunEnd {
+        /// Sim time of the end of the run.
+        at: SimTime,
+        /// Final cumulative registry.
+        totals: &'a MetricsRegistry,
+    },
+}
+
+/// Receiver for live telemetry records. Engines own their sink (or a
+/// clonable handle) for the duration of a run.
+pub trait TelemetrySink {
+    /// One record from registry `source`.
+    fn record(&mut self, source: &str, rec: Record<'_>);
 }
 
 /// Deterministic JSONL exporter: one compact JSON object per record,
@@ -143,18 +152,6 @@ impl<W: Write> JsonlSink<W> {
     pub fn flush(&mut self) {
         self.out.flush().expect("telemetry sink flush");
     }
-
-    // The vendored serde_derive cannot derive on lifetime-generic
-    // structs, so record lines are composed from individually
-    // serialized parts (each part is itself serde-serialized, so
-    // escaping and map ordering stay correct).
-    fn write_line(&mut self, line: &str) {
-        self.out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .expect("telemetry sink write");
-        self.records += 1;
-    }
 }
 
 fn json_str(s: &str) -> String {
@@ -162,49 +159,45 @@ fn json_str(s: &str) -> String {
 }
 
 impl<W: Write> TelemetrySink for JsonlSink<W> {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
-        let line = format!(
-            "{{\"record\":\"epoch\",\"source\":{},\"epoch\":{},\"delta\":{}}}",
-            json_str(source),
-            epoch,
-            serde_json::to_string(delta).expect("delta serializes"),
-        );
-        self.write_line(&line);
-    }
-
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        let line = format!(
-            "{{\"record\":\"span\",\"source\":{},\"packet\":{},\"stage\":{},\"t_ps\":{},\"port\":{}}}",
-            json_str(source),
-            span.packet,
-            json_str(span.stage),
-            span.at.as_ps(),
-            span.port,
-        );
-        self.write_line(&line);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        let line = format!(
-            "{{\"record\":\"watchdog\",\"source\":{},\"epoch\":{},\"t_ps\":{},\"kind\":{}}}",
-            json_str(source),
-            event.epoch,
-            event.at.as_ps(),
-            serde_json::to_string(&event.kind).expect("watchdog kind serializes"),
-        );
-        self.write_line(&line);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        let line = format!(
-            "{{\"record\":\"run_end\",\"source\":{},\"t_ps\":{},\"records\":{},\"totals\":{}}}",
-            json_str(source),
-            at.as_ps(),
-            self.records,
-            serde_json::to_string(totals).expect("registry serializes"),
-        );
-        self.write_line(&line);
-        self.flush();
+    // The vendored serde_derive cannot derive on lifetime-generic
+    // structs, so record lines are composed from individually
+    // serialized parts (each part is itself serde-serialized, so
+    // escaping and map ordering stay correct).
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        let source = json_str(source);
+        let line = match rec {
+            Record::Epoch { epoch, delta } => format!(
+                "{{\"record\":\"epoch\",\"source\":{source},\"epoch\":{epoch},\"delta\":{}}}",
+                serde_json::to_string(delta).expect("delta serializes"),
+            ),
+            Record::Span(span) => format!(
+                "{{\"record\":\"span\",\"source\":{source},\"packet\":{},\"stage\":{},\"t_ps\":{},\"port\":{}}}",
+                span.packet,
+                json_str(span.stage),
+                span.at.as_ps(),
+                span.port,
+            ),
+            Record::Watchdog(event) => format!(
+                "{{\"record\":\"watchdog\",\"source\":{source},\"epoch\":{},\"t_ps\":{},\"kind\":{}}}",
+                event.epoch,
+                event.at.as_ps(),
+                serde_json::to_string(&event.kind).expect("watchdog kind serializes"),
+            ),
+            Record::RunEnd { at, totals } => format!(
+                "{{\"record\":\"run_end\",\"source\":{source},\"t_ps\":{},\"records\":{},\"totals\":{}}}",
+                at.as_ps(),
+                self.records,
+                serde_json::to_string(totals).expect("registry serializes"),
+            ),
+        };
+        self.out
+            .write_all(line.as_bytes())
+            .and_then(|()| self.out.write_all(b"\n"))
+            .expect("telemetry sink write");
+        self.records += 1;
+        if let Record::RunEnd { .. } = rec {
+            self.flush();
+        }
     }
 }
 
@@ -366,7 +359,9 @@ pub(crate) fn render_exposition<W: Write>(
     Ok(())
 }
 
-/// One buffered record, as received by a [`MemorySink`].
+/// One buffered record, as received by a [`MemorySink`]: the owned form
+/// of a [`Record`] plus its source. Its serde layout is what SPS
+/// checkpoints carry for a plane's staged records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SinkRecord {
     /// A closed epoch delta.
@@ -403,130 +398,109 @@ pub enum SinkRecord {
     },
 }
 
+impl SinkRecord {
+    /// The owned copy of `rec`, attributed to `source`.
+    pub fn new(source: &str, rec: Record<'_>) -> Self {
+        let source = source.to_string();
+        match rec {
+            Record::Epoch { epoch, delta } => SinkRecord::Epoch {
+                source,
+                epoch,
+                delta: delta.clone(),
+            },
+            Record::Span(span) => SinkRecord::Span {
+                source,
+                span: *span,
+            },
+            Record::Watchdog(event) => SinkRecord::Watchdog {
+                source,
+                event: event.clone(),
+            },
+            Record::RunEnd { at, totals } => SinkRecord::RunEnd {
+                source,
+                at,
+                totals: totals.clone(),
+            },
+        }
+    }
+
+    /// The record's source and its borrowed view.
+    pub fn view(&self) -> (&str, Record<'_>) {
+        match self {
+            SinkRecord::Epoch {
+                source,
+                epoch,
+                delta,
+            } => (
+                source,
+                Record::Epoch {
+                    epoch: *epoch,
+                    delta,
+                },
+            ),
+            SinkRecord::Span { source, span } => (source, Record::Span(span)),
+            SinkRecord::Watchdog { source, event } => (source, Record::Watchdog(event)),
+            SinkRecord::RunEnd { source, at, totals } => {
+                (source, Record::RunEnd { at: *at, totals })
+            }
+        }
+    }
+}
+
 /// Buffers every record in arrival order — for tests, and as the
 /// per-plane staging buffer whose contents are replayed into the real
-/// sink in deterministic plane order. An optional ring capacity
-/// ([`MemorySink::with_capacity`]) bounds the buffer for multi-hour
-/// soaks: the oldest records are evicted and counted in
-/// [`MemorySink::dropped_records`].
+/// sink in deterministic plane order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemorySink {
-    records: VecDeque<SinkRecord>,
-    /// Ring capacity (`None` = unbounded).
-    capacity: Option<usize>,
-    dropped: u64,
+    records: Vec<SinkRecord>,
 }
 
 impl MemorySink {
-    /// An unbounded sink.
+    /// An empty sink.
     pub fn new() -> Self {
         MemorySink::default()
     }
 
-    /// A sink keeping only the most recent `capacity` records.
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero (a sink that can hold nothing).
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        MemorySink {
-            records: VecDeque::with_capacity(capacity),
-            capacity: Some(capacity),
-            dropped: 0,
-        }
-    }
-
     /// The buffered records, in arrival order.
-    pub fn records(&self) -> &VecDeque<SinkRecord> {
+    pub fn records(&self) -> &[SinkRecord] {
         &self.records
-    }
-
-    /// Records evicted by the ring capacity.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped
     }
 
     /// Consume the sink, returning its records.
     pub fn into_records(self) -> Vec<SinkRecord> {
-        self.records.into()
-    }
-
-    fn push(&mut self, rec: SinkRecord) {
-        if let Some(cap) = self.capacity {
-            while self.records.len() >= cap {
-                self.records.pop_front();
-                self.dropped += 1;
-            }
-        }
-        self.records.push_back(rec);
+        self.records
     }
 
     /// Append a previously captured record — how a resumed run
-    /// re-seeds a staging buffer from a checkpoint.
+    /// re-seeds a staging buffer from a checkpoint, and how the fleet
+    /// collector stages a parsed worker line.
     pub fn push_record(&mut self, rec: SinkRecord) {
-        self.push(rec);
+        self.records.push(rec);
     }
 
     /// Replay every buffered record into `sink`, preserving sources.
     pub fn replay_into(&self, sink: &mut dyn TelemetrySink) {
-        for rec in &self.records {
-            match rec {
-                SinkRecord::Epoch {
-                    source,
-                    epoch,
-                    delta,
-                } => sink.on_epoch(source, *epoch, delta),
-                SinkRecord::Span { source, span } => sink.on_span(source, span),
-                SinkRecord::Watchdog { source, event } => sink.on_watchdog(source, event),
-                SinkRecord::RunEnd { source, at, totals } => sink.on_run_end(source, *at, totals),
-            }
-        }
+        self.replay(None, sink);
     }
 
     /// Replay every buffered record into `sink` under a new source
     /// name — how per-plane buffers become `plane00`, `plane01`, …
     /// streams in the caller's sink.
     pub fn replay_renamed(&self, source: &str, sink: &mut dyn TelemetrySink) {
+        self.replay(Some(source), sink);
+    }
+
+    fn replay(&self, rename: Option<&str>, sink: &mut dyn TelemetrySink) {
         for rec in &self.records {
-            match rec {
-                SinkRecord::Epoch { epoch, delta, .. } => sink.on_epoch(source, *epoch, delta),
-                SinkRecord::Span { span, .. } => sink.on_span(source, span),
-                SinkRecord::Watchdog { event, .. } => sink.on_watchdog(source, event),
-                SinkRecord::RunEnd { at, totals, .. } => sink.on_run_end(source, *at, totals),
-            }
+            let (source, view) = rec.view();
+            sink.record(rename.unwrap_or(source), view);
         }
     }
 }
 
 impl TelemetrySink for MemorySink {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
-        self.push(SinkRecord::Epoch {
-            source: source.to_string(),
-            epoch,
-            delta: delta.clone(),
-        });
-    }
-
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        self.push(SinkRecord::Span {
-            source: source.to_string(),
-            span: *span,
-        });
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        self.push(SinkRecord::Watchdog {
-            source: source.to_string(),
-            event: event.clone(),
-        });
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        self.push(SinkRecord::RunEnd {
-            source: source.to_string(),
-            at,
-            totals: totals.clone(),
-        });
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        self.records.push(SinkRecord::new(source, rec));
     }
 }
 
@@ -544,59 +518,30 @@ impl SharedSink {
         SharedSink::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemorySink> {
+        self.inner.lock().expect("telemetry sink lock")
+    }
+
     /// Take the buffered records out, leaving the sink empty.
     pub fn take(&self) -> MemorySink {
-        std::mem::take(&mut *self.inner.lock().expect("telemetry sink lock"))
+        std::mem::take(&mut *self.lock())
     }
 
     /// Clone the buffered records without draining them — how a
     /// checkpoint captures a staging buffer mid-run.
     pub fn peek_records(&self) -> Vec<SinkRecord> {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .records()
-            .iter()
-            .cloned()
-            .collect()
+        self.lock().records().to_vec()
     }
 
     /// Append a previously captured record (checkpoint restore).
     pub fn push_record(&self, rec: SinkRecord) {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .push_record(rec);
+        self.lock().push_record(rec);
     }
 }
 
 impl TelemetrySink for SharedSink {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .on_epoch(source, epoch, delta);
-    }
-
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .on_span(source, span);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .on_watchdog(source, event);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        self.inner
-            .lock()
-            .expect("telemetry sink lock")
-            .on_run_end(source, at, totals);
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        self.lock().record(source, rec);
     }
 }
 
@@ -631,27 +576,9 @@ impl FanoutSink {
 }
 
 impl TelemetrySink for FanoutSink {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
+    fn record(&mut self, source: &str, rec: Record<'_>) {
         for sink in &mut self.sinks {
-            sink.on_epoch(source, epoch, delta);
-        }
-    }
-
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        for sink in &mut self.sinks {
-            sink.on_span(source, span);
-        }
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        for sink in &mut self.sinks {
-            sink.on_watchdog(source, event);
-        }
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        for sink in &mut self.sinks {
-            sink.on_run_end(source, at, totals);
+            sink.record(source, rec);
         }
     }
 }
@@ -660,6 +587,39 @@ impl TelemetrySink for FanoutSink {
 mod tests {
     use super::*;
     use crate::{Snapshot, WatchdogKind};
+
+    const SPAN: SpanEvent = SpanEvent {
+        packet: 42,
+        stage: "hbm_read",
+        at: SimTime::from_ns(5),
+        port: 3,
+    };
+
+    fn stall() -> WatchdogEvent {
+        WatchdogEvent {
+            source: "switch".into(),
+            epoch: 0,
+            at: SimTime::from_ns(100),
+            kind: WatchdogKind::Stall { epochs: 3 },
+        }
+    }
+
+    /// One record of each kind, in stream order.
+    fn sample_records<'a>(
+        delta: &'a EpochDelta,
+        totals: &'a MetricsRegistry,
+        event: &'a WatchdogEvent,
+    ) -> [Record<'a>; 4] {
+        [
+            Record::Epoch { epoch: 0, delta },
+            Record::Span(&SPAN),
+            Record::Watchdog(event),
+            Record::RunEnd {
+                at: SimTime::from_ns(100),
+                totals,
+            },
+        ]
+    }
 
     #[test]
     fn jsonl_stream_is_deterministic_and_newline_terminated() {
@@ -672,26 +632,10 @@ mod tests {
                 reg.inc("pkts", 7);
                 reg.observe("lat", 3.5);
                 let snap = reg.snapshot(SimTime::from_ns(100));
-                sink.on_epoch("switch", 0, &snap.delta_since(&prev));
-                sink.on_span(
-                    "switch",
-                    &SpanEvent {
-                        packet: 42,
-                        stage: "arrival",
-                        at: SimTime::from_ns(5),
-                        port: 1,
-                    },
-                );
-                sink.on_watchdog(
-                    "switch",
-                    &WatchdogEvent {
-                        source: "switch".into(),
-                        epoch: 0,
-                        at: SimTime::from_ns(100),
-                        kind: WatchdogKind::Stall { epochs: 3 },
-                    },
-                );
-                sink.on_run_end("switch", SimTime::from_ns(100), reg);
+                let delta = snap.delta_since(&prev);
+                for rec in sample_records(&delta, reg, &stall()) {
+                    sink.record("switch", rec);
+                }
                 assert_eq!(sink.records(), 4);
             }
             buf
@@ -808,146 +752,24 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_ring_bounds_and_counts_drops() {
-        let mut sink = MemorySink::with_capacity(3);
-        let reg = MetricsRegistry::new();
-        let span = |packet| SpanEvent {
-            packet,
-            stage: "arrival",
-            at: SimTime::from_ns(packet),
-            port: 0,
-        };
-        for packet in 0..10u64 {
-            sink.on_span("switch", &span(packet));
-        }
-        sink.on_run_end("switch", SimTime::from_ns(99), &reg);
-        assert_eq!(sink.records().len(), 3, "ring must cap the buffer");
-        assert_eq!(sink.dropped_records(), 8);
-        // The newest records survive.
-        match &sink.records()[2] {
-            SinkRecord::RunEnd { .. } => {}
-            other => panic!("expected the run_end to survive, got {other:?}"),
-        }
-        match &sink.records()[0] {
-            SinkRecord::Span { span, .. } => assert_eq!(span.packet, 8),
-            other => panic!("unexpected record {other:?}"),
-        }
-        // Unbounded default never drops.
-        let mut unbounded = MemorySink::new();
-        for packet in 0..10u64 {
-            unbounded.on_span("switch", &span(packet));
-        }
-        assert_eq!(unbounded.records().len(), 10);
-        assert_eq!(unbounded.dropped_records(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ring capacity must be positive")]
-    fn memory_sink_rejects_zero_capacity() {
-        MemorySink::with_capacity(0);
-    }
-
-    #[test]
-    fn memory_sink_capacity_one_keeps_only_the_newest() {
-        let mut sink = MemorySink::with_capacity(1);
-        let span = |packet| SpanEvent {
-            packet,
-            stage: "arrival",
-            at: SimTime::from_ns(packet),
-            port: 0,
-        };
-        sink.on_span("switch", &span(0));
-        assert_eq!(sink.records().len(), 1);
-        assert_eq!(sink.dropped_records(), 0);
-        for packet in 1..5u64 {
-            sink.on_span("switch", &span(packet));
-        }
-        assert_eq!(sink.records().len(), 1);
-        assert_eq!(sink.dropped_records(), 4);
-        match &sink.records()[0] {
-            SinkRecord::Span { span, .. } => assert_eq!(span.packet, 4),
-            other => panic!("unexpected record {other:?}"),
-        }
-    }
-
-    #[test]
-    fn memory_sink_exact_wraparound_boundary() {
-        // Filling to exactly capacity drops nothing; one more record
-        // evicts exactly the oldest.
-        let mut sink = MemorySink::with_capacity(4);
-        let span = |packet| SpanEvent {
-            packet,
-            stage: "arrival",
-            at: SimTime::from_ns(packet),
-            port: 0,
-        };
-        for packet in 0..4u64 {
-            sink.on_span("switch", &span(packet));
-        }
-        assert_eq!(sink.records().len(), 4);
-        assert_eq!(sink.dropped_records(), 0);
-        sink.on_span("switch", &span(4));
-        assert_eq!(sink.records().len(), 4);
-        assert_eq!(sink.dropped_records(), 1);
-        let ids: Vec<u64> = sink
-            .records()
-            .iter()
-            .map(|r| match r {
-                SinkRecord::Span { span, .. } => span.packet,
-                other => panic!("unexpected record {other:?}"),
-            })
-            .collect();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn memory_sink_overflow_accounting_is_cumulative() {
-        let mut sink = MemorySink::with_capacity(2);
-        let span = |packet| SpanEvent {
-            packet,
-            stage: "departure",
-            at: SimTime::from_ns(packet),
-            port: 1,
-        };
-        for packet in 0..100u64 {
-            sink.on_span("switch", &span(packet));
-        }
-        assert_eq!(sink.records().len(), 2);
-        assert_eq!(sink.dropped_records(), 98);
-        // Eviction count + retained count always equals pushes.
-        assert_eq!(sink.dropped_records() + sink.records().len() as u64, 100);
-    }
-
-    #[test]
     fn sink_records_roundtrip_through_snapshot_values() {
         let mut reg = MetricsRegistry::new();
         reg.inc("pkts", 3);
-        let snap = reg.snapshot(SimTime::from_ns(100));
+        let delta = reg
+            .snapshot(SimTime::from_ns(100))
+            .delta_since(&Snapshot::empty());
         let mut sink = MemorySink::new();
-        sink.on_epoch("switch", 0, &snap.delta_since(&Snapshot::empty()));
-        sink.on_span(
-            "switch",
-            &SpanEvent {
-                packet: 7,
-                stage: "hbm_read",
-                at: SimTime::from_ns(42),
-                port: 3,
-            },
-        );
-        sink.on_watchdog(
-            "switch",
-            &WatchdogEvent {
-                source: "switch".into(),
-                epoch: 0,
-                at: SimTime::from_ns(100),
-                kind: WatchdogKind::Stall { epochs: 3 },
-            },
-        );
-        sink.on_run_end("switch", SimTime::from_ns(100), &reg);
-        for rec in sink.records() {
+        let event = stall();
+        let recs = sample_records(&delta, &reg, &event);
+        for rec in recs {
+            sink.record("switch", rec);
+        }
+        for (rec, view) in sink.records().iter().zip(recs) {
             let v = rec.to_value();
             let back = SinkRecord::from_value(&v).expect("record roundtrips");
             assert_eq!(&back, rec);
+            // The owned form views back as the record it was made from.
+            assert_eq!(rec.view(), ("switch", view));
         }
         // An unknown stage is rejected, not silently interned.
         let mut bad = SinkRecord::Span {
@@ -975,13 +797,44 @@ mod tests {
     }
 
     #[test]
+    fn memory_sink_keeps_every_record_in_arrival_order() {
+        let mut sink = MemorySink::new();
+        for packet in 0..1000u64 {
+            let span = SpanEvent { packet, ..SPAN };
+            sink.record("switch", Record::Span(&span));
+        }
+        let packets: Vec<u64> = sink
+            .records()
+            .iter()
+            .map(|r| match r.view() {
+                ("switch", Record::Span(span)) => span.packet,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(packets, (0..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn shared_sink_replays_renamed() {
         let shared = SharedSink::new();
         let mut handle = shared.clone();
         let reg = MetricsRegistry::new();
         let snap = reg.snapshot(SimTime::from_ns(50));
-        handle.on_epoch("switch", 0, &snap.delta_since(&Snapshot::empty()));
-        handle.on_run_end("switch", SimTime::from_ns(50), &reg);
+        let delta = snap.delta_since(&Snapshot::empty());
+        handle.record(
+            "switch",
+            Record::Epoch {
+                epoch: 0,
+                delta: &delta,
+            },
+        );
+        handle.record(
+            "switch",
+            Record::RunEnd {
+                at: SimTime::from_ns(50),
+                totals: &reg,
+            },
+        );
         let mem = shared.take();
         assert_eq!(mem.records().len(), 2);
         let mut renamed = MemorySink::new();
@@ -1002,8 +855,21 @@ mod tests {
         assert_eq!(fan.len(), 2);
         let reg = MetricsRegistry::new();
         let snap = reg.snapshot(SimTime::from_ns(10));
-        fan.on_epoch("switch", 0, &snap.delta_since(&Snapshot::empty()));
-        fan.on_run_end("switch", SimTime::from_ns(10), &reg);
+        let delta = snap.delta_since(&Snapshot::empty());
+        fan.record(
+            "switch",
+            Record::Epoch {
+                epoch: 0,
+                delta: &delta,
+            },
+        );
+        fan.record(
+            "switch",
+            Record::RunEnd {
+                at: SimTime::from_ns(10),
+                totals: &reg,
+            },
+        );
         assert_eq!(a.take().records().len(), 2);
         assert_eq!(b.take().records().len(), 2);
     }

@@ -36,7 +36,7 @@ use std::io::{self, Write};
 
 use rip_units::SimTime;
 
-use crate::{EpochDelta, MetricsRegistry, SpanEvent, TelemetrySink};
+use crate::{EpochDelta, Record, SpanEvent, TelemetrySink};
 
 /// Process id of the per-bank HBM command timeline.
 pub const PID_HBM: u32 = 1;
@@ -418,15 +418,8 @@ impl ChromeTraceSink {
         pid
     }
 
-    /// Finish recording and hand the recorder over (merge it with the
-    /// device-side recorder before writing).
-    pub fn into_recorder(self) -> TraceRecorder {
-        self.rec
-    }
-}
-
-impl TelemetrySink for ChromeTraceSink {
-    fn on_epoch(&mut self, source: &str, _epoch: u64, delta: &EpochDelta) {
+    /// `source`'s per-epoch activity lane samples.
+    fn epoch_lanes(&mut self, source: &str, delta: &EpochDelta) {
         let at = delta.to();
         if !self.rec.window().contains(at) {
             return;
@@ -442,7 +435,8 @@ impl TelemetrySink for ChromeTraceSink {
         }
     }
 
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
+    /// Open, annotate or close `source`'s span track for one event.
+    fn span(&mut self, source: &str, span: &SpanEvent) {
         let pid = self.pid_for(source);
         let key = (pid, span.packet);
         match span.stage {
@@ -482,19 +476,34 @@ impl TelemetrySink for ChromeTraceSink {
         }
     }
 
-    fn on_run_end(&mut self, source: &str, at: SimTime, _totals: &MetricsRegistry) {
-        // Balance spans the run cut short (packets still in flight at
-        // the deadline).
-        let pid = self.pid_for(source);
-        let stuck: Vec<(u32, u64)> = self
-            .open
-            .iter()
-            .copied()
-            .filter(|&(p, _)| p == pid)
-            .collect();
-        for (p, tid) in stuck {
-            self.open.remove(&(p, tid));
-            self.rec.end(p, tid, "pkt", at);
+    /// Finish recording and hand the recorder over (merge it with the
+    /// device-side recorder before writing).
+    pub fn into_recorder(self) -> TraceRecorder {
+        self.rec
+    }
+}
+
+impl TelemetrySink for ChromeTraceSink {
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        match rec {
+            Record::Epoch { delta, .. } => self.epoch_lanes(source, delta),
+            Record::Span(span) => self.span(source, span),
+            Record::RunEnd { at, .. } => {
+                // Balance spans the run cut short (packets still in
+                // flight at the deadline).
+                let pid = self.pid_for(source);
+                let stuck: Vec<(u32, u64)> = self
+                    .open
+                    .iter()
+                    .copied()
+                    .filter(|&(p, _)| p == pid)
+                    .collect();
+                for (p, tid) in stuck {
+                    self.open.remove(&(p, tid));
+                    self.rec.end(p, tid, "pkt", at);
+                }
+            }
+            Record::Watchdog(_) => {}
         }
     }
 }
@@ -502,6 +511,7 @@ impl TelemetrySink for ChromeTraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsRegistry;
     use serde::Value;
 
     fn parse(bytes: &[u8]) -> Value {
@@ -606,12 +616,18 @@ mod tests {
             at: SimTime::from_ps(ps),
             port: 0,
         };
-        sink.on_span("switch", &span(1, "arrival", 10));
-        sink.on_span("switch", &span(1, "hbm_write", 20));
-        sink.on_span("switch", &span(1, "departure", 30));
-        sink.on_span("switch", &span(2, "arrival", 15));
+        sink.record("switch", Record::Span(&span(1, "arrival", 10)));
+        sink.record("switch", Record::Span(&span(1, "hbm_write", 20)));
+        sink.record("switch", Record::Span(&span(1, "departure", 30)));
+        sink.record("switch", Record::Span(&span(2, "arrival", 15)));
         // Packet 2 never departs; run_end must close it.
-        sink.on_run_end("switch", SimTime::from_ps(99), &MetricsRegistry::new());
+        sink.record(
+            "switch",
+            Record::RunEnd {
+                at: SimTime::from_ps(99),
+                totals: &MetricsRegistry::new(),
+            },
+        );
         let rec = sink.into_recorder();
         let mut buf = Vec::new();
         rec.write_chrome_json(&mut buf).unwrap();
@@ -638,11 +654,11 @@ mod tests {
             port: 0,
         };
         // Arrived before the window: fully ignored, even its departure.
-        sink.on_span("switch", &span(1, "arrival", 50));
-        sink.on_span("switch", &span(1, "departure", 150));
+        sink.record("switch", Record::Span(&span(1, "arrival", 50)));
+        sink.record("switch", Record::Span(&span(1, "departure", 150)));
         // Arrived inside: followed past the window's end.
-        sink.on_span("switch", &span(2, "arrival", 150));
-        sink.on_span("switch", &span(2, "departure", 900));
+        sink.record("switch", Record::Span(&span(2, "arrival", 150)));
+        sink.record("switch", Record::Span(&span(2, "departure", 900)));
         let rec = sink.into_recorder();
         let mut buf = Vec::new();
         rec.write_chrome_json(&mut buf).unwrap();

@@ -5,8 +5,8 @@
 //! feeder keeps pulling but deliveries stop), drop-rate breaches,
 //! degraded HBM capacity (dead channels, PR 1's fault accounting), and
 //! mimic-lag violations reported post-run. Alarms become typed
-//! [`WatchdogEvent`]s, forwarded to the inner sink through
-//! [`TelemetrySink::on_watchdog`] (JSONL streams grow a
+//! [`WatchdogEvent`]s, forwarded to the inner sink as
+//! [`Record::Watchdog`] records (JSONL streams grow a
 //! `{"record":"watchdog",...}` line) and retained behind a shared
 //! [`WatchdogHandle`] so the driving binary can turn them into a
 //! nonzero exit code after the sink was consumed by the engine.
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use rip_units::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::{EpochDelta, MetricsRegistry, SpanEvent, TelemetrySink};
+use crate::{EpochDelta, Record, TelemetrySink};
 
 /// Alarm thresholds. `Default` gives conservative values that stay
 /// silent on healthy runs: stalls need 16 quiet epochs after delivery
@@ -172,11 +172,6 @@ impl<S: TelemetrySink> Watchdog<S> {
         )
     }
 
-    /// The wrapped sink.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
     fn raise(&mut self, source: &str, epoch: u64, at: SimTime, kind: WatchdogKind) {
         let event = WatchdogEvent {
             source: source.to_string(),
@@ -188,7 +183,7 @@ impl<S: TelemetrySink> Watchdog<S> {
             .lock()
             .expect("watchdog lock")
             .push(event.clone());
-        self.inner.on_watchdog(source, &event);
+        self.inner.record(source, Record::Watchdog(&event));
     }
 
     /// Post-run mimic check: alarm when the mimicking comparison's
@@ -287,34 +282,26 @@ impl<S: TelemetrySink> Watchdog<S> {
 }
 
 impl<S: TelemetrySink> TelemetrySink for Watchdog<S> {
-    fn on_epoch(&mut self, source: &str, epoch: u64, delta: &EpochDelta) {
-        self.inner.on_epoch(source, epoch, delta);
-        self.evaluate(source, epoch, delta);
-    }
-
-    fn on_span(&mut self, source: &str, span: &SpanEvent) {
-        self.inner.on_span(source, span);
-    }
-
-    fn on_run_end(&mut self, source: &str, at: SimTime, totals: &MetricsRegistry) {
-        self.inner.on_run_end(source, at, totals);
-    }
-
-    fn on_watchdog(&mut self, source: &str, event: &WatchdogEvent) {
-        // A replayed watchdog record (e.g. a staged stream) counts as
-        // this watchdog's own observation too.
-        self.events
-            .lock()
-            .expect("watchdog lock")
-            .push(event.clone());
-        self.inner.on_watchdog(source, event);
+    fn record(&mut self, source: &str, rec: Record<'_>) {
+        self.inner.record(source, rec);
+        match rec {
+            Record::Epoch { epoch, delta } => self.evaluate(source, epoch, delta),
+            // A replayed watchdog record (e.g. a staged stream) counts
+            // as this watchdog's own observation too.
+            Record::Watchdog(event) => self
+                .events
+                .lock()
+                .expect("watchdog lock")
+                .push(event.clone()),
+            Record::Span(_) | Record::RunEnd { .. } => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemorySink, Snapshot};
+    use crate::{MemorySink, MetricsRegistry, Snapshot};
     use rip_units::TimeDelta;
 
     /// Build an epoch delta carrying the live gauge series.
@@ -355,7 +342,7 @@ mod tests {
                     ("switch.capacity.dead_channels", 0.0),
                 ],
             );
-            wd.on_epoch("switch", epoch, &d);
+            wd.record("switch", Record::Epoch { epoch, delta: &d });
         }
         assert!(
             !handle.fired(),
@@ -387,7 +374,7 @@ mod tests {
                     ("switch.packets.delivered", delivered as f64),
                 ],
             );
-            wd.on_epoch("switch", epoch, &d);
+            wd.record("switch", Record::Epoch { epoch, delta: &d });
         }
         let events = handle.events();
         assert_eq!(events.len(), 1, "stall must fire exactly once: {events:?}");
@@ -418,7 +405,7 @@ mod tests {
                     ("switch.packets.delivered", 0.0),
                 ],
             );
-            wd.on_epoch("switch", epoch, &d);
+            wd.record("switch", Record::Epoch { epoch, delta: &d });
         }
         assert!(!handle.fired(), "fill latency must not alarm");
     }
@@ -448,7 +435,7 @@ mod tests {
                     ),
                 ],
             );
-            wd.on_epoch("switch", epoch, &d);
+            wd.record("switch", Record::Epoch { epoch, delta: &d });
         }
         let kinds: Vec<WatchdogKind> = handle.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds.len(), 2, "one alarm per rule per episode: {kinds:?}");

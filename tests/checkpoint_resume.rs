@@ -65,7 +65,7 @@ fn baseline(seed: u64) -> (Vec<SinkRecord>, String) {
         cfg.drain.deadline(horizon),
         &FaultPlan::default(),
     );
-    let records = staged.take().records().iter().cloned().collect();
+    let records = staged.take().into_records();
     (records, json(&sw.into_report()))
 }
 
@@ -101,7 +101,7 @@ fn run_until(
             },
         )
         .expect("checkpointed run");
-    let partial = staged.take().records().iter().cloned().collect();
+    let partial = staged.take().into_records();
     (partial, outcome, counts.into_inner())
 }
 
@@ -130,7 +130,7 @@ fn try_resume(seed: u64, state: &Value) -> Result<(Vec<SinkRecord>, String), Sna
         |_, _, _| Ok(()),
     )?;
     assert_eq!(outcome, RunOutcome::Completed);
-    let records = staged.take().records().iter().cloned().collect();
+    let records = staged.take().into_records();
     Ok((records, json(&sw.into_report())))
 }
 
@@ -401,7 +401,7 @@ fn sps_interrupted_mid_run_resumes_byte_identically() {
         .chain(cont.records().iter())
         .cloned()
         .collect();
-    let expected: Vec<SinkRecord> = base.records().iter().cloned().collect();
+    let expected = base.records().to_vec();
     assert_eq!(merged, expected, "merged SPS stream diverged");
 }
 

@@ -11,7 +11,14 @@
 //! capped so the suite stays fast in debug builds; the merge replays
 //! plane-complete streams, so a capped run that diverged would diverge
 //! at full length too.
+//!
+//! Worker bytes are outside input: truncated, spliced and byte-flipped
+//! lines and streams must come back as typed errors, never a panic,
+//! and a failed ingest must leave the collector's state untouched.
 
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
 use rip_bench::spec::SimSpec;
 use rip_core::{
@@ -19,7 +26,7 @@ use rip_core::{
 };
 use rip_integration_tests::shipped_configs;
 use rip_photonics::SplitPattern;
-use rip_telemetry::{JsonlSink, Watchdog, WatchdogConfig};
+use rip_telemetry::{parse_sink_line, JsonlSink, LengthFramedReader, Watchdog, WatchdogConfig};
 use rip_units::{SimTime, TimeDelta};
 use serde::{Serialize, Value};
 
@@ -245,4 +252,121 @@ fn a_worker_killed_mid_stream_is_typed_and_leaves_no_state() {
     // The replacement push commits the whole subset.
     collector.ingest(&full[..]).expect("replacement ingests");
     assert_eq!(collector.missing_planes(), Vec::<usize>::new());
+}
+
+/// Real wire bytes for the hostile-input properties: a `small` job's
+/// worker 0 stream (plane 0), committed first, and worker 1's stream
+/// (the other planes), which the properties mutate.
+struct Wire {
+    echo: Value,
+    planes: usize,
+    first: Vec<u8>,
+    second: Vec<u8>,
+    /// `second`'s frames: each one JSONL line as a `JsonlSink` wrote it
+    /// (telemetry) or a protocol control line.
+    lines: Vec<String>,
+}
+
+fn wire() -> &'static Wire {
+    static WIRE: OnceLock<Wire> = OnceLock::new();
+    WIRE.get_or_init(|| {
+        let cfg = rip_core::RouterConfig::small();
+        let planes = cfg.switches;
+        let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
+        let workload = SpsWorkload::uniform(cfg.ribbons, 0.7, 11);
+        let plan = FaultPlan::default();
+        let echo = serde_json::parse("{\"spec\":\"hostile\"}").expect("echo parses");
+        let job = FleetJob {
+            router: &router,
+            workload: &workload,
+            plan: &plan,
+            horizon: SimTime::from_ns(4_000),
+            live: LiveOptions {
+                period: TimeDelta::from_ps(1_000_000),
+                sample_one_in: 16,
+            },
+            echo: echo.clone(),
+        };
+        let first = push_worker_stream(&job, 0, &[0], Vec::new()).expect("pushes");
+        let rest: Vec<usize> = (1..planes).collect();
+        let second = push_worker_stream(&job, 1, &rest, Vec::new()).expect("pushes");
+        let mut reader = LengthFramedReader::new(&second[..]);
+        let mut lines = Vec::new();
+        while let Some(frame) = reader.read_frame().expect("well-formed stream") {
+            lines.push(String::from_utf8(frame).expect("UTF-8 line"));
+        }
+        Wire {
+            echo,
+            planes,
+            first,
+            second,
+            lines,
+        }
+    })
+}
+
+/// Ingest a mutated second stream into a collector that already holds
+/// the first: the result is typed by construction, and a failed ingest
+/// must leave the committed state exactly as it was.
+fn ingest_mutated(bytes: &[u8]) -> Result<u64, CollectError> {
+    let w = wire();
+    let mut collector = Collector::new(w.echo.clone(), w.planes);
+    collector
+        .ingest(&w.first[..])
+        .expect("first stream commits");
+    let (staged, committed) = (collector.staged_records(), collector.committed_planes());
+    let got = collector.ingest(bytes);
+    if got.is_err() {
+        assert_eq!(collector.staged_records(), staged, "{got:?}");
+        assert_eq!(collector.committed_planes(), committed, "{got:?}");
+        assert_eq!(collector.workers_done(), 1, "{got:?}");
+    }
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A strict prefix of a real line is never a record; every
+    /// truncation, splice and byte flip is a typed `LineError` or a
+    /// line that still parses — never a panic.
+    #[test]
+    fn mutated_sink_lines_are_typed_errors(
+        pick in any::<prop::sample::Index>(),
+        other in any::<prop::sample::Index>(),
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        flip in 1u8..=255,
+    ) {
+        let lines = &wire().lines;
+        let line = lines[pick.index(lines.len())].as_bytes();
+        let cut = cut.index(line.len());
+        let truncated = String::from_utf8_lossy(&line[..cut]);
+        prop_assert!(parse_sink_line(&truncated).is_err(), "{truncated}");
+        let tail = lines[other.index(lines.len())].as_bytes();
+        let spliced = [&line[..cut], &tail[at.index(tail.len())..]].concat();
+        let _ = parse_sink_line(&String::from_utf8_lossy(&spliced));
+        let mut flipped = line.to_vec();
+        flipped[at.index(line.len())] ^= flip;
+        let _ = parse_sink_line(&String::from_utf8_lossy(&flipped));
+    }
+
+    /// Truncated, spliced and byte-flipped worker streams: a truncated
+    /// stream never commits, and no mutation panics or leaves partial
+    /// state behind (see `ingest_mutated`).
+    #[test]
+    fn mutated_worker_streams_are_typed_errors(
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        flip in 1u8..=255,
+    ) {
+        let w = wire();
+        let cut = cut.index(w.second.len());
+        prop_assert!(ingest_mutated(&w.second[..cut]).is_err());
+        let spliced = [&w.second[..cut], &w.first[at.index(w.first.len())..]].concat();
+        let _ = ingest_mutated(&spliced);
+        let mut flipped = w.second.clone();
+        flipped[at.index(w.second.len())] ^= flip;
+        let _ = ingest_mutated(&flipped);
+    }
 }

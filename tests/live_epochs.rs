@@ -13,9 +13,6 @@
 //!   simulation computes: the live run's report is the silent run's
 //!   report plus the per-epoch live gauge series.
 
-use std::collections::VecDeque;
-
-use rip_baselines::IdealOqSwitch;
 use rip_core::{FaultPlan, HbmSwitch, LiveOptions, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::source_for;
 use rip_photonics::SplitPattern;
@@ -47,7 +44,7 @@ fn live_switch_run(seed: u64) -> (MemorySink, rip_core::SwitchReport) {
 }
 
 /// Rebuild a registry from the `Epoch` records of one source.
-fn rebuild(records: &VecDeque<SinkRecord>, source: &str) -> MetricsRegistry {
+fn rebuild(records: &[SinkRecord], source: &str) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     for rec in records {
         if let SinkRecord::Epoch {
@@ -63,7 +60,7 @@ fn rebuild(records: &VecDeque<SinkRecord>, source: &str) -> MetricsRegistry {
 }
 
 /// The `run_end` totals of one source.
-fn totals<'a>(records: &'a VecDeque<SinkRecord>, source: &str) -> &'a MetricsRegistry {
+fn totals<'a>(records: &'a [SinkRecord], source: &str) -> &'a MetricsRegistry {
     records
         .iter()
         .find_map(|rec| match rec {
@@ -233,21 +230,4 @@ fn sps_per_plane_deltas_reconstruct_merged_report() {
     // registry and the terminal `sps` run_end record.
     assert_eq!(json(&merged), json(&r.metrics));
     assert_eq!(json(totals(sink.records(), "sps")), json(&r.metrics));
-}
-
-#[test]
-fn oq_streamed_epochs_match_departures_and_totals() {
-    let cfg = RouterConfig::small();
-    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let horizon = SimTime::from_ns(30_000);
-
-    let mut plain = IdealOqSwitch::new(cfg.ribbons, cfg.port_rate());
-    let want = plain.run_source(source_for(&cfg, &tm, 0.8, horizon, 29));
-
-    let mut sink = MemorySink::new();
-    let mut oq = IdealOqSwitch::new(cfg.ribbons, cfg.port_rate());
-    let got = oq.run_source_streamed(source_for(&cfg, &tm, 0.8, horizon, 29), PERIOD, &mut sink);
-    assert_eq!(got, want, "streaming changed the OQ departure schedule");
-    let rebuilt = rebuild(sink.records(), "oq");
-    assert_eq!(json(&rebuilt), json(totals(sink.records(), "oq")));
 }
