@@ -61,7 +61,7 @@ pub fn uniform_trace(cfg: &RouterConfig, load: f64, horizon: SimTime, seed: u64)
 /// A merged source over one generator per port (see [`switch_trace`])
 /// that pulls packets in arrival order without materializing the
 /// trace. One generator per port makes `(arrival, input, id)` unique,
-/// so the merge order equals `merge_streams`' sort order.
+/// so the merge order equals a sort of the trace by that key.
 pub fn switch_source(
     cfg: &RouterConfig,
     tm: &TrafficMatrix,

@@ -139,14 +139,17 @@ impl MimicReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rip_traffic::{ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix};
+    use rip_traffic::{
+        ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, PacketSource,
+        SizeDistribution, TrafficMatrix,
+    };
 
     fn trace(load: f64, seed: u64, horizon: SimTime) -> Vec<Packet> {
         let cfg = RouterConfig::small();
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let streams: Vec<Vec<Packet>> = (0..cfg.ribbons)
+        let sources: Vec<_> = (0..cfg.ribbons)
             .map(|i| {
-                let mut g = PacketGenerator::new(
+                let g = PacketGenerator::new(
                     i,
                     cfg.port_rate(),
                     load,
@@ -157,10 +160,10 @@ mod tests {
                     seed,
                 )
                 .unwrap();
-                g.generate_until(horizon)
+                BoundedSource::new(g, horizon)
             })
             .collect();
-        rip_traffic::merge_streams(streams)
+        MergedSource::new(sources).packets().collect()
     }
 
     #[test]

@@ -96,14 +96,31 @@ impl OutputPort {
     /// serialized (padding is discarded before E/O). Returns the drain
     /// end time and the departures of packets whose last chunk was in
     /// this batch.
+    ///
+    /// Convenience wrapper over [`OutputPort::drain_batch_into`] that
+    /// allocates a fresh departure vector — use `drain_batch_into` on
+    /// hot paths.
     pub fn drain_batch(
         &mut self,
         batch: &Batch,
         start: SimTime,
     ) -> (SimTime, Vec<PacketDeparture>) {
+        let mut departures = Vec::new();
+        let end = self.drain_batch_into(batch, start, &mut departures);
+        (end, departures)
+    }
+
+    /// Drain one batch starting no earlier than `start`, appending the
+    /// departures of packets whose last chunk was in this batch to
+    /// `departures`. Returns the drain end time.
+    pub fn drain_batch_into(
+        &mut self,
+        batch: &Batch,
+        start: SimTime,
+        departures: &mut Vec<PacketDeparture>,
+    ) -> SimTime {
         let start = start.max(self.busy_until);
         let mut pos = DataSize::ZERO;
-        let mut departures = Vec::new();
         for chunk in &batch.chunks {
             pos += chunk.len;
             let (fiber, wavelength) =
@@ -139,7 +156,7 @@ impl OutputPort {
         self.busy_until = end;
         self.delivered += payload;
         self.oeo.convert(payload);
-        (end, departures)
+        end
     }
 
     /// Per-lane byte counts (row-major `[fiber][wavelength]`).

@@ -317,16 +317,6 @@ impl BusyTime {
     pub fn total(&self) -> TimeDelta {
         self.busy
     }
-
-    /// Busy fraction of `elapsed` (clamped to [0, inf); >1 indicates
-    /// overlapping intervals were added).
-    pub fn utilization(&self, elapsed: TimeDelta) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.busy / elapsed
-        }
-    }
 }
 
 #[cfg(test)]
@@ -429,7 +419,5 @@ mod tests {
         b.add(TimeDelta::from_ns(30));
         b.add(TimeDelta::from_ns(20));
         assert_eq!(b.total(), TimeDelta::from_ns(50));
-        assert!((b.utilization(TimeDelta::from_ns(100)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.utilization(TimeDelta::ZERO), 0.0);
     }
 }

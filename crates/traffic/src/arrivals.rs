@@ -126,7 +126,6 @@ impl PacketGenerator {
             return None;
         }
         let size = self.sizes.sample(&mut self.rng);
-        let wire_time = self.line_rate.transfer_time(size);
         let mean_gap = self.mean_gap_ps(size.bytes_f64());
         let gap = match self.process {
             ArrivalProcess::Poisson => TimeDelta::from_ps(exp_ps(&mut self.rng, mean_gap)),
@@ -143,7 +142,7 @@ impl PacketGenerator {
                 } else {
                     // Back-to-back at line rate within the burst.
                     self.burst_left -= 1;
-                    wire_time
+                    self.line_rate.transfer_time(size)
                 }
             }
         };
@@ -210,8 +209,11 @@ impl StatefulSource for PacketGenerator {
     }
 }
 
-/// Merge several per-port packet streams into one arrival-ordered vector.
-pub fn merge_streams(mut streams: Vec<Vec<Packet>>) -> Vec<Packet> {
+/// Merge several per-port packet streams into one arrival-ordered vector:
+/// the sort oracle [`MergedSource`](crate::MergedSource) is checked
+/// against.
+#[cfg(test)]
+pub(crate) fn merge_streams(mut streams: Vec<Vec<Packet>>) -> Vec<Packet> {
     let mut all: Vec<Packet> = streams.drain(..).flatten().collect();
     all.sort_by_key(|p| (p.arrival, p.input, p.id));
     all

@@ -38,7 +38,7 @@ mod size;
 mod source;
 
 pub use adversarial::Attacker;
-pub use arrivals::{merge_streams, ArrivalProcess, PacketGenerator};
+pub use arrivals::{ArrivalProcess, PacketGenerator};
 pub use faults::{FaultInjector, FaultSummary, DUPLICATE_ID_BIT};
 pub use fill::FiberFill;
 pub use matrix::TrafficMatrix;

@@ -11,19 +11,21 @@
 //! construction parameters (seed included). Pulling the same source
 //! twice yields the same packet sequence, and the adapters here
 //! ([`BoundedSource`], [`MergedSource`], [`ReplaySource`]) are written
-//! so that collecting a source reproduces, byte for byte, the vector
-//! the batch helpers ([`PacketGenerator::generate_until`],
-//! [`merge_streams`]) would have built:
+//! so that collecting a source reproduces, byte for byte, the vector a
+//! materializing helper would have built:
 //!
-//! * [`BoundedSource`] stops exactly like `generate_until` — the first
-//!   packet beyond the horizon is generated (consuming the same RNG
-//!   draws) and then discarded.
-//! * [`MergedSource`] breaks ties with the same `(arrival, input, id)`
-//!   key as `merge_streams`'s stable sort, falling back to lane
-//!   insertion order on full ties.
+//! * [`BoundedSource`] stops exactly like
+//!   [`PacketGenerator::generate_until`] — the first packet beyond the
+//!   horizon is generated (consuming the same RNG draws) and then
+//!   discarded.
+//! * [`MergedSource`] yields the order of a stable sort of all its
+//!   lanes' packets by `(arrival, input, id)`: full key ties fall back
+//!   to lane insertion order.
 //!
 //! [`PacketGenerator::generate_until`]: crate::PacketGenerator::generate_until
-//! [`merge_streams`]: crate::merge_streams
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use rip_units::SimTime;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -196,16 +198,38 @@ impl<S: StatefulSource> StatefulSource for BoundedSource<S> {
 /// Deterministic k-way merge of packet sources.
 ///
 /// Yields the globally arrival-ordered interleaving of its lanes,
-/// breaking ties by `(arrival, input, id)` — the same key
-/// [`merge_streams`] sorts by — and, on full key ties, by lane
-/// insertion order (which is what `merge_streams`'s stable sort
-/// preserves). Each lane buffers at most one pending packet, so the
-/// merge runs in O(lanes) memory regardless of horizon.
+/// breaking ties by `(arrival, input, id)` and, on full key ties, by
+/// lane insertion order — the order a stable sort of every lane's
+/// packets by `(arrival, input, id)` gives. Each lane buffers at most
+/// one pending packet, so the merge runs in O(lanes) memory regardless
+/// of horizon.
 ///
-/// [`merge_streams`]: crate::merge_streams
+/// The pending packets sit in a min-heap keyed `(arrival, input, id,
+/// lane)`, so a pull costs O(log lanes). A lane is refilled lazily, on
+/// the pull after the one that yielded from it, so the pull position
+/// [`StatefulSource::save_state`] captures is exactly that of a merge
+/// that refills every empty lane at the start of each pull.
 #[derive(Debug)]
 pub struct MergedSource<S> {
     lanes: Vec<Lane<S>>,
+    /// The merge key of every lane holding a pending packet.
+    heap: BinaryHeap<Reverse<MergeKey>>,
+    /// Which lanes to refill at the start of the next pull.
+    refill: Refill,
+}
+
+/// `(arrival, input, id, lane)`: the merge order of a pending packet.
+type MergeKey = (SimTime, usize, u64, usize);
+
+#[derive(Debug, Clone, Copy)]
+enum Refill {
+    /// Every lane: the heap is empty and must be built (first pull,
+    /// or the first pull after a restore).
+    All,
+    /// Only this lane: it yielded the previous packet.
+    Lane(usize),
+    /// None: the merge is exhausted.
+    Nothing,
 }
 
 #[derive(Debug)]
@@ -229,7 +253,23 @@ impl<S: PacketSource> MergedSource<S> {
                 done: false,
             })
             .collect();
-        Self { lanes }
+        // The heap allocates on the first pull, which builds it.
+        Self {
+            lanes,
+            heap: BinaryHeap::new(),
+            refill: Refill::All,
+        }
+    }
+
+    /// Pull lane `i` if its lookahead is empty and it has not ended;
+    /// the merge key of its pending packet, if any.
+    fn fill(&mut self, i: usize) -> Option<MergeKey> {
+        let lane = &mut self.lanes[i];
+        if lane.pending.is_none() && !lane.done {
+            lane.pending = lane.source.next_packet();
+            lane.done = lane.pending.is_none();
+        }
+        lane.pending.map(|p| (p.arrival, p.input, p.id, i))
     }
 
     /// The next packet together with the index of the lane (in
@@ -237,31 +277,29 @@ impl<S: PacketSource> MergedSource<S> {
     /// exhausted. [`PacketSource::next_packet`] is this without the
     /// lane index.
     pub fn next_with_lane(&mut self) -> Option<(usize, Packet)> {
-        // Refill lookaheads, then take the lane whose pending packet
-        // has the smallest (arrival, input, id); strict `<` keeps the
-        // earliest lane on full ties.
-        let mut best: Option<usize> = None;
-        for i in 0..self.lanes.len() {
-            if self.lanes[i].pending.is_none() && !self.lanes[i].done {
-                match self.lanes[i].source.next_packet() {
-                    Some(p) => self.lanes[i].pending = Some(p),
-                    None => self.lanes[i].done = true,
-                }
-            }
-            if let Some(p) = &self.lanes[i].pending {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let q = self.lanes[b].pending.as_ref().expect("best has pending");
-                        (p.arrival, p.input, p.id) < (q.arrival, q.input, q.id)
+        let fresh = match std::mem::replace(&mut self.refill, Refill::Nothing) {
+            Refill::All => {
+                for i in 0..self.lanes.len() {
+                    if let Some(key) = self.fill(i) {
+                        self.heap.push(Reverse(key));
                     }
-                };
-                if better {
-                    best = Some(i);
                 }
+                None
             }
-        }
-        let i = best?;
+            Refill::Lane(i) => self.fill(i),
+            Refill::Nothing => None,
+        };
+        // A refilled lane that still leads is yielded without touching
+        // the heap; otherwise it replaces the heap top in one sift.
+        let key = match fresh {
+            Some(key) => match self.heap.peek_mut() {
+                Some(mut top) if top.0 < key => std::mem::replace(&mut *top, Reverse(key)).0,
+                _ => key,
+            },
+            None => self.heap.pop()?.0,
+        };
+        let i = key.3;
+        self.refill = Refill::Lane(i);
         self.lanes[i].pending.take().map(|p| (i, p))
     }
 }
@@ -309,6 +347,11 @@ impl<S: StatefulSource> StatefulSource for MergedSource<S> {
                 s.lanes.len()
             )));
         }
+        // Rebuild the heap from the lanes on the next pull, also when a
+        // lane below fails to restore and leaves the earlier ones
+        // restored: the keys held now may name any lane's old packet.
+        self.heap.clear();
+        self.refill = Refill::All;
         for (lane, ls) in self.lanes.iter_mut().zip(&s.lanes) {
             lane.source.restore_state(&ls.inner)?;
             lane.pending = ls.pending;
@@ -367,7 +410,8 @@ mod tests {
     use super::*;
     use crate::arrivals::{merge_streams, ArrivalProcess};
     use crate::size::SizeDistribution;
-    use rip_units::DataRate;
+    use proptest::prelude::*;
+    use rip_units::{DataRate, DataSize};
 
     fn gen(input: usize, load: f64, seed: u64) -> PacketGenerator {
         PacketGenerator::new(
@@ -503,6 +547,160 @@ mod tests {
         let mut one = MergedSource::new(vec![BoundedSource::new(gen(0, 0.5, 1), h)]);
         let err = one.restore_state(&state).unwrap_err();
         assert!(err.to_string().contains("lanes"));
+    }
+
+    /// The linear-scan merge the heap replaced, kept as the oracle: at
+    /// every pull, refill every empty lane, then take the lane whose
+    /// pending packet has the smallest `(arrival, input, id)`; strict
+    /// `<` keeps the earliest lane on full ties. It runs on the lanes
+    /// of a `MergedSource` (whose heap it leaves unused), so that
+    /// source's `save_state` reports the scan's pull position.
+    fn scan_next<S: PacketSource>(m: &mut MergedSource<S>) -> Option<(usize, Packet)> {
+        let mut best: Option<usize> = None;
+        for i in 0..m.lanes.len() {
+            let lane = &mut m.lanes[i];
+            if lane.pending.is_none() && !lane.done {
+                lane.pending = lane.source.next_packet();
+                lane.done = lane.pending.is_none();
+            }
+            if let Some(p) = &m.lanes[i].pending {
+                let better = best.is_none_or(|b| {
+                    let q = m.lanes[b].pending.as_ref().expect("best has pending");
+                    (p.arrival, p.input, p.id) < (q.arrival, q.input, q.id)
+                });
+                if better {
+                    best = Some(i);
+                }
+            }
+        }
+        let i = best?;
+        m.lanes[i].pending.take().map(|p| (i, p))
+    }
+
+    /// Lanes of packets from `(arrival_ns, input, id)` triples, each
+    /// lane sorted by that key. The small key ranges force full key
+    /// ties within and across lanes; `output` and `size` record the
+    /// lane and position so tied packets stay distinguishable.
+    fn lanes_of(keys: &[Vec<(u64, usize, u64)>]) -> Vec<Vec<Packet>> {
+        keys.iter()
+            .enumerate()
+            .map(|(lane, ks)| {
+                let mut ks = ks.clone();
+                ks.sort();
+                ks.iter()
+                    .enumerate()
+                    .map(|(j, &(t, input, id))| {
+                        let size = DataSize::from_bytes(j as u64 + 1);
+                        Packet::new(id, input, lane, size, SimTime::from_ns(t))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn merged(lanes: &[Vec<Packet>]) -> MergedSource<ReplaySource<'_>> {
+        MergedSource::new(lanes.iter().map(|l| ReplaySource::new(l)).collect())
+    }
+
+    fn lane_keys() -> impl Strategy<Value = Vec<Vec<(u64, usize, u64)>>> {
+        prop::collection::vec(
+            prop::collection::vec((0u64..6, 0usize..3, 0u64..4), 0..12),
+            0..7,
+        )
+    }
+
+    proptest! {
+        /// Pull for pull, the heap merge yields what the linear scan
+        /// yields and leaves the same saved state behind; collected, it
+        /// is the stable sort of all lanes.
+        #[test]
+        fn heap_merge_matches_the_scan_and_sort_oracles(keys in lane_keys()) {
+            let lanes = lanes_of(&keys);
+            let mut heap = merged(&lanes);
+            let mut scan = merged(&lanes);
+            let mut out = Vec::new();
+            loop {
+                prop_assert_eq!(heap.save_state(), scan.save_state());
+                let next = heap.next_with_lane();
+                prop_assert_eq!(next, scan_next(&mut scan));
+                let Some((lane, p)) = next else { break };
+                prop_assert_eq!(lane, p.output);
+                out.push(p);
+            }
+            prop_assert_eq!(heap.next_with_lane(), None);
+            prop_assert_eq!(heap.save_state(), scan.save_state());
+            prop_assert_eq!(out, merge_streams(lanes));
+        }
+
+        /// A snapshot taken after any number of pulls restores onto a
+        /// fresh merge that saves the same state and continues with
+        /// the same packets.
+        #[test]
+        fn restore_at_any_point_continues_identically(keys in lane_keys(), cut in 0usize..80) {
+            let lanes = lanes_of(&keys);
+            let mut live = merged(&lanes);
+            let mut prefix = Vec::new();
+            for _ in 0..cut {
+                match live.next_packet() {
+                    Some(p) => prefix.push(p),
+                    None => break,
+                }
+            }
+            let saved = live.save_state();
+            let json = serde_json::to_string(&saved).unwrap();
+            let tail: Vec<Packet> = live.packets().collect();
+            let mut resumed = merged(&lanes);
+            resumed.restore_state(&serde_json::from_str(&json).unwrap()).unwrap();
+            prop_assert_eq!(resumed.save_state(), saved);
+            let resumed_tail: Vec<Packet> = resumed.packets().collect();
+            prop_assert_eq!(&resumed_tail, &tail);
+            prefix.extend(tail);
+            prop_assert_eq!(prefix, merge_streams(lanes));
+        }
+    }
+
+    #[test]
+    fn a_failed_restore_leaves_the_merge_consistent_with_its_lanes() {
+        let lanes = lanes_of(&[
+            (0..10).map(|t| (2 * t, 0, t)).collect(),
+            (0..10).map(|t| (2 * t + 1, 1, t)).collect(),
+            (0..10).map(|t| (3 * t, 2, t)).collect(),
+        ]);
+        // Snapshot after `cut` pulls, make its second lane unrestorable
+        // (a replay position past the trace), pull `more` packets and
+        // restore it: lane 0 goes back, lanes 1 and 2 stay where they
+        // are. The heap merge must go on exactly like the scan oracle
+        // given the same lanes, and so end only with every lane empty.
+        for cut in 0..8 {
+            for more in 1..12 {
+                let mut heap = merged(&lanes);
+                let mut scan = merged(&lanes);
+                for _ in 0..cut {
+                    assert_eq!(heap.next_with_lane(), scan_next(&mut scan));
+                }
+                let mut bad = MergedState::from_value(&heap.save_state()).unwrap();
+                bad.lanes[1].inner = 1_000u64.to_value();
+                let bad = bad.to_value();
+                for _ in 0..more {
+                    assert_eq!(heap.next_with_lane(), scan_next(&mut scan));
+                }
+                assert!(heap.restore_state(&bad).is_err());
+                assert!(scan.restore_state(&bad).is_err());
+                loop {
+                    assert_eq!(
+                        heap.save_state(),
+                        scan.save_state(),
+                        "cut {cut}, more {more}"
+                    );
+                    let next = heap.next_with_lane();
+                    assert_eq!(next, scan_next(&mut scan), "cut {cut}, more {more}");
+                    if next.is_none() {
+                        assert!(heap.lanes.iter().all(|l| l.pending.is_none() && l.done));
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,10 +80,13 @@ impl DataRate {
             return TimeDelta::ZERO;
         }
         assert!(self.bps > 0, "cannot transfer data at zero rate");
-        let num = size.bits() as u128 * PS_PER_S as u128;
-        let den = self.bps as u128;
-        let ps = num.div_ceil(den);
-        TimeDelta::from_ps(u64::try_from(ps).expect("transfer time overflows u64 picoseconds"))
+        // `bits × 10¹²` fits a u64 up to ~1.84·10⁷ bits (every packet
+        // and frame); only larger volumes need the 128-bit quotient.
+        let ps = match size.bits().checked_mul(PS_PER_S) {
+            Some(num) => num.div_ceil(self.bps),
+            None => wide_transfer_ps(size.bits(), self.bps),
+        };
+        TimeDelta::from_ps(ps)
     }
 
     /// How much data this rate delivers in `dt` (rounded down to whole bits).
@@ -171,6 +174,15 @@ impl fmt::Display for DataRate {
     }
 }
 
+/// `⌈bits × 10¹² / bps⌉` with a 128-bit intermediate.
+///
+/// # Panics
+/// Panics if the quotient overflows u64 picoseconds.
+fn wide_transfer_ps(bits: u64, bps: u64) -> u64 {
+    let ps = (bits as u128 * PS_PER_S as u128).div_ceil(bps as u128);
+    u64::try_from(ps).expect("transfer time overflows u64 picoseconds")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +236,35 @@ mod tests {
             DataRate::ZERO.transfer_time(DataSize::ZERO),
             TimeDelta::ZERO
         );
+    }
+
+    /// The largest bit count whose `bits × 10¹²` still fits a u64.
+    const FAST_PATH_MAX_BITS: u64 = u64::MAX / PS_PER_S;
+
+    #[test]
+    fn fast_path_matches_the_wide_division_around_the_overflow_boundary() {
+        assert_eq!(FAST_PATH_MAX_BITS, 18_446_744);
+        for bits in FAST_PATH_MAX_BITS - 64..=FAST_PATH_MAX_BITS + 64 {
+            for bps in [1_000, 3_000_000_007, 40_000_000_000, 2_560_000_000_000] {
+                let t = DataRate::from_bps(bps).transfer_time(DataSize::from_bits(bits));
+                assert_eq!(
+                    t.as_ps(),
+                    wide_transfer_ps(bits, bps),
+                    "{bits} b at {bps} b/s"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fast_path_matches_the_wide_division(
+            bits in 1u64..(FAST_PATH_MAX_BITS * 4),
+            bps in 1_000u64..u64::MAX,
+        ) {
+            let t = DataRate::from_bps(bps).transfer_time(DataSize::from_bits(bits));
+            proptest::prop_assert_eq!(t.as_ps(), wide_transfer_ps(bits, bps));
+        }
     }
 
     #[test]

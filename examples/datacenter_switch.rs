@@ -11,15 +11,16 @@
 use rip_analysis::datacenter;
 use rip_core::{HbmSwitch, RouterConfig};
 use rip_traffic::{
-    merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, PacketSource, SizeDistribution,
+    TrafficMatrix,
 };
 use rip_units::{DataRate, DataSize, SimTime};
 
 fn trace(cfg: &RouterConfig, load: f64, horizon: SimTime, seed: u64) -> Vec<rip_traffic::Packet> {
     let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let streams: Vec<_> = (0..cfg.ribbons)
+    let sources: Vec<_> = (0..cfg.ribbons)
         .map(|port| {
-            let mut g = PacketGenerator::new(
+            let g = PacketGenerator::new(
                 port,
                 cfg.port_rate(),
                 load,
@@ -30,10 +31,10 @@ fn trace(cfg: &RouterConfig, load: f64, horizon: SimTime, seed: u64) -> Vec<rip_
                 seed + port as u64,
             )
             .expect("valid generator");
-            g.generate_until(horizon)
+            BoundedSource::new(g, horizon)
         })
         .collect();
-    merge_streams(streams)
+    MergedSource::new(sources).packets().collect()
 }
 
 fn run_variant(name: &str, cfg: RouterConfig, load: f64) {

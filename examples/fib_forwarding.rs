@@ -11,7 +11,8 @@
 use rip_core::{HbmSwitch, RouterConfig};
 use rip_fib::{assign_outputs, SyntheticRib};
 use rip_traffic::{
-    merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, PacketSource, SizeDistribution,
+    TrafficMatrix,
 };
 use rip_units::SimTime;
 
@@ -37,9 +38,9 @@ fn main() {
     // row only shapes per-port load here, outputs come from the FIB.
     let horizon = SimTime::from_ns(100_000);
     let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let streams: Vec<_> = (0..cfg.ribbons)
+    let sources: Vec<_> = (0..cfg.ribbons)
         .map(|port| {
-            let mut g = PacketGenerator::new(
+            let g = PacketGenerator::new(
                 port,
                 cfg.port_rate(),
                 0.7,
@@ -50,10 +51,10 @@ fn main() {
                 99 + port as u64,
             )
             .expect("valid generator");
-            g.generate_until(horizon)
+            BoundedSource::new(g, horizon)
         })
         .collect();
-    let raw = merge_streams(streams);
+    let raw: Vec<_> = MergedSource::new(sources).packets().collect();
     let routed = assign_outputs(&raw, &table);
     println!("trace: {} packets routed by LPM", routed.len());
 

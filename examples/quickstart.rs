@@ -7,7 +7,8 @@
 
 use rip_core::{HbmSwitch, RouterConfig};
 use rip_traffic::{
-    merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, PacketSource, SizeDistribution,
+    TrafficMatrix,
 };
 use rip_units::SimTime;
 
@@ -28,9 +29,9 @@ fn main() {
     // arrivals, for 200 us of simulated time.
     let horizon = SimTime::from_ns(200_000);
     let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let streams: Vec<_> = (0..cfg.ribbons)
+    let sources: Vec<_> = (0..cfg.ribbons)
         .map(|port| {
-            let mut generator = PacketGenerator::new(
+            let generator = PacketGenerator::new(
                 port,
                 cfg.port_rate(),
                 0.8,
@@ -41,10 +42,10 @@ fn main() {
                 42 + port as u64,
             )
             .expect("valid generator");
-            generator.generate_until(horizon)
+            BoundedSource::new(generator, horizon)
         })
         .collect();
-    let trace = merge_streams(streams);
+    let trace: Vec<_> = MergedSource::new(sources).packets().collect();
     println!("offered: {} packets", trace.len());
 
     let switch = HbmSwitch::new(cfg).expect("valid config");

@@ -112,9 +112,8 @@ fn e14_measured_delay_brackets_the_first_order_model() {
     // With padding off, the measured mean delay should sit within a
     // small factor of the fill/2 + HBM + drain/2 model.
     use rip_core::{HbmSwitch, RouterConfig};
-    use rip_traffic::{
-        merge_streams, ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix,
-    };
+    use rip_integration_tests::merge_streams;
+    use rip_traffic::{ArrivalProcess, PacketGenerator, SizeDistribution, TrafficMatrix};
     use rip_units::SimTime;
     let mut cfg = RouterConfig::small();
     cfg.padding_and_bypass = false;

@@ -7,8 +7,8 @@ use rip_bench::spec::SimSpec;
 use rip_core::RouterConfig;
 use rip_hbm::{HbmCommand, HbmCommandKind, HbmTiming};
 use rip_traffic::{
-    merge_streams, ArrivalProcess, BoundedSource, MergedSource, Packet, PacketGenerator,
-    SizeDistribution, TrafficMatrix,
+    ArrivalProcess, BoundedSource, MergedSource, Packet, PacketGenerator, SizeDistribution,
+    TrafficMatrix,
 };
 use rip_units::{DataRate, SimTime};
 
@@ -41,6 +41,15 @@ pub fn shipped_configs() -> Vec<(String, SimSpec)> {
             (name, spec)
         })
         .collect()
+}
+
+/// Merge per-port packet streams into one arrival-ordered vector with a
+/// stable sort by `(arrival, input, id)`: the materialized oracle the
+/// streaming [`MergedSource`] is checked against.
+pub fn merge_streams(streams: Vec<Vec<Packet>>) -> Vec<Packet> {
+    let mut all: Vec<Packet> = streams.into_iter().flatten().collect();
+    all.sort_by_key(|p| (p.arrival, p.input, p.id));
+    all
 }
 
 /// Build an arrival-ordered trace for an HBM switch.

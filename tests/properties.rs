@@ -1,6 +1,8 @@
 //! Property-based tests on the workspace's core invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rip_baselines::IdealOqSwitch;
 use rip_core::{BatchAssembler, CyclicalCrossbar, FaultKind, FaultPlan, HbmSwitch, RouterConfig};
 use rip_integration_tests::trace_for;
@@ -336,5 +338,54 @@ proptest! {
         prop_assert!((0.6..=0.9).contains(&degraded), "degraded ratio {degraded:.3}");
         prop_assert!((0.9..=1.1).contains(&settled), "settled ratio {settled:.3}");
         prop_assert!(r.recovery_drain.is_some());
+    }
+}
+
+/// `random_range(0..n)` as the vendored `rand` drew it before Lemire's
+/// early-accept test: the `2⁶⁴ mod n` threshold division on every draw.
+fn uniform_below_oracle(rng: &mut StdRng, n: u64) -> u64 {
+    loop {
+        let m = (rng.next_u64() as u128).wrapping_mul(n as u128);
+        if m as u64 >= n.wrapping_neg() % n {
+            return (m >> 64) as u64;
+        }
+    }
+}
+
+/// Draw 256 values below `n` through `random_range` and through the
+/// oracle from identically seeded generators: every value and the
+/// number of raw draws consumed must agree.
+fn uniform_below_streams_agree(n: u64, seed: u64) -> Result<(), TestCaseError> {
+    let mut fast = StdRng::seed_from_u64(seed);
+    let mut oracle = StdRng::seed_from_u64(seed);
+    for _ in 0..256 {
+        prop_assert_eq!(
+            fast.random_range(0..n),
+            uniform_below_oracle(&mut oracle, n),
+            "n = {}",
+            n
+        );
+    }
+    prop_assert_eq!(fast.state(), oracle.state(), "n = {}: draws consumed", n);
+    Ok(())
+}
+
+#[test]
+fn uniform_below_keeps_every_draw_at_the_edge_cases() {
+    let mut ns: Vec<u64> = vec![1, 3, 5, 7, 100, 1_000_003, u64::MAX];
+    ns.extend((0..64).map(|k| 1u64 << k));
+    // Near 2⁶³ about half of all raw draws are rejected.
+    ns.extend((0..32).flat_map(|k| [(1u64 << 63) - k, (1u64 << 63) + k]));
+    for (i, &n) in ns.iter().enumerate() {
+        uniform_below_streams_agree(n, i as u64).unwrap();
+    }
+}
+
+proptest! {
+    #[test]
+    fn uniform_below_keeps_every_draw_of_the_old_formula(
+        raw in 1u64..u64::MAX, shift in 0u32..64, seed in any::<u64>(),
+    ) {
+        uniform_below_streams_agree((raw >> shift).max(1), seed)?;
     }
 }

@@ -16,10 +16,9 @@ use rip_core::{
     ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch, RouterConfig, SwitchReport,
 };
 use rip_hbm::PfiConfigError;
+use rip_integration_tests::merge_streams;
 use rip_sim::rng::derive_seed;
-use rip_traffic::{
-    merge_streams, ArrivalProcess, Packet, PacketGenerator, SizeDistribution, TrafficMatrix,
-};
+use rip_traffic::{ArrivalProcess, Packet, PacketGenerator, SizeDistribution, TrafficMatrix};
 use rip_units::{DataSize, SimTime, TimeDelta};
 
 const T: u64 = 150; // us; fault at T, recover at 2T, horizon 4T
