@@ -60,22 +60,17 @@ scrape_metrics() {
 }
 
 (cd "$bench_dir" && "$OLDPWD/target/release/repro" bench --quick --live-epochs > /dev/null)
-# fleet asserts the collector's merged stream is byte-identical to the
-# single-process oracle across several worker partitionings.
-(cd "$bench_dir" && "$OLDPWD/target/release/repro" fleet --quick > /dev/null)
 # profile-overhead asserts byte-identical outputs with the profiler on
 # and exits nonzero above 3% overhead; the gate below re-checks the
 # emitted file so a stale artifact can never pass.
 (cd "$bench_dir" && "$OLDPWD/target/release/repro" profile-overhead --quick > /dev/null)
 for f in BENCH_sps_throughput.json BENCH_hbm_access.json BENCH_streaming_memory.json \
-         BENCH_telemetry_overhead.json BENCH_fleet_collector.json \
-         BENCH_profile_overhead.json; do
+         BENCH_telemetry_overhead.json BENCH_profile_overhead.json; do
   bench_keys "$bench_dir/$f" > "$bench_dir/$f.keys"
 done
 cat "$bench_dir"/BENCH_sps_throughput.json.keys "$bench_dir"/BENCH_hbm_access.json.keys \
   "$bench_dir"/BENCH_streaming_memory.json.keys \
   "$bench_dir"/BENCH_telemetry_overhead.json.keys \
-  "$bench_dir"/BENCH_fleet_collector.json.keys \
   "$bench_dir"/BENCH_profile_overhead.json.keys \
   | sort -u > "$bench_dir/bench.keys"
 diff -u tests/bench_schema_expected.txt "$bench_dir/bench.keys" \
@@ -98,11 +93,14 @@ cargo test --release -q -p rip-integration-tests --test kernel_equivalence \
   || { echo "entry-point equivalence suite failed"; exit 1; }
 
 echo "==> streaming soak smoke (bounded in-flight memory + live epoch determinism)"
+# ripsim soak runs the spec at 1x and 4x its horizon and exits nonzero
+# if offered traffic does not scale, the in-flight peak grows or a
+# watchdog fires; its stdout is the live epoch stream of both runs.
 for d in soak_a soak_b; do
-  mkdir "$bench_dir/$d"
-  (cd "$bench_dir/$d" && "$OLDPWD/target/release/repro" soak --quick --live-epochs)
+  target/release/ripsim soak configs/soak_live.json > "$bench_dir/$d.jsonl" \
+    || { echo "healthy streaming soak failed"; exit 1; }
 done
-cmp "$bench_dir/soak_a/SOAK_epochs.jsonl" "$bench_dir/soak_b/SOAK_epochs.jsonl" \
+cmp "$bench_dir/soak_a.jsonl" "$bench_dir/soak_b.jsonl" \
   || { echo "same-seed live soak streams are not byte-identical"; exit 1; }
 
 echo "==> chrome trace export (same-seed byte identity)"

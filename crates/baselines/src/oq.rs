@@ -112,17 +112,6 @@ impl IdealOqSwitch {
         packets.iter().map(|p| self.offer(p)).collect()
     }
 
-    /// Offer every packet a pull-based source yields, in order, and
-    /// return the departures — the streaming counterpart of
-    /// [`IdealOqSwitch::run`], byte-identical for the same sequence.
-    pub fn run_source<S: rip_traffic::PacketSource>(&mut self, mut source: S) -> Vec<Departure> {
-        let mut out = Vec::new();
-        while let Some(p) = source.next_packet() {
-            out.push(self.offer(&p));
-        }
-        out
-    }
-
     /// All departures so far, in offer order.
     pub fn departures(&self) -> &[Departure] {
         &self.departures

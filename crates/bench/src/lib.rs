@@ -1,5 +1,5 @@
-//! Shared helpers for the experiment-reproduction binary and the
-//! Criterion benches: workload builders and table printing.
+//! Shared helpers for the `repro` and `ripsim` binaries: workload
+//! builders, the soak acceptance check and table printing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,13 +46,6 @@ impl MimicChecker {
         self.run_source(ReplaySource::new(trace), horizon)
     }
 
-    /// Like [`MimicChecker::run`] but with the configuration's
-    /// [`DrainPolicy`](crate::DrainPolicy) computing the simulation
-    /// deadline from the arrival horizon.
-    pub fn run_to_drain(&self, trace: &[Packet], horizon: SimTime) -> MimicReport {
-        self.run(trace, self.cfg.drain.deadline(horizon))
-    }
-
     /// Streaming form of [`MimicChecker::run`]: both switches consume
     /// the same pull-based source. Each packet is offered to the ideal
     /// OQ shadow at the moment the streaming engine pulls it, so the

@@ -138,6 +138,8 @@ fn every_partitioning_of_every_shipped_config_matches_the_oracle() {
                 (0..planes).step_by(2).collect(),
                 (1..planes).step_by(2).collect(),
             ],
+            // one worker owning every plane (a degenerate fleet)
+            vec![(0..planes).collect()],
         ];
         for partition in &partitionings {
             let (merged, report) = collect(&parts, &FaultPlan::default(), partition);

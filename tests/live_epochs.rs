@@ -99,6 +99,39 @@ fn switch_stream_is_deterministic_and_reconstructs_report() {
     assert_eq!(json(totals(m1.records(), "switch")), json(&r1.metrics));
 }
 
+/// The live stamp re-stamps `switch.packets.peak_in_flight` at every
+/// epoch boundary, so it is a per-epoch gauge series. It is a running
+/// peak, so it never falls. The streaming engine holds only in-flight
+/// packets, so on this 40 us run (4x a 10 us base horizon) the series
+/// has plateaued by the quarter mark and ends at the report's value.
+#[test]
+fn peak_in_flight_series_is_monotone_flat_and_ends_at_the_report() {
+    let (m, r) = live_switch_run(42);
+    let series: Vec<f64> = m
+        .records()
+        .iter()
+        .filter_map(|rec| match rec {
+            SinkRecord::Epoch { delta, .. } => delta
+                .gauges()
+                .get("switch.packets.peak_in_flight")
+                .map(|g| g.value),
+            _ => None,
+        })
+        .collect();
+    assert!(series.len() >= 4, "only {} epochs", series.len());
+    assert!(
+        series.windows(2).all(|w| w[0] <= w[1]),
+        "peak series falls: {series:?}"
+    );
+    let quarter = series[series.len() / 4];
+    let last = series[series.len() - 1];
+    assert!(
+        last <= 2.0 * quarter + 64.0,
+        "peak grew from {quarter} at the quarter mark to {last}"
+    );
+    assert_eq!(last, r.peak_in_flight_packets as f64);
+}
+
 #[test]
 fn switch_jsonl_stream_is_byte_identical_across_runs() {
     let render = || {

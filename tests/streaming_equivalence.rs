@@ -4,8 +4,8 @@
 //! the materialized-trace pipeline: for the same seed, the serialized
 //! reports of both engines must be byte-identical — across uniform,
 //! hotspot and faulted workloads, at the single-switch level, through
-//! the SPS front end (live generators, no trace), in the OQ-mimic
-//! comparison and in the ideal-OQ baseline. A final soak property
+//! the SPS front end (live generators, no trace) and in the OQ-mimic
+//! comparison. A final soak property
 //! checks the payoff: the streaming engine's working set (peak
 //! in-flight packets) stays flat as the horizon grows.
 
@@ -395,20 +395,6 @@ fn mimic_checker_matches_inline_batch_reference() {
     assert!(compared > 100);
     assert_eq!(streamed.compared, compared);
     assert_eq!(streamed.max_lag, max_lag);
-}
-
-#[test]
-fn oq_run_source_matches_run() {
-    let cfg = RouterConfig::small();
-    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let horizon = SimTime::from_ns(40_000);
-    let trace = trace_for(&cfg, &tm, 0.8, horizon, 29);
-
-    let mut batch = IdealOqSwitch::new(cfg.ribbons, cfg.port_rate());
-    let db = batch.run(&trace);
-    let mut streaming = IdealOqSwitch::new(cfg.ribbons, cfg.port_rate());
-    let ds = streaming.run_source(source_for(&cfg, &tm, 0.8, horizon, 29));
-    assert_eq!(db, ds);
 }
 
 #[test]
