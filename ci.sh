@@ -113,20 +113,6 @@ grep -q '"ph":"X"' "$bench_dir/trace_a.json" \
 grep -q '"name":"ch00/b00"' "$bench_dir/trace_a.json" \
   || { echo "chrome trace export carries no per-bank HBM tracks"; exit 1; }
 
-echo "==> trace JSONL export (rip-trace/v1, same-seed byte identity)"
-target/release/ripsim trace configs/quickstart.json > "$bench_dir/rtrace_a.jsonl" 2> /dev/null
-target/release/ripsim trace configs/quickstart.json > "$bench_dir/rtrace_b.jsonl" 2> /dev/null
-cmp "$bench_dir/rtrace_a.jsonl" "$bench_dir/rtrace_b.jsonl" \
-  || { echo "same-seed trace JSONL streams are not byte-identical"; exit 1; }
-grep -q '^{"record":"meta","schema":"rip-trace/v1"' "$bench_dir/rtrace_a.jsonl" \
-  || { echo "trace stream does not open with its rip-trace/v1 meta line"; exit 1; }
-grep -q '^{"record":"event",' "$bench_dir/rtrace_a.jsonl" \
-  || { echo "trace stream carries no event lines"; exit 1; }
-grep -q '^{"record":"series","name":"hbm.frame_occupancy",' "$bench_dir/rtrace_a.jsonl" \
-  || { echo "trace stream carries no hbm.frame_occupancy series"; exit 1; }
-tail -n 1 "$bench_dir/rtrace_a.jsonl" | grep -q '^{"record":"run_end",' \
-  || { echo "trace stream does not end with run_end"; exit 1; }
-
 echo "==> metrics endpoint smoke (live scrape during soak, profiler on)"
 target/release/ripsim soak configs/soak_live.json --profile \
   --metrics 127.0.0.1:0 --metrics-port-file "$bench_dir/metrics.port" \
@@ -201,6 +187,8 @@ expect_fails 1 "$bench_dir/ch8.log" 'channel 8 out of range' \
   target/release/ripsim soak configs/soak_live.json --inject-channel-fault 8
 expect_fails 2 "$bench_dir/trace_metrics.log" '--metrics does not apply to trace' \
   target/release/ripsim trace --metrics 127.0.0.1:0
+expect_fails 2 "$bench_dir/trace_no_chrome.log" '--chrome' \
+  target/release/ripsim trace configs/quickstart.json
 expect_fails 2 "$bench_dir/repro_e99.log" 'unknown experiment E99' \
   target/release/repro E99
 

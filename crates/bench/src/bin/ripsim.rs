@@ -5,17 +5,12 @@
 //! spec with `--example-spec`. `ripsim resilience` runs the canned
 //! fault-injection demo: one of four HBM channels dies mid-run and
 //! recovers, and the report shows the before/during/after timeline.
-//! `ripsim trace [spec.json]` runs the spec (or the example spec) with
-//! event tracing on and streams the full telemetry surface — switch
-//! events, counters, gauges, histogram summaries, queue-depth series —
-//! to stdout as deterministic JSONL (sim-time-stamped only), closed by
-//! a terminal `run_end` record carrying the record count and the full
-//! metric totals. The writer is flushed even on early termination.
-//! `ripsim trace --chrome <out.json>` instead exports a Chrome
-//! trace-event JSON file for Perfetto: per-bank HBM command timelines,
-//! per-output PFI frame lifecycles, sampled packet spans, and per-plane
-//! SPS activity lanes, optionally bounded by
-//! `--trace-window <start_ps>:<end_ps>`.
+//! `ripsim trace [spec.json] --chrome <out.json>` runs the spec (or the
+//! example spec) and exports a Chrome trace-event JSON file for
+//! Perfetto: per-bank HBM command timelines, per-output PFI frame
+//! lifecycles, sampled packet spans, and per-plane SPS activity lanes,
+//! optionally bounded by `--trace-window <start_ps>:<end_ps>`. Every
+//! timestamp is sim time, so two same-seed exports are byte-identical.
 //! `ripsim soak [spec.json] [--epoch <ps>]` reruns the spec at 4x its
 //! arrival horizon and checks the streaming engine's in-flight working
 //! set stays flat. With an epoch period (from `--epoch` or the spec's
@@ -61,8 +56,8 @@
 //! Every subcommand parses its arguments against one flag table. An
 //! unknown flag, a flag of another subcommand, a flag without its
 //! value, a second operand, `--profile-out` without `--profile` and
-//! `--trace-window` without `--chrome` are usage errors (exit 2), as is
-//! a spec that does not load; a run that fails exits 1.
+//! `trace` without `--chrome` are usage errors (exit 2), as is a spec
+//! that does not load; a run that fails exits 1.
 //!
 //! All simulation modes are pull-based: arrivals are generated on
 //! demand by a merged packet source, never materialized as a trace, so
@@ -71,7 +66,7 @@
 //! ```text
 //! ripsim --example-spec > my_sim.json
 //! ripsim my_sim.json
-//! ripsim trace my_sim.json > telemetry.jsonl
+//! ripsim trace my_sim.json --chrome trace.json
 //! ripsim soak my_sim.json
 //! ripsim soak configs/soak_live.json > epochs.jsonl
 //! ripsim soak my_sim.json --epoch 2000000 > epochs.jsonl
@@ -1036,233 +1031,8 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
 }
 
 // --------------------------------------------------------------------
-// `ripsim trace` — JSONL telemetry export
+// `ripsim trace` — Chrome trace-event export
 // --------------------------------------------------------------------
-
-/// Header line: schema tag plus the spec that produced the run.
-#[derive(Serialize)]
-struct MetaLine {
-    record: String,
-    schema: String,
-    spec: SimSpec,
-}
-
-/// One switch milestone from the bounded event trace.
-#[derive(Serialize)]
-struct EventLine {
-    record: String,
-    t_ps: u64,
-    event: rip_core::SwitchEvent,
-}
-
-/// Final value of a monotone counter.
-#[derive(Serialize)]
-struct CounterLine {
-    record: String,
-    name: String,
-    value: u64,
-}
-
-/// Final value of a last-write-wins gauge.
-#[derive(Serialize)]
-struct GaugeLine {
-    record: String,
-    name: String,
-    at_ps: u64,
-    value: f64,
-}
-
-/// Summary of a log-bucketed histogram.
-#[derive(Serialize)]
-struct HistogramLine {
-    record: String,
-    name: String,
-    count: u64,
-    min: Option<f64>,
-    max: Option<f64>,
-    p50: Option<f64>,
-    p99: Option<f64>,
-}
-
-/// One decimated point of a time series.
-#[derive(Serialize)]
-struct SeriesLine {
-    record: String,
-    name: String,
-    t_ps: u64,
-    value: f64,
-}
-
-/// Terminal record of a trace stream: carries the number of records
-/// emitted before it plus the full metric totals, so a consumer can
-/// both detect truncation and cross-check the per-record stream.
-#[derive(Serialize)]
-struct RunEndLine {
-    record: String,
-    t_ps: u64,
-    records: u64,
-    totals: rip_telemetry::MetricsRegistry,
-}
-
-/// JSONL writer for `ripsim trace`: buffers stdout, counts records,
-/// and flushes even when the process unwinds early (broken pipe,
-/// panic), so a consumer never silently loses the tail of a trace.
-struct JsonlGuard {
-    out: std::io::BufWriter<std::io::Stdout>,
-    records: u64,
-}
-
-impl JsonlGuard {
-    fn new() -> Self {
-        JsonlGuard {
-            out: std::io::BufWriter::new(std::io::stdout()),
-            records: 0,
-        }
-    }
-
-    fn emit<T: Serialize>(&mut self, line: &T) -> std::io::Result<()> {
-        use std::io::Write;
-        // Serialization cannot fail for these plain-data lines; only
-        // the I/O below can (broken pipe, full disk), and that
-        // propagates to a clean nonzero exit instead of a panic.
-        let s = serde_json::to_string(line).expect("trace line serializes");
-        self.out.write_all(s.as_bytes())?;
-        self.out.write_all(b"\n")?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Close the stream with the terminal `run_end` record and flush.
-    fn finish(
-        mut self,
-        at: SimTime,
-        totals: rip_telemetry::MetricsRegistry,
-    ) -> std::io::Result<()> {
-        use std::io::Write;
-        let records = self.records;
-        self.emit(&RunEndLine {
-            record: "run_end".into(),
-            t_ps: at.as_ps(),
-            records,
-            totals,
-        })?;
-        self.out.flush()
-    }
-}
-
-impl Drop for JsonlGuard {
-    fn drop(&mut self) {
-        use std::io::Write;
-        let _ = self.out.flush();
-    }
-}
-
-/// Run `spec` with event tracing on and stream the whole telemetry
-/// surface — events, counters, gauges, histogram summaries, series —
-/// to stdout as JSONL. Every timestamp is sim time (picoseconds), so
-/// two same-seed runs produce byte-identical output.
-fn run_trace(spec: &SimSpec, prof: &ProfileOptions) -> Result<(), String> {
-    let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let source = spec.build_source(horizon)?;
-    let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
-    let hub = build_profile_hub(prof)?;
-    if let Some(h) = &hub {
-        sw.enable_profiler(h.clone());
-    }
-    sw.enable_trace(1 << 20);
-    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
-    // Copy the series out before consuming the switch for its report;
-    // the emission order below is part of the JSONL contract.
-    let events: Vec<(SimTime, rip_core::SwitchEvent)> = sw
-        .trace()
-        .expect("tracing enabled")
-        .events()
-        .copied()
-        .collect();
-    let hbm_points: Vec<(SimTime, f64)> = sw
-        .hbm_occupancy()
-        .expect("tracing enabled")
-        .points()
-        .to_vec();
-    let output_points: Vec<Vec<(SimTime, f64)>> = (0..spec.router.ribbons)
-        .map(|o| sw.output_depth(o).points().to_vec())
-        .collect();
-    let r = sw.into_report();
-
-    let mut out = JsonlGuard::new();
-    let stream = (|| -> std::io::Result<()> {
-        out.emit(&MetaLine {
-            record: "meta".into(),
-            schema: "rip-trace/v1".into(),
-            spec: spec.clone(),
-        })?;
-        for &(at, event) in &events {
-            out.emit(&EventLine {
-                record: "event".into(),
-                t_ps: at.as_ps(),
-                event,
-            })?;
-        }
-        for (name, &value) in r.metrics.counters() {
-            out.emit(&CounterLine {
-                record: "counter".into(),
-                name: name.clone(),
-                value,
-            })?;
-        }
-        for (name, g) in r.metrics.gauges() {
-            out.emit(&GaugeLine {
-                record: "gauge".into(),
-                name: name.clone(),
-                at_ps: g.at.as_ps(),
-                value: g.value,
-            })?;
-        }
-        for (name, h) in r.metrics.histograms() {
-            out.emit(&HistogramLine {
-                record: "histogram".into(),
-                name: name.clone(),
-                count: h.count(),
-                min: h.min(),
-                max: h.max(),
-                p50: h.quantile(0.5),
-                p99: h.quantile(0.99),
-            })?;
-        }
-        for &(t, value) in &hbm_points {
-            out.emit(&SeriesLine {
-                record: "series".into(),
-                name: "hbm.frame_occupancy".into(),
-                t_ps: t.as_ps(),
-                value,
-            })?;
-        }
-        for (o, points) in output_points.iter().enumerate() {
-            let name = format!("out{o:02}.queue_depth_frames");
-            for &(t, value) in points {
-                out.emit(&SeriesLine {
-                    record: "series".into(),
-                    name: name.clone(),
-                    t_ps: t.as_ps(),
-                    value,
-                })?;
-            }
-        }
-        Ok(())
-    })();
-    stream.map_err(|e| format!("cannot write trace stream: {e}"))?;
-    let end = r
-        .departures
-        .iter()
-        .map(|d| d.time)
-        .fold(SimTime::ZERO, SimTime::max);
-    out.finish(end, r.metrics)
-        .map_err(|e| format!("cannot write trace stream: {e}"))?;
-    if let Some(h) = &hub {
-        h.flush_output();
-    }
-    Ok(())
-}
 
 /// `ripsim trace --chrome <out.json>`: run the spec with command-level
 /// tracing on and export a Chrome trace-event JSON file for Perfetto.
@@ -1579,11 +1349,12 @@ const FLAGS: &[Flag] = &[
 
 /// Flags that only make sense with another flag, and flags a
 /// subcommand cannot run without.
-const NEEDS: [(&str, &str); 2] = [
-    ("--profile-out", "--profile"),
-    ("--trace-window", "--chrome"),
+const NEEDS: [(&str, &str); 1] = [("--profile-out", "--profile")];
+const REQUIRED: [(Cmd, &str); 3] = [
+    (Cmd::Trace, "--chrome"),
+    (Cmd::Worker, "--worker"),
+    (Cmd::Worker, "--planes"),
 ];
-const REQUIRED: [(Cmd, &str); 2] = [(Cmd::Worker, "--worker"), (Cmd::Worker, "--planes")];
 
 /// Everything the command line sets; each subcommand reads its part.
 #[derive(Default)]
@@ -1764,13 +1535,11 @@ fn main() {
             Ok(())
         }
         Cmd::Run => run(&spec()),
-        Cmd::Trace => match &cli.chrome {
-            Some(path) => {
-                let window = cli.window.unwrap_or_else(TraceWindow::all);
-                run_trace_chrome(&spec(), path, window, &cli.prof)
-            }
-            None => run_trace(&spec(), &cli.prof),
-        },
+        Cmd::Trace => {
+            let window = cli.window.unwrap_or_else(TraceWindow::all);
+            let path = cli.chrome.as_deref().unwrap_or_default();
+            run_trace_chrome(&spec(), path, window, &cli.prof)
+        }
         Cmd::Soak => run_soak(&spec(), &cli),
         Cmd::Worker => run_plane_worker(&spec(), &cli),
         Cmd::Collect => run_collect(&spec(), &cli),
@@ -1869,7 +1638,7 @@ mod tests {
             ),
             ("collect s.json --stage-cap 4", "unknown flag --stage-cap"),
             ("soak --profile-out p", "--profile-out needs --profile"),
-            ("trace --trace-window 0:9", "--trace-window needs --chrome"),
+            ("trace --trace-window 0:9", "trace needs --chrome"),
             ("s.json extra", "unexpected argument extra"),
             ("trace a.json b.json", "unexpected argument b.json"),
             ("flight-check a b", "unexpected argument b"),

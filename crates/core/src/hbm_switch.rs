@@ -9,7 +9,7 @@ use std::hash::{BuildHasher, BuildHasherDefault};
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
 use rip_sim::snapshot::SnapshotError;
 use rip_sim::stats::Histogram;
-use rip_sim::{EventQueue, Series, TraceLog, VecPool};
+use rip_sim::{EventQueue, VecPool};
 use rip_telemetry::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, EpochClock,
     MetricsRegistry, Phase, ProfileHub, Record, Snapshot, SpanEvent, TelemetrySink, TraceRecorder,
@@ -24,42 +24,8 @@ use crate::config::RouterConfig;
 use crate::error::ConfigError;
 use crate::output::{OutputPort, PacketDeparture};
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
+use crate::sps::CheckpointedRunError;
 use crate::sram::{Frame, HeadSram, TailSram};
-
-/// Observable milestones recorded by the optional switch trace
-/// ([`HbmSwitch::enable_trace`]) — the simulator's pcap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SwitchEvent {
-    /// A full frame was written to the HBM for `output`.
-    FrameWritten {
-        /// Destination output.
-        output: usize,
-        /// Per-output frame index.
-        index: u64,
-    },
-    /// A frame was read from the HBM for `output`.
-    FrameRead {
-        /// Destination output.
-        output: usize,
-        /// Per-output frame index.
-        index: u64,
-    },
-    /// A padded frame bypassed the HBM straight to the head SRAM.
-    Bypass {
-        /// Destination output.
-        output: usize,
-    },
-    /// A packet was dropped at a full input VOQ.
-    InputDrop {
-        /// Ingress port.
-        input: usize,
-    },
-    /// A full frame was dropped at a full per-output HBM region.
-    FrameDrop {
-        /// Destination output.
-        output: usize,
-    },
-}
 
 /// Registry name the switch publishes live records under (the SPS
 /// layer renames per-plane streams to `plane00`, `plane01`, …).
@@ -421,17 +387,6 @@ struct RunState {
     /// Always-on deterministic telemetry accumulated during the run
     /// (completed by device/photonic aggregates in [`HbmSwitch::report`]).
     metrics: MetricsRegistry,
-    /// Per-output HBM queue depth over time (frames), sampled at every
-    /// frame write/read with bounded memory.
-    output_depth: Vec<Series>,
-}
-
-/// The optional event trace ([`HbmSwitch::enable_trace`]): the bounded
-/// milestone log plus the HBM frame occupancy sampled at each
-/// milestone. Diagnostic only, so it is never checkpointed.
-struct EventTrace {
-    log: TraceLog<SwitchEvent>,
-    hbm_occupancy: Series,
 }
 
 /// End-of-run report of one HBM switch.
@@ -523,8 +478,6 @@ impl SwitchReport {
 pub struct HbmSwitch {
     cfg: RouterConfig,
     run: RunState,
-    /// Optional event trace (None = tracing off).
-    trace: Option<EventTrace>,
     /// Chrome trace-event capture (None = off).
     chrome: Option<ChromeTrace>,
     /// Live epoch streaming + lifecycle sampling (None = silent).
@@ -606,13 +559,11 @@ impl HbmSwitch {
             last_departure: SimTime::ZERO,
             input_peak: DataSize::ZERO,
             metrics: MetricsRegistry::new(),
-            output_depth: (0..n).map(|_| Series::new(1024)).collect(),
             group,
             pfi,
         };
         Ok(HbmSwitch {
             run,
-            trace: None,
             chrome: None,
             live: None,
             live_boundary_ps: u64::MAX,
@@ -645,26 +596,6 @@ impl HbmSwitch {
     /// The configuration in force.
     pub fn config(&self) -> &RouterConfig {
         &self.cfg
-    }
-
-    /// Record switch milestones into a bounded trace (keep the most
-    /// recent `capacity` events) and sample the HBM frame occupancy.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(EventTrace {
-            log: TraceLog::new(capacity),
-            hbm_occupancy: Series::new(4096),
-        });
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&TraceLog<SwitchEvent>> {
-        self.trace.as_ref().map(|t| &t.log)
-    }
-
-    /// Total frames buffered in the HBM over time, sampled at every
-    /// traced milestone (`None` when tracing is off).
-    pub fn hbm_occupancy(&self) -> Option<&Series> {
-        self.trace.as_ref().map(|t| &t.hbm_occupancy)
     }
 
     /// Capture a Chrome trace-event timeline of the run, gated by
@@ -982,16 +913,6 @@ impl HbmSwitch {
         }
     }
 
-    fn record(&mut self, now: SimTime, ev: SwitchEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.log.push(now, ev);
-            let buffered: u64 = (0..self.cfg.ribbons)
-                .map(|o| self.run.pfi.frames_buffered(o))
-                .sum();
-            t.hbm_occupancy.record(now, buffered as f64);
-        }
-    }
-
     /// Time for one batch to cross an internal (sped-up) interface.
     fn batch_time(&self) -> TimeDelta {
         self.cfg
@@ -1052,21 +973,13 @@ impl HbmSwitch {
             ct.frame_span(o, FRAME_LANE_WRITE, "write", now, op.end);
         }
         self.run.hbm_frames[o].push_back((frame, op.end));
-        self.sample_output_depth(now, o);
-        self.record(
-            now,
-            SwitchEvent::FrameWritten {
-                output: o,
-                index: op.frame_index,
-            },
-        );
+        self.observe_queue_depth(o);
     }
 
-    /// Sample output `o`'s HBM queue depth (frames) into its series and
-    /// depth histogram.
-    fn sample_output_depth(&mut self, now: SimTime, o: usize) {
+    /// Sample output `o`'s HBM queue depth (frames) into its depth
+    /// histogram.
+    fn observe_queue_depth(&mut self, o: usize) {
         let depth = self.run.pfi.frames_buffered(o) as f64;
-        self.run.output_depth[o].record(now, depth);
         self.run.metrics.observe(&self.out_depth_keys[o], depth);
     }
 
@@ -1223,7 +1136,6 @@ impl HbmSwitch {
             } else {
                 self.run.dropped_packets_congestion += 1;
             }
-            self.record(now, SwitchEvent::InputDrop { input: p.input });
             // A would-be-sampled packet's drop is still visible in the
             // span stream (it was never admitted, so it is not tracked).
             if let Some(live) = self.live.as_mut() {
@@ -1308,7 +1220,6 @@ impl HbmSwitch {
                         }
                     }
                 }
-                self.record(now, SwitchEvent::FrameDrop { output: o });
                 for batch in frame.batches {
                     self.chunk_pool.put(batch.chunks);
                 }
@@ -1354,14 +1265,7 @@ impl HbmSwitch {
                     .metrics
                     .observe("switch.path.hbm_ns", op.end.since(written).as_ns_f64());
                 self.run.metrics.inc("switch.frames.read", 1);
-                self.sample_output_depth(now, o);
-                self.record(
-                    now,
-                    SwitchEvent::FrameRead {
-                        output: o,
-                        index: op.frame_index,
-                    },
-                );
+                self.observe_queue_depth(o);
                 q.schedule(op.end, Ev::FrameAtHead(frame));
             } else if self.cfg.padding_and_bypass
                 && self.run.pfi.frames_buffered(o) == 0
@@ -1396,7 +1300,6 @@ impl HbmSwitch {
                     .metrics
                     .observe("switch.path.bypass_ns", self.bypass_latency().as_ns_f64());
                 self.run.metrics.inc("switch.frames.bypass", 1);
-                self.record(now, SwitchEvent::Bypass { output: o });
                 q.schedule(now + self.bypass_latency(), Ev::FrameAtHead(frame));
             }
         }
@@ -1635,16 +1538,10 @@ impl HbmSwitch {
     /// Serialize the complete mid-run state (plus the pending event
     /// queue and feeder position) into a [`Value`] for a snapshot.
     ///
-    /// Diagnostic captures that exist for post-run inspection — the
-    /// bounded event trace and the Chrome trace recorder — are not
-    /// checkpointable; a run with either enabled is rejected here
-    /// rather than resumed with silently truncated diagnostics.
+    /// The Chrome trace recorder exists for post-run inspection and is
+    /// not checkpointable; a run with it enabled is rejected here
+    /// rather than resumed with a silently truncated capture.
     fn save_state(&self, q: &EventQueue<Ev>, feeder: FeederState) -> Result<Value, SnapshotError> {
-        if self.trace.is_some() {
-            return Err(SnapshotError::Unsupported(
-                "switch event tracing cannot be checkpointed".into(),
-            ));
-        }
         if self.chrome.is_some() {
             return Err(SnapshotError::Unsupported(
                 "chrome trace capture cannot be checkpointed".into(),
@@ -1737,7 +1634,9 @@ impl HbmSwitch {
     /// at the loop's idempotent point — after the epoch flush, before
     /// the next dispatch — and capture the exact pop order of the event
     /// queue. On resume the fault `plan` is ignored: pending fault
-    /// events live in the snapshotted queue.
+    /// events live in the snapshotted queue. A fresh run checks the
+    /// plan first with [`FaultPlan::validate_switch`]; one this switch
+    /// cannot run is [`ConfigError::FaultPlan`] and nothing runs.
     ///
     /// Checkpoints ride the telemetry epoch clock, so live telemetry
     /// must be enabled ([`HbmSwitch::enable_live_telemetry`]) with the
@@ -1757,7 +1656,7 @@ impl HbmSwitch {
         every_epochs: u64,
         mut should_stop: FStop,
         mut persist: FPersist,
-    ) -> Result<RunOutcome, SnapshotError>
+    ) -> Result<RunOutcome, CheckpointedRunError>
     where
         S: PacketSource + StatefulSource,
         FStop: FnMut() -> bool,
@@ -1776,7 +1675,11 @@ impl HbmSwitch {
                 prof_add(&mut self.prof, Phase::CheckpointRestore, t0);
                 restored
             }
-            None => (self.initial_queue(plan), Feeder::new(source)),
+            None => {
+                plan.validate_switch(&self.cfg)
+                    .map_err(ConfigError::FaultPlan)?;
+                (self.initial_queue(plan), Feeder::new(source))
+            }
         };
         // Snapshot when `every_epochs` epochs have closed since the last
         // one, or when the stop flag is up (then end the run).
@@ -1792,7 +1695,7 @@ impl HbmSwitch {
             last_ckpt = epochs;
             Ok(stop)
         };
-        self.drive(&mut q, &mut feeder, horizon, Some(&mut checkpoint))
+        Ok(self.drive(&mut q, &mut feeder, horizon, Some(&mut checkpoint))?)
     }
 
     /// Build the report from current state, cloning the departure log
@@ -1977,11 +1880,6 @@ impl HbmSwitch {
     /// [`SwitchReport::metrics`]).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.run.metrics
-    }
-
-    /// Per-output HBM queue depth series (frames over sim time).
-    pub fn output_depth(&self, o: usize) -> &Series {
-        &self.run.output_depth[o]
     }
 
     /// Toggle HBM command recording on every channel, so a run's
@@ -2231,55 +2129,6 @@ mod tests {
         let ma = ra.delays_ns().mean().unwrap();
         let ml = rl.delays_ns().mean().unwrap();
         assert!(ml > ma, "lane mean {ml} !> aggregate mean {ma}");
-    }
-
-    #[test]
-    fn trace_records_frame_lifecycle() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.8, &tm, horizon_us(60), 37);
-        let mut sw = HbmSwitch::new(cfg).unwrap();
-        sw.enable_trace(100_000);
-        sw.run_source(
-            ReplaySource::new(&t),
-            horizon_us(300),
-            &FaultPlan::default(),
-        );
-        assert!(sw.report().delivered_packets > 0);
-        let log = sw.trace().expect("tracing enabled");
-        let mut writes = 0u64;
-        let mut reads = 0u64;
-        let mut last_t = rip_units::SimTime::ZERO;
-        for &(at, ev) in log.events() {
-            assert!(at >= last_t, "trace must be time-ordered");
-            last_t = at;
-            match ev {
-                SwitchEvent::FrameWritten { .. } => writes += 1,
-                SwitchEvent::FrameRead { .. } => reads += 1,
-                _ => {}
-            }
-        }
-        assert!(writes > 0, "frames must have been written");
-        assert!(reads <= writes, "cannot read more frames than written");
-        // Occupancy series populated and bounded by what was written.
-        let occ = sw.hbm_occupancy().expect("tracing enabled");
-        assert!(occ.samples_seen() > 0);
-        assert!(occ.max().unwrap() <= writes as f64);
-    }
-
-    #[test]
-    fn tracing_off_records_nothing() {
-        let cfg = RouterConfig::small();
-        let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-        let t = trace(0.5, &tm, horizon_us(20), 38);
-        let mut sw = HbmSwitch::new(cfg).unwrap();
-        sw.run_source(
-            ReplaySource::new(&t),
-            horizon_us(100),
-            &FaultPlan::default(),
-        );
-        assert!(sw.trace().is_none());
-        assert!(sw.hbm_occupancy().is_none());
     }
 
     #[test]
@@ -2660,7 +2509,7 @@ mod tests {
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let t = trace(0.8, &tm, horizon_us(40), 42);
         let (mut sw, _sink) = ckpt_switch();
-        sw.enable_trace(1000);
+        sw.enable_chrome_trace(TraceWindow::all());
         let err = sw
             .run_source_checkpointed(
                 ReplaySource::new(&t),
@@ -2673,7 +2522,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(
-            format!("{err}").contains("tracing"),
+            format!("{err}").contains("chrome trace capture"),
             "unexpected error: {err}"
         );
     }

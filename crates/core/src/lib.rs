@@ -58,7 +58,7 @@ pub use batch::{Batch, BatchAssembler, Chunk};
 pub use config::{DrainPolicy, RouterConfig, SRAM_INTERFACE_BITS};
 pub use crossbar::CyclicalCrossbar;
 pub use error::ConfigError;
-pub use hbm_switch::{HbmSwitch, RunOutcome, SwitchEvent, SwitchReport};
+pub use hbm_switch::{HbmSwitch, RunOutcome, SwitchReport};
 pub use mimic::{MimicChecker, MimicReport};
 pub use output::{OutputPort, PacketDeparture};
 pub use resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultPlanError};

@@ -123,7 +123,8 @@ pub struct PlaneResult {
     pub report: SwitchReport,
 }
 
-/// Why [`SpsRouter::run_streamed_checkpointed`] failed.
+/// Why a checkpointed run ([`SpsRouter::run_streamed_checkpointed`] or
+/// [`HbmSwitch::run_source_checkpointed`]) failed.
 #[derive(Debug)]
 pub enum CheckpointedRunError {
     /// The run's inputs failed validation before any plane ran.
@@ -551,7 +552,7 @@ impl SpsRouter {
         live: Option<LiveOptions>,
         plane: usize,
         ckpt: Option<PlaneCheckpoint<'_>>,
-    ) -> Result<Option<(PlaneResult, MemorySink)>, SnapshotError> {
+    ) -> Result<Option<(PlaneResult, MemorySink)>, CheckpointedRunError> {
         let mut src = self.plane_source(w, horizon, plan, plane);
         let staged = SharedSink::new();
         let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");

@@ -48,10 +48,8 @@
 pub mod arena;
 mod queue;
 pub mod rng;
-mod series;
 pub mod snapshot;
 pub mod stats;
 
 pub use arena::VecPool;
 pub use queue::{EventQueue, QueueRestoreError};
-pub use series::{Series, TraceLog};

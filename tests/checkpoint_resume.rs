@@ -115,7 +115,7 @@ fn resume_from(seed: u64, payload: &[u8]) -> (Vec<SinkRecord>, String) {
 
 /// Resume the engine from a decoded snapshot and run to completion, or
 /// return the restore error.
-fn try_resume(seed: u64, state: &Value) -> Result<(Vec<SinkRecord>, String), SnapshotError> {
+fn try_resume(seed: u64, state: &Value) -> Result<(Vec<SinkRecord>, String), CheckpointedRunError> {
     let (cfg, tm, horizon) = live_setup();
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
@@ -218,7 +218,7 @@ fn a_snapshot_with_a_lowered_queue_seq_is_a_typed_error() {
     );
     *field_mut(&mut state, "queue_next_seq") = serde::Serialize::to_value(&0u64);
     match try_resume(seed, &state) {
-        Err(SnapshotError::Mismatch(msg)) => assert!(
+        Err(CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg))) => assert!(
             msg.contains("event queue does not restore"),
             "unexpected message: {msg}"
         ),
@@ -268,7 +268,7 @@ fn a_switch_snapshot_in_the_flat_layout_is_refused() {
         )
         .expect_err("a flat-layout snapshot must be refused");
     match err {
-        SnapshotError::Mismatch(msg) => assert!(
+        CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
             msg.contains("does not decode as a switch state"),
             "unexpected message: {msg}"
         ),
@@ -288,6 +288,94 @@ fn a_switch_snapshot_in_the_flat_layout_is_refused() {
     let (base_records, base_report) = baseline(seed);
     assert_eq!(json(&sw.into_report()), base_report);
     assert_eq!(*staged.take().records(), base_records);
+}
+
+#[test]
+fn a_switch_snapshot_with_the_old_queue_depth_series_still_resumes() {
+    // Switch snapshots once carried a per-output queue-depth series as
+    // `run.output_depth`. The snapshot decoder ignores members it does
+    // not know, so a snapshot that still has one resumes to the
+    // uninterrupted run's stream and report.
+    let seed = 53;
+    let path = scratch("output-depth.snap");
+    let (_, outcome, counts) = run_until(seed, &path, 2, 1);
+    assert_eq!(outcome, RunOutcome::Interrupted);
+    let (payload, _) = load_latest(&path).expect("snapshot loads");
+    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
+    let mut state = serde_json::parse(text).expect("snapshot payload parses");
+    let Value::Object(run) = field_mut(&mut state, "run") else {
+        panic!("`run` is not an object");
+    };
+    // The old layout: one series per output, each a list of
+    // `(time, value)` points plus its decimation state.
+    let series = r#"{"points": [[1000, 0.0], [2000, 1.0]], "max_points": 1024,
+        "stride": 1, "seen": 2}"#;
+    let series = serde_json::parse(series).expect("series parses");
+    let ports = RouterConfig::small().ribbons;
+    run.push((
+        "output_depth".to_string(),
+        Value::Array(vec![series; ports]),
+    ));
+
+    let (resumed, report) = try_resume(seed, &state).expect("resume with `output_depth`");
+    let (base_records, base_report) = baseline(seed);
+    assert_eq!(report, base_report);
+    let &(epochs, spans) = counts.last().expect("one snapshot");
+    let keep = (epochs + spans) as usize;
+    let merged: Vec<SinkRecord> = base_records[..keep]
+        .iter()
+        .cloned()
+        .chain(resumed)
+        .collect();
+    assert_eq!(merged, base_records);
+}
+
+#[test]
+fn switch_checkpointed_runner_rejects_an_unservable_plan() {
+    // The switch twin of the SPS test below: with one channel per
+    // stripe subset, losing channel 0 leaves subset 0 with no live
+    // channel. A fresh checkpointed run must refuse the plan with a
+    // typed error before it runs anything.
+    let mut cfg = RouterConfig::small();
+    cfg.stripe_channels = Some(1);
+    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
+    let horizon = SimTime::from_ns(40_000);
+    let at = SimTime::from_ns(5_000);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let staged = SharedSink::new();
+    let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
+    sw.enable_live_telemetry(PERIOD, 64, Box::new(staged.clone()));
+    let persisted = Cell::new(0u64);
+    let err = sw
+        .run_source_checkpointed(
+            source_for(&cfg, &tm, 0.8, horizon, 59),
+            cfg.drain.deadline(horizon),
+            &plan,
+            None,
+            1,
+            || false,
+            |_, _, _| {
+                persisted.set(persisted.get() + 1);
+                Ok(())
+            },
+        )
+        .expect_err("an unservable plan must be rejected");
+    match err {
+        CheckpointedRunError::Config(ConfigError::FaultPlan(e)) => assert_eq!(
+            e,
+            FaultPlanError::Unservable {
+                at,
+                switch: 0,
+                reason: PfiConfigError::SubsetDead { subset: 0 },
+            }
+        ),
+        other => panic!("want a typed fault-plan error, got {other}"),
+    }
+    assert!(
+        staged.take().records().is_empty(),
+        "a rejected run emitted records"
+    );
+    assert_eq!(persisted.get(), 0, "a rejected run persisted a snapshot");
 }
 
 // ------------------------------------------------------------------
