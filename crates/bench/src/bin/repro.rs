@@ -1114,7 +1114,8 @@ fn stream_run(
 ) -> rip_core::SwitchReport {
     let src = uniform_source(cfg, load, horizon, seed);
     let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-    sw.run_source(src, cfg.drain.deadline(horizon), &FaultPlan::default());
+    sw.run_source(src, cfg.drain.deadline(horizon), &FaultPlan::default())
+        .expect("an empty fault plan is valid");
     sw.into_report()
 }
 
@@ -1361,7 +1362,10 @@ fn run_bench(quick: bool, live: bool) {
             sw.enable_chrome_trace(far);
         }
         let deadline = cfg.drain.deadline(tel_horizon);
-        let ((), ns) = on_cpu(|| sw.run_source(src, deadline, &FaultPlan::default()));
+        let ((), ns) = on_cpu(|| {
+            sw.run_source(src, deadline, &FaultPlan::default())
+                .expect("an empty fault plan is valid")
+        });
         let rec = sw.take_chrome_trace().unwrap_or_default();
         assert!(
             rec.is_empty(),
@@ -1553,7 +1557,10 @@ fn profile_overhead_run(
     let staged = rip_telemetry::SharedSink::new();
     sw.enable_live_telemetry(period, 64, Box::new(staged.clone()));
     let deadline = cfg.drain.deadline(horizon);
-    let ((), ns) = on_cpu(|| sw.run_source(src, deadline, &FaultPlan::default()));
+    let ((), ns) = on_cpu(|| {
+        sw.run_source(src, deadline, &FaultPlan::default())
+            .expect("an empty fault plan is valid")
+    });
     let report = sw.into_report();
     let json = serde_json::to_string(&report).expect("report serializes");
     let mut stream = Vec::new();

@@ -127,7 +127,8 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         spec.horizon_us
     );
     let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
-    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
+    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default())
+        .map_err(|e| e.to_string())?;
     let r = sw.into_report();
 
     let mut t = Table::new(&["metric", "value"]);
@@ -595,9 +596,6 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
             let at = SimTime::from_ps(horizon.as_ps() / 4);
             plan = plan.inject(at, FaultKind::HbmChannelDown { channel });
         }
-        // The soak runs one switch, whose channels are `0..T`.
-        plan.validate_switch(&spec.router)
-            .map_err(|e| e.to_string())?;
         let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
         if let Some(h) = &hub {
             sw.enable_profiler(h.clone());
@@ -650,7 +648,8 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
                     sw.enable_live_telemetry(period, 256, Box::new(watch));
                     handle = Some(h);
                 }
-                sw.run_source(source, deadline, &plan);
+                sw.run_source(source, deadline, &plan)
+                    .map_err(|e| e.to_string())?;
             }
         }
         let epochs = sw.live_epochs_emitted();
@@ -1075,7 +1074,8 @@ fn run_trace_chrome(
     sw.enable_chrome_trace(window);
     let staged = SharedSink::new();
     sw.enable_live_telemetry(period, 64, Box::new(staged.clone()));
-    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default());
+    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default())
+        .map_err(|e| e.to_string())?;
     let mut rec = sw
         .take_chrome_trace()
         .expect("chrome trace was enabled above");

@@ -4,6 +4,7 @@
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashSet, VecDeque};
+use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use rip_hbm::{HbmCommandKind, HbmGroup, PfiController};
@@ -24,7 +25,6 @@ use crate::config::RouterConfig;
 use crate::error::ConfigError;
 use crate::output::{OutputPort, PacketDeparture};
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
-use crate::sps::CheckpointedRunError;
 use crate::sram::{Frame, HeadSram, TailSram};
 
 /// Registry name the switch publishes live records under (the SPS
@@ -205,6 +205,45 @@ pub enum RunOutcome {
     /// snapshot was persisted and the run returned early. Resume it
     /// with the persisted state to continue byte-identically.
     Interrupted,
+}
+
+/// Why [`HbmSwitch::run_source_checkpointed`] failed.
+#[derive(Debug)]
+pub enum CheckpointedRunError {
+    /// A fresh run's fault plan failed validation before anything ran.
+    Config(ConfigError),
+    /// A snapshot could not be restored or persisted.
+    Snapshot(SnapshotError),
+}
+
+impl fmt::Display for CheckpointedRunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointedRunError::Config(e) => write!(f, "{e}"),
+            CheckpointedRunError::Snapshot(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointedRunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointedRunError::Config(e) => Some(e),
+            CheckpointedRunError::Snapshot(e) => Some(e),
+        }
+    }
+}
+
+impl From<ConfigError> for CheckpointedRunError {
+    fn from(e: ConfigError) -> Self {
+        CheckpointedRunError::Config(e)
+    }
+}
+
+impl From<SnapshotError> for CheckpointedRunError {
+    fn from(e: SnapshotError) -> Self {
+        CheckpointedRunError::Snapshot(e)
+    }
 }
 
 /// The run loop's single-packet arrival lookahead. It holds the source
@@ -895,20 +934,35 @@ impl HbmSwitch {
         }
     }
 
-    /// Emit `stage` for `packet` if it is being sampled.
-    fn live_span(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
-        if let Some(live) = self.live.as_mut() {
-            if live.state.sampled.contains(&packet) {
-                live.span(packet, stage, at, port);
-            }
-        }
-    }
-
     /// Emit a terminal `stage` for `packet` and stop sampling it.
     fn live_span_end(&mut self, packet: u64, stage: &'static str, at: SimTime, port: usize) {
         if let Some(live) = self.live.as_mut() {
             if live.state.sampled.remove(&packet) {
                 live.span(packet, stage, at, port);
+            }
+        }
+    }
+
+    /// Emit `stage` for each sampled packet in `chunks`, once per run
+    /// of adjacent chunks of that packet. A packet's chunks are
+    /// contiguous within a batch, so a batch yields one span per packet.
+    fn live_chunk_spans<'c>(
+        &mut self,
+        chunks: impl IntoIterator<Item = &'c Chunk>,
+        stage: &'static str,
+        at: SimTime,
+        port: usize,
+    ) {
+        let Some(live) = self.live.as_mut() else {
+            return;
+        };
+        let mut last = u64::MAX;
+        for c in chunks {
+            if c.packet != last {
+                last = c.packet;
+                if live.state.sampled.contains(&c.packet) {
+                    live.span(c.packet, stage, at, port);
+                }
             }
         }
     }
@@ -948,17 +1002,7 @@ impl HbmSwitch {
 
     fn write_frame(&mut self, now: SimTime, frame: Frame) {
         let o = frame.output;
-        if self.live.is_some() {
-            let mut last = u64::MAX;
-            for batch in &frame.batches {
-                for c in &batch.chunks {
-                    if c.packet != last {
-                        last = c.packet;
-                        self.live_span(c.packet, "hbm_write", now, o);
-                    }
-                }
-            }
-        }
+        self.live_chunk_spans(frame.chunks(), "hbm_write", now, o);
         // Frame fill efficiency: payload actually carried vs. the fixed
         // frame capacity the HBM write pays for.
         self.run
@@ -1181,17 +1225,7 @@ impl HbmSwitch {
     }
 
     fn on_batch_at_tail(&mut self, now: SimTime, b: Batch) {
-        if self.live.is_some() {
-            // A packet's chunks are contiguous within a batch, so
-            // adjacent dedupe yields one span per packet per batch.
-            let mut last = u64::MAX;
-            for c in &b.chunks {
-                if c.packet != last {
-                    last = c.packet;
-                    self.live_span(c.packet, "sram_enqueue", now, b.output);
-                }
-            }
-        }
+        self.live_chunk_spans(&b.chunks, "sram_enqueue", now, b.output);
         let batch_output = b.output;
         if let Some(ct) = self.chrome.as_mut() {
             ct.fill_start[batch_output].get_or_insert(now);
@@ -1207,17 +1241,15 @@ impl HbmSwitch {
                 // Per-output HBM region full: the frame is lost.
                 self.run.dropped_frames += 1;
                 self.run.dropped_bytes += frame.payload();
-                for batch in &frame.batches {
-                    for c in &batch.chunks {
-                        if self.run.dropped_ids.insert(c.packet) {
-                            self.run.live_packets -= 1;
-                            if self.run.active_faults > 0 {
-                                self.run.dropped_packets_fault += 1;
-                            } else {
-                                self.run.dropped_packets_congestion += 1;
-                            }
-                            self.live_span_end(c.packet, "frame_drop", now, o);
+                for c in frame.chunks() {
+                    if self.run.dropped_ids.insert(c.packet) {
+                        self.run.live_packets -= 1;
+                        if self.run.active_faults > 0 {
+                            self.run.dropped_packets_fault += 1;
+                        } else {
+                            self.run.dropped_packets_congestion += 1;
                         }
+                        self.live_span_end(c.packet, "frame_drop", now, o);
                     }
                 }
                 for batch in frame.batches {
@@ -1249,17 +1281,7 @@ impl HbmSwitch {
                 if let Some(ct) = self.chrome.as_mut() {
                     ct.frame_span(o, FRAME_LANE_READ, "read", now, op.end);
                 }
-                if self.live.is_some() {
-                    let mut last = u64::MAX;
-                    for batch in &frame.batches {
-                        for c in &batch.chunks {
-                            if c.packet != last {
-                                last = c.packet;
-                                self.live_span(c.packet, "hbm_read", now, o);
-                            }
-                        }
-                    }
-                }
+                self.live_chunk_spans(frame.chunks(), "hbm_read", now, o);
                 // HBM-path latency: write completion → head arrival.
                 self.run
                     .metrics
@@ -1285,17 +1307,7 @@ impl HbmSwitch {
                     }
                     ct.frame_span(o, FRAME_LANE_READ, "bypass", now, bypass_end);
                 }
-                if self.live.is_some() {
-                    let mut last = u64::MAX;
-                    for batch in &frame.batches {
-                        for c in &batch.chunks {
-                            if c.packet != last {
-                                last = c.packet;
-                                self.live_span(c.packet, "hbm_bypass", now, o);
-                            }
-                        }
-                    }
-                }
+                self.live_chunk_spans(frame.chunks(), "hbm_bypass", now, o);
                 self.run
                     .metrics
                     .observe("switch.path.bypass_ns", self.bypass_latency().as_ns_f64());
@@ -1355,7 +1367,8 @@ impl HbmSwitch {
     /// it. Use [`HbmSwitch::run_source`] to keep the switch alive for
     /// post-run inspection.
     pub fn run(mut self, trace: &[Packet], horizon: SimTime) -> SwitchReport {
-        self.run_source(ReplaySource::new(trace), horizon, &FaultPlan::default());
+        self.run_source(ReplaySource::new(trace), horizon, &FaultPlan::default())
+            .expect("an empty fault plan is valid");
         self.into_report()
     }
 
@@ -1366,23 +1379,17 @@ impl HbmSwitch {
     /// (the SPS layer applies them at the front end). An empty plan is
     /// byte-identical to [`HbmSwitch::run`].
     ///
-    /// The plan is checked first with [`FaultPlan::validate_switch`]; a
-    /// plan this switch cannot run (a channel outside `0..T`, or faults
-    /// that leave the PFI engine unable to place frames) is
-    /// [`ConfigError::FaultPlan`] and nothing runs.
-    ///
     /// Internally this replays the trace through the streaming engine
-    /// ([`HbmSwitch::run_source`]); same-seed results are byte-identical
-    /// to the materialized batch engine ([`HbmSwitch::run_preloaded`]).
+    /// ([`HbmSwitch::run_source`]), which checks the plan first; same-seed
+    /// results are byte-identical to the materialized batch engine
+    /// ([`HbmSwitch::run_preloaded`]).
     pub fn run_with_faults(
         mut self,
         trace: &[Packet],
         horizon: SimTime,
         plan: &FaultPlan,
     ) -> Result<SwitchReport, ConfigError> {
-        plan.validate_switch(&self.cfg)
-            .map_err(ConfigError::FaultPlan)?;
-        self.run_source(ReplaySource::new(trace), horizon, plan);
+        self.run_source(ReplaySource::new(trace), horizon, plan)?;
         Ok(self.into_report())
     }
 
@@ -1390,13 +1397,16 @@ impl HbmSwitch {
     /// arrival into the event queue before running, exactly like the
     /// original batch pipeline (O(horizon) memory). Kept as the
     /// byte-identity oracle for the streaming engine — the equivalence
-    /// property suite runs both and compares serialized reports.
+    /// property suite runs both and compares serialized reports. The
+    /// plan is checked first, as in [`HbmSwitch::run_source`].
     pub fn run_preloaded(
-        &mut self,
+        mut self,
         trace: &[Packet],
         horizon: SimTime,
         plan: &FaultPlan,
-    ) -> SwitchReport {
+    ) -> Result<SwitchReport, ConfigError> {
+        plan.validate_switch(&self.cfg)
+            .map_err(ConfigError::FaultPlan)?;
         let mut q: EventQueue<Ev> = EventQueue::new();
         let mut last_arrival = SimTime::ZERO;
         for p in trace {
@@ -1419,7 +1429,7 @@ impl HbmSwitch {
             self.handle(&mut q, now, ev);
         }
         self.roll_capacity(self.run.last_departure);
-        self.report()
+        Ok(self.into_report())
     }
 
     /// The streaming engine: pull arrivals incrementally from `source`
@@ -1442,12 +1452,25 @@ impl HbmSwitch {
     /// the batch order always runs after `ArrivalsDone` at equal times,
     /// so the earlier set is unobservable.
     ///
-    /// Does not consume the switch — inspect traces/series afterwards,
-    /// then call [`HbmSwitch::report`] or [`HbmSwitch::into_report`].
-    pub fn run_source<S: PacketSource>(&mut self, source: S, horizon: SimTime, plan: &FaultPlan) {
+    /// The plan is checked first with [`FaultPlan::validate_switch`]; a
+    /// plan this switch cannot run (a channel outside `0..T`, or faults
+    /// that leave the PFI engine unable to place frames) is
+    /// [`ConfigError::FaultPlan`] and nothing runs.
+    ///
+    /// Does not consume the switch — inspect it afterwards, then call
+    /// [`HbmSwitch::into_report`].
+    pub fn run_source<S: PacketSource>(
+        &mut self,
+        source: S,
+        horizon: SimTime,
+        plan: &FaultPlan,
+    ) -> Result<(), ConfigError> {
+        plan.validate_switch(&self.cfg)
+            .map_err(ConfigError::FaultPlan)?;
         let mut q = self.initial_queue(plan);
         let outcome = self.drive(&mut q, &mut Feeder::new(source), horizon, None);
         debug_assert!(matches!(outcome, Ok(RunOutcome::Completed)));
+        Ok(())
     }
 
     /// A fresh run's event queue: the plan's switch-level faults, then
@@ -1698,22 +1721,10 @@ impl HbmSwitch {
         Ok(self.drive(&mut q, &mut feeder, horizon, Some(&mut checkpoint))?)
     }
 
-    /// Build the report from current state, cloning the departure log
-    /// (use [`HbmSwitch::into_report`] at end of run to avoid the
-    /// clone).
-    pub fn report(&self) -> SwitchReport {
-        self.build_report(self.run.departures.clone())
-    }
-
     /// Build the end-of-run report, consuming the switch: the
-    /// (potentially very large) departure log moves into the report
-    /// instead of being cloned.
+    /// (potentially very large) departure log moves into the report.
     pub fn into_report(mut self) -> SwitchReport {
         let departures = std::mem::take(&mut self.run.departures);
-        self.build_report(departures)
-    }
-
-    fn build_report(&self, departures: Vec<PacketDeparture>) -> SwitchReport {
         let first = self.run.first_arrival.unwrap_or(SimTime::ZERO);
         let span = self.run.last_departure.saturating_since(first);
         let delivered_rate = if span.is_zero() {
@@ -2136,8 +2147,10 @@ mod tests {
         let cfg = RouterConfig::small();
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let t = trace(0.8, &tm, horizon_us(80), 19);
-        let mut batch = HbmSwitch::new(cfg.clone()).unwrap();
-        let rb = batch.run_preloaded(&t, horizon_us(400), &FaultPlan::default());
+        let rb = HbmSwitch::new(cfg.clone())
+            .unwrap()
+            .run_preloaded(&t, horizon_us(400), &FaultPlan::default())
+            .unwrap();
         let rs = HbmSwitch::new(cfg).unwrap().run(&t, horizon_us(400));
         assert_eq!(
             format!("{rb:?}"),
@@ -2281,11 +2294,13 @@ mod tests {
         let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
         let t = trace(0.8, &tm, horizon_us(40), 42);
         let (mut plain, plain_sink) = ckpt_switch();
-        plain.run_source(
-            ReplaySource::new(&t),
-            horizon_us(200),
-            &FaultPlan::default(),
-        );
+        plain
+            .run_source(
+                ReplaySource::new(&t),
+                horizon_us(200),
+                &FaultPlan::default(),
+            )
+            .unwrap();
         let (mut ck, ck_sink) = ckpt_switch();
         let mut snapshots = 0u64;
         let outcome = ck
@@ -2383,7 +2398,8 @@ mod tests {
             ReplaySource::new(&t),
             horizon_us(200),
             &FaultPlan::default(),
-        );
+        )
+        .unwrap();
         let base_report = format!("{:?}", base.into_report());
         let base_records = base_sink.take();
 

@@ -58,12 +58,11 @@ pub use batch::{Batch, BatchAssembler, Chunk};
 pub use config::{DrainPolicy, RouterConfig, SRAM_INTERFACE_BITS};
 pub use crossbar::CyclicalCrossbar;
 pub use error::ConfigError;
-pub use hbm_switch::{HbmSwitch, RunOutcome, SwitchReport};
+pub use hbm_switch::{CheckpointedRunError, HbmSwitch, RunOutcome, SwitchReport};
 pub use mimic::{MimicChecker, MimicReport};
 pub use output::{OutputPort, PacketDeparture};
 pub use resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 pub use sps::{
-    CheckpointedRunError, LiveOptions, PerSwitch, PlaneResult, PlaneSource, SpsReport, SpsRouter,
-    SpsWorkload,
+    LiveOptions, PerSwitch, PlaneResult, PlaneSource, SpsReport, SpsRouter, SpsWorkload,
 };
 pub use sram::{Frame, HeadSram, SramOccupancy, TailSram};

@@ -58,7 +58,9 @@ impl MimicChecker {
             inner: source,
             shadow: &mut shadow,
         };
-        switch.run_source(&mut tap, horizon, &FaultPlan::default());
+        switch
+            .run_source(&mut tap, horizon, &FaultPlan::default())
+            .expect("an empty fault plan is valid");
         let report = switch.into_report();
         let ideal = shadow.departure_map();
 

@@ -2,25 +2,21 @@
 //! splits fibers over `H` independent HBM switches; each packet crosses
 //! exactly one of them (one OEO conversion).
 
-use std::fmt;
-
 use rip_photonics::{FrontEnd, SplitMap, SplitPattern};
-use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
-    plane_source_name, MemorySink, MetricsRegistry, ProfileHub, Record, SharedSink, SinkRecord,
-    TelemetrySink,
+    plane_source_name, MemorySink, MetricsRegistry, ProfileHub, Record, SharedSink, TelemetrySink,
 };
 use rip_traffic::hash::{lane_for, HashKind};
 use rip_traffic::{
     ArrivalProcess, BoundedSource, FiberFill, MergedSource, Packet, PacketGenerator, PacketSource,
-    SizeDistribution, StatefulSource, TrafficMatrix,
+    SizeDistribution, TrafficMatrix,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::config::RouterConfig;
 use crate::error::ConfigError;
-use crate::hbm_switch::{HbmSwitch, RunOutcome, SwitchReport};
+use crate::hbm_switch::{HbmSwitch, SwitchReport};
 use crate::resilience::{FaultAction, FaultKind, FaultPlan};
 
 /// Workload specification for an SPS run.
@@ -107,10 +103,10 @@ pub struct SpsReport {
 }
 
 /// One finished plane: its switch report and the front-end drops
-/// attributed to it. [`SpsRouter::run_planes`] returns it, an SPS
-/// checkpoint keeps one per finished plane, a fleet worker's
-/// `plane_done` line carries one, and [`SpsRouter::finish_run`]
-/// folds a full set into the router-level report.
+/// attributed to it. [`SpsRouter::run_planes`] returns it, a fleet
+/// worker's `plane_done` line carries one, and
+/// [`SpsRouter::finish_run`] folds a full set into the router-level
+/// report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlaneResult {
     /// Global plane index.
@@ -121,46 +117,6 @@ pub struct PlaneResult {
     pub fe_bytes: DataSize,
     /// The plane's switch report.
     pub report: SwitchReport,
-}
-
-/// Why a checkpointed run ([`SpsRouter::run_streamed_checkpointed`] or
-/// [`HbmSwitch::run_source_checkpointed`]) failed.
-#[derive(Debug)]
-pub enum CheckpointedRunError {
-    /// The run's inputs failed validation before any plane ran.
-    Config(ConfigError),
-    /// A snapshot could not be restored or persisted.
-    Snapshot(SnapshotError),
-}
-
-impl fmt::Display for CheckpointedRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointedRunError::Config(e) => write!(f, "{e}"),
-            CheckpointedRunError::Snapshot(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointedRunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointedRunError::Config(e) => Some(e),
-            CheckpointedRunError::Snapshot(e) => Some(e),
-        }
-    }
-}
-
-impl From<ConfigError> for CheckpointedRunError {
-    fn from(e: ConfigError) -> Self {
-        CheckpointedRunError::Config(e)
-    }
-}
-
-impl From<SnapshotError> for CheckpointedRunError {
-    fn from(e: SnapshotError) -> Self {
-        CheckpointedRunError::Snapshot(e)
-    }
 }
 
 /// The Split-Parallel Switch: `H` HBM switches behind a spatial fiber
@@ -248,67 +204,6 @@ impl PacketSource for PlaneSource {
             }
         }
     }
-}
-
-/// Serialized [`PlaneSource`] position. The lane set itself is derived
-/// from the workload and the fault plan, so only the merge's pull state
-/// and the drop counters ride along.
-#[derive(Serialize, Deserialize)]
-struct PlaneSourceState {
-    merged: Value,
-    fe_dropped_packets: u64,
-    fe_dropped: DataSize,
-}
-
-impl StatefulSource for PlaneSource {
-    fn save_state(&self) -> Value {
-        PlaneSourceState {
-            merged: self.merged.save_state(),
-            fe_dropped_packets: self.fe_dropped_packets,
-            fe_dropped: self.fe_dropped,
-        }
-        .to_value()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let st = PlaneSourceState::from_value(state)?;
-        self.merged.restore_state(&st.merged)?;
-        self.fe_dropped_packets = st.fe_dropped_packets;
-        self.fe_dropped = st.fe_dropped;
-        Ok(())
-    }
-}
-
-/// The checkpoint side of one plane run inside
-/// [`SpsRouter::run_streamed_checkpointed`].
-struct PlaneCheckpoint<'a> {
-    /// On a mid-plane resume: the plane's engine state and the records
-    /// it had staged when the snapshot was taken.
-    resume: Option<(&'a Value, &'a [SinkRecord])>,
-    every_epochs: u64,
-    should_stop: &'a mut dyn FnMut() -> bool,
-    persist: &'a mut PlanePersist<'a>,
-}
-
-/// Receives each engine snapshot of a plane together with the records
-/// the plane has staged so far.
-type PlanePersist<'a> = dyn FnMut(&Value, Vec<SinkRecord>) -> Result<(), SnapshotError> + 'a;
-
-/// A router-level checkpoint: which plane is running, the finished
-/// planes' results, the running plane's staged (not yet replayed)
-/// records, and its engine state.
-#[derive(Serialize, Deserialize)]
-struct SpsCkptState {
-    /// Config echo; resuming under a different config is refused.
-    cfg: Value,
-    plane: u64,
-    done: Vec<PlaneResult>,
-    /// Records the finished planes replayed into the driver sink, so a
-    /// resume can report how much of a partial stream to keep.
-    records: u64,
-    staged: Vec<SinkRecord>,
-    /// [`Value::Null`] between planes (the next plane starts fresh).
-    engine: Value,
 }
 
 impl SpsRouter {
@@ -509,12 +404,7 @@ impl SpsRouter {
             });
         }
         plan.validate(&self.cfg).map_err(ConfigError::FaultPlan)?;
-        let run = |plane| {
-            self.run_plane(w, horizon, plan, live, plane, None)
-                .ok()
-                .flatten()
-                .expect("a plane run without checkpoints completes")
-        };
+        let run = |plane| self.run_plane(w, horizon, plan, live, plane);
         let (&last, others) = planes.split_last().expect("checked non-empty");
         let runs = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = others
@@ -536,14 +426,8 @@ impl SpsRouter {
     /// Simulate one plane end to end: its streaming front-end demux
     /// feeds a fresh [`HbmSwitch`] under the plane's projection of
     /// `plan`, with live records staged into the returned sink. Memory
-    /// is O(own fibers + in-flight), independent of horizon.
-    ///
-    /// With a checkpoint context the plane runs through
-    /// [`HbmSwitch::run_source_checkpointed`]: it resumes from the
-    /// context's engine state when there is one, hands every snapshot
-    /// to the context's `persist`, and returns `Ok(None)` when
-    /// interrupted. Without one it runs to completion and returns
-    /// `Ok(Some(_))`.
+    /// is O(own fibers + in-flight), independent of horizon. `plan`
+    /// must have passed [`FaultPlan::validate`] for this router.
     fn run_plane(
         &self,
         w: &SpsWorkload,
@@ -551,8 +435,7 @@ impl SpsRouter {
         plan: &FaultPlan,
         live: Option<LiveOptions>,
         plane: usize,
-        ckpt: Option<PlaneCheckpoint<'_>>,
-    ) -> Result<Option<(PlaneResult, MemorySink)>, CheckpointedRunError> {
+    ) -> (PlaneResult, MemorySink) {
         let mut src = self.plane_source(w, horizon, plan, plane);
         let staged = SharedSink::new();
         let mut sw = HbmSwitch::new(self.cfg.clone()).expect("validated config");
@@ -564,41 +447,15 @@ impl SpsRouter {
         }
         let drain = self.drain_deadline(horizon);
         let plan = plan.project_switch(&self.cfg, plane);
-        match ckpt {
-            None => sw.run_source(&mut src, drain, &plan),
-            Some(c) => {
-                // A mid-plane resume re-seeds the staging buffer, so the
-                // plane's replayed stream is complete.
-                let engine = c.resume.map(|(engine, records)| {
-                    for rec in records {
-                        staged.push_record(rec.clone());
-                    }
-                    engine
-                });
-                let persist = c.persist;
-                let outcome = sw.run_source_checkpointed(
-                    &mut src,
-                    drain,
-                    &plan,
-                    engine,
-                    c.every_epochs,
-                    c.should_stop,
-                    |engine: &Value, _epochs: u64, _spans: u64| {
-                        persist(engine, staged.peek_records())
-                    },
-                )?;
-                if outcome == RunOutcome::Interrupted {
-                    return Ok(None);
-                }
-            }
-        }
+        sw.run_source(&mut src, drain, &plan)
+            .expect("a router-validated plan is valid on each plane");
         let result = PlaneResult {
             plane,
             fe_packets: src.front_end_dropped_packets(),
             fe_bytes: src.front_end_dropped(),
             report: sw.into_report(),
         };
-        Ok(Some((result, staged.take())))
+        (result, staged.take())
     }
 
     /// Close a run over every plane of this router, in plane order:
@@ -607,10 +464,9 @@ impl SpsRouter {
     /// (front-end drop totals, per-plane overload against the ingress
     /// capacity, load imbalance and the deterministic metrics merge) and
     /// close the stream with an `sps` `run_end` carrying the merged
-    /// registry. The threaded runner, the checkpointed runner and the
-    /// out-of-process fleet collector all end here, so all three
-    /// produce byte-identical streams and reports from the same
-    /// per-plane results.
+    /// registry. The threaded runner and the out-of-process fleet
+    /// collector both end here, so both produce byte-identical streams
+    /// and reports from the same per-plane results.
     pub fn finish_run(
         &self,
         planes: impl IntoIterator<Item = (PlaneResult, MemorySink)>,
@@ -687,121 +543,6 @@ impl SpsRouter {
             sink.record("sps", Record::RunEnd { at, totals });
         }
         report
-    }
-
-    /// [`SpsRouter::run`] with live telemetry and crash-safe
-    /// checkpointing: the planes run **sequentially** (plane order, the
-    /// order the threaded runner replays them in), each through
-    /// [`HbmSwitch::run_source_checkpointed`], so a snapshot captures
-    /// the running plane's full engine state, its staged (not yet
-    /// replayed) telemetry records, and the finished planes' results.
-    ///
-    /// Every `every_epochs` telemetry epochs — and whenever
-    /// `should_stop` turns true, including between planes — `persist`
-    /// receives the router-level snapshot [`Value`] plus the number of
-    /// records already replayed into `sink` (completed planes only;
-    /// the running plane's records are staged inside the snapshot). A
-    /// caller resuming from that snapshot keeps exactly that many
-    /// records of its partial stream and the continuation is
-    /// byte-identical to the uninterrupted run.
-    ///
-    /// Returns `Ok(None)` when interrupted (a final snapshot was
-    /// persisted) and `Ok(Some(report))` on completion. A plan that
-    /// fails [`FaultPlan::validate`] for this router is a
-    /// [`ConfigError::FaultPlan`]; resuming under a different router
-    /// configuration, workload shape, or telemetry options fails with
-    /// [`SnapshotError::Mismatch`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_streamed_checkpointed(
-        &self,
-        w: &SpsWorkload,
-        horizon: SimTime,
-        plan: &FaultPlan,
-        opts: LiveOptions,
-        sink: &mut dyn TelemetrySink,
-        resume: Option<&Value>,
-        every_epochs: u64,
-        should_stop: &mut dyn FnMut() -> bool,
-        persist: &mut dyn FnMut(&Value, u64) -> Result<(), SnapshotError>,
-    ) -> Result<Option<SpsReport>, CheckpointedRunError> {
-        plan.validate(&self.cfg).map_err(ConfigError::FaultPlan)?;
-        let cfg_echo = self.cfg.to_value();
-        // Where to pick up: plane index, finished planes, and the
-        // running plane's staged records + engine state.
-        let (first_plane, mut done, mut records_done, seed_staged, engine0) = match resume {
-            Some(v) => {
-                let st = SpsCkptState::from_value(v).map_err(|e| {
-                    SnapshotError::Mismatch(format!(
-                        "snapshot does not decode as an SPS router state: {e}"
-                    ))
-                })?;
-                if st.cfg != cfg_echo {
-                    return Err(SnapshotError::Mismatch(
-                        "router configuration differs from the checkpointed run".into(),
-                    )
-                    .into());
-                }
-                (st.plane as usize, st.done, st.records, st.staged, st.engine)
-            }
-            None => (0, Vec::new(), 0, Vec::new(), Value::Null),
-        };
-        if first_plane > self.cfg.switches
-            || done.len() != first_plane.min(self.cfg.switches)
-            || done.iter().enumerate().any(|(i, d)| d.plane != i)
-        {
-            return Err(SnapshotError::Mismatch(
-                "snapshot plane progress is inconsistent with this router".into(),
-            )
-            .into());
-        }
-        for plane in first_plane..self.cfg.switches {
-            let resume = (plane == first_plane && engine0 != Value::Null)
-                .then_some((&engine0, &seed_staged[..]));
-            let ckpt = PlaneCheckpoint {
-                resume,
-                every_epochs,
-                should_stop: &mut *should_stop,
-                persist: &mut |engine: &Value, staged: Vec<SinkRecord>| {
-                    let state = SpsCkptState {
-                        cfg: cfg_echo.clone(),
-                        plane: plane as u64,
-                        done: done.clone(),
-                        records: records_done,
-                        staged,
-                        engine: engine.clone(),
-                    };
-                    persist(&state.to_value(), records_done)
-                },
-            };
-            let Some((result, staged)) =
-                self.run_plane(w, horizon, plan, Some(opts), plane, Some(ckpt))?
-            else {
-                return Ok(None);
-            };
-            records_done += staged.records().len() as u64;
-            staged.replay_renamed(&plane_source_name(plane), sink);
-            done.push(result);
-            if plane + 1 < self.cfg.switches {
-                // Inter-plane snapshot: the next plane starts fresh, so
-                // the engine slot is Null and nothing is staged.
-                let between = SpsCkptState {
-                    cfg: cfg_echo.clone(),
-                    plane: (plane + 1) as u64,
-                    done: done.clone(),
-                    records: records_done,
-                    staged: Vec::new(),
-                    engine: Value::Null,
-                }
-                .to_value();
-                persist(&between, records_done)?;
-                if should_stop() {
-                    return Ok(None);
-                }
-            }
-        }
-        // Each plane's records were replayed as it finished.
-        let planes = done.into_iter().map(|r| (r, MemorySink::new()));
-        Ok(Some(self.finish_run(planes, horizon, Some(sink))))
     }
 
     /// The photonic-fault epochs of `plan`: every wavelength-loss or

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use rip_units::DataSize;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Chunk};
 
 /// One frame: `K/k` batches for a single output, possibly padded.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,6 +28,11 @@ impl Frame {
     /// Payload bytes (excluding batch- and frame-level padding).
     pub fn payload(&self) -> DataSize {
         self.batches.iter().map(|b| b.payload()).sum()
+    }
+
+    /// Every chunk of the frame, batch by batch.
+    pub fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.batches.iter().flat_map(|b| &b.chunks)
     }
 }
 

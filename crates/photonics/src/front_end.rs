@@ -3,7 +3,6 @@
 use rip_units::DataRate;
 use serde::{Deserialize, Serialize};
 
-use crate::oeo::LaneFault;
 use crate::split::{SplitMap, SplitPattern};
 
 /// The optical front end of one router package: `N` fiber ribbons of `F`
@@ -24,13 +23,6 @@ pub struct FrontEnd {
     /// R — rate per wavelength.
     pub rate_per_wavelength: DataRate,
     split: SplitMap,
-    /// Per-(ribbon, fiber) health, for fault injection.
-    faults: Vec<Vec<LaneFault>>,
-    /// Lost WDM wavelengths, `[ribbon][lambda]` — a failed comb-laser
-    /// line takes one wavelength out on every fiber of the ribbon.
-    /// Absent in older serialized configs, hence the default.
-    #[serde(default)]
-    wavelength_faults: Vec<Vec<bool>>,
 }
 
 impl FrontEnd {
@@ -52,8 +44,6 @@ impl FrontEnd {
             fibers_per_ribbon,
             wavelengths_per_fiber,
             rate_per_wavelength,
-            faults: vec![vec![LaneFault::Healthy; fibers_per_ribbon]; ribbons],
-            wavelength_faults: vec![vec![false; wavelengths_per_fiber]; ribbons],
             split,
         })
     }
@@ -106,70 +96,10 @@ impl FrontEnd {
         self.total_io() / self.switches() as u64
     }
 
-    /// Inject a fault on `(ribbon, fiber)`.
-    pub fn set_fault(&mut self, ribbon: usize, fiber: usize, fault: LaneFault) {
-        self.faults[ribbon][fiber] = fault;
-    }
-
-    /// Health of `(ribbon, fiber)`.
-    pub fn fault(&self, ribbon: usize, fiber: usize) -> LaneFault {
-        self.faults[ribbon][fiber]
-    }
-
-    /// Mark wavelength `lambda` of `ribbon` lost (`true`) or restored
-    /// (`false`) — e.g. one comb-laser line dying takes the wavelength
-    /// out on every fiber of the ribbon.
-    pub fn set_wavelength_fault(&mut self, ribbon: usize, lambda: usize, lost: bool) {
-        assert!(ribbon < self.ribbons, "ribbon {ribbon} out of range");
-        assert!(
-            lambda < self.wavelengths_per_fiber,
-            "wavelength {lambda} out of range"
-        );
-        if self.wavelength_faults.len() < self.ribbons {
-            // Deserialized from an older config without the field.
-            self.wavelength_faults = vec![vec![false; self.wavelengths_per_fiber]; self.ribbons];
-        }
-        self.wavelength_faults[ribbon][lambda] = lost;
-    }
-
-    /// Whether wavelength `lambda` of `ribbon` is currently lost.
-    pub fn wavelength_lost(&self, ribbon: usize, lambda: usize) -> bool {
-        self.wavelength_faults
-            .get(ribbon)
-            .is_some_and(|v| v.get(lambda).copied().unwrap_or(false))
-    }
-
-    /// Number of lost wavelengths on `ribbon`.
-    pub fn lost_wavelengths(&self, ribbon: usize) -> usize {
-        self.wavelength_faults
-            .get(ribbon)
-            .map_or(0, |v| v.iter().filter(|&&l| l).count())
-    }
-
-    /// Effective (fault-adjusted) rate of `(ribbon, fiber)`: lane faults
-    /// and lost wavelengths both shave capacity.
-    pub fn effective_fiber_rate(&self, ribbon: usize, fiber: usize) -> DataRate {
-        let alive = self.wavelengths_per_fiber - self.lost_wavelengths(ribbon);
-        let base = self.rate_per_wavelength * alive as u64;
-        self.faults[ribbon][fiber].effective_rate(base)
-    }
-
     /// The split rebuilt with dead switch planes excluded — see
     /// [`SplitMap::degraded`].
     pub fn degraded_split(&self, alive: &[bool]) -> Result<SplitMap, String> {
         self.split.degraded(alive)
-    }
-
-    /// Effective ingress capacity arriving at each switch, given faults.
-    pub fn effective_switch_capacity(&self) -> Vec<DataRate> {
-        let mut caps = vec![DataRate::ZERO; self.switches()];
-        for r in 0..self.ribbons {
-            for f in 0..self.fibers_per_ribbon {
-                let s = self.split.switch_for(r, f);
-                caps[s] = caps[s] + self.effective_fiber_rate(r, f);
-            }
-        }
-        caps
     }
 }
 
@@ -189,55 +119,6 @@ mod tests {
         assert_eq!(fe.total_io().bps(), 1_310_720_000_000_000);
         // Per-switch memory I/O: 81.92 Tb/s, matching 4 HBM4 stacks.
         assert_eq!(fe.per_switch_io().tbps(), 81.92);
-    }
-
-    #[test]
-    fn faults_reduce_switch_capacity() {
-        let mut fe = FrontEnd::new(
-            2,
-            8,
-            4,
-            DataRate::from_gbps(10),
-            4,
-            SplitPattern::Sequential,
-        )
-        .unwrap();
-        let healthy = fe.effective_switch_capacity();
-        // All switches equal: 2 ribbons x 2 fibers x 40 Gb/s = 160 Gb/s.
-        assert!(healthy.iter().all(|&c| c == DataRate::from_gbps(160)));
-        fe.set_fault(0, 0, LaneFault::Dead);
-        fe.set_fault(1, 1, LaneFault::Degraded(0.5));
-        let faulty = fe.effective_switch_capacity();
-        // Fibers 0 and 1 of each ribbon feed switch 0 (sequential, α=2).
-        assert_eq!(faulty[0], DataRate::from_gbps(160 - 40 - 20));
-        assert_eq!(faulty[1], DataRate::from_gbps(160));
-        assert_eq!(fe.fault(0, 0), LaneFault::Dead);
-        assert_eq!(fe.effective_fiber_rate(0, 0), DataRate::ZERO);
-    }
-
-    #[test]
-    fn wavelength_loss_shaves_ribbon_capacity() {
-        let mut fe = FrontEnd::new(
-            2,
-            8,
-            4,
-            DataRate::from_gbps(10),
-            4,
-            SplitPattern::Sequential,
-        )
-        .unwrap();
-        assert!(!fe.wavelength_lost(0, 1));
-        fe.set_wavelength_fault(0, 1, true);
-        assert!(fe.wavelength_lost(0, 1));
-        assert_eq!(fe.lost_wavelengths(0), 1);
-        // Every fiber of ribbon 0 loses 1/4 of its rate; ribbon 1 is whole.
-        assert_eq!(fe.effective_fiber_rate(0, 0), DataRate::from_gbps(30));
-        assert_eq!(fe.effective_fiber_rate(1, 0), DataRate::from_gbps(40));
-        // Each switch sees 2 fibers per ribbon: 30x2 + 40x2 = 140 Gb/s.
-        let caps = fe.effective_switch_capacity();
-        assert!(caps.iter().all(|&c| c == DataRate::from_gbps(140)));
-        fe.set_wavelength_fault(0, 1, false);
-        assert_eq!(fe.effective_fiber_rate(0, 0), DataRate::from_gbps(40));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   HBM switches, either naively (sequential), round-robin (striped) or
 //!   with the paper's pseudo-random pattern (§2.1 Idea 4);
 //! * [`OeoConverter`] — pJ/bit energy accounting for O/E–E/O conversions,
-//!   the §4 power-model term, with per-lane fault injection.
+//!   the §4 power-model term.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,5 +23,5 @@ mod oeo;
 mod split;
 
 pub use front_end::FrontEnd;
-pub use oeo::{LaneFault, OeoConverter};
+pub use oeo::OeoConverter;
 pub use split::{SplitMap, SplitPattern};

@@ -1,36 +1,7 @@
-//! O/E–E/O conversion energy accounting and lane fault injection.
+//! O/E–E/O conversion energy accounting.
 
 use rip_units::{DataRate, DataSize, Energy, Power};
 use serde::{Deserialize, Serialize};
-
-/// Health of one optical lane (fiber or waveguide), for fault-injection
-/// experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LaneFault {
-    /// Lane operates at full rate.
-    Healthy,
-    /// Lane delivers only the given fraction of its nominal rate
-    /// (e.g. a degraded laser or thermally detuned ring).
-    Degraded(f64),
-    /// Lane carries nothing.
-    Dead,
-}
-
-impl LaneFault {
-    /// The usable fraction of the nominal lane rate.
-    pub fn capacity_factor(self) -> f64 {
-        match self {
-            LaneFault::Healthy => 1.0,
-            LaneFault::Degraded(f) => f.clamp(0.0, 1.0),
-            LaneFault::Dead => 0.0,
-        }
-    }
-
-    /// Effective rate of a lane with nominal `rate`.
-    pub fn effective_rate(self, rate: DataRate) -> DataRate {
-        rate.scale(self.capacity_factor())
-    }
-}
 
 /// One optical↔electrical conversion stage with pJ/bit energy metering.
 ///
@@ -116,21 +87,5 @@ mod tests {
         assert_eq!(c.total_converted(), DataSize::from_bytes(1564));
         let expect = 1.15 * 1564.0 * 8.0 * 1e-12;
         assert!((c.energy_joules() - expect).abs() < 1e-18);
-    }
-
-    #[test]
-    fn fault_capacity_factors() {
-        assert_eq!(LaneFault::Healthy.capacity_factor(), 1.0);
-        assert_eq!(LaneFault::Dead.capacity_factor(), 0.0);
-        assert_eq!(LaneFault::Degraded(0.5).capacity_factor(), 0.5);
-        // Out-of-range degradation clamps.
-        assert_eq!(LaneFault::Degraded(7.0).capacity_factor(), 1.0);
-        assert_eq!(LaneFault::Degraded(-1.0).capacity_factor(), 0.0);
-        let r = DataRate::from_gbps(40);
-        assert_eq!(
-            LaneFault::Degraded(0.25).effective_rate(r),
-            DataRate::from_gbps(10)
-        );
-        assert_eq!(LaneFault::Dead.effective_rate(r), DataRate::ZERO);
     }
 }

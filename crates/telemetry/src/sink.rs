@@ -471,9 +471,8 @@ impl MemorySink {
         self.records
     }
 
-    /// Append a previously captured record — how a resumed run
-    /// re-seeds a staging buffer from a checkpoint, and how the fleet
-    /// collector stages a parsed worker line.
+    /// Append a previously captured record — how the fleet collector
+    /// stages a parsed worker line.
     pub fn push_record(&mut self, rec: SinkRecord) {
         self.records.push(rec);
     }
@@ -525,17 +524,6 @@ impl SharedSink {
     /// Take the buffered records out, leaving the sink empty.
     pub fn take(&self) -> MemorySink {
         std::mem::take(&mut *self.lock())
-    }
-
-    /// Clone the buffered records without draining them — how a
-    /// checkpoint captures a staging buffer mid-run.
-    pub fn peek_records(&self) -> Vec<SinkRecord> {
-        self.lock().records().to_vec()
-    }
-
-    /// Append a previously captured record (checkpoint restore).
-    pub fn push_record(&self, rec: SinkRecord) {
-        self.lock().push_record(rec);
     }
 }
 

@@ -29,7 +29,6 @@
 
 mod adversarial;
 mod arrivals;
-mod faults;
 mod fill;
 pub mod hash;
 mod matrix;
@@ -39,7 +38,6 @@ mod source;
 
 pub use adversarial::Attacker;
 pub use arrivals::{ArrivalProcess, PacketGenerator};
-pub use faults::{FaultInjector, FaultSummary, DUPLICATE_ID_BIT};
 pub use fill::FiberFill;
 pub use matrix::TrafficMatrix;
 pub use packet::{FlowKey, Packet};

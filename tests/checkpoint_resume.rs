@@ -1,6 +1,6 @@
 //! Crash-safe checkpoint/resume integration suite.
 //!
-//! The checkpoint subsystem must satisfy three cross-crate contracts:
+//! The checkpoint subsystem must satisfy two cross-crate contracts:
 //!
 //! * **Byte-identical continuation** — a run interrupted at any
 //!   checkpoint and resumed from the on-disk snapshot produces the
@@ -11,22 +11,18 @@
 //! * **Rotation resilience** — truncating the newest snapshot slot
 //!   falls back to `.prev`, and resuming from that older checkpoint
 //!   still converges to the identical end state.
-//! * **SPS plane ordering** — the sequential checkpointed SPS runner
-//!   emits the exact stream and report of the threaded `run`,
-//!   interrupted mid-plane or not.
 
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
 
 use rip_core::{
     CheckpointedRunError, ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch,
-    LiveOptions, RouterConfig, RunOutcome, SpsRouter, SpsWorkload,
+    RouterConfig, RunOutcome,
 };
 use rip_hbm::PfiConfigError;
 use rip_integration_tests::source_for;
-use rip_photonics::SplitPattern;
 use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
-use rip_telemetry::{MemorySink, SharedSink, SinkRecord};
+use rip_telemetry::{SharedSink, SinkRecord};
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
 use serde::Value;
@@ -64,7 +60,8 @@ fn baseline(seed: u64) -> (Vec<SinkRecord>, String) {
         source_for(&cfg, &tm, 0.8, horizon, seed),
         cfg.drain.deadline(horizon),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     let records = staged.take().into_records();
     (records, json(&sw.into_report()))
 }
@@ -284,7 +281,8 @@ fn a_switch_snapshot_in_the_flat_layout_is_refused() {
         source_for(&cfg, &tm, 0.8, horizon, seed),
         cfg.drain.deadline(horizon),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     let (base_records, base_report) = baseline(seed);
     assert_eq!(json(&sw.into_report()), base_report);
     assert_eq!(*staged.take().records(), base_records);
@@ -332,10 +330,9 @@ fn a_switch_snapshot_with_the_old_queue_depth_series_still_resumes() {
 
 #[test]
 fn switch_checkpointed_runner_rejects_an_unservable_plan() {
-    // The switch twin of the SPS test below: with one channel per
-    // stripe subset, losing channel 0 leaves subset 0 with no live
-    // channel. A fresh checkpointed run must refuse the plan with a
-    // typed error before it runs anything.
+    // With one channel per stripe subset, losing channel 0 leaves
+    // subset 0 with no live channel. A fresh checkpointed run must
+    // refuse the plan with a typed error before it runs anything.
     let mut cfg = RouterConfig::small();
     cfg.stripe_channels = Some(1);
     let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
@@ -378,170 +375,6 @@ fn switch_checkpointed_runner_rejects_an_unservable_plan() {
     assert_eq!(persisted.get(), 0, "a rejected run persisted a snapshot");
 }
 
-// ------------------------------------------------------------------
-// SPS router: sequential checkpointed runner vs threaded run.
-// ------------------------------------------------------------------
-
-fn sps_setup() -> (SpsRouter, SpsWorkload, SimTime, LiveOptions) {
-    let cfg = RouterConfig::small();
-    let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
-    let w = SpsWorkload::uniform(cfg.ribbons, 0.8, 0xC0FF);
-    let opts = LiveOptions {
-        period: PERIOD,
-        sample_one_in: 64,
-    };
-    (router, w, SimTime::from_ns(40_000), opts)
-}
-
-#[test]
-fn sps_checkpointed_runner_matches_threaded_stream_and_report() {
-    let (router, w, horizon, opts) = sps_setup();
-    let mut base = MemorySink::new();
-    let base_report = router
-        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut base)))
-        .expect("healthy run");
-
-    let mut sink = MemorySink::new();
-    let snapshots = Cell::new(0u64);
-    let report = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut sink,
-            None,
-            4,
-            &mut || false,
-            &mut |_, _| {
-                snapshots.set(snapshots.get() + 1);
-                Ok(())
-            },
-        )
-        .expect("checkpointed run")
-        .expect("ran to completion");
-    assert!(snapshots.get() > 0, "no snapshots were taken");
-    assert_eq!(json(&report), json(&base_report), "reports diverged");
-    assert_eq!(
-        sink.records(),
-        base.records(),
-        "checkpointed stream diverged from the threaded stream"
-    );
-}
-
-#[test]
-fn sps_interrupted_mid_run_resumes_byte_identically() {
-    let (router, w, horizon, opts) = sps_setup();
-    let mut base = MemorySink::new();
-    let base_report = router
-        .run(&w, horizon, &FaultPlan::default(), Some((opts, &mut base)))
-        .expect("healthy run");
-
-    // Interrupt after a few snapshots; keep the last snapshot and the
-    // count of records already replayed into the driver sink.
-    let mut partial = MemorySink::new();
-    let taken = Cell::new(0u64);
-    let last: RefCell<Option<(Value, u64)>> = RefCell::new(None);
-    let outcome = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut partial,
-            None,
-            3,
-            &mut || taken.get() >= 4,
-            &mut |state, records_done| {
-                taken.set(taken.get() + 1);
-                *last.borrow_mut() = Some((state.clone(), records_done));
-                Ok(())
-            },
-        )
-        .expect("interruptible run");
-    assert!(outcome.is_none(), "run was not interrupted");
-    let (state, records_done) = last.into_inner().expect("a snapshot was taken");
-
-    // The partial driver sink holds exactly the completed planes'
-    // replayed records.
-    assert_eq!(partial.records().len() as u64, records_done);
-
-    let mut cont = MemorySink::new();
-    let report = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut cont,
-            Some(&state),
-            1_000_000,
-            &mut || false,
-            &mut |_, _| Ok(()),
-        )
-        .expect("resumed run")
-        .expect("ran to completion");
-    assert_eq!(json(&report), json(&base_report), "resumed report diverged");
-
-    let merged: Vec<SinkRecord> = partial
-        .records()
-        .iter()
-        .chain(cont.records().iter())
-        .cloned()
-        .collect();
-    let expected = base.records().to_vec();
-    assert_eq!(merged, expected, "merged SPS stream diverged");
-}
-
-#[test]
-fn sps_resume_rejects_a_different_configuration() {
-    let (router, w, horizon, opts) = sps_setup();
-    let mut sink = MemorySink::new();
-    let taken = Cell::new(0u64);
-    let last: RefCell<Option<Value>> = RefCell::new(None);
-    let outcome = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut sink,
-            None,
-            3,
-            &mut || taken.get() >= 2,
-            &mut |state, _| {
-                taken.set(taken.get() + 1);
-                *last.borrow_mut() = Some(state.clone());
-                Ok(())
-            },
-        )
-        .expect("interruptible run");
-    assert!(outcome.is_none());
-    let state = last.into_inner().expect("a snapshot was taken");
-
-    let mut other_cfg = RouterConfig::small();
-    other_cfg.head_frames += 1;
-    let other = SpsRouter::new(other_cfg, SplitPattern::Striped).expect("valid config");
-    let mut cont = MemorySink::new();
-    let err = other
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut cont,
-            Some(&state),
-            1_000_000,
-            &mut || false,
-            &mut |_, _| Ok(()),
-        )
-        .expect_err("a different configuration must be rejected");
-    assert!(
-        err.to_string().contains("configuration differs"),
-        "unexpected error: {err}"
-    );
-}
-
 /// The value under `key` of a snapshot object.
 fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
     match v {
@@ -551,196 +384,4 @@ fn field_mut<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
             .unwrap_or_else(|| panic!("snapshot object lacks `{key}`")),
         other => panic!("expected an object around `{key}`, found {}", other.kind()),
     }
-}
-
-#[test]
-fn sps_resume_rejects_a_plane_source_with_a_different_lane_count() {
-    // A plane source holds only the fibers its split reaches, so a
-    // striped `small` plane merges 16 lanes. A mid-plane snapshot whose
-    // lane array has some other length — here the 64 lanes of a source
-    // that held every fiber of every ribbon — must be refused with a
-    // typed error, not resumed and not a panic.
-    let (router, w, horizon, opts) = sps_setup();
-    let mut sink = MemorySink::new();
-    let taken = Cell::new(0u64);
-    let last: RefCell<Option<Value>> = RefCell::new(None);
-    let outcome = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut sink,
-            None,
-            3,
-            &mut || taken.get() >= 2,
-            &mut |state, _| {
-                taken.set(taken.get() + 1);
-                *last.borrow_mut() = Some(state.clone());
-                Ok(())
-            },
-        )
-        .expect("interruptible run");
-    assert!(outcome.is_none());
-    let mut state = last.into_inner().expect("a snapshot was taken");
-
-    let source = field_mut(
-        field_mut(field_mut(&mut state, "engine"), "feeder"),
-        "source",
-    );
-    let Value::Array(lanes) = field_mut(field_mut(source, "merged"), "lanes") else {
-        panic!("plane-source lanes are not an array");
-    };
-    let cfg = RouterConfig::small();
-    assert_eq!(
-        lanes.len(),
-        cfg.ribbons * cfg.fibers_per_ribbon / cfg.switches
-    );
-    let all_fibers = cfg.ribbons * cfg.fibers_per_ribbon;
-    let old: Vec<Value> = lanes.iter().cycle().take(all_fibers).cloned().collect();
-    *lanes = old;
-
-    let mut cont = MemorySink::new();
-    let err = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut cont,
-            Some(&state),
-            1_000_000,
-            &mut || false,
-            &mut |_, _| Ok(()),
-        )
-        .expect_err("a lane-count mismatch must be rejected");
-    match err {
-        CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
-            msg.contains("16 lanes, snapshot has 64"),
-            "unexpected message: {msg}"
-        ),
-        other => panic!("want SnapshotError::Mismatch, got {other}"),
-    }
-    assert!(
-        cont.records().is_empty(),
-        "a refused resume emitted records"
-    );
-}
-
-#[test]
-fn sps_resume_rejects_finished_planes_in_the_old_layout() {
-    // A finished plane inside an SPS snapshot is a `PlaneResult`
-    // (`plane`, `fe_packets`, `fe_bytes`, `report`), and the replayed
-    // record count is one top-level `records`. A snapshot in the older
-    // layout — per-plane `{report, fe_packets, fe_bytes, records}` with
-    // no plane index — must be refused with a typed error.
-    let (router, w, horizon, opts) = sps_setup();
-    let mut sink = MemorySink::new();
-    let first_done: RefCell<Option<Value>> = RefCell::new(None);
-    router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut sink,
-            None,
-            3,
-            &mut || false,
-            &mut |state, _| {
-                let mut state = state.clone();
-                let finished =
-                    matches!(field_mut(&mut state, "done"), Value::Array(d) if !d.is_empty());
-                if finished && first_done.borrow().is_none() {
-                    *first_done.borrow_mut() = Some(state);
-                }
-                Ok(())
-            },
-        )
-        .expect("checkpointed run")
-        .expect("ran to completion");
-    let mut state = first_done
-        .into_inner()
-        .expect("a snapshot after the first plane was taken");
-
-    let records = field_mut(&mut state, "records").clone();
-    let Value::Object(fields) = &mut state else {
-        panic!("snapshot is not an object");
-    };
-    fields.retain(|(k, _)| k != "records");
-    let Value::Array(done) = field_mut(&mut state, "done") else {
-        panic!("`done` is not an array");
-    };
-    for plane in done.iter_mut() {
-        let Value::Object(members) = plane else {
-            panic!("a finished plane is not an object");
-        };
-        members.retain(|(k, _)| k != "plane");
-        members.push(("records".to_string(), records.clone()));
-    }
-
-    let mut cont = MemorySink::new();
-    let err = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &FaultPlan::default(),
-            opts,
-            &mut cont,
-            Some(&state),
-            1_000_000,
-            &mut || false,
-            &mut |_, _| Ok(()),
-        )
-        .expect_err("an old-layout snapshot must be refused");
-    match err {
-        CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg)) => assert!(
-            msg.contains("does not decode as an SPS router state") && msg.contains("`plane`"),
-            "unexpected message: {msg}"
-        ),
-        other => panic!("want SnapshotError::Mismatch, got {other}"),
-    }
-    assert!(
-        cont.records().is_empty(),
-        "a refused resume emitted records"
-    );
-}
-
-#[test]
-fn sps_checkpointed_runner_rejects_an_unservable_plan() {
-    // One channel per stripe subset: losing channel 0 leaves subset 0
-    // with no live channel, which plan validation must report as a
-    // typed error before any plane runs.
-    let mut cfg = RouterConfig::small();
-    cfg.stripe_channels = Some(1);
-    let router = SpsRouter::new(cfg, SplitPattern::Striped).expect("valid config");
-    let (_, w, horizon, opts) = sps_setup();
-    let at = SimTime::from_ns(5_000);
-    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
-    let mut sink = MemorySink::new();
-    let err = router
-        .run_streamed_checkpointed(
-            &w,
-            horizon,
-            &plan,
-            opts,
-            &mut sink,
-            None,
-            1,
-            &mut || false,
-            &mut |_, _| Ok(()),
-        )
-        .expect_err("an unservable plan must be rejected");
-    match err {
-        CheckpointedRunError::Config(ConfigError::FaultPlan(e)) => assert_eq!(
-            e,
-            FaultPlanError::Unservable {
-                at,
-                switch: 0,
-                reason: PfiConfigError::SubsetDead { subset: 0 },
-            }
-        ),
-        other => panic!("want a typed fault-plan error, got {other}"),
-    }
-    assert!(sink.records().is_empty(), "a rejected run emitted records");
 }

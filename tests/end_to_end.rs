@@ -1,6 +1,6 @@
 //! End-to-end integration: the full SPS router (photonic front end →
-//! per-switch traces → HBM-switch DES → egress) across split patterns,
-//! loads and fault conditions.
+//! per-switch traces → HBM-switch DES → egress) across split patterns
+//! and loads. Fault plans are covered by `resilience.rs`.
 
 use rip_core::{FaultPlan, HbmSwitch, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::trace_for;
@@ -102,21 +102,6 @@ fn departures_exit_on_the_right_output_in_flow_order() {
 }
 
 #[test]
-fn dead_fiber_reduces_only_its_switch_capacity() {
-    let cfg = RouterConfig::small();
-    let router = SpsRouter::new(cfg.clone(), SplitPattern::Sequential).unwrap();
-    let mut fe = router.front_end().clone();
-    let healthy = fe.effective_switch_capacity();
-    fe.set_fault(0, 0, rip_photonics::LaneFault::Dead);
-    let faulty = fe.effective_switch_capacity();
-    // Fiber (0,0) feeds switch 0 under the sequential split.
-    assert!(faulty[0].bps() < healthy[0].bps());
-    for s in 1..cfg.switches {
-        assert_eq!(faulty[s], healthy[s]);
-    }
-}
-
-#[test]
 fn reference_configuration_is_internally_consistent() {
     let cfg = RouterConfig::reference();
     cfg.validate().expect("reference config");
@@ -147,20 +132,6 @@ fn fib_routed_traffic_flows_through_the_switch() {
     }
     let sw = HbmSwitch::new(cfg).unwrap();
     let r = sw.run(&routed, SimTime::from_ns(400_000));
-    assert!(r.delivery_fraction > 0.995, "{}", r.delivery_fraction);
-}
-
-#[test]
-fn fault_injected_trace_still_delivers_survivors() {
-    let cfg = RouterConfig::small();
-    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
-    let raw = trace_for(&cfg, &tm, 0.6, SimTime::from_ns(40_000), 29);
-    let injector = rip_traffic::FaultInjector::new(0.15, 0.1, 3);
-    let (degraded, summary) = injector.apply(&raw);
-    assert!(summary.dropped > 0 && summary.corrupted > 0);
-    let sw = HbmSwitch::new(cfg).unwrap();
-    let r = sw.run(&degraded, SimTime::from_ns(400_000));
-    assert_eq!(r.offered_packets as usize, degraded.len());
     assert!(r.delivery_fraction > 0.995, "{}", r.delivery_fraction);
 }
 

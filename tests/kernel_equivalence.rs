@@ -31,7 +31,8 @@ fn run_plain(spec: &SimSpec, horizon: SimTime) -> (String, Vec<u8>) {
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
     let source = spec.build_source(horizon).expect("shipped config builds");
-    sw.run_source(source, deadline, &FaultPlan::default());
+    sw.run_source(source, deadline, &FaultPlan::default())
+        .expect("valid fault plan");
     let report = serde_json::to_string(&sw.into_report()).expect("report serializes");
     let mut jsonl: Vec<u8> = Vec::new();
     {

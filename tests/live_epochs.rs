@@ -39,7 +39,8 @@ fn live_switch_run(seed: u64) -> (MemorySink, rip_core::SwitchReport) {
         source_for(&cfg, &tm, 0.8, horizon, seed),
         cfg.drain.deadline(horizon),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     (staged.take(), sw.into_report())
 }
 
@@ -147,7 +148,8 @@ fn switch_jsonl_stream_is_byte_identical_across_runs() {
                 source_for(&cfg, &tm, 0.8, horizon, 7),
                 cfg.drain.deadline(horizon),
                 &FaultPlan::default(),
-            );
+            )
+            .expect("valid fault plan");
             let mut sink = JsonlSink::new(&mut buf);
             staged.take().replay_into(&mut sink);
         }
@@ -173,7 +175,8 @@ fn live_report_is_silent_report_plus_gauge_series() {
             source_for(&cfg, &tm, 0.8, horizon, 42),
             cfg.drain.deadline(horizon),
             &FaultPlan::default(),
-        );
+        )
+        .expect("valid fault plan");
         sw.into_report()
     };
     let silent = run(false);

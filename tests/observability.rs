@@ -39,7 +39,8 @@ fn export(seed: u64, window: TraceWindow) -> Vec<u8> {
         source_for(&cfg, &tm, 0.8, horizon, seed),
         cfg.drain.deadline(horizon),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     let mut rec = sw.take_chrome_trace().expect("chrome trace enabled");
     let mut chrome = ChromeTraceSink::new(window);
     staged.take().replay_into(&mut chrome);
@@ -259,7 +260,8 @@ fn watched_run(plan: &FaultPlan) -> Vec<rip_telemetry::WatchdogEvent> {
         source_for(&cfg, &tm, 0.5, horizon, 42),
         cfg.drain.deadline(horizon),
         plan,
-    );
+    )
+    .expect("valid fault plan");
     handle.events()
 }
 

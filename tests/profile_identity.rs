@@ -55,7 +55,9 @@ fn run_spec(
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
     let source = spec.build_source(horizon).expect("shipped config builds");
     match entry {
-        Entry::Plain => sw.run_source(source, deadline, &FaultPlan::default()),
+        Entry::Plain => sw
+            .run_source(source, deadline, &FaultPlan::default())
+            .expect("valid fault plan"),
         Entry::Checkpointed => {
             let outcome = sw
                 .run_source_checkpointed(
@@ -197,7 +199,8 @@ fn profiler_leaves_chrome_traces_byte_identical() {
         }
         sw.enable_chrome_trace(TraceWindow::all());
         let source = spec.build_source(horizon).expect("shipped config builds");
-        sw.run_source(source, deadline, &FaultPlan::default());
+        sw.run_source(source, deadline, &FaultPlan::default())
+            .expect("valid fault plan");
         let rec = sw.take_chrome_trace().expect("trace enabled");
         let mut json: Vec<u8> = Vec::new();
         rec.write_chrome_json(&mut json).expect("trace serializes");

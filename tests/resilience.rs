@@ -11,13 +11,16 @@
 //! driving the healthy switch into saturation.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 
+use rip_bench::spec::SimSpec;
 use rip_core::{
     ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch, RouterConfig, SwitchReport,
 };
 use rip_hbm::PfiConfigError;
 use rip_integration_tests::merge_streams;
 use rip_sim::rng::derive_seed;
+use rip_telemetry::SharedSink;
 use rip_traffic::{ArrivalProcess, Packet, PacketGenerator, SizeDistribution, TrafficMatrix};
 use rip_units::{DataSize, SimTime, TimeDelta};
 
@@ -246,4 +249,46 @@ fn one_switch_run_checks_its_plan_against_switch_local_channels() {
             ..
         }))
     ));
+}
+
+#[test]
+fn every_switch_entry_point_rejects_an_unservable_plan() {
+    // The plan the CI gate runs through `ripsim soak`: the shipped
+    // quickstart spec with one channel per stripe subset, and channel 0
+    // lost a quarter of the way into the horizon, which leaves subset 0
+    // with no live channel. The streaming engine and the preloaded
+    // oracle must both refuse it with the typed error before anything
+    // runs, not panic when the fault fires.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs/quickstart.json");
+    let text = std::fs::read_to_string(&path).expect("config readable");
+    let mut spec: SimSpec = serde_json::from_str(&text).expect("quickstart decodes");
+    spec.router.stripe_channels = Some(1);
+    let horizon = SimTime::from_ns(spec.horizon_us * 1000);
+    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let at = SimTime::from_ps(horizon.as_ps() / 4);
+    let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
+    let unservable = || {
+        ConfigError::FaultPlan(FaultPlanError::Unservable {
+            at,
+            switch: 0,
+            reason: PfiConfigError::SubsetDead { subset: 0 },
+        })
+    };
+
+    let staged = SharedSink::new();
+    let mut sw = HbmSwitch::new(spec.router.clone()).expect("valid config");
+    sw.enable_live_telemetry(TimeDelta::from_ns(2_000), 64, Box::new(staged.clone()));
+    let source = spec.build_source(horizon).expect("quickstart builds");
+    assert_eq!(sw.run_source(source, deadline, &plan), Err(unservable()));
+    assert!(
+        staged.take().records().is_empty(),
+        "a rejected run emitted records"
+    );
+
+    let trace = uniform_trace(&spec.router, spec.load, horizon, spec.seed);
+    let err = HbmSwitch::new(spec.router)
+        .expect("valid config")
+        .run_preloaded(&trace, deadline, &plan)
+        .expect_err("the preloaded oracle must reject the plan too");
+    assert_eq!(err, unservable());
 }

@@ -27,11 +27,15 @@ fn report_json(r: &rip_core::SwitchReport) -> String {
 
 /// Batch oracle vs streaming engine on the same replayed trace.
 fn assert_engines_agree(cfg: &RouterConfig, trace: &[Packet], horizon: SimTime, plan: &FaultPlan) {
-    let mut batch = HbmSwitch::new(cfg.clone()).expect("valid config");
-    let rb = batch.run_preloaded(trace, horizon, plan);
+    let rb = HbmSwitch::new(cfg.clone())
+        .expect("valid config")
+        .run_preloaded(trace, horizon, plan)
+        .expect("valid fault plan");
 
     let mut streaming = HbmSwitch::new(cfg.clone()).expect("valid config");
-    streaming.run_source(ReplaySource::new(trace), horizon, plan);
+    streaming
+        .run_source(ReplaySource::new(trace), horizon, plan)
+        .expect("valid fault plan");
     let rs = streaming.into_report();
 
     assert_eq!(
@@ -106,12 +110,16 @@ fn live_source_matches_materialized_trace_end_to_end() {
     let deadline = cfg.drain.deadline(horizon);
 
     let trace = trace_for(&cfg, &tm, 0.8, horizon, 42);
-    let mut batch = HbmSwitch::new(cfg.clone()).expect("valid config");
-    let rb = batch.run_preloaded(&trace, deadline, &FaultPlan::default());
+    let rb = HbmSwitch::new(cfg.clone())
+        .expect("valid config")
+        .run_preloaded(&trace, deadline, &FaultPlan::default())
+        .expect("valid fault plan");
 
     let src = source_for(&cfg, &tm, 0.8, horizon, 42);
     let mut streaming = HbmSwitch::new(cfg.clone()).expect("valid config");
-    streaming.run_source(src, deadline, &FaultPlan::default());
+    streaming
+        .run_source(src, deadline, &FaultPlan::default())
+        .expect("valid fault plan");
     let rs = streaming.into_report();
 
     assert_eq!(report_json(&rb), report_json(&rs));
@@ -356,8 +364,10 @@ fn sps_streaming_run_matches_per_plane_batch_runs() {
     let (per_switch, _, _) = reference_split(&router, &cfg, &w, horizon, &FaultPlan::default());
     let deadline = cfg.drain.deadline(horizon);
     for (plane, trace) in per_switch.iter().enumerate() {
-        let mut sw = HbmSwitch::new(cfg.clone()).expect("valid config");
-        let batch = sw.run_preloaded(trace, deadline, &FaultPlan::default());
+        let batch = HbmSwitch::new(cfg.clone())
+            .expect("valid config")
+            .run_preloaded(trace, deadline, &FaultPlan::default())
+            .expect("valid fault plan");
         assert_eq!(
             report_json(&batch),
             report_json(&r.switches[plane].report),
@@ -381,8 +391,10 @@ fn mimic_checker_matches_inline_batch_reference() {
     let mut ideal_sw = IdealOqSwitch::new(cfg.ribbons, cfg.port_rate());
     ideal_sw.run(&trace);
     let ideal = ideal_sw.departure_map();
-    let mut sw = HbmSwitch::new(cfg).expect("valid config");
-    let report = sw.run_preloaded(&trace, deadline, &FaultPlan::default());
+    let report = HbmSwitch::new(cfg)
+        .expect("valid config")
+        .run_preloaded(&trace, deadline, &FaultPlan::default())
+        .expect("valid fault plan");
     let mut compared = 0u64;
     let mut max_lag = rip_units::TimeDelta::ZERO;
     for d in &report.departures {
@@ -407,7 +419,8 @@ fn peak_in_flight_stays_flat_as_horizon_grows() {
             source_for(&cfg, &tm, 0.8, h, 31),
             cfg.drain.deadline(h),
             &FaultPlan::default(),
-        );
+        )
+        .expect("valid fault plan");
         sw.into_report()
     };
     let short = run_at(SimTime::from_ns(30_000));
@@ -448,10 +461,14 @@ proptest! {
         let deadline = cfg.drain.deadline(horizon);
         let trace = trace_for(&cfg, &tm, load, horizon, seed);
 
-        let mut batch = HbmSwitch::new(cfg.clone()).expect("valid config");
-        let rb = batch.run_preloaded(&trace, deadline, &FaultPlan::default());
+        let rb = HbmSwitch::new(cfg.clone())
+            .expect("valid config")
+            .run_preloaded(&trace, deadline, &FaultPlan::default())
+            .expect("valid fault plan");
         let mut streaming = HbmSwitch::new(cfg.clone()).expect("valid config");
-        streaming.run_source(source_for(&cfg, &tm, load, horizon, seed), deadline, &FaultPlan::default());
+        streaming
+            .run_source(source_for(&cfg, &tm, load, horizon, seed), deadline, &FaultPlan::default())
+            .expect("valid fault plan");
         let rs = streaming.into_report();
         prop_assert_eq!(report_json(&rb), report_json(&rs));
     }

@@ -43,7 +43,8 @@ fn uniform_workload_is_conformant() {
         ReplaySource::new(&trace),
         SimTime::from_ns(500_000),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     assert_conformant(&sw, "uniform");
 }
 
@@ -58,7 +59,8 @@ fn hotspot_workload_is_conformant() {
         ReplaySource::new(&trace),
         SimTime::from_ns(500_000),
         &FaultPlan::default(),
-    );
+    )
+    .expect("valid fault plan");
     assert_conformant(&sw, "hotspot");
 }
 
@@ -88,7 +90,8 @@ fn faulted_workload_is_conformant() {
     plan.validate(&cfg).expect("plan valid");
     let mut sw = HbmSwitch::new(cfg).expect("valid config");
     sw.set_hbm_command_recording(true);
-    sw.run_source(ReplaySource::new(&trace), SimTime::from_ns(700_000), &plan);
+    sw.run_source(ReplaySource::new(&trace), SimTime::from_ns(700_000), &plan)
+        .expect("valid fault plan");
     assert_conformant(&sw, "faulted");
 }
 
