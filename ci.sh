@@ -194,6 +194,12 @@ expect_fails 2 "$bench_dir/trace_no_chrome.log" '--chrome' \
   target/release/ripsim trace configs/quickstart.json
 expect_fails 2 "$bench_dir/repro_e99.log" 'unknown experiment E99' \
   target/release/repro E99
+# A spec that still carries the retired top-level drain_factor is
+# refused with a pointer to router.drain, not run at another deadline.
+sed 's/"seed": 42,/"seed": 42, "drain_factor": 4,/' configs/quickstart.json \
+  > "$bench_dir/drain_factor.json"
+expect_fails 2 "$bench_dir/drain_factor.log" 'router.drain' \
+  target/release/ripsim "$bench_dir/drain_factor.json"
 
 echo "==> flight recorder smoke (watchdog trip dumps a parseable bundle)"
 mkdir "$bench_dir/flight"
@@ -207,40 +213,80 @@ test -f "$bench_dir/flight/flight_watchdog.json" \
 target/release/ripsim flight-check "$bench_dir/flight/flight_watchdog.json" \
   || { echo "flight bundle failed validation"; exit 1; }
 
-echo "==> plain-soak SIGINT smoke (exit 130 with a signal flight bundle)"
+echo "==> soak SIGINT smoke (plain and checkpointing: exit 130, stdout up to the flight bundle, resumable)"
 # The shipped soak ends in well under a second; a 1000x horizon keeps
-# it streaming until the signal is polled at the next epoch boundary.
+# the plain soak streaming until the signal is polled at the next epoch
+# boundary.
 sed 's/"horizon_us": 20,/"horizon_us": 20000,/' configs/soak_live.json \
   > "$bench_dir/soak_long.json"
 grep -q '"horizon_us": 20000,' "$bench_dir/soak_long.json" \
   || { echo "could not derive the long-horizon soak spec"; exit 1; }
-mkdir "$bench_dir/flight_sig"
-target/release/ripsim soak "$bench_dir/soak_long.json" --flight-dir "$bench_dir/flight_sig" \
-  > "$bench_dir/soak_sig.jsonl" 2> "$bench_dir/soak_sig.log" &
-sig_pid=$!
-for _ in $(seq 1 200); do
-  grep -q '"record":"epoch"' "$bench_dir/soak_sig.jsonl" && break
-  sleep 0.05
-done
-if ! grep -q '"record":"epoch"' "$bench_dir/soak_sig.jsonl"; then
-  kill -9 "$sig_pid" 2> /dev/null || true
-  echo "long soak streamed no epoch line"; exit 1
-fi
-kill -INT "$sig_pid"
-sig_rc=0
-wait "$sig_pid" || sig_rc=$?
-test "$sig_rc" = 130 || { echo "interrupted soak exited $sig_rc, want 130"; exit 1; }
-test -f "$bench_dir/flight_sig/flight_signal.json" \
-  || { echo "interrupted soak left no flight_signal.json"; exit 1; }
-target/release/ripsim flight-check "$bench_dir/flight_sig/flight_signal.json" \
-  || { echo "signal flight bundle failed validation"; exit 1; }
-if grep -q 'panicked' "$bench_dir/soak_sig.log"; then
-  echo "interrupted soak panicked"; exit 1
-fi
 
-echo "==> checkpoint/resume smoke (SIGKILL mid-soak, byte-identical continuation)"
+# sigint_soak <tag> <spec> <ready-file> [flag]... — start a soak, send
+# SIGINT once <ready-file> is non-empty, and check that it exits 130
+# without a panic, leaves a valid flight_signal.json, and that stdout's
+# last epoch record is the bundle's last retained epoch (the bundle's
+# watchdog events, which carry epochs too, are cut off first).
+sigint_soak() {
+  local tag="$1" spec="$2" ready="$3" pid rc=0 bundle want got
+  shift 3
+  mkdir "$bench_dir/flight_$tag"
+  target/release/ripsim soak "$spec" --flight-dir "$bench_dir/flight_$tag" "$@" \
+    > "$bench_dir/$tag.jsonl" 2> "$bench_dir/$tag.log" &
+  pid=$!
+  for _ in $(seq 1 2000); do
+    [ -s "$ready" ] && break
+    sleep 0.01
+  done
+  if ! [ -s "$ready" ]; then
+    kill -9 "$pid" 2> /dev/null || true
+    echo "$tag soak never wrote $ready"; exit 1
+  fi
+  kill -INT "$pid"
+  wait "$pid" || rc=$?
+  test "$rc" = 130 || { echo "interrupted $tag soak exited $rc, want 130"; exit 1; }
+  bundle="$bench_dir/flight_$tag/flight_signal.json"
+  test -f "$bundle" || { echo "interrupted $tag soak left no flight_signal.json"; exit 1; }
+  target/release/ripsim flight-check "$bundle" \
+    || { echo "$tag signal flight bundle failed validation"; exit 1; }
+  if grep -q 'panicked' "$bench_dir/$tag.log"; then
+    echo "interrupted $tag soak panicked"; exit 1
+  fi
+  want="$(sed 's/"watchdogs":.*//' "$bundle" \
+    | grep -o '"source":"[^"]*","epoch":[0-9]*' | tail -n 1)"
+  got="$(grep '"record":"epoch"' "$bench_dir/$tag.jsonl" | tail -n 1 \
+    | grep -o '"source":"[^"]*","epoch":[0-9]*')"
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "interrupted $tag soak's stdout ends at {$got}, its flight bundle at {$want}"; exit 1
+  fi
+}
+
+# check_resume <tag> <part1.jsonl> <snapshot> — resume the checkpointed
+# soak from <snapshot>: the first keep_lines=K lines of the interrupted
+# stream plus the continuation must be byte-identical to the
+# uninterrupted run.
+check_resume() {
+  local tag="$1" part1="$2" snap="$3" keep
+  target/release/ripsim soak configs/soak_ckpt.json --resume "$snap" \
+    > "$bench_dir/${tag}_part2.jsonl" 2> "$bench_dir/${tag}_resume.log" \
+    || { echo "$tag: resume from snapshot failed"; exit 1; }
+  keep="$(grep -o 'keep_lines=[0-9]*' "$bench_dir/${tag}_resume.log" | cut -d= -f2)"
+  test -n "$keep" || { echo "$tag: resume reported no keep_lines"; exit 1; }
+  head -n "$keep" "$part1" | cat - "$bench_dir/${tag}_part2.jsonl" \
+    > "$bench_dir/${tag}_merged.jsonl"
+  cmp "$bench_dir/${tag}_merged.jsonl" "$bench_dir/ckpt_base.jsonl" \
+    || { echo "$tag: interrupted-and-resumed soak stream is not byte-identical"; exit 1; }
+}
+
 target/release/ripsim soak configs/soak_ckpt.json \
   > "$bench_dir/ckpt_base.jsonl" 2> /dev/null
+sigint_soak sig_plain "$bench_dir/soak_long.json" "$bench_dir/sig_plain.jsonl"
+sigint_snap="$bench_dir/sig.snapshot"
+sigint_soak sig_ckpt configs/soak_ckpt.json "$sigint_snap" \
+  --checkpoint-every 25 --checkpoint-path "$sigint_snap"
+check_resume sig_ckpt "$bench_dir/sig_ckpt.jsonl" "$sigint_snap"
+
+echo "==> checkpoint/resume smoke (SIGKILL mid-soak, byte-identical continuation)"
 snap="$bench_dir/soak.snapshot"
 target/release/ripsim soak configs/soak_ckpt.json \
   --checkpoint-every 25 --checkpoint-path "$snap" \
@@ -254,15 +300,7 @@ sleep 0.3
 kill -9 "$ckpt_pid" 2> /dev/null || true
 wait "$ckpt_pid" 2> /dev/null || true
 test -f "$snap" || { echo "checkpointing soak wrote no snapshot"; exit 1; }
-target/release/ripsim soak configs/soak_ckpt.json --resume "$snap" \
-  > "$bench_dir/ckpt_part2.jsonl" 2> "$bench_dir/ckpt_resume.log" \
-  || { echo "resume from snapshot failed"; exit 1; }
-keep="$(grep -o 'keep_lines=[0-9]*' "$bench_dir/ckpt_resume.log" | cut -d= -f2)"
-test -n "$keep" || { echo "resume reported no keep_lines"; exit 1; }
-head -n "$keep" "$bench_dir/ckpt_part1.jsonl" \
-  | cat - "$bench_dir/ckpt_part2.jsonl" > "$bench_dir/ckpt_merged.jsonl"
-cmp "$bench_dir/ckpt_merged.jsonl" "$bench_dir/ckpt_base.jsonl" \
-  || { echo "killed-and-resumed soak stream is not byte-identical"; exit 1; }
+check_resume ckpt "$bench_dir/ckpt_part1.jsonl" "$snap"
 # A truncated snapshot (with no .prev fallback) must be rejected cleanly.
 head -c 512 "$snap" > "$bench_dir/trunc.snapshot"
 if target/release/ripsim soak configs/soak_ckpt.json \

@@ -1062,7 +1062,9 @@ struct StreamingMemoryBench {
     config: &'static str,
     seed: u64,
     load: f64,
-    drain_factor: u64,
+    /// The run's `DrainPolicy` factor: simulated time as a multiple of
+    /// the arrival horizon.
+    drain_horizon_factor: u64,
     horizons_ns: Vec<u64>,
     offered_packets: Vec<u64>,
     delivered_packets: Vec<u64>,
@@ -1298,11 +1300,11 @@ fn run_bench(quick: bool, live: bool) {
         batch_bytes.push(r.offered_packets * std::mem::size_of::<rip_traffic::Packet>() as u64);
     }
     let streaming = StreamingMemoryBench {
-        schema: "rip-bench/streaming_memory/v1",
+        schema: "rip-bench/streaming_memory/v2",
         config: "small",
         seed: soak_seed,
         load: soak_load,
-        drain_factor: match soak_cfg.drain {
+        drain_horizon_factor: match soak_cfg.drain {
             DrainPolicy::HorizonFactor { factor } => factor,
         },
         horizons_ns,

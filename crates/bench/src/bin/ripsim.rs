@@ -20,23 +20,28 @@
 //! drop-rate, degraded capacity) fail the soak with a nonzero exit when
 //! they fire. `--metrics <addr>` serves the cumulative stream as a
 //! Prometheus scrape endpoint; `--inject-channel-fault <ch>` proves the
-//! degraded-capacity alarm end to end.
+//! degraded-capacity alarm end to end. A flight recorder keeps the
+//! recent epochs and alarms and dumps them as `flight_<reason>.json`
+//! (`--flight-dir`) on an alarm, a stop signal or a panic.
 //!
 //! `--checkpoint-every <epochs>` makes the soak crash-safe: every N-th
 //! telemetry epoch, the engine's complete mid-run state (event queue,
 //! SRAM/HBM occupancy and timing, generator RNGs, telemetry clock) is
 //! written to a versioned, CRC-checked snapshot at `--checkpoint-path`
 //! (default `ripsim-soak.snapshot`, two-slot rotation, atomic rename).
-//! SIGINT/SIGTERM take one final snapshot at the next epoch boundary
-//! and exit cleanly. `ripsim soak <spec> --resume <path>` continues a
-//! killed soak from its newest valid snapshot (falling back to the
-//! `.prev` slot when the newest is truncated or corrupt): keep the
-//! first `keep_lines=K` lines of the interrupted stdout stream (K is
-//! reported on stderr at resume) and append the continuation's stdout,
-//! and the merged stream — and the final report — is byte-identical to
-//! the uninterrupted same-seed run. Checkpointing requires an epoch
-//! period and excludes `--metrics` (the endpoint's cumulative state is
-//! not part of the snapshot).
+//! `ripsim soak <spec> --resume <path>` continues a killed soak from
+//! its newest valid snapshot (falling back to the `.prev` slot when the
+//! newest is truncated or corrupt): keep the first `keep_lines=K` lines
+//! of the interrupted stdout stream (K is reported on stderr at resume)
+//! and append the continuation's stdout, and the merged stream — and
+//! the final report — is byte-identical to the uninterrupted same-seed
+//! run. Checkpointing requires an epoch period and excludes `--metrics`
+//! (the endpoint's cumulative state is not part of the snapshot).
+//!
+//! SIGINT/SIGTERM stop every soak with an epoch period the same way:
+//! the run ends at the next epoch boundary (after one final snapshot
+//! when checkpointing), stdout is flushed up to that epoch, the
+//! `flight_signal.json` bundle is written, and `ripsim` exits 130.
 //!
 //! `ripsim plane-worker <spec.json> --worker <id> --planes <list>`
 //! runs a subset of the spec's SPS planes and pushes their framed
@@ -86,33 +91,23 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
 use rip_bench::spec::SimSpec;
 use rip_bench::{soak_scales, uniform_trace, version_line, SoakFailure, Table, SERVICE_VERSION};
 use rip_core::{
-    ConfigError, DrainPolicy, FaultKind, FaultPlan, HbmSwitch, LiveOptions, RouterConfig,
-    RunOutcome, SpsRouter, SpsWorkload,
+    ConfigError, FaultKind, FaultPlan, HbmSwitch, LiveOptions, RouterConfig, RunOutcome, SpsRouter,
+    SpsWorkload,
 };
 use rip_photonics::SplitPattern;
 use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
-    ChromeTraceSink, FanoutSink, FlightRecorder, FlightTee, FrameListener, JsonlSink,
-    MetricsEndpoint, ProfileHub, Record, SharedSink, TelemetrySink, TraceWindow, Watchdog,
-    WatchdogConfig, WatchdogEvent, WatchdogKind,
+    ChromeTraceSink, FanoutSink, FlightRecorder, FrameListener, JsonlSink, MetricsEndpoint,
+    ProfileHub, Record, SharedSink, TelemetrySink, TraceWindow, Watchdog, WatchdogConfig,
+    WatchdogEvent, WatchdogHandle, WatchdogKind,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
-
-/// The spec's simulation deadline: its drain factor applied on top of
-/// the arrival horizon by the explicit [`DrainPolicy`].
-fn drain_deadline(spec: &SimSpec, horizon: SimTime) -> SimTime {
-    DrainPolicy::HorizonFactor {
-        factor: 1 + spec.drain_factor,
-    }
-    .deadline(horizon)
-}
 
 fn run(spec: &SimSpec) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
@@ -127,8 +122,12 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         spec.horizon_us
     );
     let mut sw = HbmSwitch::new(spec.router.clone()).map_err(|e| e.to_string())?;
-    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default())
-        .map_err(|e| e.to_string())?;
+    sw.run_source(
+        source,
+        spec.router.drain.deadline(horizon),
+        &FaultPlan::default(),
+    )
+    .map_err(|e| e.to_string())?;
     let r = sw.into_report();
 
     let mut t = Table::new(&["metric", "value"]);
@@ -224,11 +223,11 @@ impl MetricsOptions {
     /// Bind the endpoint when `--metrics` is given: build info, the
     /// profiler's families when profiling, and the bound port announced
     /// on stderr and in the port file.
-    fn bind(&self, hub: &Option<ProfileHub>) -> Result<Option<SharedEndpoint>, String> {
+    fn bind(&self, hub: &Option<ProfileHub>) -> Result<Option<MetricsEndpoint>, String> {
         let Some(addr) = &self.addr else {
             return Ok(None);
         };
-        let mut ep = MetricsEndpoint::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
+        let ep = MetricsEndpoint::bind(addr).map_err(|e| format!("metrics bind: {e}"))?;
         ep.set_build_info("ripsim", SERVICE_VERSION);
         if let Some(h) = hub {
             ep.attach_profile_hub("ripsim", h.clone());
@@ -239,11 +238,11 @@ impl MetricsOptions {
             std::fs::write(path, format!("{port}\n"))
                 .map_err(|e| format!("metrics port file: {e}"))?;
         }
-        Ok(Some(SharedEndpoint(Arc::new(Mutex::new(ep)))))
+        Ok(Some(ep))
     }
 
     /// Keep a bound endpoint serving for `--metrics-hold-ms`.
-    fn hold(&self, endpoint: &Option<SharedEndpoint>) {
+    fn hold(&self, endpoint: &Option<MetricsEndpoint>) {
         if self.hold_ms > 0 && endpoint.is_some() {
             eprintln!("holding metrics endpoint for {} ms", self.hold_ms);
             std::thread::sleep(std::time::Duration::from_millis(self.hold_ms));
@@ -251,39 +250,44 @@ impl MetricsOptions {
     }
 }
 
-/// A clonable handle sharing one [`MetricsEndpoint`] across the soak's
-/// two runs (the endpoint owns the listener, so each run's fanout gets
-/// a handle instead).
-#[derive(Clone)]
-struct SharedEndpoint(Arc<Mutex<MetricsEndpoint>>);
-
-impl SharedEndpoint {
-    /// Poison-tolerant lock: a panic on another thread must not
-    /// cascade a second panic into the telemetry export path — the
-    /// endpoint's state is a monotone counter set, safe to keep
-    /// serving.
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsEndpoint> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl TelemetrySink for SharedEndpoint {
-    fn record(&mut self, source: &str, rec: Record<'_>) {
-        self.lock().record(source, rec);
-    }
-}
-
-/// The live stream's outputs: JSONL on buffered stdout, teed into the
-/// metrics endpoint when one is bound.
-fn output_fanout(endpoint: &Option<SharedEndpoint>) -> FanoutSink {
+/// The live stream's output chain, shared by `soak` and `collect`:
+/// JSONL on buffered stdout, the metrics endpoint when one is bound and
+/// the flight recorder when one is given, fanned out in that order and
+/// watched by the SLO watchdogs.
+///
+/// A checkpointing soak passes `checkpoint: Some(records)` instead. Its
+/// stdout is written line by line, so every line a snapshot counts has
+/// left the process before the snapshot does; its JSONL record count
+/// starts at `records` (the interrupted run's count on a mid-run
+/// resume); and it has no watchdogs, whose state is not in the
+/// snapshot.
+fn output_chain(
+    endpoint: Option<&MetricsEndpoint>,
+    recorder: Option<&FlightRecorder>,
+    checkpoint: Option<u64>,
+) -> (Box<dyn TelemetrySink + Send>, Option<WatchdogHandle>) {
     let mut fan = FanoutSink::new();
-    fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
-        std::io::stdout(),
-    ))));
+    match checkpoint {
+        Some(records) => {
+            let mut jsonl = JsonlSink::new(std::io::stdout());
+            jsonl.set_records(records);
+            fan.push(Box::new(jsonl));
+        }
+        None => fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
+            std::io::stdout(),
+        )))),
+    }
     if let Some(ep) = endpoint {
         fan.push(Box::new(ep.clone()));
     }
-    fan
+    if let Some(rec) = recorder {
+        fan.push(Box::new(rec.clone()));
+    }
+    if checkpoint.is_some() {
+        return (Box::new(fan), None);
+    }
+    let (wd, handle) = Watchdog::new(WatchdogConfig::default(), fan);
+    (Box::new(wd), Some(handle))
 }
 
 /// One stderr line per fired watchdog alarm.
@@ -323,7 +327,8 @@ struct SoakOptions {
 // ------------------------------------------------------------------
 // Graceful-stop plumbing for soaks. The handler only flips an atomic
 // (the async-signal-safe subset); the run loop polls it at epoch
-// boundaries and exits through a final snapshot or a flight dump.
+// boundaries and ends the run, and the soak ends through a flight dump
+// (after a final snapshot when checkpointing) and exit 130.
 // ------------------------------------------------------------------
 
 // `signal(2)` from the platform libc this binary already links; used
@@ -383,27 +388,6 @@ fn report_flight_dump(rec: &FlightRecorder, dir: &str, reason: &str) {
         Ok(Some(path)) => eprintln!("ripsim: flight bundle written to {}", path.display()),
         Ok(None) => {}
         Err(e) => eprintln!("ripsim: flight dump failed: {e}"),
-    }
-}
-
-/// Sink wrapper polling the stop flag at epoch boundaries for the
-/// plain (non-checkpointed) soak: SIGINT/SIGTERM dump the flight
-/// bundle and exit 130 instead of the default silent kill, so an
-/// operator interrupting a wedged soak still gets the post-mortem.
-struct SignalWatch<S: TelemetrySink> {
-    inner: S,
-    rec: FlightRecorder,
-    dir: String,
-}
-
-impl<S: TelemetrySink> TelemetrySink for SignalWatch<S> {
-    fn record(&mut self, source: &str, rec: Record<'_>) {
-        self.inner.record(source, rec);
-        if matches!(rec, Record::Epoch { .. }) && STOP.load(Ordering::SeqCst) {
-            eprintln!("ripsim: stop requested; dumping flight bundle");
-            report_flight_dump(&self.rec, &self.dir, "signal");
-            std::process::exit(130);
-        }
     }
 }
 
@@ -535,20 +519,19 @@ fn soak_progress(
 /// while the engine's peak in-flight packet count stays flat — the
 /// O(in-flight) memory property of the pull-based engine. With an epoch
 /// period, both runs stream live epoch deltas (plus 1-in-256 sampled
-/// lifecycle spans) to stdout as JSONL, and the human summary moves to
-/// stderr so the stream stays machine-clean.
+/// lifecycle spans) to stdout as JSONL through [`output_chain`], and
+/// the human summary moves to stderr so the stream stays machine-clean.
 ///
-/// A plain soak's stream also feeds the SLO watchdogs (a fired alarm
-/// fails the soak), the flight ring, `--metrics` and the SIGINT/SIGTERM
-/// poll. A crash-safe soak runs the same loop through
-/// [`HbmSwitch::run_source_checkpointed`] instead, snapshotting every
-/// `--checkpoint-every` epochs and on SIGINT/SIGTERM; `head -n K
-/// interrupted.jsonl` + the resumed stream is byte-identical to the
-/// uninterrupted run. It writes stdout line by line (no `BufWriter`),
-/// so every line a snapshot counts is out of the process before the
-/// snapshot is, and leaves out the watchdogs and `--metrics`, whose
-/// cumulative state is not part of the snapshot.
-fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
+/// Every run goes through [`HbmSwitch::run_source_checkpointed`]. A
+/// crash-safe soak snapshots every `--checkpoint-every` epochs; a plain
+/// soak's interval is never reached and its persist hook writes
+/// nothing. SIGINT/SIGTERM end either kind the same way: the run stops
+/// at the next epoch boundary (a crash-safe soak snapshots there first),
+/// its sinks drop and flush stdout, the flight bundle is written, and
+/// the soak returns [`RunOutcome::Interrupted`], which `main` turns
+/// into exit 130. `head -n K interrupted.jsonl` + the resumed stream is
+/// byte-identical to the uninterrupted run.
+fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
     let opts = &cli.soak;
     let period = match spec.epoch_ps {
         Some(0) => return Err(ConfigError::EpochZero.to_string()),
@@ -574,17 +557,21 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
         install_stop_handlers();
     }
     let endpoint = cli.metrics.bind(&hub)?;
-    // A stop request ends a checkpointed soak at an epoch boundary or
-    // between runs, after its snapshot.
-    let stopped = |path: &str| {
-        eprintln!(
-            "ripsim: stop requested; snapshot written to {path} -- \
-             resume with: ripsim soak <spec.json> --resume {path}"
-        );
+    // A stop request ends the soak at an epoch boundary or between
+    // runs, once every sink of the stopped run has dropped.
+    let stopped = || {
+        match &checkpoint {
+            Some(path) => eprintln!(
+                "ripsim: stop requested; snapshot written to {path} -- \
+                 resume with: ripsim soak <spec.json> --resume {path}"
+            ),
+            None => eprintln!("ripsim: stop requested"),
+        }
         report_flight_dump(&flight, &flight_dir, "signal");
         if let Some(h) = &hub {
             h.flush_output();
         }
+        RunOutcome::Interrupted
     };
     let mut watchdog_events = Vec::new();
     let first = progress.run_index as usize;
@@ -600,57 +587,36 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
         if let Some(h) = &hub {
             sw.enable_profiler(h.clone());
         }
-        let deadline = drain_deadline(spec, horizon);
+        let resume = std::mem::replace(&mut progress.engine, Value::Null);
         let mut handle = None;
-        // A checkpoint always has a period (`soak_progress` refuses one
-        // without). The flight tee and the signal poll forward every
-        // record unchanged: the stream bytes (and the snapshots
-        // counting them) are identical with or without them.
-        match (&checkpoint, period) {
-            (Some(path), Some(period)) => {
-                let mut sink = JsonlSink::new(std::io::stdout());
-                let resume = std::mem::replace(&mut progress.engine, Value::Null);
-                if resume != Value::Null {
-                    // Mid-run resume: the sink's record count continues
-                    // where the interrupted run's stream left off.
-                    sink.set_records(progress.records);
-                }
-                let tee = FlightTee::new(flight.clone(), sink);
-                sw.enable_live_telemetry(period, 256, Box::new(tee));
-                let every = progress.every;
-                let outcome = sw
-                    .run_source_checkpointed(
-                        source,
-                        deadline,
-                        &plan,
-                        (resume != Value::Null).then_some(&resume),
-                        every,
-                        || STOP.load(Ordering::SeqCst),
-                        |engine: &Value, epochs: u64, spans: u64| {
-                            progress.persist(path, epochs + spans, engine)
-                        },
-                    )
-                    .map_err(|e| e.to_string())?;
-                if outcome == RunOutcome::Interrupted {
-                    stopped(path);
-                    return Ok(());
-                }
-            }
-            _ => {
-                if let Some(period) = period {
-                    let tee = FlightTee::new(flight.clone(), output_fanout(&endpoint));
-                    let (wd, h) = Watchdog::new(WatchdogConfig::default(), tee);
-                    let watch = SignalWatch {
-                        inner: wd,
-                        rec: flight.clone(),
-                        dir: flight_dir.clone(),
-                    };
-                    sw.enable_live_telemetry(period, 256, Box::new(watch));
-                    handle = Some(h);
-                }
-                sw.run_source(source, deadline, &plan)
-                    .map_err(|e| e.to_string())?;
-            }
+        if let Some(period) = period {
+            // `progress.records` is 0 at a run's start, except on a
+            // mid-run resume: there the count continues the
+            // interrupted run's.
+            let records = checkpoint.as_ref().map(|_| progress.records);
+            let (chain, h) = output_chain(endpoint.as_ref(), Some(&flight), records);
+            sw.enable_live_telemetry(period, 256, chain);
+            handle = h;
+        }
+        // A plain soak never reaches its snapshot interval.
+        let every = checkpoint.as_ref().map_or(u64::MAX, |_| progress.every);
+        let outcome = sw
+            .run_source_checkpointed(
+                source,
+                spec.router.drain.deadline(horizon),
+                &plan,
+                (resume != Value::Null).then_some(&resume),
+                every,
+                || STOP.load(Ordering::SeqCst),
+                |engine: &Value, epochs: u64, spans: u64| match &checkpoint {
+                    Some(path) => progress.persist(path, epochs + spans, engine),
+                    None => Ok(()),
+                },
+            )
+            .map_err(|e| e.to_string())?;
+        if outcome == RunOutcome::Interrupted {
+            drop(sw);
+            return Ok(stopped());
         }
         let epochs = sw.live_epochs_emitted();
         let spans = sw.live_spans_emitted();
@@ -675,14 +641,15 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
             delivered_packets: r.delivered_packets,
             peak_in_flight: r.peak_in_flight_packets,
         });
-        if let Some(path) = checkpoint.as_deref().filter(|_| idx + 1 < SOAK_MULTS.len()) {
-            // Inter-run snapshot: the next run starts fresh.
-            progress
-                .persist(path, 0, &Value::Null)
-                .map_err(|e| e.to_string())?;
+        if idx + 1 < SOAK_MULTS.len() {
+            if let Some(path) = &checkpoint {
+                // Inter-run snapshot: the next run starts fresh.
+                progress
+                    .persist(path, 0, &Value::Null)
+                    .map_err(|e| e.to_string())?;
+            }
             if STOP.load(Ordering::SeqCst) {
-                stopped(path);
-                return Ok(());
+                return Ok(stopped());
             }
         }
     }
@@ -722,7 +689,7 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
             say(format_args!(
                 "soak OK: in-flight working set stays bounded at 4x the horizon"
             ));
-            Ok(())
+            Ok(RunOutcome::Completed)
         }
     }
 }
@@ -917,7 +884,7 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
     // The same output chain as the oracle's, which is what makes
     // watchdog alarm positions (and the stream bytes around them) line
     // up: the stream outputs wrapped by the SLO watchdogs.
-    let (mut wd, handle) = Watchdog::new(WatchdogConfig::default(), output_fanout(&endpoint));
+    let (mut chain, handle) = output_chain(endpoint.as_ref(), None, None);
 
     let summary: String;
     if opts.oracle {
@@ -932,7 +899,7 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
                 &parts.workload,
                 parts.horizon,
                 &FaultPlan::default(),
-                Some((parts.live, &mut wd)),
+                Some((parts.live, &mut *chain)),
             )
             .map_err(|e| e.to_string())?;
         summary = format!(
@@ -955,7 +922,7 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
                     ),
                     Err(e) => {
                         if let CollectError::WorkerTruncated { worker: Some(w) } = &e {
-                            note_worker_lost(&mut wd, *w, &e.to_string());
+                            note_worker_lost(&mut *chain, *w, &e.to_string());
                         }
                         return Err(format!("ingesting {path}: {e}"));
                     }
@@ -995,7 +962,7 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
                             // committed; fail loudly instead of waiting
                             // for a replacement that may never come.
                             if let CollectError::WorkerTruncated { worker: Some(w) } = &e {
-                                note_worker_lost(&mut wd, *w, &e.to_string());
+                                note_worker_lost(&mut *chain, *w, &e.to_string());
                             }
                             return Err(e.to_string());
                         }
@@ -1008,19 +975,19 @@ fn run_collect(spec: &SimSpec, cli: &Cli) -> Result<(), String> {
         }
         let workers = collector.workers_done();
         let outcome = collector
-            .finish(&parts.router, parts.horizon, &mut wd)
+            .finish(&parts.router, parts.horizon, &mut *chain)
             .map_err(|e| e.to_string())?;
         summary = format!(
             "collector: workers={} records={} offered {} delivered {}",
             workers, outcome.records, outcome.report.offered, outcome.report.delivered
         );
     }
-    drop(wd); // flush the merged stream before reporting
+    drop(chain); // flush the merged stream before reporting
     if let Some(h) = &hub {
         h.flush_output();
     }
     cli.metrics.hold(&endpoint);
-    let events = handle.events();
+    let events = handle.map(|h| h.events()).unwrap_or_default();
     eprintln!("{summary} watchdog_alarms={}", events.len());
     if !events.is_empty() {
         print_watchdogs(&events);
@@ -1074,23 +1041,27 @@ fn run_trace_chrome(
     sw.enable_chrome_trace(window);
     let staged = SharedSink::new();
     sw.enable_live_telemetry(period, 64, Box::new(staged.clone()));
-    sw.run_source(source, drain_deadline(spec, horizon), &FaultPlan::default())
-        .map_err(|e| e.to_string())?;
+    sw.run_source(
+        source,
+        spec.router.drain.deadline(horizon),
+        &FaultPlan::default(),
+    )
+    .map_err(|e| e.to_string())?;
     let mut rec = sw
         .take_chrome_trace()
         .expect("chrome trace was enabled above");
     let mut chrome = ChromeTraceSink::new(window);
     staged.take().replay_into(&mut chrome);
 
-    // Plane pass: the same configuration through the plane-parallel SPS
-    // router; its per-plane epoch streams become one activity lane per
-    // plane in the export.
+    // Plane pass: the same configuration and workload through the
+    // plane-parallel SPS router; its per-plane epoch streams become one
+    // activity lane per plane in the export.
     let mut router =
         SpsRouter::new(spec.router.clone(), SplitPattern::Striped).map_err(|e| e.to_string())?;
     if let Some(h) = &hub {
         router.set_profile_hub(h.clone());
     }
-    let w = SpsWorkload::uniform(spec.router.ribbons, spec.load, spec.seed);
+    let w = spec.sps_workload()?;
     let opts = LiveOptions {
         period,
         sample_one_in: 64,
@@ -1427,7 +1398,7 @@ impl Cli {
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                serde_json::from_str(&text).map_err(|e| format!("bad spec: {e}"))?
+                SimSpec::from_json(&text).map_err(|e| format!("bad spec: {e}"))?
             }
             None => SimSpec::example(),
         };
@@ -1540,7 +1511,13 @@ fn main() {
             let path = cli.chrome.as_deref().unwrap_or_default();
             run_trace_chrome(&spec(), path, window, &cli.prof)
         }
-        Cmd::Soak => run_soak(&spec(), &cli),
+        // An interrupted soak has dropped its sinks (stdout is flushed)
+        // and written its flight bundle by the time it returns.
+        Cmd::Soak => run_soak(&spec(), &cli).map(|outcome| {
+            if outcome == RunOutcome::Interrupted {
+                std::process::exit(130);
+            }
+        }),
         Cmd::Worker => run_plane_worker(&spec(), &cli),
         Cmd::Collect => run_collect(&spec(), &cli),
         Cmd::FlightCheck => {

@@ -10,7 +10,7 @@ pub mod spec;
 use rip_core::RouterConfig;
 
 /// The workspace version every binary reports — the same string
-/// `MetricsServer::set_build_info` exposes as the `_build_info` gauge's
+/// `MetricsEndpoint::set_build_info` exposes as the `_build_info` gauge's
 /// `version` label, so a scrape and a `--version` invocation can be
 /// cross-checked against each other.
 pub const SERVICE_VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -3,7 +3,7 @@
 //! specs; `ripsim` and the integration tests decode them through the
 //! types here.
 
-use rip_core::{RouterConfig, SpsWorkload};
+use rip_core::{DrainPolicy, RouterConfig, SpsWorkload};
 use rip_traffic::{
     ArrivalProcess, BoundedSource, FiberFill, MergedSource, PacketGenerator, SizeDistribution,
     TrafficMatrix,
@@ -134,11 +134,9 @@ pub struct SimSpec {
     pub flows: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Simulated arrival horizon, microseconds.
+    /// Simulated arrival horizon, microseconds. Every mode simulates on
+    /// to the deadline `router.drain` sets from it.
     pub horizon_us: u64,
-    /// Extra drain time after the last arrival, as a multiple of the
-    /// horizon.
-    pub drain_factor: u64,
     /// Live-telemetry epoch period in picoseconds (`ripsim soak`):
     /// when set, epoch deltas and sampled lifecycle spans stream to
     /// stdout as JSONL while the run executes. `--epoch <ps>` on the
@@ -148,10 +146,48 @@ pub struct SimSpec {
 }
 
 impl SimSpec {
+    /// The top-level fields of a spec file.
+    const FIELDS: [&'static str; 9] = [
+        "router",
+        "load",
+        "matrix",
+        "sizes",
+        "process",
+        "flows",
+        "seed",
+        "horizon_us",
+        "epoch_ps",
+    ];
+
+    /// Decode a spec file. Unlike plain deserialization, a top-level
+    /// field the spec does not have is an error rather than silently
+    /// ignored, so a stale or misspelt setting cannot change a run
+    /// unnoticed.
+    pub fn from_json(text: &str) -> Result<SimSpec, String> {
+        let value = serde_json::parse(text).map_err(|e| e.to_string())?;
+        for (key, _) in value.as_object().unwrap_or_default() {
+            if Self::FIELDS.contains(&key.as_str()) {
+                continue;
+            }
+            let hint = if key.contains("drain") {
+                "the drain deadline is `router.drain`, e.g. \
+                 {\"kind\": \"horizon_factor\", \"factor\": 5}"
+                    .to_string()
+            } else {
+                format!("the fields are {}", Self::FIELDS.join(", "))
+            };
+            return Err(format!("unknown spec field `{key}`: {hint}"));
+        }
+        serde_json::from_value(value).map_err(|e| e.to_string())
+    }
+
     /// The sample spec `ripsim --example-spec` prints.
     pub fn example() -> Self {
         SimSpec {
-            router: RouterConfig::small(),
+            router: RouterConfig {
+                drain: DrainPolicy::HorizonFactor { factor: 5 },
+                ..RouterConfig::small()
+            },
             load: 0.8,
             matrix: MatrixSpec::Uniform,
             sizes: SizeSpec::Imix,
@@ -159,7 +195,6 @@ impl SimSpec {
             flows: 256,
             seed: 42,
             horizon_us: 100,
-            drain_factor: 4,
             epoch_ps: None,
         }
     }
@@ -175,8 +210,8 @@ impl SimSpec {
         if !(0.0..=1.0).contains(&self.load) {
             return Err(format!("load {} out of [0, 1]", self.load));
         }
-        if self.horizon_us == 0 || self.drain_factor == 0 {
-            return Err("horizon and drain factor must be positive".into());
+        if self.horizon_us == 0 {
+            return Err("horizon must be positive".into());
         }
         let n = self.router.ribbons;
         let tm = self.matrix.build(n)?;
@@ -211,5 +246,30 @@ impl SimSpec {
             flows: self.flows,
             seed: self.seed,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn from_json_refuses_fields_the_spec_does_not_have() {
+        let text = serde_json::to_string(&SimSpec::example()).expect("spec serializes");
+        let spec = SimSpec::from_json(&text).expect("the example decodes");
+        assert_eq!(spec.router.drain, DrainPolicy::HorizonFactor { factor: 5 });
+        // A drain setting outside `router` points at `router.drain`.
+        let misplaced = text.replacen('{', "{\"drain\":4,", 1);
+        let err = SimSpec::from_json(&misplaced).unwrap_err();
+        assert!(
+            err.contains("`drain`") && err.contains("router.drain"),
+            "{err}"
+        );
+        let misspelt = text.replacen('{', "{\"horizon_usec\":4,", 1);
+        let err = SimSpec::from_json(&misspelt).unwrap_err();
+        assert!(
+            err.contains("`horizon_usec`: the fields are router,"),
+            "{err}"
+        );
     }
 }

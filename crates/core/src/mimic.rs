@@ -24,8 +24,8 @@ pub struct MimicReport {
     pub mean_lag: TimeDelta,
     /// 99th-percentile lag.
     pub p99_lag: TimeDelta,
-    /// Fraction of packets that departed *no later* than the ideal
-    /// switch plus `bound` (reported by [`MimicReport::fraction_within`]).
+    /// Every compared packet's lag in nanoseconds, one sample each
+    /// ([`MimicReport::fraction_within`] counts them against a bound).
     pub lags_ns: Histogram,
 }
 
@@ -118,16 +118,13 @@ impl<S: PacketSource> PacketSource for ShadowTap<'_, S> {
 impl MimicReport {
     /// Fraction of compared packets whose lag is within `bound`.
     pub fn fraction_within(&self, bound: TimeDelta) -> f64 {
-        if self.compared == 0 {
+        let lags = self.lags_ns.samples();
+        if lags.is_empty() {
             return 1.0;
         }
-        // Binary search over quantiles is overkill; count directly.
         let bound_ns = bound.as_ns_f64();
-        let within = (0..=100)
-            .map(|q| q as f64 / 100.0)
-            .filter(|&q| self.lags_ns.quantile(q).is_some_and(|v| v <= bound_ns))
-            .count();
-        within as f64 / 101.0
+        let within = lags.iter().filter(|&&lag| lag <= bound_ns).count();
+        within as f64 / lags.len() as f64
     }
 }
 
@@ -204,6 +201,25 @@ mod tests {
             r2.mean_lag,
             r1.mean_lag
         );
+    }
+
+    #[test]
+    fn fraction_within_counts_every_sample() {
+        let mut lags_ns = Histogram::new();
+        for _ in 0..199 {
+            lags_ns.record(10.0);
+        }
+        lags_ns.record(1_000.0);
+        let r = MimicReport {
+            compared: 200,
+            max_lag: TimeDelta::from_ns(1_000),
+            mean_lag: TimeDelta::from_ps(14_950),
+            p99_lag: TimeDelta::from_ns(10),
+            lags_ns,
+        };
+        assert_eq!(r.fraction_within(TimeDelta::from_ns(100)), 0.995);
+        assert_eq!(r.fraction_within(TimeDelta::from_ns(5)), 0.0);
+        assert_eq!(r.fraction_within(r.max_lag), 1.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Measurement primitives shared by every experiment: counters, running
-//! moments, exact-quantile histograms, time-weighted gauges and
-//! throughput meters.
+//! Measurement primitives shared by every experiment: counters,
+//! exact-quantile histograms, time-weighted gauges and busy-time
+//! accumulators.
 
-use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
+use rip_units::{SimTime, TimeDelta};
 use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event counter.
@@ -30,87 +30,6 @@ impl Counter {
     /// Current count.
     pub fn get(&self) -> u64 {
         self.count
-    }
-}
-
-/// Running mean and variance via Welford's algorithm, plus min/max.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanVar {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        MeanVar {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (None if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (None if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Coefficient of variation (std dev / mean); 0 for empty or zero-mean.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m
-        }
     }
 }
 
@@ -244,58 +163,6 @@ impl TimeWeighted {
     }
 }
 
-/// Measures achieved throughput: total data moved over elapsed time.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct ThroughputMeter {
-    bits: u64,
-    first: Option<SimTime>,
-    last: Option<SimTime>,
-}
-
-impl ThroughputMeter {
-    /// An empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that `size` finished transferring at `now`.
-    pub fn record(&mut self, now: SimTime, size: DataSize) {
-        self.bits += size.bits();
-        if self.first.is_none() {
-            self.first = Some(now);
-        }
-        self.last = Some(now);
-    }
-
-    /// Total data recorded.
-    pub fn total(&self) -> DataSize {
-        DataSize::from_bits(self.bits)
-    }
-
-    /// Average rate between `start` and `end`.
-    pub fn rate_over(&self, start: SimTime, end: SimTime) -> DataRate {
-        let dt = end.since(start);
-        if dt.is_zero() {
-            return DataRate::ZERO;
-        }
-        let bps = self.bits as u128 * rip_units::PS_PER_S as u128 / dt.as_ps() as u128;
-        DataRate::from_bps(u64::try_from(bps).expect("rate overflows u64 bps"))
-    }
-
-    /// Average rate between the first and last recorded completion.
-    pub fn rate(&self) -> DataRate {
-        match (self.first, self.last) {
-            (Some(a), Some(b)) if b > a => self.rate_over(a, b),
-            _ => DataRate::ZERO,
-        }
-    }
-
-    /// Time of the last recorded completion.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.last
-    }
-}
-
 /// Accumulates busy time of a resource for utilization measurements.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct BusyTime {
@@ -332,30 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn meanvar_matches_closed_form() {
-        let mut mv = MeanVar::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            mv.record(x);
-        }
-        assert_eq!(mv.count(), 8);
-        assert!((mv.mean() - 5.0).abs() < 1e-12);
-        assert!((mv.variance() - 4.0).abs() < 1e-12);
-        assert!((mv.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(mv.min(), Some(2.0));
-        assert_eq!(mv.max(), Some(9.0));
-        assert!((mv.cv() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn meanvar_empty_is_safe() {
-        let mv = MeanVar::new();
-        assert_eq!(mv.mean(), 0.0);
-        assert_eq!(mv.variance(), 0.0);
-        assert_eq!(mv.min(), None);
-        assert_eq!(mv.max(), None);
-    }
-
-    #[test]
     fn histogram_quantiles_are_exact() {
         let mut h = Histogram::new();
         for i in (1..=100).rev() {
@@ -388,29 +231,6 @@ mod tests {
         assert!((avg - 5.0).abs() < 1e-12);
         assert_eq!(tw.peak(), 10.0);
         assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn throughput_meter_rates() {
-        let mut m = ThroughputMeter::new();
-        m.record(SimTime::from_ns(0), DataSize::from_bytes(0));
-        m.record(SimTime::from_ns(1000), DataSize::from_bytes(1000));
-        // 8000 bits over 1 us = 8 Gb/s.
-        assert_eq!(m.rate(), DataRate::from_gbps(8));
-        assert_eq!(m.total(), DataSize::from_bytes(1000));
-        assert_eq!(
-            m.rate_over(SimTime::ZERO, SimTime::from_ns(2000)),
-            DataRate::from_gbps(4)
-        );
-    }
-
-    #[test]
-    fn throughput_meter_degenerate() {
-        let m = ThroughputMeter::new();
-        assert_eq!(m.rate(), DataRate::ZERO);
-        let mut m2 = ThroughputMeter::new();
-        m2.record(SimTime::from_ns(5), DataSize::from_bytes(100));
-        assert_eq!(m2.rate(), DataRate::ZERO); // single instant
     }
 
     #[test]

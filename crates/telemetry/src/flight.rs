@@ -9,14 +9,14 @@
 //! operator actually needs is the *recent past*: the last N epoch
 //! deltas, any watchdog events, the most recent self-profile records,
 //! plus enough identity (build info, config echo) to reproduce. The
-//! [`FlightRecorder`] keeps exactly that in bounded memory, fed by a
-//! transparent [`FlightTee`] in the sink chain, and
-//! [`FlightRecorder::dump`] serializes it once — the first trigger
+//! [`FlightRecorder`] keeps exactly that in bounded memory. It is a
+//! plain [`TelemetrySink`], fanned out next to the run's other outputs,
+//! and [`FlightRecorder::dump`] serializes it once — the first trigger
 //! wins, so a watchdog alarm followed by a SIGTERM produces one bundle.
 //!
 //! Like the profiler, the recorder observes and never participates: it
-//! sits behind a tee that forwards every record untouched, so enabling
-//! it cannot perturb reports, telemetry streams, traces or checkpoints.
+//! only receives records, so enabling it cannot perturb reports,
+//! telemetry streams, traces or checkpoints.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -52,7 +52,7 @@ struct FlightInner {
     epochs_seen: u64,
     run_ended: bool,
     profile: Option<ProfileHub>,
-    dumped: Option<PathBuf>,
+    dumped: bool,
 }
 
 /// Bounded retention of the recent past, shared by clone (`Arc`
@@ -78,7 +78,7 @@ impl FlightRecorder {
                 epochs_seen: 0,
                 run_ended: false,
                 profile: None,
-                dumped: None,
+                dumped: false,
             })),
         }
     }
@@ -98,42 +98,6 @@ impl FlightRecorder {
         self.lock().profile = Some(hub);
     }
 
-    /// Remember one epoch delta (evicting the oldest past the cap).
-    pub fn note_epoch(&self, source: &str, epoch: u64, delta: &EpochDelta) {
-        let mut inner = self.lock();
-        inner.epochs_seen += 1;
-        if inner.epochs.len() == inner.cap {
-            inner.epochs.pop_front();
-        }
-        inner.epochs.push_back(FlightEpoch {
-            source: source.to_string(),
-            epoch,
-            delta: delta.clone(),
-        });
-    }
-
-    /// Remember one watchdog event.
-    pub fn note_watchdog(&self, event: &WatchdogEvent) {
-        self.lock().watchdogs.push(event.clone());
-    }
-
-    /// Mark that the run reached its normal end (recorded in the
-    /// bundle so a post-run watchdog dump is distinguishable from a
-    /// mid-run death).
-    pub fn note_run_end(&self) {
-        self.lock().run_ended = true;
-    }
-
-    /// Watchdog events remembered so far.
-    pub fn watchdogs_seen(&self) -> usize {
-        self.lock().watchdogs.len()
-    }
-
-    /// Where the bundle was dumped, if it was.
-    pub fn dumped(&self) -> Option<PathBuf> {
-        self.lock().dumped.clone()
-    }
-
     /// Write the post-mortem bundle `flight_<reason>.json` into `dir`.
     ///
     /// Only the first dump of a recorder writes (later triggers return
@@ -142,7 +106,7 @@ impl FlightRecorder {
     /// first cause.
     pub fn dump(&self, dir: &Path, reason: &str) -> io::Result<Option<PathBuf>> {
         let mut inner = self.lock();
-        if inner.dumped.is_some() {
+        if inner.dumped {
             return Ok(None);
         }
         let profiles = inner
@@ -174,7 +138,7 @@ impl FlightRecorder {
             .collect();
         let path = dir.join(format!("flight_{slug}.json"));
         fs::write(&path, body + "\n")?;
-        inner.dumped = Some(path.clone());
+        inner.dumped = true;
         Ok(Some(path))
     }
 }
@@ -194,30 +158,28 @@ struct Bundle {
     profiles: Vec<ProfileRecord>,
 }
 
-/// A transparent sink tee feeding a [`FlightRecorder`]: every record is
-/// forwarded to the inner sink unchanged; epoch deltas and watchdog
-/// events are additionally remembered in the ring.
-pub struct FlightTee<S: TelemetrySink> {
-    inner: S,
-    recorder: FlightRecorder,
-}
-
-impl<S: TelemetrySink> FlightTee<S> {
-    /// Tee `inner`'s stream into `recorder`.
-    pub fn new(recorder: FlightRecorder, inner: S) -> Self {
-        FlightTee { inner, recorder }
-    }
-}
-
-impl<S: TelemetrySink> TelemetrySink for FlightTee<S> {
+/// Remembers epoch deltas (evicting the oldest past the cap) and
+/// watchdog events, and marks a `run_end` (recorded in the bundle so a
+/// post-run watchdog dump is distinguishable from a mid-run death).
+impl TelemetrySink for FlightRecorder {
     fn record(&mut self, source: &str, rec: Record<'_>) {
+        let mut inner = self.lock();
         match rec {
-            Record::Epoch { epoch, delta } => self.recorder.note_epoch(source, epoch, delta),
-            Record::Watchdog(event) => self.recorder.note_watchdog(event),
-            Record::RunEnd { .. } => self.recorder.note_run_end(),
+            Record::Epoch { epoch, delta } => {
+                inner.epochs_seen += 1;
+                if inner.epochs.len() == inner.cap {
+                    inner.epochs.pop_front();
+                }
+                inner.epochs.push_back(FlightEpoch {
+                    source: source.to_string(),
+                    epoch,
+                    delta: delta.clone(),
+                });
+            }
+            Record::Watchdog(event) => inner.watchdogs.push(event.clone()),
+            Record::RunEnd { .. } => inner.run_ended = true,
             Record::Span(_) => {}
         }
-        self.inner.record(source, rec);
     }
 }
 
@@ -225,7 +187,7 @@ impl<S: TelemetrySink> TelemetrySink for FlightTee<S> {
 mod tests {
     use super::*;
     use crate::profile::PhaseAcc;
-    use crate::{MemorySink, MetricsRegistry, Snapshot, WatchdogKind};
+    use crate::{FanoutSink, MetricsRegistry, SharedSink, Snapshot, WatchdogKind};
     use rip_units::SimTime;
     use serde::Deserialize;
 
@@ -249,9 +211,16 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_keeps_the_newest() {
-        let rec = FlightRecorder::new("ripsim", "0.0.0", 3);
+        let mut rec = FlightRecorder::new("ripsim", "0.0.0", 3);
         for i in 0..10 {
-            rec.note_epoch("sps", i, &delta(i + 1));
+            let delta = delta(i + 1);
+            rec.record(
+                "sps",
+                Record::Epoch {
+                    epoch: i,
+                    delta: &delta,
+                },
+            );
         }
         let dir = std::env::temp_dir().join("rip_flight_ring_test");
         fs::create_dir_all(&dir).unwrap();
@@ -266,14 +235,19 @@ mod tests {
         assert_eq!(get_u64(&epochs[2], "epoch"), Some(9));
         // Second trigger: no second bundle.
         assert!(rec.dump(&dir, "signal").unwrap().is_none());
-        assert_eq!(rec.dumped().as_deref(), Some(path.as_path()));
+        assert!(!dir.join("flight_signal.json").exists());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn tee_forwards_and_records() {
+        // The recorder is one plain sink of a fanout: its neighbour
+        // still gets every record.
         let rec = FlightRecorder::new("ripsim", "0.0.0", 8);
-        let mut tee = FlightTee::new(rec.clone(), MemorySink::default());
+        let stream = SharedSink::new();
+        let mut tee = FanoutSink::new();
+        tee.push(Box::new(stream.clone()));
+        tee.push(Box::new(rec.clone()));
         tee.record(
             "sps",
             Record::Epoch {
@@ -297,7 +271,7 @@ mod tests {
                 totals: &MetricsRegistry::new(),
             },
         );
-        assert_eq!(rec.watchdogs_seen(), 1);
+        assert_eq!(stream.take().records().len(), 3);
         let dir = std::env::temp_dir().join("rip_flight_tee_test");
         fs::create_dir_all(&dir).unwrap();
         let path = rec.dump(&dir, "panic").unwrap().expect("dump");

@@ -37,10 +37,10 @@ use serde::{Deserialize, Serialize};
 
 pub use epoch::{EpochClock, EpochDelta, Snapshot};
 pub use fleet::{parse_plane_source, parse_sink_line, plane_source_name, LineError, ParsedLine};
-pub use flight::{FlightEpoch, FlightRecorder, FlightTee};
+pub use flight::{FlightEpoch, FlightRecorder};
 pub use net::{
     FrameError, FrameListener, LengthFramedReader, LengthFramedWriter, MetricsEndpoint,
-    MetricsServer, MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES,
 };
 pub use profile::{
     prof_add, prof_lap, prof_now, prof_now_sampled, prof_renew, EngineProfiler, Phase, PhaseAcc,

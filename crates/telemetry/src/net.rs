@@ -1,16 +1,14 @@
 //! Network telemetry: a std-only scrape endpoint and a push framing.
 //!
-//! [`MetricsServer`] binds a `TcpListener` (port 0 gives an ephemeral
-//! port — CI uses that) and serves the latest published body to any
-//! HTTP GET as `text/plain` Prometheus exposition. The accept loop
-//! runs on one background thread, holds only an `Arc<Mutex<String>>`,
-//! and shuts down via a self-connect poke, so the whole exporter stays
-//! inside `std` — no async runtime, no HTTP dependency.
-//!
-//! [`MetricsEndpoint`] is the [`TelemetrySink`] in front of it: it
-//! accumulates epoch deltas into one cumulative registry per source and
-//! republishes the rendered exposition at every epoch, so a scrape
-//! during a soak sees the run's current totals.
+//! [`MetricsEndpoint`] is a [`TelemetrySink`] that is also its own
+//! scrape server. It binds a `TcpListener` (port 0 gives an ephemeral
+//! port — CI uses that), accumulates epoch deltas into one cumulative
+//! registry per source, and answers any HTTP GET with the current
+//! totals as `text/plain` Prometheus exposition, so a scrape during a
+//! soak sees the run's current totals. Clones share one state and one
+//! accept thread; the thread shuts down (via a self-connect poke) when
+//! the last clone drops, so the whole exporter stays inside `std` — no
+//! async runtime, no HTTP dependency.
 //!
 //! [`LengthFramedWriter`] adapts any `Write` into the collector push
 //! format: each newline-terminated record (e.g. a [`crate::JsonlSink`]
@@ -30,66 +28,100 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::sink::{escape_label, render_exposition};
-use crate::{MetricsRegistry, Record, TelemetrySink};
+use crate::sink::{render_registries, Exposition};
+use crate::{MetricsRegistry, ProfileHub, Record, TelemetrySink};
 
-/// A minimal single-threaded HTTP scrape endpoint over `TcpListener`.
+/// The live stream's Prometheus scrape endpoint: a [`TelemetrySink`]
+/// that serves what it has received.
 ///
-/// Every connection gets the latest published body as an
-/// `HTTP/1.0 200` `text/plain` response and is closed — exactly what a
-/// Prometheus scraper (or `bash /dev/tcp`, as ci.sh does) needs.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    body: Arc<Mutex<String>>,
-    info: Arc<Mutex<Option<BuildInfo>>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// Every connection gets one `HTTP/1.0 200` `text/plain` response,
+/// rendered at scrape time, and is closed — exactly what a Prometheus
+/// scraper (or `bash /dev/tcp`, as ci.sh does) needs. The body is the
+/// build-info families (once [`MetricsEndpoint::set_build_info`] is
+/// called), one cumulative registry per source (`run_end` totals are
+/// authoritative) and the attached profiler's families.
+#[derive(Clone)]
+pub struct MetricsEndpoint {
+    state: Arc<Mutex<Exported>>,
+    server: Arc<Server>,
 }
 
-/// Build metadata served ahead of the published exposition body.
+/// What a scrape renders.
+#[derive(Default)]
+struct Exported {
+    info: Option<BuildInfo>,
+    cumulative: BTreeMap<String, MetricsRegistry>,
+    /// Self-profiling families as `<prefix>_profile_*` (wall-clock
+    /// exporter metadata, like the build info — never simulation
+    /// telemetry).
+    profile: Option<(String, ProfileHub)>,
+}
+
+/// Build metadata served ahead of the registries.
 struct BuildInfo {
     service: String,
     version: String,
     started: Instant,
 }
 
-impl BuildInfo {
-    /// Render the `<service>_build_info` / `<service>_uptime_seconds`
-    /// families. Uptime is wall-clock by design — it is scrape-time
-    /// exporter metadata, not simulation telemetry.
+impl Exported {
+    /// The scrape body. Uptime is wall-clock by design — it is
+    /// scrape-time exporter metadata, not simulation telemetry.
     fn render(&self) -> String {
-        let s = &self.service;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "# HELP {s}_build_info Build metadata of the serving binary (gauge)\n\
-             # TYPE {s}_build_info gauge\n\
-             {s}_build_info{{version=\"{}\"}} 1\n",
-            escape_label(&self.version)
-        ));
-        out.push_str(&format!(
-            "# HELP {s}_uptime_seconds Wall-clock seconds since the exporter started (gauge)\n\
-             # TYPE {s}_uptime_seconds gauge\n\
-             {s}_uptime_seconds {:.3}\n",
-            self.started.elapsed().as_secs_f64()
-        ));
-        out
+        let mut out = Exposition::default();
+        if let Some(info) = &self.info {
+            let name = format!("{}_build_info", info.service);
+            out.family(&name, "gauge", "Build metadata of the serving binary");
+            out.sample(&name, &[("version", &info.version)], 1);
+            let name = format!("{}_uptime_seconds", info.service);
+            out.family(
+                &name,
+                "gauge",
+                "Wall-clock seconds since the exporter started",
+            );
+            let secs = info.started.elapsed().as_secs_f64();
+            out.sample(&name, &[], format_args!("{secs:.3}"));
+        }
+        render_registries(&self.cumulative, &mut out);
+        if let Some((prefix, hub)) = &self.profile {
+            hub.write_prometheus(prefix, &mut out);
+        }
+        out.into_string()
     }
 }
 
-impl MetricsServer {
+/// The accept thread, stopped and joined when the last endpoint clone
+/// drops.
+struct Server {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            self.shutdown.store(true, Ordering::SeqCst);
+            // Poke the blocking accept so the thread observes the flag.
+            let _ = TcpStream::connect(self.addr);
+            let _ = handle.join();
+        }
+    }
+}
+
+impl MetricsEndpoint {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// the accept thread.
+    /// serving scrapes.
     pub fn bind(addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let body: Arc<Mutex<String>> = Arc::default();
-        let info: Arc<Mutex<Option<BuildInfo>>> = Arc::default();
+        let state: Arc<Mutex<Exported>> = Arc::default();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (body_t, info_t, shutdown_t) = (body.clone(), info.clone(), shutdown.clone());
+        let (state_t, shutdown_t) = (state.clone(), shutdown.clone());
         let handle = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if shutdown_t.load(Ordering::SeqCst) {
@@ -100,13 +132,7 @@ impl MetricsServer {
                 // response does not depend on it).
                 let mut buf = [0u8; 1024];
                 let _ = stream.read(&mut buf);
-                let mut text = info_t
-                    .lock()
-                    .expect("metrics info lock")
-                    .as_ref()
-                    .map(BuildInfo::render)
-                    .unwrap_or_default();
-                text.push_str(&body_t.lock().expect("metrics body lock"));
+                let text = lock(&state_t).render();
                 let _ = write!(
                     stream,
                     "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -116,27 +142,24 @@ impl MetricsServer {
                 let _ = stream.flush();
             }
         });
-        Ok(MetricsServer {
+        let server = Server {
             addr,
-            body,
-            info,
             shutdown,
             handle: Some(handle),
+        };
+        Ok(MetricsEndpoint {
+            state,
+            server: Arc::new(server),
         })
     }
 
     /// The bound address (reports the real port after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Replace the served body.
-    pub fn publish(&self, body: String) {
-        *self.body.lock().expect("metrics body lock") = body;
+        self.server.addr
     }
 
     /// Serve `<service>_build_info{version="..."} 1` and a
-    /// `<service>_uptime_seconds` gauge ahead of every published body.
+    /// `<service>_uptime_seconds` gauge ahead of the registries.
     /// `service` must already be a valid metric-name prefix
     /// (`[a-zA-Z_][a-zA-Z0-9_]*`, e.g. `ripsim`); the version label is
     /// escaped per the exposition grammar.
@@ -149,79 +172,26 @@ impl MetricsServer {
                 && !service.starts_with(|c: char| c.is_ascii_digit()),
             "service must be a valid metric-name prefix"
         );
-        *self.info.lock().expect("metrics info lock") = Some(BuildInfo {
+        lock(&self.state).info = Some(BuildInfo {
             service: service.to_string(),
             version: version.to_string(),
             started: Instant::now(),
         });
     }
 
-    /// Stop the accept thread and join it.
-    pub fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shutdown.store(true, Ordering::SeqCst);
-            // Poke the blocking accept so the thread observes the flag.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
+    /// Serve `<prefix>_profile_*` families rendered from `hub`'s
+    /// cumulative totals after the registries. `prefix` must be a valid
+    /// metric-name prefix (e.g. `ripsim`).
+    pub fn attach_profile_hub(&self, prefix: &str, hub: ProfileHub) {
+        lock(&self.state).profile = Some((prefix.to_string(), hub));
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The sink feeding a [`MetricsServer`]: accumulates one cumulative
-/// registry per source and republishes the full Prometheus exposition
-/// at every epoch and at `run_end` (whose totals are authoritative).
-pub struct MetricsEndpoint {
-    server: MetricsServer,
-    cumulative: BTreeMap<String, MetricsRegistry>,
-    /// Optional self-profiling families appended to every published
-    /// body as `<prefix>_profile_*` (wall-clock exporter metadata, like
-    /// [`MetricsServer::set_build_info`] — never simulation telemetry).
-    profile: Option<(String, crate::ProfileHub)>,
-}
-
-impl MetricsEndpoint {
-    /// Serve scrapes of this sink's registries at `addr`.
-    pub fn bind(addr: &str) -> io::Result<Self> {
-        Ok(MetricsEndpoint {
-            server: MetricsServer::bind(addr)?,
-            cumulative: BTreeMap::new(),
-            profile: None,
-        })
-    }
-
-    /// Append `<prefix>_profile_*` families rendered from `hub`'s
-    /// cumulative totals to every published exposition body. `prefix`
-    /// must be a valid metric-name prefix (e.g. `ripsim`).
-    pub fn attach_profile_hub(&mut self, prefix: &str, hub: crate::ProfileHub) {
-        self.profile = Some((prefix.to_string(), hub));
-        self.republish();
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// Forward to [`MetricsServer::set_build_info`].
-    pub fn set_build_info(&self, service: &str, version: &str) {
-        self.server.set_build_info(service, version);
-    }
-
-    fn republish(&mut self) {
-        let mut out = Vec::new();
-        render_exposition(&self.cumulative, &mut out).expect("vec write");
-        let mut body = String::from_utf8(out).expect("exposition is utf-8");
-        if let Some((prefix, hub)) = &self.profile {
-            body.push_str(&hub.render_prometheus(prefix));
-        }
-        self.server.publish(body);
-    }
+/// Poison-tolerant lock: a panic on another thread must not cascade a
+/// second panic into the export path — the state is a monotone counter
+/// set, safe to keep serving.
+fn lock(state: &Mutex<Exported>) -> MutexGuard<'_, Exported> {
+    state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl TelemetrySink for MetricsEndpoint {
@@ -230,7 +200,8 @@ impl TelemetrySink for MetricsEndpoint {
         if let Record::Span(_) = rec {
             return;
         }
-        let entry = self.cumulative.entry(source.to_string()).or_default();
+        let mut state = lock(&self.state);
+        let entry = state.cumulative.entry(source.to_string()).or_default();
         match rec {
             Record::Epoch { delta, .. } => entry.apply_delta(delta),
             // Alarm tallies survive as a counter family so silent
@@ -250,7 +221,6 @@ impl TelemetrySink for MetricsEndpoint {
             }
             Record::Span(_) => {}
         }
-        self.republish();
     }
 }
 
@@ -464,7 +434,7 @@ impl<R: Read> LengthFramedReader<R> {
 /// Std-only accept machinery for a collector: a non-blocking
 /// `TcpListener` polled between ingest attempts, so a single thread can
 /// interleave accepting worker pushes with deadline checks — no async
-/// runtime, mirroring [`MetricsServer`].
+/// runtime, mirroring [`MetricsEndpoint`].
 pub struct FrameListener {
     listener: TcpListener,
     addr: SocketAddr,
@@ -505,53 +475,65 @@ mod tests {
     use super::*;
     use rip_units::SimTime;
 
-    #[test]
-    fn server_serves_published_body_on_ephemeral_port() {
-        let mut server = MetricsServer::bind("127.0.0.1:0").expect("bind");
-        server.publish("rip_up 1\n".to_string());
-        let addr = server.local_addr();
-        assert_ne!(addr.port(), 0, "ephemeral port must be resolved");
+    /// One HTTP GET against `addr`, returning the whole response.
+    fn scrape(addr: SocketAddr) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
             .expect("request");
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("response");
+        response
+    }
+
+    /// One epoch whose delta counts `n` switch packets.
+    fn record_packets(endpoint: &mut MetricsEndpoint, source: &str, n: u64) {
+        let mut reg = MetricsRegistry::new();
+        let prev = reg.snapshot(SimTime::ZERO);
+        reg.inc("switch.packets", n);
+        let delta = reg.snapshot(SimTime::from_ns(100)).delta_since(&prev);
+        endpoint.record(
+            source,
+            Record::Epoch {
+                epoch: 0,
+                delta: &delta,
+            },
+        );
+    }
+
+    #[test]
+    fn server_serves_published_body_on_ephemeral_port() {
+        let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
+        let addr = endpoint.local_addr();
+        assert_ne!(addr.port(), 0, "ephemeral port must be resolved");
+        record_packets(&mut endpoint, "switch", 1);
+        let response = scrape(addr);
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
         assert!(response.contains("text/plain"));
-        assert!(response.ends_with("rip_up 1\n"), "{response}");
-        server.shutdown();
+        assert!(
+            response.ends_with("rip_switch_packets_total{source=\"switch\"} 1\n"),
+            "{response}"
+        );
+        // A clone keeps serving after the original drops; the last
+        // drop joins the accept thread, so returning at all proves the
+        // thread stopped.
+        let clone = endpoint.clone();
+        drop(endpoint);
+        assert!(scrape(addr).contains("rip_switch_packets_total"));
+        drop(clone);
     }
 
     #[test]
     fn endpoint_republishes_on_each_epoch() {
         let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
         let addr = endpoint.local_addr();
-        let mut reg = MetricsRegistry::new();
-        let prev = reg.snapshot(SimTime::ZERO);
-        reg.inc("switch.packets", 5);
-        let delta = reg.snapshot(SimTime::from_ns(100)).delta_since(&prev);
-        endpoint.record(
-            "switch",
-            Record::Epoch {
-                epoch: 0,
-                delta: &delta,
-            },
-        );
-        let scrape = || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .write_all(b"GET / HTTP/1.0\r\n\r\n")
-                .expect("request");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("response");
-            response
-        };
+        record_packets(&mut endpoint, "switch", 5);
         assert!(
-            scrape().contains("rip_switch_packets_total{source=\"switch\"} 5"),
+            scrape(addr).contains("rip_switch_packets_total{source=\"switch\"} 5"),
             "epoch totals must be scrapable mid-run"
         );
-        reg.inc("switch.packets", 2);
+        let mut reg = MetricsRegistry::new();
+        reg.inc("switch.packets", 7);
         endpoint.record(
             "switch",
             Record::RunEnd {
@@ -559,20 +541,15 @@ mod tests {
                 totals: &reg,
             },
         );
-        assert!(scrape().contains("rip_switch_packets_total{source=\"switch\"} 7"));
+        assert!(scrape(addr).contains("rip_switch_packets_total{source=\"switch\"} 7"));
     }
 
     #[test]
     fn server_prepends_build_info_and_uptime_families() {
-        let mut server = MetricsServer::bind("127.0.0.1:0").expect("bind");
-        server.set_build_info("ripsim", "1.2.3\"quoted\"");
-        server.publish("rip_up 1\n".to_string());
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-            .expect("request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("response");
+        let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
+        endpoint.set_build_info("ripsim", "1.2.3\"quoted\"");
+        record_packets(&mut endpoint, "switch", 1);
+        let response = scrape(endpoint.local_addr());
         // The version label is escaped per the exposition grammar and
         // each family carries exactly one HELP and one TYPE line.
         assert!(
@@ -594,14 +571,15 @@ mod tests {
             );
         }
         assert!(response.contains("\nripsim_uptime_seconds "), "{response}");
-        assert!(response.ends_with("rip_up 1\n"), "{response}");
-        server.shutdown();
+        assert!(
+            response.ends_with("rip_switch_packets_total{source=\"switch\"} 1\n"),
+            "{response}"
+        );
     }
 
     #[test]
     fn endpoint_counts_watchdog_alarms_across_run_end() {
         let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
-        let addr = endpoint.local_addr();
         let event = crate::WatchdogEvent {
             source: "plane00".into(),
             epoch: 3,
@@ -619,12 +597,7 @@ mod tests {
                 totals: &totals,
             },
         );
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(b"GET / HTTP/1.0\r\n\r\n")
-            .expect("request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("response");
+        let response = scrape(endpoint.local_addr());
         // run_end's authoritative totals must not erase the stream-side
         // alarm tally.
         assert!(
@@ -635,6 +608,24 @@ mod tests {
             response.contains("rip_switch_packets_total{source=\"plane00\"} 9"),
             "{response}"
         );
+    }
+
+    #[test]
+    fn endpoint_escapes_hostile_profile_sources() {
+        let endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
+        let hub = ProfileHub::new();
+        let mut acc = crate::PhaseAcc::new();
+        acc.add_ns_n(crate::Phase::FrameDecode, 3, 1);
+        hub.record(acc.flush("w01/\"p\\x\nrip_fake 1", 0));
+        endpoint.attach_profile_hub("ripsim", hub);
+        let response = scrape(endpoint.local_addr());
+        assert!(
+            response.contains(
+                "ripsim_profile_records_total{source=\"w01/\\\"p\\\\x\\nrip_fake 1\"} 1\n"
+            ),
+            "{response}"
+        );
+        assert!(!response.contains("\nrip_fake"), "{response}");
     }
 
     #[test]

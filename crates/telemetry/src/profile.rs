@@ -37,6 +37,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::sink::Exposition;
+
 /// One profiled phase of simulator execution. Adding a variant is
 /// cheap: extend [`Phase::ALL`] and [`Phase::name`] and every table
 /// resizes at compile time.
@@ -374,49 +376,50 @@ impl ProfileHub {
     /// `<prefix>_profile_phase_seconds_total{source,phase}`,
     /// `<prefix>_profile_phase_events_total{source,phase}` and
     /// `<prefix>_profile_records_total{source}` counters. `prefix` must
-    /// be a valid metric-name prefix (e.g. `ripsim`); sources and phase
-    /// names are emitted verbatim (they are internal identifiers, never
-    /// attacker-controlled).
+    /// be a valid metric-name prefix (e.g. `ripsim`); sources are
+    /// escaped label values (a fleet collector's `wNN/<source>` names
+    /// come from its workers).
     pub fn render_prometheus(&self, prefix: &str) -> String {
+        let mut out = Exposition::default();
+        self.write_prometheus(prefix, &mut out);
+        out.into_string()
+    }
+
+    /// [`ProfileHub::render_prometheus`] into an exposition in progress.
+    pub(crate) fn write_prometheus(&self, prefix: &str, out: &mut Exposition) {
         let inner = self.lock();
-        let mut out = String::new();
         if inner.records.is_empty() {
-            return out;
+            return;
         }
-        out.push_str(&format!(
-            "# HELP {prefix}_profile_phase_seconds_total Wall-clock seconds the simulator spent in each profiled phase (counter)\n\
-             # TYPE {prefix}_profile_phase_seconds_total counter\n"
-        ));
+        let seconds = format!("{prefix}_profile_phase_seconds_total");
+        out.family(
+            &seconds,
+            "counter",
+            "Wall-clock seconds the simulator spent in each profiled phase",
+        );
         for (source, phases) in &inner.totals {
             for (phase, s) in phases {
-                out.push_str(&format!(
-                    "{prefix}_profile_phase_seconds_total{{source=\"{source}\",phase=\"{phase}\"}} {:.9}\n",
-                    s.ns as f64 / 1e9
-                ));
+                let labels = [("source", source.as_str()), ("phase", *phase)];
+                out.sample(&seconds, &labels, format_args!("{:.9}", s.ns as f64 / 1e9));
             }
         }
-        out.push_str(&format!(
-            "# HELP {prefix}_profile_phase_events_total Spans attributed to each profiled phase (counter)\n\
-             # TYPE {prefix}_profile_phase_events_total counter\n"
-        ));
+        let events = format!("{prefix}_profile_phase_events_total");
+        out.family(
+            &events,
+            "counter",
+            "Spans attributed to each profiled phase",
+        );
         for (source, phases) in &inner.totals {
             for (phase, s) in phases {
-                out.push_str(&format!(
-                    "{prefix}_profile_phase_events_total{{source=\"{source}\",phase=\"{phase}\"}} {}\n",
-                    s.count
-                ));
+                let labels = [("source", source.as_str()), ("phase", *phase)];
+                out.sample(&events, &labels, s.count);
             }
         }
-        out.push_str(&format!(
-            "# HELP {prefix}_profile_records_total Profile records accepted per source (counter)\n\
-             # TYPE {prefix}_profile_records_total counter\n"
-        ));
+        let records = format!("{prefix}_profile_records_total");
+        out.family(&records, "counter", "Profile records accepted per source");
         for (source, n) in &inner.records {
-            out.push_str(&format!(
-                "{prefix}_profile_records_total{{source=\"{source}\"}} {n}\n"
-            ));
+            out.sample(&records, &[("source", source.as_str())], n);
         }
-        out
     }
 }
 
@@ -632,6 +635,25 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn exposition_escapes_hostile_sources() {
+        // A fleet collector renders worker-supplied `wNN/<source>`
+        // names: a quote, a backslash or a newline in one must stay
+        // inside its label value.
+        let hub = ProfileHub::new();
+        let mut acc = PhaseAcc::new();
+        acc.add_ns_n(Phase::KernelPop, 7, 1);
+        hub.record(acc.flush("w00/\"p\\x\nrip_fake 1", 0));
+        let text = hub.render_prometheus("ripsim");
+        assert!(
+            text.contains(
+                "ripsim_profile_records_total{source=\"w00/\\\"p\\\\x\\nrip_fake 1\"} 1\n"
+            ),
+            "{text}"
+        );
+        assert!(!text.lines().any(|l| l.starts_with("rip_fake")), "{text}");
     }
 
     #[test]

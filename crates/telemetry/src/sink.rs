@@ -22,6 +22,7 @@
 //!   stdout JSONL plus a [`crate::MetricsEndpoint`]).
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -219,44 +220,68 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Escape a label value per the exposition grammar: backslash, double
-/// quote and newline must be `\\`, `\"` and `\n`.
-pub(crate) fn escape_label(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escape a `# HELP` text: backslash and newline only.
-fn escape_help(text: &str) -> String {
+/// Escape exposition text per the grammar: backslash and newline
+/// become `\\` and `\n` everywhere, and a double quote becomes `\"`
+/// inside a label value (`# HELP` text keeps it).
+fn escape(text: &str, label: bool) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '"' if label => out.push_str("\\\""),
             c => out.push(c),
         }
     }
     out
 }
 
-/// Render every source's cumulative registry as one grammar-valid
-/// Prometheus text exposition: each metric family appears exactly once
-/// (`# HELP` + `# TYPE`, then one sample per source, label-escaped),
-/// histograms carry cumulative `_bucket` lines with a single `+Inf`
-/// bucket equal to `_count`. Sources become a `source="..."` label, so
-/// per-plane registries share families.
-pub(crate) fn render_exposition<W: Write>(
-    regs: &BTreeMap<String, MetricsRegistry>,
-    out: &mut W,
-) -> std::io::Result<()> {
+/// The one Prometheus text-exposition writer: the registry, profiler
+/// and build-info families all render through it, so every label value
+/// is escaped the same way wherever it came from (a worker-supplied
+/// profile source arrives over TCP).
+#[derive(Default)]
+pub(crate) struct Exposition {
+    text: String,
+}
+
+impl Exposition {
+    /// Open a family: its `# HELP <name> <help> (<kind>)` and
+    /// `# TYPE <name> <kind>` lines.
+    pub(crate) fn family(&mut self, name: &str, kind: &str, help: &str) {
+        let help = escape(help, false);
+        let _ = write!(
+            self.text,
+            "# HELP {name} {help} ({kind})\n# TYPE {name} {kind}\n"
+        );
+    }
+
+    /// One sample line, `name{label="value",...} value` (no braces
+    /// without labels).
+    pub(crate) fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl Display) {
+        self.text.push_str(name);
+        for (i, (key, v)) in labels.iter().enumerate() {
+            let open = if i == 0 { "{" } else { "," };
+            let _ = write!(self.text, "{open}{key}=\"{}\"", escape(v, true));
+        }
+        if !labels.is_empty() {
+            self.text.push('}');
+        }
+        let _ = writeln!(self.text, " {value}");
+    }
+
+    /// The rendered text.
+    pub(crate) fn into_string(self) -> String {
+        self.text
+    }
+}
+
+/// Render every source's cumulative registry into `out`: each metric
+/// family appears exactly once (`# HELP` + `# TYPE`, then one sample
+/// per source), histograms carry cumulative `_bucket` lines with a
+/// single `+Inf` bucket equal to `_count`. Sources become a
+/// `source="..."` label, so per-plane registries share families.
+pub(crate) fn render_registries(regs: &BTreeMap<String, MetricsRegistry>, out: &mut Exposition) {
     // Group samples by family across sources (BTreeMaps keep both the
     // family order and the per-family source order deterministic).
     let mut counters: BTreeMap<&str, Vec<(&str, u64)>> = BTreeMap::new();
@@ -274,89 +299,60 @@ pub(crate) fn render_exposition<W: Write>(
         }
     }
     for (name, samples) in &counters {
-        let n = sanitize(name);
-        writeln!(out, "# HELP rip_{n}_total {} (counter)", escape_help(name))?;
-        writeln!(out, "# TYPE rip_{n}_total counter")?;
-        for (source, v) in samples {
-            writeln!(
-                out,
-                "rip_{n}_total{{source=\"{}\"}} {v}",
-                escape_label(source)
-            )?;
+        let family = format!("rip_{}_total", sanitize(name));
+        out.family(&family, "counter", name);
+        for &(source, v) in samples {
+            out.sample(&family, &[("source", source)], v);
         }
     }
     for (name, samples) in &gauges {
-        let n = sanitize(name);
-        writeln!(out, "# HELP rip_{n} {} (gauge)", escape_help(name))?;
-        writeln!(out, "# TYPE rip_{n} gauge")?;
-        for (source, v) in samples {
-            writeln!(out, "rip_{n}{{source=\"{}\"}} {v}", escape_label(source))?;
+        let family = format!("rip_{}", sanitize(name));
+        out.family(&family, "gauge", name);
+        for &(source, v) in samples {
+            out.sample(&family, &[("source", source)], v);
         }
     }
     for (name, samples) in &histograms {
-        let n = sanitize(name);
-        writeln!(out, "# HELP rip_{n} {} (histogram)", escape_help(name))?;
-        writeln!(out, "# TYPE rip_{n} histogram")?;
-        for (source, h) in samples {
-            let source = escape_label(source);
+        let family = format!("rip_{}", sanitize(name));
+        let (bucket, count) = (format!("{family}_bucket"), format!("{family}_count"));
+        out.family(&family, "histogram", name);
+        for &(source, h) in samples {
             let mut cum = 0u64;
-            for &(idx, count) in &h.buckets {
-                cum += count;
+            for &(idx, n) in &h.buckets {
+                cum += n;
                 let le = bucket_upper_edge(idx);
                 // Non-finite edges fold into the single +Inf bucket
                 // below (one +Inf sample per series, as the grammar
                 // requires).
                 if le.is_finite() {
-                    writeln!(
-                        out,
-                        "rip_{n}_bucket{{source=\"{source}\",le=\"{le}\"}} {cum}"
-                    )?;
+                    out.sample(&bucket, &[("source", source), ("le", &le.to_string())], cum);
                 }
             }
-            writeln!(
-                out,
-                "rip_{n}_bucket{{source=\"{source}\",le=\"+Inf\"}} {}",
-                h.count()
-            )?;
-            writeln!(out, "rip_{n}_count{{source=\"{source}\"}} {}", h.count())?;
+            out.sample(&bucket, &[("source", source), ("le", "+Inf")], h.count());
+            out.sample(&count, &[("source", source)], h.count());
         }
     }
     // Rejected-sample tallies are their own counter family (they are
     // not histogram samples).
-    let rejected: Vec<(&str, &str, u64)> = histograms
-        .iter()
-        .flat_map(|(name, samples)| {
-            samples
-                .iter()
-                .filter(|(_, h)| h.rejected() > 0)
-                .map(move |&(source, h)| (*name, source, h.rejected()))
-        })
-        .collect();
-    let mut seen: Vec<&str> = Vec::new();
-    for &(name, _, _) in &rejected {
-        if !seen.contains(&name) {
-            seen.push(name);
+    for (name, samples) in &histograms {
+        let rejected: Vec<(&str, u64)> = samples
+            .iter()
+            .filter(|(_, h)| h.rejected() > 0)
+            .map(|&(source, h)| (source, h.rejected()))
+            .collect();
+        if rejected.is_empty() {
+            continue;
+        }
+        let family = format!("rip_{}_rejected_total", sanitize(name));
+        out.family(
+            &family,
+            "counter",
+            &format!("NaN samples rejected by {name}"),
+        );
+        for (source, n) in rejected {
+            out.sample(&family, &[("source", source)], n);
         }
     }
-    for family in seen {
-        let n = sanitize(family);
-        writeln!(
-            out,
-            "# HELP rip_{n}_rejected_total NaN samples rejected by {} (counter)",
-            escape_help(family)
-        )?;
-        writeln!(out, "# TYPE rip_{n}_rejected_total counter")?;
-        for &(name, source, count) in &rejected {
-            if name == family {
-                writeln!(
-                    out,
-                    "rip_{n}_rejected_total{{source=\"{}\"}} {count}",
-                    escape_label(source)
-                )?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One buffered record, as received by a [`MemorySink`]: the owned form
@@ -640,6 +636,12 @@ mod tests {
         assert!(text.contains("\"record\":\"run_end\""));
     }
 
+    fn render(regs: &BTreeMap<String, MetricsRegistry>) -> String {
+        let mut out = Exposition::default();
+        render_registries(regs, &mut out);
+        out.into_string()
+    }
+
     #[test]
     fn prometheus_renders_counters_gauges_histograms() {
         let mut reg = MetricsRegistry::new();
@@ -647,9 +649,7 @@ mod tests {
         reg.set_gauge("queue.depth", SimTime::from_ns(10), 4.5);
         reg.observe("lat.ns", 100.0);
         reg.observe("lat.ns", 200.0);
-        let mut buf = Vec::new();
-        render_exposition(&BTreeMap::from([("switch".to_string(), reg)]), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = render(&BTreeMap::from([("switch".to_string(), reg)]));
         assert!(text.contains("rip_switch_packets_total{source=\"switch\"} 9"));
         assert!(text.contains("rip_queue_depth{source=\"switch\"} 4.5"));
         assert!(text.contains("rip_lat_ns_count{source=\"switch\"} 2"));
@@ -674,9 +674,7 @@ mod tests {
         // A hostile source name: every escapable character.
         regs.insert("pla\\ne\"0\n0".to_string(), a);
         regs.insert("plane01".to_string(), b);
-        let mut buf = Vec::new();
-        render_exposition(&regs, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = render(&regs);
 
         // Label escaping: backslash, quote and newline are escaped.
         assert!(

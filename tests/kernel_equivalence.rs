@@ -26,7 +26,7 @@ fn epoch_period(spec: &SimSpec) -> TimeDelta {
 /// Run `spec` to completion through `run_source` and return the
 /// serialized final report plus the rendered JSONL telemetry stream.
 fn run_plain(spec: &SimSpec, horizon: SimTime) -> (String, Vec<u8>) {
-    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let deadline = spec.router.drain.deadline(horizon);
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));
@@ -45,7 +45,7 @@ fn run_plain(spec: &SimSpec, horizon: SimTime) -> (String, Vec<u8>) {
 /// [`run_plain`] through the checkpointing entry point, with a
 /// snapshot due at every epoch (the snapshots themselves are dropped).
 fn run_checkpointed(spec: &SimSpec, horizon: SimTime) -> (String, Vec<u8>) {
-    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let deadline = spec.router.drain.deadline(horizon);
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     sw.enable_live_telemetry(epoch_period(spec), 64, Box::new(staged.clone()));

@@ -46,7 +46,7 @@ fn run_spec(
     horizon: SimTime,
     hub: Option<&ProfileHub>,
 ) -> (String, Vec<u8>) {
-    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let deadline = spec.router.drain.deadline(horizon);
     let staged = SharedSink::new();
     let mut sw = HbmSwitch::new(spec.router.clone()).expect("shipped config is valid");
     if let Some(h) = hub {
@@ -191,7 +191,7 @@ fn checkpointed_runs_record_the_same_engine_phases() {
 fn profiler_leaves_chrome_traces_byte_identical() {
     let (name, spec) = shipped_configs().remove(0);
     let horizon = SimTime::from_ns(spec.horizon_us.min(HORIZON_CAP_US) * 1000);
-    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let deadline = spec.router.drain.deadline(horizon);
     let run = |hub: Option<&ProfileHub>| -> (String, Vec<u8>) {
         let mut sw = HbmSwitch::new(spec.router.clone()).expect("valid config");
         if let Some(h) = hub {

@@ -264,7 +264,7 @@ fn every_switch_entry_point_rejects_an_unservable_plan() {
     let mut spec: SimSpec = serde_json::from_str(&text).expect("quickstart decodes");
     spec.router.stripe_channels = Some(1);
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
-    let deadline = SimTime::from_ps(horizon.as_ps() * (1 + spec.drain_factor));
+    let deadline = spec.router.drain.deadline(horizon);
     let at = SimTime::from_ps(horizon.as_ps() / 4);
     let plan = FaultPlan::new().inject(at, FaultKind::HbmChannelDown { channel: 0 });
     let unservable = || {
