@@ -42,6 +42,11 @@
 //! the run ends at the next epoch boundary (after one final snapshot
 //! when checkpointing), stdout is flushed up to that epoch, the
 //! `flight_signal.json` bundle is written, and `ripsim` exits 130.
+//! When a soak's stdout cannot be written any more (a reader that
+//! closed the pipe, as in `ripsim soak spec.json | head -1`), nothing
+//! more is written, a soak with an epoch period ends at the next epoch
+//! boundary, and `ripsim` prints one stderr line and exits 141 (the
+//! status a shell reports for a process a closed pipe killed).
 //!
 //! `ripsim plane-worker <spec.json> --worker <id> --planes <list>`
 //! runs a subset of the spec's SPS planes and pushes their framed
@@ -89,8 +94,10 @@
 //! ```
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use rip_bench::fleet::{push_worker_stream, CollectError, Collector, FleetJob};
 use rip_bench::spec::SimSpec;
@@ -267,15 +274,14 @@ fn output_chain(
     checkpoint: Option<u64>,
 ) -> (Box<dyn TelemetrySink + Send>, Option<WatchdogHandle>) {
     let mut fan = FanoutSink::new();
+    let stdout = WatchedStdout(std::io::stdout());
     match checkpoint {
         Some(records) => {
-            let mut jsonl = JsonlSink::new(std::io::stdout());
+            let mut jsonl = JsonlSink::new(stdout);
             jsonl.set_records(records);
             fan.push(Box::new(jsonl));
         }
-        None => fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(
-            std::io::stdout(),
-        )))),
+        None => fan.push(Box::new(JsonlSink::new(std::io::BufWriter::new(stdout)))),
     }
     if let Some(ep) = endpoint {
         fan.push(Box::new(ep.clone()));
@@ -288,6 +294,28 @@ fn output_chain(
     }
     let (wd, handle) = Watchdog::new(WatchdogConfig::default(), fan);
     (Box::new(wd), Some(handle))
+}
+
+/// The first error writing a soak's stdout. A soak stops at the next
+/// epoch boundary once it is set, and `main` exits 141.
+static STDOUT_ERROR: OnceLock<String> = OnceLock::new();
+
+/// Stdout for a soak's output, noting its first write error in
+/// [`STDOUT_ERROR`] (the JSONL sink itself stops writing there).
+struct WatchedStdout(std::io::Stdout);
+
+impl Write for WatchedStdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(buf).inspect_err(note_stdout_error)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush().inspect_err(note_stdout_error)
+    }
+}
+
+fn note_stdout_error(e: &std::io::Error) {
+    let _ = STDOUT_ERROR.set(e.to_string());
 }
 
 /// One stderr line per fired watchdog alarm.
@@ -342,6 +370,11 @@ static STOP: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn request_stop(_signum: i32) {
     STOP.store(true, Ordering::SeqCst);
+}
+
+/// A stop signal arrived, or stdout can no longer be written.
+fn stop_requested() -> bool {
+    STOP.load(Ordering::SeqCst) || STDOUT_ERROR.get().is_some()
 }
 
 fn install_stop_handlers() {
@@ -545,7 +578,9 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
     let say: fn(std::fmt::Arguments) = if period.is_some() {
         |a| eprintln!("{a}")
     } else {
-        |a| println!("{a}")
+        |a| {
+            let _ = writeln!(WatchedStdout(std::io::stdout()), "{a}");
+        }
     };
     let hub = build_profile_hub(&cli.prof)?;
     let flight = build_flight_recorder(spec, &hub);
@@ -560,6 +595,10 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
     // A stop request ends the soak at an epoch boundary or between
     // runs, once every sink of the stopped run has dropped.
     let stopped = || {
+        if STDOUT_ERROR.get().is_some() {
+            // Nobody reads the stream any more; `main` reports it.
+            return RunOutcome::Interrupted;
+        }
         match &checkpoint {
             Some(path) => eprintln!(
                 "ripsim: stop requested; snapshot written to {path} -- \
@@ -607,7 +646,7 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
                 &plan,
                 (resume != Value::Null).then_some(&resume),
                 every,
-                || STOP.load(Ordering::SeqCst),
+                stop_requested,
                 |engine: &Value, epochs: u64, spans: u64| match &checkpoint {
                     Some(path) => progress.persist(path, epochs + spans, engine),
                     None => Ok(()),
@@ -648,7 +687,7 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
                     .persist(path, 0, &Value::Null)
                     .map_err(|e| e.to_string())?;
             }
-            if STOP.load(Ordering::SeqCst) {
+            if stop_requested() {
                 return Ok(stopped());
             }
         }
@@ -1514,7 +1553,7 @@ fn main() {
         // An interrupted soak has dropped its sinks (stdout is flushed)
         // and written its flight bundle by the time it returns.
         Cmd::Soak => run_soak(&spec(), &cli).map(|outcome| {
-            if outcome == RunOutcome::Interrupted {
+            if outcome == RunOutcome::Interrupted && STDOUT_ERROR.get().is_none() {
                 std::process::exit(130);
             }
         }),
@@ -1525,6 +1564,9 @@ fn main() {
         }
         Cmd::Resilience => run_resilience(),
     };
+    if let Some(e) = STDOUT_ERROR.get() {
+        die(141, &format!("writing stdout failed ({e}); stopped there"));
+    }
     match result {
         Err(e) if matches!(cli.cmd, Cmd::Run | Cmd::Trace) => die(1, &e),
         Err(e) => die(1, &format!("{} FAILED: {e}", cli.name)),

@@ -53,6 +53,13 @@ impl Batch {
     pub fn size(&self) -> DataSize {
         self.payload() + self.padding
     }
+
+    /// [`Batch::payload`] of a batch of size `k`, derived from its
+    /// padding instead of summed over its chunks.
+    pub fn payload_in(&self, k: DataSize) -> DataSize {
+        debug_assert_eq!(self.size(), k, "a batch is always k bytes");
+        k - self.padding
+    }
 }
 
 /// Per-output VOQ state inside one input port.

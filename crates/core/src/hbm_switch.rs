@@ -531,6 +531,11 @@ pub struct HbmSwitch {
     /// Reusable buffer for batches completed by one arrival (hot-loop
     /// scratch; always drained back to empty before reuse).
     batch_scratch: Vec<Batch>,
+    /// Bytes queued in each input's VOQs (`total_queued` of its
+    /// assembler), kept up to date per packet instead of summed over
+    /// the N VOQs. Not part of the run state: empty until the first
+    /// arrival and after a restore, which rebuild it.
+    input_queued: Vec<DataSize>,
     /// Recycled chunk vectors: batches formed at inputs retire their
     /// chunk storage here when drained or dropped, so steady-state
     /// batch formation allocates nothing.
@@ -610,6 +615,7 @@ impl HbmSwitch {
                 .map(|o| format!("switch.out{o:02}.queue_depth_frames"))
                 .collect(),
             batch_scratch: Vec::new(),
+            input_queued: Vec::new(),
             chunk_pool: VecPool::default(),
             prof: None,
             cfg,
@@ -1005,9 +1011,10 @@ impl HbmSwitch {
         self.live_chunk_spans(frame.chunks(), "hbm_write", now, o);
         // Frame fill efficiency: payload actually carried vs. the fixed
         // frame capacity the HBM write pays for.
-        self.run
-            .metrics
-            .inc("switch.frame.payload_bytes", frame.payload().bytes());
+        self.run.metrics.inc(
+            "switch.frame.payload_bytes",
+            frame.payload_in(self.cfg.batch_size()).bytes(),
+        );
         self.run
             .metrics
             .inc("switch.frame.capacity_bytes", self.cfg.frame_size().bytes());
@@ -1138,6 +1145,9 @@ impl HbmSwitch {
                     if let Some(b) =
                         self.run.assemblers[input].flush_with(output, &mut self.chunk_pool)
                     {
+                        if let Some(queued) = self.input_queued.get_mut(input) {
+                            *queued -= b.payload_in(self.cfg.batch_size());
+                        }
                         self.run.padded_bytes += b.padding;
                         self.send_batch(q, now, b);
                     }
@@ -1147,7 +1157,7 @@ impl HbmSwitch {
             Ev::FrameAtHead(frame) => {
                 let o = frame.output;
                 self.run.pending_to_head[o] -= 1;
-                self.run.head.push_frame(frame);
+                self.run.head.push_frame(frame, self.cfg.batch_size());
                 if !self.run.drain_scheduled[o] && self.run.head.has_data(o) {
                     self.run.drain_scheduled[o] = true;
                     q.schedule(now, Ev::Drain(o));
@@ -1170,8 +1180,12 @@ impl HbmSwitch {
         self.run.offered_packets += 1;
         self.run.offered_bytes += p.size;
         self.run.first_arrival.get_or_insert(now);
-        let a = &mut self.run.assemblers[p.input];
-        if a.total_queued() + p.size > self.cfg.input_queue_limit {
+        if self.input_queued.is_empty() {
+            let totals = self.run.assemblers.iter().map(|a| a.total_queued());
+            self.input_queued = totals.collect();
+        }
+        let total = self.input_queued[p.input];
+        if total + p.size > self.cfg.input_queue_limit {
             self.run.dropped_input += 1;
             self.run.dropped_bytes += p.size;
             self.run.dropped_ids.insert(p.id);
@@ -1197,11 +1211,14 @@ impl HbmSwitch {
                 live.span(p.id, "arrival", now, p.input);
             }
         }
-        let was_empty = a.queued(p.output).is_zero();
+        let was_empty = self.run.assemblers[p.input].queued(p.output).is_zero();
         let mut batches = std::mem::take(&mut self.batch_scratch);
         debug_assert!(batches.is_empty());
         self.run.assemblers[p.input].push_into(&p, &mut self.chunk_pool, &mut batches);
-        let queued = self.run.assemblers[p.input].total_queued();
+        // Every batch `push_into` emits took exactly k queued bytes.
+        let queued = total + p.size - self.cfg.batch_size() * batches.len() as u64;
+        debug_assert_eq!(queued, self.run.assemblers[p.input].total_queued());
+        self.input_queued[p.input] = queued;
         self.run.input_peak = self.run.input_peak.max(queued);
         if was_empty
             && self.cfg.batch_timeout_batches > 0
@@ -1230,7 +1247,7 @@ impl HbmSwitch {
         if let Some(ct) = self.chrome.as_mut() {
             ct.fill_start[batch_output].get_or_insert(now);
         }
-        if let Some(frame) = self.run.tail.push_batch(b) {
+        if let Some(frame) = self.run.tail.push_batch(b, self.cfg.batch_size()) {
             let o = frame.output;
             if let Some(ct) = self.chrome.as_mut() {
                 if let Some(start) = ct.fill_start[o].take() {
@@ -1240,7 +1257,7 @@ impl HbmSwitch {
             if !self.run.pfi.can_accept_frame(&self.run.group, o) {
                 // Per-output HBM region full: the frame is lost.
                 self.run.dropped_frames += 1;
-                self.run.dropped_bytes += frame.payload();
+                self.run.dropped_bytes += frame.payload_in(self.cfg.batch_size());
                 for c in frame.chunks() {
                     if self.run.dropped_ids.insert(c.packet) {
                         self.run.live_packets -= 1;
@@ -1295,7 +1312,11 @@ impl HbmSwitch {
             {
                 // HBM empty for this output: pad the partial frame and
                 // bypass the HBM straight into the head SRAM (§4).
-                let frame = self.run.tail.take_padded_frame(o).expect("forming_len > 0");
+                let frame = self
+                    .run
+                    .tail
+                    .take_padded_frame(o, self.cfg.batch_size())
+                    .expect("forming_len > 0");
                 self.run.padded_bytes += self.cfg.batch_size() * frame.padded_batches;
                 self.run.pending_to_head[o] += 1;
                 let bypass_end = now + self.bypass_latency();
@@ -1321,9 +1342,10 @@ impl HbmSwitch {
     }
 
     fn on_drain(&mut self, q: &mut EventQueue<Ev>, now: SimTime, o: usize) {
-        match self.run.head.pop_batch(o) {
+        let k = self.cfg.batch_size();
+        match self.run.head.pop_batch(o, k) {
             Some(batch) => {
-                let payload = batch.payload();
+                let payload = batch.payload_in(k);
                 // Departures land straight in the log; the ones of
                 // partially dropped packets are compacted out below.
                 let first = self.run.departures.len();
@@ -1639,6 +1661,7 @@ impl HbmSwitch {
             }
         }
         self.run = st.run;
+        self.input_queued.clear();
         Ok((q, feeder))
     }
 

@@ -151,7 +151,8 @@ impl OutputPort {
                 });
             }
         }
-        let payload = batch.payload();
+        // `pos` has run over every chunk: it is the batch's payload.
+        let payload = pos;
         let end = start + self.rate.transfer_time(payload);
         self.busy_until = end;
         self.delivered += payload;

@@ -25,9 +25,11 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Payload bytes (excluding batch- and frame-level padding).
-    pub fn payload(&self) -> DataSize {
-        self.batches.iter().map(|b| b.payload()).sum()
+    /// Payload bytes (excluding batch- and frame-level padding) of a
+    /// frame of size-`k` batches: one padding subtraction per batch
+    /// instead of a sum over every chunk.
+    pub fn payload_in(&self, k: DataSize) -> DataSize {
+        self.batches.iter().map(|b| b.payload_in(k)).sum()
     }
 
     /// Every chunk of the frame, batch by batch.
@@ -78,19 +80,19 @@ impl TailSram {
         }
     }
 
-    /// Accept one batch; returns a full frame if this batch completed
-    /// one (§3.2: "when the queue size of a module reaches K/k batch
-    /// slices, it forms a new frame slice").
-    pub fn push_batch(&mut self, batch: Batch) -> Option<Frame> {
+    /// Accept one batch of size `k`; returns a full frame if this batch
+    /// completed one (§3.2: "when the queue size of a module reaches K/k
+    /// batch slices, it forms a new frame slice").
+    pub fn push_batch(&mut self, batch: Batch, k: DataSize) -> Option<Frame> {
+        debug_assert_eq!(batch.size(), k, "a batch is always k bytes");
         let o = batch.output;
-        self.occupancy.add(batch.size());
+        self.occupancy.add(k);
         self.forming[o].push_back(batch);
         if self.forming[o].len() as u64 >= self.batches_per_frame {
             let batches: Vec<Batch> = self.forming[o]
                 .drain(..self.batches_per_frame as usize)
                 .collect();
-            let size: DataSize = batches.iter().map(|b| b.size()).sum();
-            self.occupancy.sub(size);
+            self.occupancy.sub(k * self.batches_per_frame);
             Some(Frame {
                 output: o,
                 batches,
@@ -102,14 +104,14 @@ impl TailSram {
     }
 
     /// Take whatever is queued for `output` as a padded frame (§4
-    /// "Latency and bypass"). Returns `None` if nothing is queued.
-    pub fn take_padded_frame(&mut self, output: usize) -> Option<Frame> {
+    /// "Latency and bypass"); its batches are of size `k`. Returns
+    /// `None` if nothing is queued.
+    pub fn take_padded_frame(&mut self, output: usize, k: DataSize) -> Option<Frame> {
         if self.forming[output].is_empty() {
             return None;
         }
         let batches: Vec<Batch> = self.forming[output].drain(..).collect();
-        let size: DataSize = batches.iter().map(|b| b.size()).sum();
-        self.occupancy.sub(size);
+        self.occupancy.sub(k * batches.len() as u64);
         let padded = self.batches_per_frame - batches.len() as u64;
         Some(Frame {
             output,
@@ -157,21 +159,21 @@ impl HeadSram {
         self.frames[output].len() < self.limit
     }
 
-    /// Buffer a frame for its output.
+    /// Buffer a frame of size-`k` batches for its output.
     ///
     /// # Panics
     /// Panics if the output is full — the read engine must check
     /// [`HeadSram::has_room`] before fetching a frame.
-    pub fn push_frame(&mut self, frame: Frame) {
+    pub fn push_frame(&mut self, frame: Frame, k: DataSize) {
         let o = frame.output;
         assert!(self.has_room(o), "head SRAM overflow on output {o}");
-        self.occupancy.add(frame.payload());
+        self.occupancy.add(frame.payload_in(k));
         self.frames[o].push_back(frame);
     }
 
-    /// Pop the next batch for `output`, cutting frames back into
-    /// batches FIFO.
-    pub fn pop_batch(&mut self, output: usize) -> Option<Batch> {
+    /// Pop the next batch for `output`, cutting frames of size-`k`
+    /// batches back into batches FIFO.
+    pub fn pop_batch(&mut self, output: usize, k: DataSize) -> Option<Batch> {
         let q = &mut self.frames[output];
         loop {
             let front = q.front_mut()?;
@@ -183,7 +185,7 @@ impl HeadSram {
             if front.batches.is_empty() {
                 q.pop_front();
             }
-            self.occupancy.sub(batch.payload());
+            self.occupancy.sub(batch.payload_in(k));
             return Some(batch);
         }
     }
@@ -209,6 +211,9 @@ mod tests {
     use super::*;
     use crate::batch::Chunk;
     use rip_units::SimTime;
+
+    /// The batch size every test batch is padded to.
+    const K: DataSize = DataSize::from_kib(1);
 
     fn batch(output: usize, seq: u64, bytes: u64) -> Batch {
         Batch {
@@ -237,10 +242,10 @@ mod tests {
     fn tail_forms_frame_after_k_over_k_batches() {
         let mut t = TailSram::new(4, 4);
         for seq in 0..3 {
-            assert!(t.push_batch(batch(1, seq, 1000)).is_none());
+            assert!(t.push_batch(batch(1, seq, 1000), K).is_none());
         }
         assert_eq!(t.forming_len(1), 3);
-        let f = t.push_batch(batch(1, 3, 1000)).expect("frame forms");
+        let f = t.push_batch(batch(1, 3, 1000), K).expect("frame forms");
         assert_eq!(f.batches.len(), 4);
         assert_eq!(f.output, 1);
         assert_eq!(f.padded_batches, 0);
@@ -253,20 +258,20 @@ mod tests {
     #[test]
     fn tail_outputs_are_independent() {
         let mut t = TailSram::new(2, 2);
-        t.push_batch(batch(0, 0, 100));
-        t.push_batch(batch(1, 0, 100));
-        assert!(t.push_batch(batch(0, 1, 100)).is_some());
+        t.push_batch(batch(0, 0, 100), K);
+        t.push_batch(batch(1, 0, 100), K);
+        assert!(t.push_batch(batch(0, 1, 100), K).is_some());
         assert_eq!(t.forming_len(1), 1);
     }
 
     #[test]
     fn padded_frame_takes_partial_contents() {
         let mut t = TailSram::new(2, 4);
-        t.push_batch(batch(0, 0, 500));
-        let f = t.take_padded_frame(0).expect("partial frame");
+        t.push_batch(batch(0, 0, 500), K);
+        let f = t.take_padded_frame(0, K).expect("partial frame");
         assert_eq!(f.batches.len(), 1);
         assert_eq!(f.padded_batches, 3);
-        assert!(t.take_padded_frame(0).is_none());
+        assert!(t.take_padded_frame(0, K).is_none());
     }
 
     #[test]
@@ -278,14 +283,14 @@ mod tests {
             batches: vec![batch(0, 0, 700), batch(0, 1, 800)],
             padded_batches: 0,
         };
-        h.push_frame(f);
+        h.push_frame(f, K);
         assert_eq!(h.frames_buffered(0), 1);
         assert!(h.has_data(0));
-        let b0 = h.pop_batch(0).unwrap();
+        let b0 = h.pop_batch(0, K).unwrap();
         assert_eq!(b0.seq, 0);
-        let b1 = h.pop_batch(0).unwrap();
+        let b1 = h.pop_batch(0, K).unwrap();
         assert_eq!(b1.seq, 1);
-        assert!(h.pop_batch(0).is_none());
+        assert!(h.pop_batch(0, K).is_none());
         assert!(!h.has_data(0));
         assert_eq!(h.occupancy().bytes, DataSize::ZERO);
     }
@@ -293,11 +298,14 @@ mod tests {
     #[test]
     fn head_room_limit_enforced() {
         let mut h = HeadSram::new(1, 1);
-        h.push_frame(Frame {
-            output: 0,
-            batches: vec![batch(0, 0, 100)],
-            padded_batches: 0,
-        });
+        h.push_frame(
+            Frame {
+                output: 0,
+                batches: vec![batch(0, 0, 100)],
+                padded_batches: 0,
+            },
+            K,
+        );
         assert!(!h.has_room(0));
     }
 
@@ -306,29 +314,38 @@ mod tests {
     fn head_overflow_panics() {
         let mut h = HeadSram::new(1, 1);
         for seq in 0..2 {
-            h.push_frame(Frame {
-                output: 0,
-                batches: vec![batch(0, seq, 100)],
-                padded_batches: 0,
-            });
+            h.push_frame(
+                Frame {
+                    output: 0,
+                    batches: vec![batch(0, seq, 100)],
+                    padded_batches: 0,
+                },
+                K,
+            );
         }
     }
 
     #[test]
     fn empty_frames_are_skipped_by_pop() {
         let mut h = HeadSram::new(1, 4);
-        h.push_frame(Frame {
-            output: 0,
-            batches: vec![],
-            padded_batches: 4,
-        });
-        h.push_frame(Frame {
-            output: 0,
-            batches: vec![batch(0, 9, 64)],
-            padded_batches: 3,
-        });
-        let b = h.pop_batch(0).unwrap();
+        h.push_frame(
+            Frame {
+                output: 0,
+                batches: vec![],
+                padded_batches: 4,
+            },
+            K,
+        );
+        h.push_frame(
+            Frame {
+                output: 0,
+                batches: vec![batch(0, 9, 64)],
+                padded_batches: 3,
+            },
+            K,
+        );
+        let b = h.pop_batch(0, K).unwrap();
         assert_eq!(b.seq, 9);
-        assert!(h.pop_batch(0).is_none());
+        assert!(h.pop_batch(0, K).is_none());
     }
 }

@@ -566,9 +566,19 @@ impl PfiController {
         }
     }
 
-    /// Refresh up to 4 due banks on `ch` at `now`, avoiding groups `h`
-    /// and `h+1` (imminently reusable) when more than 2 groups exist.
-    /// `ignore_exclusion` (storm mode) drops the group safeguard.
+    /// Refresh up to 4 due banks on `ch` at `now`, most refresh-starved
+    /// first, avoiding groups `h` and `h+1` (imminently reusable) when
+    /// more than 2 groups exist. `ignore_exclusion` (storm mode) drops
+    /// the group safeguard.
+    ///
+    /// One pass over the banks keeps the 4 smallest `(last_refresh,
+    /// bank)` keys among the eligible (not excluded, idle by `now`) due
+    /// banks. That is the order repeated "least recently refreshed"
+    /// scans pick in, ties going to the lowest bank, stopping at the
+    /// first bank not yet due: due banks have the smallest
+    /// `last_refresh`, a refresh changes no other bank's eligibility or
+    /// key, and the refreshed bank itself stays busy for tRFCsb (it is
+    /// re-ranked should a zero tRFCsb leave it idle).
     fn pump_refresh(
         ch: &mut crate::channel::Channel,
         now: SimTime,
@@ -578,25 +588,32 @@ impl PfiController {
         due: TimeDelta,
         ignore_exclusion: bool,
     ) {
-        let excluded = |bank: usize| {
-            if ignore_exclusion || num_groups <= 2 {
-                return false;
-            }
-            let g = bank / gamma;
-            g == h || g == (h + 1) % num_groups
+        // Group `g` is banks `g·γ .. (g+1)·γ` (`bank / gamma == g`).
+        let group = |g: usize| g * gamma..(g + 1) * gamma;
+        let excluded = if ignore_exclusion || num_groups <= 2 {
+            [0..0, 0..0]
+        } else {
+            [group(h), group((h + 1) % num_groups)]
         };
-        for _ in 0..4 {
-            // Most refresh-starved eligible, currently idle bank.
-            let candidate = (0..ch.num_banks())
-                .filter(|&b| !excluded(b))
-                .filter(|&b| ch.bank(b).is_idle() && ch.bank(b).idle_at() <= now)
-                .min_by_key(|&b| ch.bank(b).last_refresh());
-            let Some(bank) = candidate else { break };
-            if now.saturating_since(ch.bank(bank).last_refresh()) < due {
-                break; // nothing due yet
+        let candidate = |ch: &crate::channel::Channel, b: usize| {
+            let bank = ch.bank(b);
+            now.saturating_since(bank.last_refresh()) >= due
+                && bank.is_idle()
+                && bank.idle_at() <= now
+        };
+        let mut picks = StarvedBanks::default();
+        for b in 0..ch.num_banks() {
+            if candidate(ch, b) && !excluded[0].contains(&b) && !excluded[1].contains(&b) {
+                picks.offer((ch.bank(b).last_refresh(), b));
             }
+        }
+        for _ in 0..4 {
+            let Some(bank) = picks.pop_first() else { break };
             ch.refresh_bank(now, bank)
                 .unwrap_or_else(|e| panic!("PFI REFsb schedule bug: {e}"));
+            if candidate(ch, bank) {
+                picks.offer((now, bank));
+            }
         }
     }
 
@@ -1100,9 +1117,48 @@ impl OpenPageController {
     }
 }
 
+/// The (up to) 4 smallest `(last_refresh, bank)` keys offered so far,
+/// ascending — the refresh pump's candidates.
+#[derive(Default)]
+struct StarvedBanks {
+    keys: [(SimTime, usize); 4],
+    len: usize,
+}
+
+impl StarvedBanks {
+    /// Keep `key` if it is among the 4 smallest so far.
+    fn offer(&mut self, key: (SimTime, usize)) {
+        if self.len == 4 {
+            if key >= self.keys[3] {
+                return;
+            }
+            self.len = 3;
+        }
+        let mut i = self.len;
+        while i > 0 && self.keys[i - 1] > key {
+            self.keys[i] = self.keys[i - 1];
+            i -= 1;
+        }
+        self.keys[i] = key;
+        self.len += 1;
+    }
+
+    /// Remove the smallest key and return its bank.
+    fn pop_first(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let (_, bank) = self.keys[0];
+        self.keys.copy_within(1..self.len, 0);
+        self.len -= 1;
+        Some(bank)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Channel;
     use crate::geometry::HbmGeometry;
     use crate::timing::HbmTiming;
 
@@ -1700,5 +1756,87 @@ mod tests {
         );
         // Device health is unaffected — the storm is a controller fault.
         assert_eq!(storm.effective_peak, storm.peak);
+    }
+
+    /// The repeated "most refresh-starved eligible idle bank" scan that
+    /// `pump_refresh` replaced, kept as the oracle.
+    fn pump_refresh_by_scans(
+        ch: &mut Channel,
+        now: SimTime,
+        h: usize,
+        gamma: usize,
+        num_groups: usize,
+        due: TimeDelta,
+        ignore_exclusion: bool,
+    ) {
+        let excluded = |bank: usize| {
+            if ignore_exclusion || num_groups <= 2 {
+                return false;
+            }
+            let g = bank / gamma;
+            g == h || g == (h + 1) % num_groups
+        };
+        for _ in 0..4 {
+            let candidate = (0..ch.num_banks())
+                .filter(|&b| !excluded(b))
+                .filter(|&b| ch.bank(b).is_idle() && ch.bank(b).idle_at() <= now)
+                .min_by_key(|&b| ch.bank(b).last_refresh());
+            let Some(bank) = candidate else { break };
+            if now.saturating_since(ch.bank(bank).last_refresh()) < due {
+                break;
+            }
+            ch.refresh_bank(now, bank).expect("oracle refresh");
+        }
+    }
+
+    /// A channel whose bank `b` is, by `setups[b]`: 0 untouched (idle,
+    /// last refreshed at 0), 1 holding an open row (busy), or 2..=9
+    /// refreshed at one of eight times around the pump's `now` of
+    /// 1000 ns — some repeated (tied `last_refresh`), some whose tRFCsb
+    /// (120 ns) ends after `now` (idle, but not yet). A zero tRFCsb
+    /// leaves a bank idle, and eligible again, right after its refresh.
+    fn channel_in(setups: &[u8], zero_rfc: bool) -> Channel {
+        const REFRESHED_NS: [u64; 8] = [0, 200, 200, 500, 880, 881, 950, 1000];
+        let mut timing = HbmTiming::hbm4();
+        if zero_rfc {
+            timing.t_rfc_sb = TimeDelta::ZERO;
+        }
+        let mut ch = Channel::new(timing, DataRate::from_gbps(640), setups.len());
+        for (b, &s) in setups.iter().enumerate() {
+            if s >= 2 {
+                let at = SimTime::from_ns(REFRESHED_NS[(s - 2) as usize]);
+                ch.refresh_bank(at, b).expect("setup refresh");
+            }
+        }
+        for (b, &s) in setups.iter().enumerate() {
+            if s == 1 {
+                let at = ch.earliest_activate(b);
+                ch.activate(at, b, 0).expect("setup ACT");
+            }
+        }
+        ch.set_record_commands(true);
+        ch
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_refresh_pick_matches_repeated_scans(
+            setups in proptest::collection::vec(0u8..10, 64),
+            gamma in proptest::sample::select(vec![1usize, 2, 4, 8]),
+            num_groups in proptest::sample::select(vec![1usize, 2, 3, 4, 8]),
+            h_seed in 0usize..8,
+            due_ns in proptest::sample::select(vec![0u64, 100, 500, 900, 2000]),
+            storm in proptest::prelude::any::<bool>(),
+            zero_rfc in proptest::prelude::any::<bool>(),
+        ) {
+            let banks = gamma * num_groups;
+            let mut fast = channel_in(&setups[..banks], zero_rfc);
+            let mut oracle = fast.clone();
+            let (now, due, h) = (SimTime::from_ns(1000), TimeDelta::from_ns(due_ns), h_seed % num_groups);
+            PfiController::pump_refresh(&mut fast, now, h, gamma, num_groups, due, storm);
+            pump_refresh_by_scans(&mut oracle, now, h, gamma, num_groups, due, storm);
+            // The same banks refreshed, in the same order.
+            proptest::prop_assert_eq!(fast.commands(), oracle.commands());
+        }
     }
 }

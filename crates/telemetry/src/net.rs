@@ -30,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sink::{render_registries, Exposition};
 use crate::{MetricsRegistry, ProfileHub, Record, TelemetrySink};
@@ -94,6 +94,11 @@ impl Exported {
     }
 }
 
+/// How long the accept thread waits on one client's request or
+/// response before moving on, so a client that connects and goes
+/// silent cannot stall later scrapes or the last endpoint drop.
+const CLIENT_IO_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// The accept thread, stopped and joined when the last endpoint clone
 /// drops.
 struct Server {
@@ -128,6 +133,8 @@ impl MetricsEndpoint {
                     break;
                 }
                 let Ok(mut stream) = conn else { continue };
+                let _ = stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
                 // Drain whatever request line arrived (best effort; the
                 // response does not depend on it).
                 let mut buf = [0u8; 1024];
@@ -521,6 +528,43 @@ mod tests {
         drop(endpoint);
         assert!(scrape(addr).contains("rip_switch_packets_total"));
         drop(clone);
+    }
+
+    #[test]
+    fn silent_client_stalls_neither_scrapes_nor_shutdown() {
+        let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0").expect("bind");
+        let addr = endpoint.local_addr();
+        record_packets(&mut endpoint, "switch", 1);
+        // Connects and never sends a request.
+        let silent = TcpStream::connect(addr).expect("connect");
+        let start = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // Without the server's timeout this read would block for as
+        // long as the silent client stays connected.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("client timeout");
+        stream
+            .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+            .expect("request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("response");
+        assert!(response.contains("rip_switch_packets_total"), "{response}");
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(1), "scrape took {waited:?}");
+        // A second silent client is connected while the last clone
+        // drops: the drop joins the accept thread and must still return.
+        let silent_again = TcpStream::connect(addr).expect("connect");
+        let clone = endpoint.clone();
+        drop(endpoint);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(clone);
+            let _ = done_tx.send(());
+        });
+        let dropped = done_rx.recv_timeout(Duration::from_secs(1));
+        drop((silent, silent_again));
+        assert!(dropped.is_ok(), "dropping the last clone did not return");
     }
 
     #[test]

@@ -125,15 +125,29 @@ pub trait TelemetrySink {
 /// one record per line, flushed on drop. Two same-seed runs produce
 /// byte-identical streams (all maps are `BTreeMap`-ordered, all
 /// timestamps sim time).
+///
+/// The first write or flush error (a reader that closed the pipe, a
+/// full disk) is kept, and the sink writes nothing after it; the run
+/// goes on, and its owner reads [`JsonlSink::error`].
 pub struct JsonlSink<W: Write> {
     out: W,
     records: u64,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
-        JsonlSink { out, records: 0 }
+        JsonlSink {
+            out,
+            records: 0,
+            error: None,
+        }
+    }
+
+    /// The first I/O error, after which nothing more was written.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 
     /// Records written so far.
@@ -149,9 +163,11 @@ impl<W: Write> JsonlSink<W> {
         self.records = records;
     }
 
-    /// Flush the underlying writer.
+    /// Flush the underlying writer (nothing, once a write has failed).
     pub fn flush(&mut self) {
-        self.out.flush().expect("telemetry sink flush");
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
     }
 }
 
@@ -165,6 +181,9 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
     // serialized parts (each part is itself serde-serialized, so
     // escaping and map ordering stay correct).
     fn record(&mut self, source: &str, rec: Record<'_>) {
+        if self.error.is_some() {
+            return;
+        }
         let source = json_str(source);
         let line = match rec {
             Record::Epoch { epoch, delta } => format!(
@@ -191,10 +210,14 @@ impl<W: Write> TelemetrySink for JsonlSink<W> {
                 serde_json::to_string(totals).expect("registry serializes"),
             ),
         };
-        self.out
+        let written = self
+            .out
             .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-            .expect("telemetry sink write");
+            .and_then(|()| self.out.write_all(b"\n"));
+        if let Err(e) = written {
+            self.error = Some(e);
+            return;
+        }
         self.records += 1;
         if let Record::RunEnd { .. } = rec {
             self.flush();
@@ -634,6 +657,67 @@ mod tests {
         assert!(text.contains("\"record\":\"span\""));
         assert!(text.contains("\"record\":\"watchdog\""));
         assert!(text.contains("\"record\":\"run_end\""));
+    }
+
+    /// A writer that takes `room` bytes and then fails every write
+    /// and flush with `BrokenPipe`, like stdout once `head` has exited;
+    /// it counts the calls that reach it.
+    struct ClosingPipe {
+        taken: Vec<u8>,
+        room: usize,
+        calls_after_close: u32,
+    }
+
+    impl Write for ClosingPipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.room - self.taken.len());
+            if n == 0 {
+                self.calls_after_close += 1;
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.taken.len() == self.room {
+                self.calls_after_close += 1;
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_keeps_the_first_write_error_and_stops_writing() {
+        let mut reg = MetricsRegistry::new();
+        let prev = reg.snapshot(SimTime::ZERO);
+        reg.inc("pkts", 7);
+        let delta = reg.snapshot(SimTime::from_ns(100)).delta_since(&prev);
+        let event = stall();
+        let records = sample_records(&delta, &reg, &event);
+        // The pipe closes partway through the second record.
+        let mut first = Vec::new();
+        JsonlSink::new(&mut first).record("switch", records[0]);
+        let mut sink = JsonlSink::new(ClosingPipe {
+            taken: Vec::new(),
+            room: first.len() + 10,
+            calls_after_close: 0,
+        });
+        for rec in records {
+            sink.record("switch", rec); // the run_end record flushes too
+        }
+        sink.flush();
+        assert_eq!(
+            sink.error().map(std::io::Error::kind),
+            Some(std::io::ErrorKind::BrokenPipe)
+        );
+        assert_eq!(sink.records(), 1, "only the first record went out");
+        assert_eq!(
+            sink.out.calls_after_close, 1,
+            "nothing is written after the first error"
+        );
+        assert_eq!(sink.out.taken[..first.len()], first[..]);
     }
 
     fn render(regs: &BTreeMap<String, MetricsRegistry>) -> String {

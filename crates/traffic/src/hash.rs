@@ -22,10 +22,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Reflected CRC-32C (Castagnoli) polynomial, 0x1EDC6F41 bit-reversed.
 const CRC32C_POLY: u32 = 0x82F6_3B78;
 
-/// The CRC of every byte value, so the hash takes one lookup per byte
-/// instead of eight shift/xor steps.
-const CRC32C_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC32C_TABLES[0]` is the CRC of every byte value
+/// (one lookup per byte instead of eight shift/xor steps), and
+/// `CRC32C_TABLES[j][b]` is that CRC advanced through `j` more zero
+/// bytes, so eight input bytes fold in with eight independent lookups.
+const CRC32C_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -34,17 +36,48 @@ const CRC32C_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (CRC32C_POLY & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[b] = crc;
+        t[0][b] = crc;
         b += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[j - 1][b];
+            t[j][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    t
 };
 
-/// CRC-32C (Castagnoli) of a byte string, table-driven.
+/// CRC-32C (Castagnoli) of a byte string, slice-by-8: eight bytes per
+/// step, then four, then the tail one byte at a time (a 13-byte flow
+/// key takes one step of each).
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    // Table `j` folds in a byte that has `j` more bytes after it in
+    // the step.
+    let fold4 = |x: u32, j: usize| {
+        t[j + 3][(x & 0xFF) as usize]
+            ^ t[j + 2][((x >> 8) & 0xFF) as usize]
+            ^ t[j + 1][((x >> 16) & 0xFF) as usize]
+            ^ t[j][(x >> 24) as usize]
+    };
+    let word = |w: &[u8]| u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        crc = fold4(crc ^ word(&w[..4]), 4) ^ fold4(word(&w[4..]), 0);
+    }
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        crc = fold4(crc ^ word(rest), 0);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -58,7 +91,7 @@ pub enum HashKind {
     Crc32c,
 }
 
-/// Hash a flow onto one of `lanes` lanes.
+/// Hash a flow onto one of `lanes` lanes: the hash modulo `lanes`.
 ///
 /// # Panics
 /// Panics if `lanes` is zero.
@@ -69,11 +102,18 @@ pub fn lane_for(flow: FlowKey, lanes: usize, kind: HashKind) -> usize {
         HashKind::Fnv1a => fnv1a(&bytes),
         HashKind::Crc32c => crc32c(&bytes) as u64,
     };
-    (h % lanes as u64) as usize
+    // Every shipped lane count is a power of two, where the remainder
+    // is a mask; only other counts pay for a division.
+    if lanes.is_power_of_two() {
+        (h & (lanes as u64 - 1)) as usize
+    } else {
+        (h % lanes as u64) as usize
+    }
 }
 
 /// Hash a flow onto a `(fiber, wavelength)` pair out of `fibers × waves`
-/// lanes (the output-port spreading of §3.2 ➅).
+/// lanes (the output-port spreading of §3.2 ➅): lane `l` is fiber
+/// `l / waves`, wavelength `l % waves`.
 pub fn fiber_wavelength_for(
     flow: FlowKey,
     fibers: usize,
@@ -81,7 +121,11 @@ pub fn fiber_wavelength_for(
     kind: HashKind,
 ) -> (usize, usize) {
     let lane = lane_for(flow, fibers * waves, kind);
-    (lane / waves, lane % waves)
+    if waves.is_power_of_two() {
+        (lane >> waves.trailing_zeros(), lane & (waves - 1))
+    } else {
+        (lane / waves, lane % waves)
+    }
 }
 
 #[cfg(test)]
@@ -107,7 +151,7 @@ mod tests {
         assert_eq!(crc32c(b""), 0);
     }
 
-    /// The bitwise CRC-32C the table is built from, kept as the oracle.
+    /// The bitwise CRC-32C the tables are built from, kept as the oracle.
     fn crc32c_bitwise(bytes: &[u8]) -> u32 {
         let mut crc: u32 = !0;
         for &b in bytes {
@@ -119,12 +163,61 @@ mod tests {
         !crc
     }
 
+    /// The division-based lane split every caller used before the
+    /// power-of-two masks, kept as the oracle.
+    fn fiber_wavelength_by_division(
+        flow: FlowKey,
+        fibers: usize,
+        waves: usize,
+        kind: HashKind,
+    ) -> (usize, usize) {
+        let bytes = flow.to_bytes();
+        let h = match kind {
+            HashKind::Fnv1a => fnv1a(&bytes),
+            HashKind::Crc32c => crc32c_bitwise(&bytes) as u64,
+        };
+        let lane = (h % (fibers * waves) as u64) as usize;
+        (lane / waves, lane % waves)
+    }
+
+    fn arb_flow() -> impl Strategy<Value = FlowKey> {
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u8>(),
+        )
+            .prop_map(|(src_ip, dst_ip, src_port, dst_port, proto)| FlowKey {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                proto,
+            })
+    }
+
     proptest! {
         #[test]
         fn table_crc32c_matches_the_bitwise_oracle(
             bytes in prop::collection::vec(any::<u8>(), 0..=64)
         ) {
             prop_assert_eq!(crc32c(&bytes), crc32c_bitwise(&bytes));
+        }
+
+        #[test]
+        fn lane_split_matches_the_division_oracle(
+            flow in arb_flow(),
+            // Powers of two (every shipped config) and counts that are not.
+            fibers in prop::sample::select(vec![1usize, 2, 3, 5, 16, 24, 64, 100]),
+            waves in prop::sample::select(vec![1usize, 2, 3, 4, 6, 16, 40]),
+            fnv in any::<bool>(),
+        ) {
+            let kind = if fnv { HashKind::Fnv1a } else { HashKind::Crc32c };
+            prop_assert_eq!(
+                fiber_wavelength_for(flow, fibers, waves, kind),
+                fiber_wavelength_by_division(flow, fibers, waves, kind)
+            );
         }
     }
 

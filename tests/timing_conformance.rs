@@ -10,7 +10,7 @@
 //! stream — proving the suite has teeth.
 
 use rip_core::{FaultKind, FaultPlan, HbmSwitch, RouterConfig};
-use rip_hbm::{HbmGeometry, HbmGroup, HbmTiming, PfiConfig, PfiController};
+use rip_hbm::{HbmCommandKind, HbmGeometry, HbmGroup, HbmTiming, PfiConfig, PfiController};
 use rip_integration_tests::{trace_for, TimingChecker};
 use rip_traffic::{ReplaySource, TrafficMatrix};
 use rip_units::{SimTime, TimeDelta};
@@ -116,6 +116,41 @@ fn pfi_sustained_schedule_is_conformant_including_refresh() {
             "pfi: channel {i} recorded nothing"
         );
     }
+}
+
+#[test]
+fn reference_switch_is_conformant_including_refresh() {
+    // The paper-scale plane the hidden-refresh claim is made on: 16
+    // ports, 4 HBM4 stacks, 512 KiB frames, uniform IMIX at 0.8. Its
+    // every REFsb comes from the PFI refresh pump, so the oracle checks
+    // the pump's picks against tRFCsb and the refresh interval.
+    let cfg = RouterConfig::reference();
+    let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
+    let horizon = SimTime::from_ns(10_000);
+    let trace = trace_for(&cfg, &tm, 0.8, horizon, 19);
+    let deadline = cfg.drain.deadline(horizon);
+    let mut sw = HbmSwitch::new(cfg).expect("valid config");
+    sw.set_hbm_command_recording(true);
+    sw.run_source(ReplaySource::new(&trace), deadline, &FaultPlan::default())
+        .expect("valid fault plan");
+    let mut refreshes = 0;
+    for (i, ch) in sw.hbm().channels().enumerate() {
+        let checker =
+            TimingChecker::new(*ch.timing(), ch.rate(), ch.num_banks()).with_refresh_interval();
+        let v = checker.replay(ch.commands());
+        assert!(
+            v.is_empty(),
+            "reference: channel {i}: {} violations, first: {:?}",
+            v.len(),
+            &v[..v.len().min(3)]
+        );
+        refreshes += ch
+            .commands()
+            .iter()
+            .filter(|c| c.kind == HbmCommandKind::RefreshSb)
+            .count();
+    }
+    assert!(refreshes > 0, "reference: the refresh pump issued no REFsb");
 }
 
 #[test]
