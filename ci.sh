@@ -106,7 +106,7 @@ done
 cmp "$bench_dir/soak_a.jsonl" "$bench_dir/soak_b.jsonl" \
   || { echo "same-seed live soak streams are not byte-identical"; exit 1; }
 
-echo "==> closed-stdout soak smoke (a reader that quits early)"
+echo "==> closed-stdout smoke: soak and run (a reader that quits early)"
 # `head -1` closes the pipe after one line. The soak must stop with its
 # documented exit 141 (or 0, had it finished first), not panic (101),
 # and leave no panic bundle behind.
@@ -118,6 +118,13 @@ test "$rc" = 0 || test "$rc" = 141 \
   || { echo "soak with a closed stdout exited $rc (101: a panic), want 141"; exit 1; }
 test ! -e "$bench_dir/pipe/flight_panic.json" \
   || { echo "soak with a closed stdout left a flight_panic.json"; exit 1; }
+# The plain run prints its spec line before simulating and its report
+# after, so the report write meets the closed pipe.
+rc=0
+target/release/ripsim configs/quickstart.json 2> "$bench_dir/pipe/run.log" \
+  | head -1 > /dev/null || rc=${PIPESTATUS[0]}
+test "$rc" = 0 || test "$rc" = 141 \
+  || { echo "run with a closed stdout exited $rc (101: a panic), want 141"; exit 1; }
 
 echo "==> chrome trace export (same-seed byte identity)"
 target/release/ripsim trace --chrome "$bench_dir/trace_a.json" configs/soak_live.json 2> /dev/null

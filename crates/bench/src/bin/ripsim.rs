@@ -42,11 +42,13 @@
 //! the run ends at the next epoch boundary (after one final snapshot
 //! when checkpointing), stdout is flushed up to that epoch, the
 //! `flight_signal.json` bundle is written, and `ripsim` exits 130.
-//! When a soak's stdout cannot be written any more (a reader that
-//! closed the pipe, as in `ripsim soak spec.json | head -1`), nothing
-//! more is written, a soak with an epoch period ends at the next epoch
+//! When stdout cannot be written any more (a reader that closed the
+//! pipe, as in `ripsim soak spec.json | head -1`), nothing more is
+//! written, a soak with an epoch period ends at the next epoch
 //! boundary, and `ripsim` prints one stderr line and exits 141 (the
-//! status a shell reports for a process a closed pipe killed).
+//! status a shell reports for a process a closed pipe killed). Every
+//! mode writes stdout the same way, so `ripsim spec.json | head -1`
+//! ends the same.
 //!
 //! `ripsim plane-worker <spec.json> --worker <id> --planes <list>`
 //! runs a subset of the spec's SPS planes and pushes their framed
@@ -116,11 +118,26 @@ use rip_telemetry::{
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
 
+/// `print!` through [`WatchedStdout`]: a closed stdout is noted for
+/// `main`'s exit 141, not a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        let _ = write!(WatchedStdout(std::io::stdout()), $($arg)*);
+    }};
+}
+
+/// `println!` through [`WatchedStdout`], as [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(WatchedStdout(std::io::stdout()), $($arg)*);
+    }};
+}
+
 fn run(spec: &SimSpec) -> Result<(), String> {
     let horizon = SimTime::from_ns(spec.horizon_us * 1000);
     let source = spec.build_source(horizon)?;
     let n = spec.router.ribbons;
-    println!(
+    outln!(
         "spec: {} ports x {}, frame {}, load {:.2}, streaming arrivals over {} us",
         n,
         spec.router.port_rate(),
@@ -170,7 +187,7 @@ fn run(spec: &SimSpec) -> Result<(), String> {
         "peak in-flight packets".into(),
         r.peak_in_flight_packets.to_string(),
     ]);
-    t.print("ripsim report");
+    out!("{}", t.titled("ripsim report"));
     Ok(())
 }
 
@@ -296,11 +313,11 @@ fn output_chain(
     (Box::new(wd), Some(handle))
 }
 
-/// The first error writing a soak's stdout. A soak stops at the next
-/// epoch boundary once it is set, and `main` exits 141.
+/// The first error writing stdout. A soak stops at the next epoch
+/// boundary once it is set, and every mode ends with exit 141.
 static STDOUT_ERROR: OnceLock<String> = OnceLock::new();
 
-/// Stdout for a soak's output, noting its first write error in
+/// Stdout for every mode's output, noting its first write error in
 /// [`STDOUT_ERROR`] (the JSONL sink itself stops writing there).
 struct WatchedStdout(std::io::Stdout);
 
@@ -316,6 +333,13 @@ impl Write for WatchedStdout {
 
 fn note_stdout_error(e: &std::io::Error) {
     let _ = STDOUT_ERROR.set(e.to_string());
+}
+
+/// Exit 141 if any write to stdout failed.
+fn exit_if_stdout_closed() {
+    if let Some(e) = STDOUT_ERROR.get() {
+        die(141, &format!("writing stdout failed ({e}); stopped there"));
+    }
 }
 
 /// One stderr line per fired watchdog alarm.
@@ -578,9 +602,7 @@ fn run_soak(spec: &SimSpec, cli: &Cli) -> Result<RunOutcome, String> {
     let say: fn(std::fmt::Arguments) = if period.is_some() {
         |a| eprintln!("{a}")
     } else {
-        |a| {
-            let _ = writeln!(WatchedStdout(std::io::stdout()), "{a}");
-        }
+        |a| outln!("{a}")
     };
     let hub = build_profile_hub(&cli.prof)?;
     let flight = build_flight_recorder(spec, &hub);
@@ -1210,7 +1232,7 @@ fn run_resilience() -> Result<(), String> {
         .inject(t_fault, FaultKind::HbmChannelDown { channel: 3 })
         .recover(t_recover, FaultKind::HbmChannelDown { channel: 3 });
 
-    println!(
+    outln!(
         "resilience demo: {} channels x {}, channel 3 down {} -> {}",
         cfg.channels(),
         cfg.hbm_geometry.channel_rate(),
@@ -1247,7 +1269,7 @@ fn run_resilience() -> Result<(), String> {
             format!("{:.2}", bits as f64 / healthy as f64),
         ]);
     }
-    t.print("delivered rate timeline (offered 0.75)");
+    out!("{}", t.titled("delivered rate timeline (offered 0.75)"));
 
     let mut t = Table::new(&["metric", "value"]);
     t.row(&["time degraded".into(), format!("{}", r.time_degraded)]);
@@ -1264,7 +1286,7 @@ fn run_resilience() -> Result<(), String> {
         r.recovery_drain
             .map_or("not reached".into(), |d| format!("{d}")),
     ]);
-    t.print("degraded-mode accounting");
+    out!("{}", t.titled("degraded-mode accounting"));
 
     // Under the degraded admissible load (≤ 0.7 of 3/4 capacity), the
     // same fault costs zero packets.
@@ -1274,7 +1296,7 @@ fn run_resilience() -> Result<(), String> {
     let r = sw
         .run_with_faults(&trace, drain, &plan)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "at offered {:.2} (<= 0.7 of degraded capacity): {} fault drops, {} congestion drops, delivery {:.4}%",
         safe_load,
         r.dropped_packets_fault,
@@ -1532,7 +1554,8 @@ fn die(code: i32, msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--version") {
-        println!("{}", version_line("ripsim"));
+        outln!("{}", version_line("ripsim"));
+        exit_if_stdout_closed();
         return;
     }
     let cli = parse_args(&args).unwrap_or_else(|e| die(2, &format!("{e}\n{}", usage())));
@@ -1541,7 +1564,7 @@ fn main() {
     let result = match cli.cmd {
         Cmd::Run if cli.example_spec => {
             let text = serde_json::to_string_pretty(&SimSpec::example()).expect("spec serializes");
-            println!("{text}");
+            outln!("{text}");
             Ok(())
         }
         Cmd::Run => run(&spec()),
@@ -1560,13 +1583,11 @@ fn main() {
         Cmd::Worker => run_plane_worker(&spec(), &cli),
         Cmd::Collect => run_collect(&spec(), &cli),
         Cmd::FlightCheck => {
-            flight_check(cli.operand.as_deref().unwrap_or_default()).map(|s| println!("{s}"))
+            flight_check(cli.operand.as_deref().unwrap_or_default()).map(|s| outln!("{s}"))
         }
         Cmd::Resilience => run_resilience(),
     };
-    if let Some(e) = STDOUT_ERROR.get() {
-        die(141, &format!("writing stdout failed ({e}); stopped there"));
-    }
+    exit_if_stdout_closed();
     match result {
         Err(e) if matches!(cli.cmd, Cmd::Run | Cmd::Trace) => die(1, &e),
         Err(e) => die(1, &format!("{} FAILED: {e}", cli.name)),

@@ -26,6 +26,11 @@
 //!    `wNN/<source>`) and that never enters the deterministic merge;
 //! 4. `{"record":"fleet_end","worker":W}`.
 //!
+//! Every line opens with its `record` key. The collector reads that key
+//! alone and decodes a `plane_done` line straight into its
+//! [`rip_core::PlaneResult`] (no `Value` tree); a `plane_done` line
+//! whose first key is not `record` is a protocol error.
+//!
 //! The collector buffers a stream's contribution and **commits it only
 //! at `fleet_end`**: a worker that dies mid-stream leaves no partial
 //! state behind, so its replacement (or reconnect) re-sends the whole
@@ -59,6 +64,7 @@ use rip_telemetry::{
     MemorySink, ParsedLine, Phase, ProfileHub, ProfileRecord, TelemetrySink,
 };
 use rip_units::SimTime;
+use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 /// The wire schema tag every `fleet_hello` must carry.
@@ -395,6 +401,23 @@ impl Collector {
             };
             let line = String::from_utf8(frame)
                 .map_err(|_| CollectError::Protocol("frame is not UTF-8".into()))?;
+            if is_plane_done(&line) {
+                // The bulk of the stream: decoded straight into the
+                // result, no tree. Its `record` key is skipped as an
+                // unknown field.
+                let result: PlaneResult = serde_json::from_str(&line).map_err(|e| {
+                    CollectError::Protocol(format!("plane_done does not decode: {e}"))
+                })?;
+                prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
+                let plane = result.plane;
+                if !owned.contains(&plane) {
+                    return Err(CollectError::Protocol(format!(
+                        "worker {worker} finished plane {plane}, outside its declared set"
+                    )));
+                }
+                done.insert(plane, result);
+                continue;
+            }
             let parsed = parse_sink_line(&line)?;
             prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
             match parsed {
@@ -413,17 +436,10 @@ impl Collector {
                     staged.entry(plane).or_default().push_record(rec);
                     prof_add(&mut self.prof, Phase::Staging, t0);
                 }
-                ParsedLine::Control { kind, value } if kind == "plane_done" => {
-                    let result = PlaneResult::from_value(&value).map_err(|e| {
-                        CollectError::Protocol(format!("plane_done does not decode: {e}"))
-                    })?;
-                    let plane = result.plane;
-                    if !owned.contains(&plane) {
-                        return Err(CollectError::Protocol(format!(
-                            "worker {worker} finished plane {plane}, outside its declared set"
-                        )));
-                    }
-                    done.insert(plane, result);
+                ParsedLine::Control { kind, .. } if kind == "plane_done" => {
+                    return Err(CollectError::Protocol(
+                        "plane_done must open with its `record` key".into(),
+                    ))
                 }
                 ParsedLine::Control { kind, .. } if kind == "fleet_end" => break,
                 ParsedLine::Control { kind, value } if kind == "profile" => {
@@ -505,6 +521,15 @@ impl Collector {
         }
         Ok(FleetOutcome { report, records })
     }
+}
+
+/// Whether `line` opens with `{"record":"plane_done"`, the order every
+/// rip-fleet/v1 line keeps. Reads that key alone.
+fn is_plane_done(line: &str) -> bool {
+    let mut r = Reader::new(line);
+    r.begin_object("line").is_ok()
+        && r.next_key().is_ok_and(|k| k.is_some_and(|k| k == "record"))
+        && r.string("record").is_ok_and(|kind| kind == "plane_done")
 }
 
 #[cfg(test)]

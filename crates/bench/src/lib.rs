@@ -189,8 +189,13 @@ impl Table {
 
     /// Print with a title banner.
     pub fn print(&self, title: &str) {
-        println!("\n=== {title} ===");
-        print!("{}", self.render());
+        print!("{}", self.titled(title));
+    }
+
+    /// The rendered table under its title banner, as [`Table::print`]
+    /// prints it.
+    pub fn titled(&self, title: &str) -> String {
+        format!("\n=== {title} ===\n{}", self.render())
     }
 }
 

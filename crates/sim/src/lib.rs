@@ -17,9 +17,9 @@
 //! * [`snapshot`] — versioned, CRC-checked checkpoint containers with
 //!   atomic-rename writes and two-slot rotation, the storage layer under
 //!   crash-safe soak resume.
-//! * [`stats`] — counters, Welford mean/variance, histograms with exact
-//!   quantiles, time-weighted gauges and throughput meters used by every
-//!   experiment.
+//! * [`stats`] — counters, histograms with exact quantiles,
+//!   time-weighted gauges and busy-time accumulators used by the
+//!   experiments.
 //!
 //! # Example
 //!

@@ -1,5 +1,5 @@
-//! Byte identity of the direct JSON writer on the workspace's real
-//! output types.
+//! Identity of the direct JSON writer and reader on the workspace's
+//! real types.
 //!
 //! `serde_json::to_string` writes JSON straight from each type through
 //! `Serialize::write_json`; the contract is that the bytes equal
@@ -8,6 +8,16 @@
 //! simulator serializes: the `SwitchReport`, the `SpsReport`, a
 //! checkpoint state payload, the live-telemetry records (and the JSONL
 //! lines rendered from them) and the self-profiler's `ProfileRecord`s.
+//!
+//! `serde_json::from_str` reads straight into each type through
+//! `Deserialize::read_json`; the contract is that the value equals
+//! `from_value` of the parsed tree. The suite checks that in the read
+//! direction for the `SwitchReport`, the `SpsReport`, each plane's
+//! `PlaneResult`, the checkpoint payload and the `ripsim` spec, and
+//! that each decoded report re-serializes to the bytes it was read
+//! from. (The checkpoint's typed `SwitchState` is private to
+//! `rip-core`; its own unit tests check it the same way.)
+//!
 //! It also checks that the parser's nesting limit admits every shipped
 //! config and a real checkpoint snapshot. Horizons are capped so the
 //! suite stays fast in debug builds.
@@ -15,13 +25,17 @@
 use std::cell::RefCell;
 use std::path::PathBuf;
 
-use rip_core::{FaultPlan, HbmSwitch, RouterConfig, RunOutcome, SpsRouter, SpsWorkload};
+use rip_bench::spec::SimSpec;
+use rip_core::{
+    FaultPlan, HbmSwitch, PlaneResult, RouterConfig, RunOutcome, SpsReport, SpsRouter, SpsWorkload,
+    SwitchReport,
+};
 use rip_integration_tests::{shipped_configs, source_for};
 use rip_photonics::SplitPattern;
 use rip_telemetry::{JsonlSink, ProfileHub, SharedSink};
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 const HORIZON: SimTime = SimTime::from_ns(20_000);
 
@@ -51,6 +65,28 @@ fn assert_identical<T: Serialize>(what: &str, x: &T) {
             ctx(&printed),
         );
     }
+}
+
+/// Assert that reading `text` straight into `T` and reading its value
+/// tree give the same value, shown by both re-serializing to the same
+/// bytes; with `round_trip`, those bytes must be `text` itself.
+fn assert_reads_identically<T: Serialize + Deserialize>(what: &str, text: &str, round_trip: bool) {
+    let direct: T =
+        serde_json::from_str(text).unwrap_or_else(|e| panic!("{what}: direct decode failed: {e}"));
+    let tree = serde_json::parse(text).expect("parses");
+    let tree = T::from_value(&tree).unwrap_or_else(|e| panic!("{what}: tree decode failed: {e}"));
+    let (direct, tree) = (
+        serde_json::to_string(&direct).expect("serializes"),
+        serde_json::to_string(&tree).expect("serializes"),
+    );
+    assert!(
+        direct == tree,
+        "{what}: direct decode differs from the tree decode"
+    );
+    assert!(
+        !round_trip || direct == text,
+        "{what}: decoding does not re-serialize to the bytes read"
+    );
 }
 
 #[test]
@@ -84,6 +120,8 @@ fn switch_outputs_serialize_identically_on_every_shipped_config() {
         let report = sw.into_report();
         assert!(!report.departures.is_empty(), "{name}: no departures");
         assert_identical(&format!("{name}: SwitchReport"), &report);
+        let text = serde_json::to_string(&report).expect("report serializes");
+        assert_reads_identically::<SwitchReport>(&format!("{name}: SwitchReport"), &text, true);
 
         let state = checkpoint.into_inner().expect("at least one checkpoint");
         assert_identical(&format!("{name}: checkpoint state"), &state);
@@ -94,6 +132,7 @@ fn switch_outputs_serialize_identically_on_every_shipped_config() {
             reparsed == state,
             "{name}: checkpoint payload does not round-trip"
         );
+        assert_reads_identically::<Value>(&format!("{name}: checkpoint state"), &payload, true);
 
         let records = staged.take();
         assert!(!records.records().is_empty(), "{name}: no telemetry");
@@ -131,6 +170,29 @@ fn sps_report_serializes_identically_on_every_shipped_config() {
             .run(&w, HORIZON, &FaultPlan::default(), None)
             .expect("healthy run");
         assert_identical(&format!("{name}: SpsReport"), &report);
+        let text = serde_json::to_string(&report).expect("report serializes");
+        assert_reads_identically::<SpsReport>(&format!("{name}: SpsReport"), &text, true);
+        let planes: Vec<usize> = (0..spec.router.switches).collect();
+        let runs = router
+            .run_planes(&w, HORIZON, &FaultPlan::default(), None, &planes)
+            .expect("healthy run");
+        for (result, _) in &runs {
+            let what = format!("{name}: PlaneResult {}", result.plane);
+            let text = serde_json::to_string(result).expect("result serializes");
+            assert_reads_identically::<PlaneResult>(&what, &text, true);
+        }
+    }
+}
+
+#[test]
+fn every_shipped_spec_reads_identically() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
+    for (name, spec) in shipped_configs() {
+        let text = std::fs::read_to_string(dir.join(&name)).expect("config readable");
+        assert_reads_identically::<SimSpec>(&name, &text, false);
+        // Its own compact text reads back to itself.
+        let compact = serde_json::to_string(&spec).expect("spec serializes");
+        assert_reads_identically::<SimSpec>(&name, &compact, true);
     }
 }
 
