@@ -395,6 +395,13 @@ grep -q 'worker 5 lost' "$bench_dir/fleet_cut.log" \
   || { echo "killed worker raised no typed collector error"; exit 1; }
 grep -q 'WorkerLost' "$bench_dir/fleet_cut.jsonl" \
   || { echo "killed worker emitted no WorkerLost watchdog record"; exit 1; }
+# The whole file-mode stream (departure blocks included) merges to the
+# oracle's bytes, as the TCP path does.
+target/release/ripsim collect configs/fleet_small.json \
+  --from "$bench_dir/fleet_w5.bin" > "$bench_dir/fleet_file.jsonl" 2> /dev/null \
+  || { echo "collector on a whole file-mode worker stream failed"; exit 1; }
+cmp "$bench_dir/fleet_file.jsonl" "$bench_dir/fleet_oracle.jsonl" \
+  || { echo "file-mode fleet merge is not byte-identical to the single-process oracle"; exit 1; }
 
 echo "==> repo benchmark smoke (ledger/ builds against the public API, every workload correct)"
 # ledger/ is a package of its own, outside the workspace, so no step

@@ -2,13 +2,13 @@
 //! separate processes and reassemble one byte-identical telemetry
 //! stream and report.
 //!
-//! ## Wire protocol (`rip-fleet/v1`)
+//! ## Wire protocol (`rip-fleet/v2`)
 //!
-//! A worker pushes one length-framed JSONL stream (every frame is one
-//! line without its newline, see
-//! [`rip_telemetry::LengthFramedWriter`]):
+//! A worker pushes one length-framed stream (see
+//! [`rip_telemetry::LengthFramedWriter`]). Every frame is either one
+//! JSON line without its newline or one binary departure block:
 //!
-//! 1. `{"record":"fleet_hello","schema":"rip-fleet/v1","worker":W,
+//! 1. `{"record":"fleet_hello","schema":"rip-fleet/v2","worker":W,
 //!    "planes":[..],"echo":<config echo>}` — the worker's identity,
 //!    its owned plane subset (strictly ascending), and the exact spec
 //!    it ran, which the collector compares against its own;
@@ -17,8 +17,10 @@
 //!    already renamed `planeNN`), then
 //!    `{"record":"plane_done",` followed by the fields of the plane's
 //!    [`rip_core::PlaneResult`] (`"plane":N,"fe_packets":..,
-//!    "fe_bytes":..,"report":<SwitchReport>}`) — the result the
-//!    single-process runner gets from the plane's thread join;
+//!    "fe_bytes":..,"report":<SwitchReport>}`) with
+//!    `report.departures` empty (`[]`), then the plane's departures in
+//!    delivery order as departure blocks (none when it delivered
+//!    nothing);
 //! 3. when the worker profiled itself, its recent wall-clock profile
 //!    records as `{"record":"profile","data":<ProfileRecord>}` control
 //!    lines — a bounded best-effort sidecar the collector routes into
@@ -30,6 +32,36 @@
 //! alone and decodes a `plane_done` line straight into its
 //! [`rip_core::PlaneResult`] (no `Value` tree); a `plane_done` line
 //! whose first key is not `record` is a protocol error.
+//!
+//! ### Departure blocks
+//!
+//! A block carries at most [`BLOCK_DEPARTURES`] departures of one
+//! plane:
+//!
+//! - the tag byte [`BLOCK_TAG`] (`0xFF`, which never occurs in UTF-8,
+//!   so no JSON line starts with it);
+//! - LEB128 varints: the plane, the index of the block's first
+//!   departure in the plane's log, and the count;
+//! - per departure: zigzag varints of the packet-id delta and of the
+//!   departure-time delta (picoseconds), both from 0 at the start of
+//!   each block so that a block decodes alone, a zigzag varint of
+//!   `time − arrival`, then varints of the fiber and the wavelength.
+//!
+//! Deltas are taken modulo 2^64, so every `PacketDeparture` value
+//! round-trips. A departure takes at least 5 bytes and at most 50, so
+//! a block frame stays under 3.3 MB however long the run: the largest
+//! frame of a stream does not grow with the horizon, and the
+//! collector reserves room for a block's departures only after
+//! checking that its frame can hold them. Departures are the bulk of a
+//! plane's result (one per delivered packet, about 96 bytes each as
+//! JSON against about 10 here), and nothing reads them between the
+//! worker and the collector's report, so they travel as binary and
+//! the collector decodes each block straight into the pending plane's
+//! `report.departures`. A block before its plane's `plane_done`, for
+//! another plane, with a wrong first index, a truncated, overflowing
+//! or non-minimal varint, or trailing bytes, and a plane whose decoded
+//! departures differ in number from its `delivered_packets`, are
+//! [`CollectError::Protocol`] errors.
 //!
 //! The collector buffers a stream's contribution and **commits it only
 //! at `fleet_end`**: a worker that dies mid-stream leaves no partial
@@ -56,7 +88,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 
 use rip_core::{
-    ConfigError, FaultPlan, LiveOptions, PlaneResult, SpsReport, SpsRouter, SpsWorkload,
+    ConfigError, FaultPlan, LiveOptions, PacketDeparture, PlaneResult, SpsReport, SpsRouter,
+    SpsWorkload,
 };
 use rip_telemetry::{
     parse_plane_source, parse_sink_line, plane_source_name, prof_add, prof_lap, prof_now,
@@ -68,7 +101,17 @@ use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 /// The wire schema tag every `fleet_hello` must carry.
-pub const FLEET_SCHEMA: &str = "rip-fleet/v1";
+pub const FLEET_SCHEMA: &str = "rip-fleet/v2";
+
+/// First byte of every departure block frame. It never occurs in
+/// UTF-8, so no JSON line can start with it.
+pub const BLOCK_TAG: u8 = 0xFF;
+
+/// Most departures one block frame carries.
+pub const BLOCK_DEPARTURES: usize = 65_536;
+
+/// Fewest bytes one departure takes in a block: five one-byte varints.
+const MIN_DEPARTURE_BYTES: usize = 5;
 
 /// Everything a worker or collector needs to know about the run —
 /// built identically on both sides from the shared spec file.
@@ -208,7 +251,7 @@ pub fn push_worker_stream<W: Write>(
     // (megabytes on a big plane) is written into it once and handed to
     // the framer in one write, never through intermediate strings.
     let mut line = String::new();
-    for (result, staged) in runs {
+    for (mut result, staged) in runs {
         {
             // The sink writes the plane's lines through the framer —
             // byte-for-byte the lines the oracle's merged stream holds
@@ -217,8 +260,10 @@ pub fn push_worker_stream<W: Write>(
             let mut sink = JsonlSink::new(&mut framed);
             staged.replay_renamed(&plane_source_name(result.plane), &mut sink);
         }
-        // The record kind, then the result's own fields: its opening
-        // brace is dropped.
+        // The record kind, then the result's own fields without the
+        // departures (its opening brace is dropped); the departures
+        // follow as blocks.
+        let departures = std::mem::take(&mut result.report.departures);
         line.clear();
         line.push_str("{\"record\":\"plane_done\",");
         let fields = line.len();
@@ -226,6 +271,7 @@ pub fn push_worker_stream<W: Write>(
         line.remove(fields);
         line.push('\n');
         framed.write_all(line.as_bytes())?;
+        write_departure_blocks(&mut framed, result.plane, &departures)?;
     }
     // Wall-clock sidecar: when the router carries a profile hub (the
     // worker ran with `--profile`), ship its recent records as control
@@ -385,6 +431,9 @@ impl Collector {
         // --- telemetry + plane_done until fleet_end ---------------------
         let mut staged: BTreeMap<usize, MemorySink> = BTreeMap::new();
         let mut done: BTreeMap<usize, PlaneResult> = BTreeMap::new();
+        // The plane whose `plane_done` came last, while its departure
+        // blocks arrive; any other frame closes it.
+        let mut pending: Option<PlaneResult> = None;
         loop {
             let mut t0 = prof_now(&self.prof);
             // Once the hello has identified the worker, both ways its
@@ -399,12 +448,34 @@ impl Collector {
                 }
                 Err(e) => return Err(e.into()),
             };
+            if frame.first() == Some(&BLOCK_TAG) {
+                // The bulk of the stream: decoded straight into the
+                // pending plane's log.
+                let result = pending.as_mut().ok_or_else(|| {
+                    CollectError::Protocol(format!(
+                        "worker {worker} sent a departure block before its plane_done"
+                    ))
+                })?;
+                decode_block(&frame, result.plane, &mut result.report.departures)?;
+                prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
+                continue;
+            }
+            if let Some(result) = pending.take() {
+                let (plane, report) = (result.plane, &result.report);
+                if report.departures.len() as u64 != report.delivered_packets {
+                    return Err(CollectError::Protocol(format!(
+                        "plane {plane} sent {} departures for {} delivered packets",
+                        report.departures.len(),
+                        report.delivered_packets
+                    )));
+                }
+                done.insert(plane, result);
+            }
             let line = String::from_utf8(frame)
                 .map_err(|_| CollectError::Protocol("frame is not UTF-8".into()))?;
             if is_plane_done(&line) {
-                // The bulk of the stream: decoded straight into the
-                // result, no tree. Its `record` key is skipped as an
-                // unknown field.
+                // Decoded straight into the result, no tree. Its
+                // `record` key is skipped as an unknown field.
                 let result: PlaneResult = serde_json::from_str(&line).map_err(|e| {
                     CollectError::Protocol(format!("plane_done does not decode: {e}"))
                 })?;
@@ -415,7 +486,12 @@ impl Collector {
                         "worker {worker} finished plane {plane}, outside its declared set"
                     )));
                 }
-                done.insert(plane, result);
+                if !result.report.departures.is_empty() {
+                    return Err(CollectError::Protocol(format!(
+                        "plane {plane}'s plane_done carries departures; {FLEET_SCHEMA} sends them as blocks"
+                    )));
+                }
+                pending = Some(result);
                 continue;
             }
             let parsed = parse_sink_line(&line)?;
@@ -523,8 +599,165 @@ impl Collector {
     }
 }
 
+/// Write `departures`, the delivery log of `plane`, into `out` as
+/// departure block frames of at most [`BLOCK_DEPARTURES`] each (none
+/// when the log is empty). See the module docs for the layout.
+pub fn write_departure_blocks<W: Write>(
+    out: &mut LengthFramedWriter<W>,
+    plane: usize,
+    departures: &[PacketDeparture],
+) -> io::Result<()> {
+    let mut block = Vec::new();
+    for (i, chunk) in departures.chunks(BLOCK_DEPARTURES).enumerate() {
+        block.clear();
+        block.push(BLOCK_TAG);
+        put_varint(&mut block, plane as u64);
+        put_varint(&mut block, (i * BLOCK_DEPARTURES) as u64);
+        put_varint(&mut block, chunk.len() as u64);
+        let (mut packet, mut time) = (0u64, 0u64);
+        for d in chunk {
+            let t = d.time.as_ps();
+            put_varint(&mut block, zigzag(d.packet.wrapping_sub(packet)));
+            put_varint(&mut block, zigzag(t.wrapping_sub(time)));
+            put_varint(&mut block, zigzag(t.wrapping_sub(d.arrival.as_ps())));
+            put_varint(&mut block, d.fiber as u64);
+            put_varint(&mut block, d.wavelength as u64);
+            (packet, time) = (d.packet, t);
+        }
+        out.write_frame(&block)?;
+    }
+    Ok(())
+}
+
+/// Decode one departure block frame of `plane` and append its
+/// departures to `departures`, whose length must be the block's first
+/// index. Any frame that [`write_departure_blocks`] could not have
+/// written is a [`CollectError::Protocol`] error; on an error,
+/// `departures` may hold part of the block. Room is reserved only for
+/// as many departures as the frame's bytes can hold.
+pub fn decode_block(
+    frame: &[u8],
+    plane: usize,
+    departures: &mut Vec<PacketDeparture>,
+) -> Result<(), CollectError> {
+    if frame.first() != Some(&BLOCK_TAG) {
+        return Err(CollectError::Protocol("not a departure block".into()));
+    }
+    let mut r = BlockReader {
+        bytes: frame,
+        at: 1,
+    };
+    let got = r.varint()?;
+    if got != plane as u64 {
+        return Err(CollectError::Protocol(format!(
+            "departure block for plane {got} while plane {plane} is pending"
+        )));
+    }
+    let first = r.varint()?;
+    if first != departures.len() as u64 {
+        return Err(CollectError::Protocol(format!(
+            "plane {plane}'s departure block starts at {first}, want {}",
+            departures.len()
+        )));
+    }
+    let count = r.varint()?;
+    let room = (frame.len() - r.at) / MIN_DEPARTURE_BYTES;
+    if count == 0 || count > BLOCK_DEPARTURES as u64 || count > room as u64 {
+        return Err(CollectError::Protocol(format!(
+            "departure block of {count} departures in {} bytes (at most {BLOCK_DEPARTURES})",
+            frame.len()
+        )));
+    }
+    departures.reserve(count as usize);
+    let (mut packet, mut time) = (0u64, 0u64);
+    for _ in 0..count {
+        packet = packet.wrapping_add(unzigzag(r.varint()?));
+        time = time.wrapping_add(unzigzag(r.varint()?));
+        let arrival = time.wrapping_sub(unzigzag(r.varint()?));
+        let fiber = r.index()?;
+        let wavelength = r.index()?;
+        departures.push(PacketDeparture {
+            packet,
+            time: SimTime::from_ps(time),
+            arrival: SimTime::from_ps(arrival),
+            fiber,
+            wavelength,
+        });
+    }
+    if r.at != frame.len() {
+        return Err(CollectError::Protocol(format!(
+            "departure block has {} trailing bytes",
+            frame.len() - r.at
+        )));
+    }
+    Ok(())
+}
+
+/// LEB128: seven bits per byte, low bits first, high bit set on every
+/// byte but the last.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A difference taken modulo 2^64, read as signed and mapped so small
+/// magnitudes of either sign get small codes.
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// A cursor over a block frame's varints.
+struct BlockReader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl BlockReader<'_> {
+    /// The next varint. Truncated, past 64 bits or non-minimal (a
+    /// last byte of 0 after the first) is an error, so every value has
+    /// one encoding.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, CollectError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let Some(&b) = self.bytes.get(self.at) else {
+                return Err(CollectError::Protocol(
+                    "departure block ends inside a varint".into(),
+                ));
+            };
+            self.at += 1;
+            if (shift == 63 && b > 1) || (b == 0 && shift > 0) {
+                return Err(CollectError::Protocol(
+                    "departure block holds an overlong varint".into(),
+                ));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// The next varint as a lane index.
+    fn index(&mut self) -> Result<usize, CollectError> {
+        let v = self.varint()?;
+        usize::try_from(v).map_err(|_| {
+            CollectError::Protocol(format!("departure lane {v} does not fit this host"))
+        })
+    }
+}
+
 /// Whether `line` opens with `{"record":"plane_done"`, the order every
-/// rip-fleet/v1 line keeps. Reads that key alone.
+/// rip-fleet/v2 line keeps. Reads that key alone.
 fn is_plane_done(line: &str) -> bool {
     let mut r = Reader::new(line);
     r.begin_object("line").is_ok()

@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn control_lines_pass_through() {
-        let line = "{\"record\":\"fleet_hello\",\"schema\":\"rip-fleet/v1\",\"worker\":0}";
+        let line = "{\"record\":\"fleet_hello\",\"schema\":\"rip-fleet/v2\",\"worker\":0}";
         match parse_sink_line(line).expect("parses") {
             ParsedLine::Control { kind, value } => {
                 assert_eq!(kind, "fleet_hello");

@@ -231,9 +231,21 @@ impl TelemetrySink for MetricsEndpoint {
     }
 }
 
-fn write_frame<W: Write>(inner: &mut W, record: &[u8]) -> io::Result<()> {
+fn put_frame<W: Write>(inner: &mut W, record: &[u8]) -> io::Result<()> {
+    // The reader refuses a frame above the bound, so the writer does
+    // too: a worker learns at once, not after the collector reads it.
     let len = u32::try_from(record.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "record exceeds u32 frame"))?;
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "record of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound",
+                    record.len()
+                ),
+            )
+        })?;
     inner.write_all(&len.to_be_bytes())?;
     inner.write_all(record)
 }
@@ -242,7 +254,10 @@ fn write_frame<W: Write>(inner: &mut W, record: &[u8]) -> io::Result<()> {
 /// prefixes followed by the record bytes (newline stripped) — the
 /// collector push wire format. Partial lines are buffered until their
 /// newline arrives; `flush` forwards to the inner writer without
-/// emitting incomplete frames.
+/// emitting incomplete frames. [`LengthFramedWriter::write_frame`]
+/// frames a binary record whole, newlines and all. A record above
+/// [`MAX_FRAME_BYTES`] is an [`io::ErrorKind::InvalidData`] error on
+/// either path, as [`LengthFramedReader`] would refuse it.
 pub struct LengthFramedWriter<W: Write> {
     inner: W,
     buf: Vec<u8>,
@@ -255,6 +270,20 @@ impl<W: Write> LengthFramedWriter<W> {
             inner,
             buf: Vec::new(),
         }
+    }
+
+    /// Write `record` as one frame, as is: its bytes may hold newlines
+    /// or anything else. Fails with [`io::ErrorKind::InvalidInput`]
+    /// while a line is partly written, since the frame would land
+    /// ahead of that line's.
+    pub fn write_frame(&mut self, record: &[u8]) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "raw frame written inside a partial line",
+            ));
+        }
+        put_frame(&mut self.inner, record)
     }
 
     /// Unwrap the inner writer (any incomplete trailing line is
@@ -270,10 +299,10 @@ impl<W: Write> Write for LengthFramedWriter<W> {
         while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
             // A whole line in one write is framed straight from `data`.
             if self.buf.is_empty() {
-                write_frame(&mut self.inner, &rest[..nl])?;
+                put_frame(&mut self.inner, &rest[..nl])?;
             } else {
                 self.buf.extend_from_slice(&rest[..nl]);
-                write_frame(&mut self.inner, &self.buf)?;
+                put_frame(&mut self.inner, &self.buf)?;
                 self.buf.clear();
             }
             rest = &rest[nl + 1..];
@@ -344,8 +373,9 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Default [`LengthFramedReader`] frame bound: far above any telemetry
-/// record the workspace emits, far below anything that could OOM the
+/// Default [`LengthFramedReader`] frame bound and the bound every
+/// [`LengthFramedWriter`] frame keeps: far above any telemetry record
+/// the workspace emits, far below anything that could OOM the
 /// collector.
 pub const MAX_FRAME_BYTES: u32 = 1 << 26; // 64 MiB
 
@@ -770,6 +800,52 @@ mod tests {
             }
         }
         assert_eq!(frames, vec![b"hello".to_vec(), b"world".to_vec()]);
+    }
+
+    #[test]
+    fn raw_frames_keep_their_newlines_and_interleave_with_lines() {
+        let mut framed = LengthFramedWriter::new(Vec::new());
+        framed.write_all(b"{\"a\":1}\n").expect("write");
+        framed.write_frame(b"\xff\n\x00\n").expect("raw frame");
+        framed.write_all(b"{\"b\":2}\n").expect("write");
+        let bytes = framed.into_inner();
+        let mut reader = LengthFramedReader::new(&bytes[..]);
+        let mut frames = Vec::new();
+        while let Some(f) = reader.read_frame().expect("well-formed") {
+            frames.push(f);
+        }
+        assert_eq!(
+            frames,
+            vec![
+                b"{\"a\":1}".to_vec(),
+                b"\xff\n\x00\n".to_vec(),
+                b"{\"b\":2}".to_vec()
+            ]
+        );
+        // A raw frame may not cut into a partial line.
+        let mut framed = LengthFramedWriter::new(Vec::new());
+        framed.write_all(b"{\"half\"").expect("write");
+        let err = framed.write_frame(b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn writer_refuses_what_the_reader_refuses() {
+        // One line one byte past the bound, newline included.
+        let max = MAX_FRAME_BYTES as usize;
+        let mut line = vec![b'x'; max + 2];
+        line[max + 1] = b'\n';
+        let mut at_bound = LengthFramedWriter::new(io::sink());
+        at_bound
+            .write_frame(&line[..max])
+            .expect("a frame at the bound");
+        let mut framed = LengthFramedWriter::new(Vec::new());
+        let err = framed.write_frame(&line[..max + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = framed.write_all(&line).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Neither refused record left a byte on the stream.
+        assert!(framed.into_inner().is_empty());
     }
 
     #[test]

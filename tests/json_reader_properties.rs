@@ -1,62 +1,56 @@
 //! Hostile input for the JSON reader: random truncations and byte
-//! mutations of a real fleet `plane_done` line and of every shipped
-//! `configs/*.json`. On each input, decoding straight into the type
-//! (`serde_json::from_str`, the `read_json` path) and decoding the
-//! parsed tree (`from_value`) either both fail or give equal values,
-//! and neither panics. Nesting one level past the reader's limit fails
-//! in the tree builder, in the skipper and in a derived decoder.
+//! mutations of a real `plane_done` line, departures included, and of
+//! every shipped `configs/*.json`. On each input, decoding straight
+//! into the type (`serde_json::from_str`, the `read_json` path) and
+//! decoding the parsed tree (`from_value`) either both fail or give
+//! equal values, and neither panics. Nesting one level past the
+//! reader's limit fails in the tree builder, in the skipper and in a
+//! derived decoder.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rip_bench::fleet::{push_worker_stream, FleetJob};
 use rip_bench::spec::SimSpec;
 use rip_core::{FaultPlan, LiveOptions, PlaneResult, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::shipped_configs;
 use rip_photonics::SplitPattern;
-use rip_telemetry::LengthFramedReader;
 use rip_units::{SimTime, TimeDelta};
 use serde::de::{Reader, RECURSION_LIMIT};
 use serde::{Deserialize, Serialize};
 
 /// The inputs the mutations start from: one real `plane_done` line,
-/// then every shipped config.
+/// then every shipped config. The fleet wire ships a plane's
+/// departures as binary blocks after its `plane_done` line, so the
+/// line is built here from a `run_planes` result with its departures
+/// in place: `{"record":"plane_done",` then the result's fields.
 fn seeds() -> &'static (String, Vec<String>) {
     static SEEDS: OnceLock<(String, Vec<String>)> = OnceLock::new();
     SEEDS.get_or_init(|| {
         let cfg = RouterConfig::small();
         let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
         let workload = SpsWorkload::uniform(cfg.ribbons, 0.7, 5);
-        let plan = FaultPlan::default();
-        let job = FleetJob {
-            router: &router,
-            workload: &workload,
-            plan: &plan,
-            horizon: SimTime::from_ns(2_000),
-            live: LiveOptions {
-                period: TimeDelta::from_ps(1_000_000),
-                sample_one_in: 16,
-            },
-            echo: serde_json::parse("{}").expect("echo parses"),
+        let live = LiveOptions {
+            period: TimeDelta::from_ps(1_000_000),
+            sample_one_in: 16,
         };
-        let stream = push_worker_stream(&job, 0, &[1], Vec::new()).expect("pushes");
-        let mut reader = LengthFramedReader::new(&stream[..]);
-        let mut plane_done = None;
-        while let Some(frame) = reader.read_frame().expect("well-formed stream") {
-            let line = String::from_utf8(frame).expect("UTF-8 line");
-            if line.starts_with("{\"record\":\"plane_done\",") {
-                plane_done = Some(line);
-            }
-        }
+        let mut runs = router
+            .run_planes(
+                &workload,
+                SimTime::from_ns(2_000),
+                &FaultPlan::default(),
+                Some(live),
+                &[1],
+            )
+            .expect("valid plan");
+        let (result, _) = runs.pop().expect("plane 1 ran");
+        let fields = serde_json::to_string(&result).expect("result serializes");
+        let plane_done = format!("{{\"record\":\"plane_done\",{}", &fields[1..]);
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
         let configs = shipped_configs()
             .into_iter()
             .map(|(name, _)| std::fs::read_to_string(dir.join(name)).expect("config readable"))
             .collect();
-        (
-            plane_done.expect("the stream has a plane_done line"),
-            configs,
-        )
+        (plane_done, configs)
     })
 }
 
