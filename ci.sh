@@ -232,6 +232,10 @@ test -f "$bench_dir/flight/flight_watchdog.json" \
   || { echo "watchdog trip left no flight_watchdog.json"; exit 1; }
 target/release/ripsim flight-check "$bench_dir/flight/flight_watchdog.json" \
   || { echo "flight bundle failed validation"; exit 1; }
+# A bundle cut short is a typed decode error, not a panic.
+head -c 200 "$bench_dir/flight/flight_watchdog.json" > "$bench_dir/flight_truncated.json"
+expect_fails 1 "$bench_dir/flight_truncated.log" 'bad `flight` record' \
+  target/release/ripsim flight-check "$bench_dir/flight_truncated.json"
 
 echo "==> soak SIGINT smoke (plain and checkpointing: exit 130, stdout up to the flight bundle, resumable)"
 # The shipped soak ends in well under a second; a 1000x horizon keeps

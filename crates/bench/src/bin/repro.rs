@@ -44,7 +44,7 @@ use rip_hbm::{
     PfiController, RandomAccessController, RegionMode,
 };
 use rip_photonics::SplitPattern;
-use rip_telemetry::TelemetrySink;
+use rip_telemetry::{RecordLine, TelemetrySink};
 use rip_traffic::{ArrivalProcess, Attacker, FiberFill, SizeDistribution, TrafficMatrix};
 use rip_units::{DataRate, DataSize, SimTime, TimeDelta};
 
@@ -1341,14 +1341,13 @@ fn run_bench(quick: bool, live: bool) {
         }
         ns
     });
-    let (mut epochs, mut spans) = (0u64, 0u64);
-    for line in stream.split(|&b| b == b'\n') {
-        if line.starts_with(b"{\"record\":\"epoch\"") {
-            epochs += 1;
-        } else if line.starts_with(b"{\"record\":\"span\"") {
-            spans += 1;
-        }
-    }
+    let stream = String::from_utf8(stream).expect("the sink writes UTF-8");
+    let lines: Vec<RecordLine> = stream
+        .lines()
+        .map(|line| RecordLine::read(line).expect("the sink writes records"))
+        .collect();
+    let count = |kind: &str| lines.iter().filter(|l| l.kind() == kind).count() as u64;
+    let (epochs, spans) = (count("epoch"), count("span"));
 
     // The same question for the command-level Chrome trace: an HBM
     // switch run with tracing enabled but the recording window entirely

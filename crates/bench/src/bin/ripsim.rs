@@ -111,9 +111,9 @@ use rip_core::{
 use rip_photonics::SplitPattern;
 use rip_sim::snapshot::SnapshotError;
 use rip_telemetry::{
-    ChromeTraceSink, FanoutSink, FlightRecorder, FrameListener, JsonlSink, MetricsEndpoint,
-    ProfileHub, Record, SharedSink, TelemetrySink, TraceWindow, Watchdog, WatchdogConfig,
-    WatchdogEvent, WatchdogHandle, WatchdogKind,
+    ChromeTraceSink, FanoutSink, FlightBundle, FlightRecorder, FrameListener, JsonlSink,
+    MetricsEndpoint, ProfileHub, Record, SharedSink, TelemetrySink, TraceWindow, Watchdog,
+    WatchdogConfig, WatchdogEvent, WatchdogHandle, WatchdogKind,
 };
 use rip_units::{DataSize, SimTime, TimeDelta};
 use serde::{Deserialize, Serialize, Value};
@@ -1160,49 +1160,19 @@ fn run_trace_chrome(
 // `ripsim flight-check` — post-mortem bundle validation
 // --------------------------------------------------------------------
 
-/// Field lookup on a parsed JSON object (the vendored `Value` has no
-/// `get`).
-fn jget<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    v.as_object()?
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, val)| val)
-}
-
-/// Validate a flight-recorder bundle: parses as JSON, carries the
-/// `flight` record tag, a reason, build info, and the three content
-/// arrays. Prints a one-line summary on success — the CI smoke's
-/// schema gate, with no external JSON tooling needed.
+/// Validate a flight-recorder bundle: it decodes as a
+/// [`FlightBundle`], a `flight` record with every field typed. Prints
+/// a one-line summary on success — the CI smoke's schema gate, with no
+/// external JSON tooling needed.
 fn flight_check(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let v = serde_json::parse(&text).map_err(|e| format!("{path} does not parse: {e}"))?;
-    let record = jget(&v, "record").and_then(Value::as_str).unwrap_or("");
-    if record != "flight" {
-        return Err(format!("{path}: record is {record:?}, want \"flight\""));
-    }
-    let reason = jget(&v, "reason")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{path}: missing string field `reason`"))?
-        .to_string();
-    for key in ["service", "version"] {
-        if jget(&v, key).and_then(Value::as_str).is_none() {
-            return Err(format!("{path}: missing string field `{key}`"));
-        }
-    }
-    for key in ["epochs_seen", "epochs_retained"] {
-        let field = jget(&v, key).ok_or_else(|| format!("{path}: missing field `{key}`"))?;
-        u64::from_value(field).map_err(|e| format!("{path}: field `{key}`: {e}"))?;
-    }
-    let mut counts = Vec::new();
-    for key in ["epochs", "watchdogs", "profiles"] {
-        let arr = jget(&v, key)
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{path}: missing array field `{key}`"))?;
-        counts.push(arr.len());
-    }
+    let bundle = FlightBundle::read(&text).map_err(|e| format!("{path}: {e}"))?;
     Ok(format!(
-        "flight bundle OK: reason={reason} epochs={} watchdogs={} profiles={}",
-        counts[0], counts[1], counts[2]
+        "flight bundle OK: reason={} epochs={} watchdogs={} profiles={}",
+        bundle.reason,
+        bundle.epochs.len(),
+        bundle.watchdogs.len(),
+        bundle.profiles.len()
     ))
 }
 

@@ -6,32 +6,32 @@
 //!
 //! A worker pushes one length-framed stream (see
 //! [`rip_telemetry::LengthFramedWriter`]). Every frame is either one
-//! JSON line without its newline or one binary departure block:
+//! JSON line without its newline or one binary departure block. Every
+//! JSON line is one `{"record":"<kind>",…}` envelope
+//! ([`rip_telemetry::RecordLine`]):
 //!
-//! 1. `{"record":"fleet_hello","schema":"rip-fleet/v2","worker":W,
-//!    "planes":[..],"echo":<config echo>}` — the worker's identity,
-//!    its owned plane subset (strictly ascending), and the exact spec
-//!    it ran, which the collector compares against its own;
+//! 1. `fleet_hello`: the worker's identity, its owned plane subset
+//!    (strictly ascending), and the exact spec it ran, which the
+//!    collector compares against its own (`"schema":"rip-fleet/v2",
+//!    "worker":W,"planes":[..],"echo":<config echo>`);
 //! 2. for each owned plane, ascending: the plane's telemetry lines
 //!    exactly as [`rip_telemetry::JsonlSink`] emits them (sources
-//!    already renamed `planeNN`), then
-//!    `{"record":"plane_done",` followed by the fields of the plane's
-//!    [`rip_core::PlaneResult`] (`"plane":N,"fe_packets":..,
-//!    "fe_bytes":..,"report":<SwitchReport>}`) with
+//!    already renamed `planeNN`), then a `plane_done` line holding the
+//!    fields of the plane's [`rip_core::PlaneResult`] (`"plane":N,
+//!    "fe_packets":..,"fe_bytes":..,"report":<SwitchReport>`) with
 //!    `report.departures` empty (`[]`), then the plane's departures in
 //!    delivery order as departure blocks (none when it delivered
 //!    nothing);
 //! 3. when the worker profiled itself, its recent wall-clock profile
-//!    records as `{"record":"profile","data":<ProfileRecord>}` control
-//!    lines — a bounded best-effort sidecar the collector routes into
-//!    its own [`rip_telemetry::ProfileHub`] (source renamed
-//!    `wNN/<source>`) and that never enters the deterministic merge;
-//! 4. `{"record":"fleet_end","worker":W}`.
+//!    records as `profile` lines ([`ProfileRecord::write_line`]) — a
+//!    bounded best-effort sidecar the collector routes into its own
+//!    [`rip_telemetry::ProfileHub`] (source renamed `wNN/<source>`) and
+//!    that never enters the deterministic merge;
+//! 4. `fleet_end`, naming the worker again (`"worker":W`).
 //!
-//! Every line opens with its `record` key. The collector reads that key
-//! alone and decodes a `plane_done` line straight into its
-//! [`rip_core::PlaneResult`] (no `Value` tree); a `plane_done` line
-//! whose first key is not `record` is a protocol error.
+//! The collector reads each line's kind once and decodes the line
+//! straight into its kind's type (no `Value` tree). A line whose first
+//! key is not `record` is a typed [`LineError`].
 //!
 //! ### Departure blocks
 //!
@@ -92,12 +92,11 @@ use rip_core::{
     SpsWorkload,
 };
 use rip_telemetry::{
-    parse_plane_source, parse_sink_line, plane_source_name, prof_add, prof_lap, prof_now,
+    parse_plane_source, plane_source_name, prof_add, prof_lap, prof_now, read_record, write_record,
     EngineProfiler, FrameError, JsonlSink, LengthFramedReader, LengthFramedWriter, LineError,
-    MemorySink, ParsedLine, Phase, ProfileHub, ProfileRecord, TelemetrySink,
+    MemorySink, Phase, ProfileHub, ProfileRecord, RecordLine, SinkRecord, TelemetrySink,
 };
 use rip_units::SimTime;
-use serde::de::Reader;
 use serde::{Deserialize, Serialize, Value};
 
 /// The wire schema tag every `fleet_hello` must carry.
@@ -238,19 +237,18 @@ pub fn push_worker_stream<W: Write>(
         job.router
             .run_planes(job.workload, job.horizon, job.plan, Some(job.live), planes)?;
     let mut framed = LengthFramedWriter::new(out);
-    let planes_u64: Vec<u64> = planes.iter().map(|&p| p as u64).collect();
-    writeln!(
-        framed,
-        "{{\"record\":\"fleet_hello\",\"schema\":\"{}\",\"worker\":{},\"planes\":{},\"echo\":{}}}",
-        FLEET_SCHEMA,
-        worker,
-        serde_json::to_string(&planes_u64).expect("planes serialize"),
-        serde_json::to_string(&job.echo).expect("echo serializes"),
-    )?;
-    // One reused buffer per plane_done frame: the plane's report
-    // (megabytes on a big plane) is written into it once and handed to
-    // the framer in one write, never through intermediate strings.
+    // One reused buffer for every control line: a plane's report
+    // (megabytes on a big plane) is written into it once and framed
+    // whole, never through intermediate strings.
     let mut line = String::new();
+    let hello = FleetHello {
+        schema: FLEET_SCHEMA.to_string(),
+        worker,
+        planes: planes.iter().map(|&p| p as u64).collect(),
+        echo: job.echo.clone(),
+    };
+    write_record(&mut line, "fleet_hello", &hello);
+    framed.write_frame(line.as_bytes())?;
     for (mut result, staged) in runs {
         {
             // The sink writes the plane's lines through the framer —
@@ -260,17 +258,11 @@ pub fn push_worker_stream<W: Write>(
             let mut sink = JsonlSink::new(&mut framed);
             staged.replay_renamed(&plane_source_name(result.plane), &mut sink);
         }
-        // The record kind, then the result's own fields without the
-        // departures (its opening brace is dropped); the departures
-        // follow as blocks.
+        // The result without its departures, which follow as blocks.
         let departures = std::mem::take(&mut result.report.departures);
         line.clear();
-        line.push_str("{\"record\":\"plane_done\",");
-        let fields = line.len();
-        result.write_json(&mut line);
-        line.remove(fields);
-        line.push('\n');
-        framed.write_all(line.as_bytes())?;
+        write_record(&mut line, "plane_done", &result);
+        framed.write_frame(line.as_bytes())?;
         write_departure_blocks(&mut framed, result.plane, &departures)?;
     }
     // Wall-clock sidecar: when the router carries a profile hub (the
@@ -279,16 +271,34 @@ pub fn push_worker_stream<W: Write>(
     // staged, not merged, and cannot perturb the deterministic stream.
     if let Some(hub) = job.router.profile_hub() {
         for rec in hub.recent() {
-            writeln!(
-                framed,
-                "{{\"record\":\"profile\",\"data\":{}}}",
-                serde_json::to_string(&rec).expect("profile record serializes"),
-            )?;
+            line.clear();
+            rec.write_line(&mut line);
+            framed.write_frame(line.as_bytes())?;
         }
     }
-    writeln!(framed, "{{\"record\":\"fleet_end\",\"worker\":{worker}}}")?;
+    line.clear();
+    write_record(&mut line, "fleet_end", &FleetEnd { worker });
+    framed.write_frame(line.as_bytes())?;
     framed.flush()?;
     Ok(framed.into_inner())
+}
+
+/// The first line of a worker stream.
+#[derive(Serialize, Deserialize)]
+struct FleetHello {
+    /// Always [`FLEET_SCHEMA`].
+    schema: String,
+    worker: u64,
+    /// The planes the worker runs, strictly ascending.
+    planes: Vec<u64>,
+    /// The worker's config echo.
+    echo: Value,
+}
+
+/// The last line of a worker stream: it commits the stream.
+#[derive(Serialize, Deserialize)]
+struct FleetEnd {
+    worker: u64,
 }
 
 /// The merged outcome of a completed collection.
@@ -313,20 +323,6 @@ pub struct Collector {
     committed: BTreeMap<usize, (u64, PlaneResult, MemorySink)>,
     workers: BTreeSet<u64>,
     prof: Option<EngineProfiler>,
-}
-
-fn get<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
-    v.as_object()?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, val)| val)
-}
-
-fn get_u64(v: &Value, name: &str, record: &str) -> Result<u64, CollectError> {
-    let field = get(v, name)
-        .ok_or_else(|| CollectError::Protocol(format!("{record} line lacks `{name}`")))?;
-    u64::from_value(field)
-        .map_err(|e| CollectError::Protocol(format!("{record} line field `{name}`: {e}")))
 }
 
 impl Collector {
@@ -389,33 +385,25 @@ impl Collector {
             Some(frame) => frame,
             None => return Err(CollectError::WorkerTruncated { worker: None }),
         };
-        let line = String::from_utf8(first)
-            .map_err(|_| CollectError::Protocol("frame is not UTF-8".into()))?;
-        let hello = match parse_sink_line(&line)? {
-            ParsedLine::Control { kind, value } if kind == "fleet_hello" => value,
-            other => {
-                return Err(CollectError::Protocol(format!(
-                    "stream must open with fleet_hello, got {other:?}"
-                )))
-            }
-        };
+        let hello: FleetHello = read_record(&utf8(first)?, "fleet_hello").map_err(|e| {
+            CollectError::Protocol(format!("stream must open with fleet_hello: {e}"))
+        })?;
         prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
-        let schema = get(&hello, "schema").and_then(Value::as_str).unwrap_or("");
-        if schema != FLEET_SCHEMA {
+        if hello.schema != FLEET_SCHEMA {
             return Err(CollectError::Protocol(format!(
-                "unsupported fleet schema {schema:?} (want {FLEET_SCHEMA:?})"
+                "unsupported fleet schema {:?} (want {FLEET_SCHEMA:?})",
+                hello.schema
             )));
         }
-        let worker = get_u64(&hello, "worker", "fleet_hello")?;
-        let echo = get(&hello, "echo")
-            .ok_or_else(|| CollectError::Protocol("fleet_hello lacks `echo`".into()))?;
-        if *echo != self.echo {
+        let FleetHello {
+            worker,
+            planes,
+            echo,
+            ..
+        } = hello;
+        if echo != self.echo {
             return Err(CollectError::EchoMismatch { worker });
         }
-        let planes_field = get(&hello, "planes")
-            .ok_or_else(|| CollectError::Protocol("fleet_hello lacks `planes`".into()))?;
-        let planes: Vec<u64> = Vec::from_value(planes_field)
-            .map_err(|e| CollectError::Protocol(format!("fleet_hello `planes`: {e}")))?;
         let owned: BTreeSet<usize> = planes.iter().map(|&p| p as usize).collect();
         if owned.is_empty() || owned.len() != planes.len() {
             return Err(CollectError::Protocol(format!(
@@ -471,33 +459,55 @@ impl Collector {
                 }
                 done.insert(plane, result);
             }
-            let line = String::from_utf8(frame)
-                .map_err(|_| CollectError::Protocol("frame is not UTF-8".into()))?;
-            if is_plane_done(&line) {
-                // Decoded straight into the result, no tree. Its
-                // `record` key is skipped as an unknown field.
-                let result: PlaneResult = serde_json::from_str(&line).map_err(|e| {
-                    CollectError::Protocol(format!("plane_done does not decode: {e}"))
-                })?;
-                prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
-                let plane = result.plane;
-                if !owned.contains(&plane) {
-                    return Err(CollectError::Protocol(format!(
-                        "worker {worker} finished plane {plane}, outside its declared set"
-                    )));
+            let text = utf8(frame)?;
+            let line = RecordLine::read(&text)?;
+            match line.kind() {
+                "plane_done" => {
+                    let result: PlaneResult = line.decode()?;
+                    prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
+                    let plane = result.plane;
+                    if !owned.contains(&plane) {
+                        return Err(CollectError::Protocol(format!(
+                            "worker {worker} finished plane {plane}, outside its declared set"
+                        )));
+                    }
+                    if !result.report.departures.is_empty() {
+                        return Err(CollectError::Protocol(format!(
+                            "plane {plane}'s plane_done carries departures; {FLEET_SCHEMA} sends them as blocks"
+                        )));
+                    }
+                    pending = Some(result);
                 }
-                if !result.report.departures.is_empty() {
-                    return Err(CollectError::Protocol(format!(
-                        "plane {plane}'s plane_done carries departures; {FLEET_SCHEMA} sends them as blocks"
-                    )));
+                "fleet_end" => {
+                    let end: FleetEnd = line.decode()?;
+                    if end.worker != worker {
+                        return Err(CollectError::Protocol(format!(
+                            "worker {worker}'s stream ends as worker {}",
+                            end.worker
+                        )));
+                    }
+                    break;
                 }
-                pending = Some(result);
-                continue;
-            }
-            let parsed = parse_sink_line(&line)?;
-            prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
-            match parsed {
-                ParsedLine::Telemetry(rec) => {
+                "profile" => {
+                    // Wall-clock sidecar from the worker: route into
+                    // the profile hub (when profiling) under a
+                    // per-worker source prefix. Never staged, never
+                    // merged; an undecodable payload is dropped rather
+                    // than failing the deterministic collection.
+                    if let Some(p) = self.prof.as_ref() {
+                        if let Ok(mut rec) = ProfileRecord::read_line(&text) {
+                            rec.source = format!("w{worker:02}/{}", rec.source);
+                            p.hub().record(rec);
+                        }
+                    }
+                }
+                kind => {
+                    let rec = SinkRecord::from_line(&line)?.ok_or_else(|| {
+                        CollectError::Protocol(format!(
+                            "unknown control record {kind:?} from worker {worker}"
+                        ))
+                    })?;
+                    prof_lap(&mut self.prof, Phase::FrameDecode, &mut t0);
                     let source = rec.view().0;
                     let plane = parse_plane_source(source).ok_or_else(|| {
                         CollectError::Protocol(format!(
@@ -511,32 +521,6 @@ impl Collector {
                     }
                     staged.entry(plane).or_default().push_record(rec);
                     prof_add(&mut self.prof, Phase::Staging, t0);
-                }
-                ParsedLine::Control { kind, .. } if kind == "plane_done" => {
-                    return Err(CollectError::Protocol(
-                        "plane_done must open with its `record` key".into(),
-                    ))
-                }
-                ParsedLine::Control { kind, .. } if kind == "fleet_end" => break,
-                ParsedLine::Control { kind, value } if kind == "profile" => {
-                    // Wall-clock sidecar from the worker: route into
-                    // the profile hub (when profiling) under a
-                    // per-worker source prefix. Never staged, never
-                    // merged; an undecodable payload is dropped rather
-                    // than failing the deterministic collection.
-                    if let Some(p) = self.prof.as_ref() {
-                        let data = get(&value, "data");
-                        if let Some(mut rec) = data.and_then(|d| ProfileRecord::from_value(d).ok())
-                        {
-                            rec.source = format!("w{worker:02}/{}", rec.source);
-                            p.hub().record(rec);
-                        }
-                    }
-                }
-                ParsedLine::Control { kind, .. } => {
-                    return Err(CollectError::Protocol(format!(
-                        "unknown control record {kind:?} from worker {worker}"
-                    )))
                 }
             }
         }
@@ -756,13 +740,9 @@ impl BlockReader<'_> {
     }
 }
 
-/// Whether `line` opens with `{"record":"plane_done"`, the order every
-/// rip-fleet/v2 line keeps. Reads that key alone.
-fn is_plane_done(line: &str) -> bool {
-    let mut r = Reader::new(line);
-    r.begin_object("line").is_ok()
-        && r.next_key().is_ok_and(|k| k.is_some_and(|k| k == "record"))
-        && r.string("record").is_ok_and(|kind| kind == "plane_done")
+/// A frame's text; a frame that is not UTF-8 is a protocol error.
+fn utf8(frame: Vec<u8>) -> Result<String, CollectError> {
+    String::from_utf8(frame).map_err(|_| CollectError::Protocol("frame is not UTF-8".into()))
 }
 
 #[cfg(test)]

@@ -3,11 +3,10 @@
 //!
 //! A plane worker serializes its telemetry with a [`crate::JsonlSink`]
 //! (sources renamed to `planeNN`), so the wire format *is* the sink's
-//! line format. The collector parses every line back into the typed
-//! record it came from — [`parse_sink_line`] is the exact inverse of
-//! the sink's serializer — and stages it in the plane's
-//! [`crate::MemorySink`]. Replaying the staged planes in ascending
-//! plane order through a fresh `JsonlSink` reproduces the
+//! line format. [`SinkRecord::from_line`], the exact inverse of the
+//! sink's serializer, decodes a line back into its record for the
+//! plane's [`crate::MemorySink`]. Replaying the staged planes in
+//! ascending plane order through a fresh `JsonlSink` reproduces the
 //! single-process stream byte-for-byte:
 //!
 //! * the sink's float formatting is parse-stable (vendored serde_json
@@ -23,11 +22,10 @@
 //!   per-plane record order is independent of which worker ran the
 //!   plane or when its stream arrived.
 
-use std::fmt;
-
 use rip_units::SimTime;
-use serde::{Deserialize, Value};
+use serde::Deserialize;
 
+use crate::envelope::{LineError, RecordLine};
 use crate::sink::{intern_stage, SinkRecord, SpanEvent};
 use crate::{EpochDelta, MetricsRegistry, WatchdogEvent, WatchdogKind};
 
@@ -53,138 +51,129 @@ pub fn parse_plane_source(source: &str) -> Option<usize> {
     }
 }
 
-/// A line that failed to parse back into a record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LineError {
-    /// Not valid JSON at all.
-    Json(String),
-    /// Valid JSON but not an object with a string `record` field.
-    NotARecord(String),
-    /// A known record kind with a missing or ill-typed field.
-    Field {
-        /// The record kind being parsed.
-        record: String,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl fmt::Display for LineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LineError::Json(e) => write!(f, "line is not valid JSON: {e}"),
-            LineError::NotARecord(kind) => {
-                write!(f, "line is not a telemetry record (found {kind})")
-            }
-            LineError::Field { record, detail } => {
-                write!(f, "bad `{record}` record: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LineError {}
-
 /// One parsed worker line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedLine {
     /// A telemetry record a [`crate::JsonlSink`] emitted.
     Telemetry(SinkRecord),
-    /// A non-telemetry control line (`fleet_hello`, `plane_done`,
-    /// `fleet_end`, ...): the `record` value plus the whole object for
-    /// the protocol layer to interpret.
+    /// A well-formed record of another kind (`fleet_hello`,
+    /// `plane_done`, `fleet_end`, ...), for the protocol layer to
+    /// decode into its own type.
     Control {
         /// The `record` field value.
         kind: String,
-        /// The full parsed line.
-        value: Value,
     },
 }
 
-fn field<'a>(obj: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+// The fields of each telemetry line, as `JsonlSink` writes them.
+
+#[derive(Deserialize)]
+struct EpochLine {
+    source: String,
+    epoch: u64,
+    delta: EpochDelta,
 }
 
-fn typed<T: Deserialize>(
-    obj: &[(String, Value)],
-    name: &str,
-    record: &str,
-) -> Result<T, LineError> {
-    let v = field(obj, name).ok_or_else(|| LineError::Field {
-        record: record.to_string(),
-        detail: format!("missing field `{name}`"),
-    })?;
-    T::from_value(v).map_err(|e| LineError::Field {
-        record: record.to_string(),
-        detail: format!("field `{name}`: {e}"),
-    })
+#[derive(Deserialize)]
+struct SpanLine {
+    source: String,
+    packet: u64,
+    stage: String,
+    t_ps: u64,
+    port: usize,
+}
+
+#[derive(Deserialize)]
+struct WatchdogLine {
+    source: String,
+    epoch: u64,
+    t_ps: u64,
+    kind: WatchdogKind,
+}
+
+/// `records` is sink-side state and is not read back.
+#[derive(Deserialize)]
+struct RunEndLine {
+    source: String,
+    t_ps: u64,
+    totals: MetricsRegistry,
+}
+
+/// Any record: checks the line's syntax and reads nothing.
+#[derive(Deserialize)]
+struct AnyLine {}
+
+impl SinkRecord {
+    /// Decode `line` back into the record a [`crate::JsonlSink`]
+    /// serialized it from, or `None` when its kind is not one of the
+    /// four telemetry kinds (`epoch`, `span`, `watchdog`, `run_end`).
+    pub fn from_line(line: &RecordLine<'_>) -> Result<Option<Self>, LineError> {
+        Ok(Some(match line.kind() {
+            "epoch" => {
+                let l: EpochLine = line.decode()?;
+                SinkRecord::Epoch {
+                    source: l.source,
+                    epoch: l.epoch,
+                    delta: l.delta,
+                }
+            }
+            "span" => {
+                let l: SpanLine = line.decode()?;
+                let stage = intern_stage(&l.stage).ok_or_else(|| LineError::Field {
+                    record: "span".to_string(),
+                    detail: format!("unknown span stage {:?}", l.stage),
+                })?;
+                SinkRecord::Span {
+                    source: l.source,
+                    span: SpanEvent {
+                        packet: l.packet,
+                        stage,
+                        at: SimTime::from_ps(l.t_ps),
+                        port: l.port,
+                    },
+                }
+            }
+            "watchdog" => {
+                // The event's `source` is not repeated inside the line;
+                // it is the line's own source.
+                let l: WatchdogLine = line.decode()?;
+                SinkRecord::Watchdog {
+                    source: l.source.clone(),
+                    event: WatchdogEvent {
+                        source: l.source,
+                        epoch: l.epoch,
+                        at: SimTime::from_ps(l.t_ps),
+                        kind: l.kind,
+                    },
+                }
+            }
+            "run_end" => {
+                let l: RunEndLine = line.decode()?;
+                SinkRecord::RunEnd {
+                    source: l.source,
+                    at: SimTime::from_ps(l.t_ps),
+                    totals: l.totals,
+                }
+            }
+            _ => return Ok(None),
+        }))
+    }
 }
 
 /// Parse one JSONL line back into the record a [`crate::JsonlSink`]
-/// serialized it from. Telemetry kinds (`epoch`, `span`, `watchdog`,
-/// `run_end`) become [`SinkRecord`]s; any other `record` value is
-/// returned as a [`ParsedLine::Control`] line for the fleet protocol
-/// layer. The `records` field of a `run_end` line is intentionally
-/// dropped: it is sink-side state the consumer's own sink recomputes.
-pub fn parse_sink_line(line: &str) -> Result<ParsedLine, LineError> {
-    let value = serde_json::parse(line).map_err(|e| LineError::Json(e.to_string()))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| LineError::NotARecord(value.kind().to_string()))?;
-    let kind = field(obj, "record")
-        .and_then(Value::as_str)
-        .ok_or_else(|| LineError::NotARecord("object without `record` string".to_string()))?
-        .to_string();
-    let record = match kind.as_str() {
-        "epoch" => SinkRecord::Epoch {
-            source: typed(obj, "source", "epoch")?,
-            epoch: typed(obj, "epoch", "epoch")?,
-            delta: typed::<EpochDelta>(obj, "delta", "epoch")?,
-        },
-        "span" => {
-            // The sink writes the timestamp as `t_ps` and the stage as
-            // a plain string; `SpanEvent`'s own Deserialize expects an
-            // `at` field, so the line is decoded field by field here.
-            let stage: String = typed(obj, "stage", "span")?;
-            let stage = intern_stage(&stage).ok_or_else(|| LineError::Field {
-                record: "span".to_string(),
-                detail: format!("unknown span stage {stage:?}"),
-            })?;
-            SinkRecord::Span {
-                source: typed(obj, "source", "span")?,
-                span: SpanEvent {
-                    packet: typed(obj, "packet", "span")?,
-                    stage,
-                    at: SimTime::from_ps(typed(obj, "t_ps", "span")?),
-                    port: typed(obj, "port", "span")?,
-                },
-            }
-        }
-        "watchdog" => {
-            // The event's `source` is not repeated inside the line; it
-            // is the line's own source.
-            let source: String = typed(obj, "source", "watchdog")?;
-            let epoch: u64 = typed(obj, "epoch", "watchdog")?;
-            let at = SimTime::from_ps(typed(obj, "t_ps", "watchdog")?);
-            let kind: WatchdogKind = typed(obj, "kind", "watchdog")?;
-            SinkRecord::Watchdog {
-                source: source.clone(),
-                event: WatchdogEvent {
-                    source,
-                    epoch,
-                    at,
-                    kind,
-                },
-            }
-        }
-        "run_end" => SinkRecord::RunEnd {
-            source: typed(obj, "source", "run_end")?,
-            at: SimTime::from_ps(typed::<u64>(obj, "t_ps", "run_end")?),
-            totals: typed::<MetricsRegistry>(obj, "totals", "run_end")?,
-        },
-        _ => return Ok(ParsedLine::Control { kind, value }),
-    };
-    Ok(ParsedLine::Telemetry(record))
+/// serialized it from. Telemetry kinds become [`SinkRecord`]s; any
+/// other well-formed record is a [`ParsedLine::Control`] line for the
+/// fleet protocol layer. The `records` field of a `run_end` line is
+/// intentionally dropped: it is sink-side state the consumer's own
+/// sink recomputes.
+pub fn parse_sink_line(text: &str) -> Result<ParsedLine, LineError> {
+    let line = RecordLine::read(text)?;
+    if let Some(rec) = SinkRecord::from_line(&line)? {
+        return Ok(ParsedLine::Telemetry(rec));
+    }
+    line.decode::<AnyLine>()?;
+    let kind = line.kind().to_string();
+    Ok(ParsedLine::Control { kind })
 }
 
 #[cfg(test)]
@@ -261,7 +250,7 @@ mod tests {
         for line in text.lines() {
             match parse_sink_line(line).expect("line parses") {
                 ParsedLine::Telemetry(rec) => parsed.push(rec),
-                ParsedLine::Control { kind, .. } => panic!("unexpected control line {kind}"),
+                ParsedLine::Control { kind } => panic!("unexpected control line {kind}"),
             }
         }
         assert_eq!(parsed, records);
@@ -279,24 +268,31 @@ mod tests {
     #[test]
     fn control_lines_pass_through() {
         let line = "{\"record\":\"fleet_hello\",\"schema\":\"rip-fleet/v2\",\"worker\":0}";
-        match parse_sink_line(line).expect("parses") {
-            ParsedLine::Control { kind, value } => {
-                assert_eq!(kind, "fleet_hello");
-                let obj = value.as_object().expect("object");
-                assert!(obj.iter().any(|(k, _)| k == "schema"));
-            }
-            other => panic!("want control, got {other:?}"),
-        }
+        assert_eq!(
+            parse_sink_line(line),
+            Ok(ParsedLine::Control {
+                kind: "fleet_hello".into()
+            })
+        );
+        // A control line is checked whole, though none of it is read.
+        assert!(matches!(
+            parse_sink_line(&line[..line.len() - 1]),
+            Err(LineError::Field { .. })
+        ));
     }
 
     #[test]
     fn parse_errors_are_typed() {
         assert!(matches!(
             parse_sink_line("not json"),
-            Err(LineError::Json(_))
+            Err(LineError::NotARecord(_))
         ));
         assert!(matches!(
             parse_sink_line("[1,2]"),
+            Err(LineError::NotARecord(_))
+        ));
+        assert!(matches!(
+            parse_sink_line("{\"source\":\"p\",\"record\":\"epoch\"}"),
             Err(LineError::NotARecord(_))
         ));
         assert!(matches!(

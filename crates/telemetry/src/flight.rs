@@ -17,6 +17,9 @@
 //! Like the profiler, the recorder observes and never participates: it
 //! only receives records, so enabling it cannot perturb reports,
 //! telemetry streams, traces or checkpoints.
+//!
+//! A bundle file is one `{"record":"flight",…}` envelope line holding a
+//! [`FlightBundle`]; [`FlightBundle::read`] decodes it back.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -24,15 +27,16 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
+use crate::envelope::{read_record, write_record, LineError};
 use crate::profile::{ProfileHub, ProfileRecord};
 use crate::{EpochDelta, Record, TelemetrySink, WatchdogEvent};
 
 /// One remembered epoch: the delta plus the stream identity the sink
 /// saw it under.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightEpoch {
     /// Stream source of the delta.
     pub source: String,
@@ -43,14 +47,10 @@ pub struct FlightEpoch {
 }
 
 struct FlightInner {
-    service: String,
-    version: String,
-    config_echo: Option<Value>,
+    /// The bundle as it stands; a dump fills in its reason, its
+    /// retained count and its profiles.
+    bundle: FlightBundle,
     cap: usize,
-    epochs: VecDeque<FlightEpoch>,
-    watchdogs: Vec<WatchdogEvent>,
-    epochs_seen: u64,
-    run_ended: bool,
     profile: Option<ProfileHub>,
     dumped: bool,
 }
@@ -67,16 +67,15 @@ impl FlightRecorder {
     /// `version`, retaining the last `cap` epoch deltas (watchdog
     /// events are rare and kept unbounded within a run).
     pub fn new(service: &str, version: &str, cap: usize) -> Self {
+        let bundle = FlightBundle {
+            service: service.to_string(),
+            version: version.to_string(),
+            ..FlightBundle::default()
+        };
         FlightRecorder {
             inner: Arc::new(Mutex::new(FlightInner {
-                service: service.to_string(),
-                version: version.to_string(),
-                config_echo: None,
+                bundle,
                 cap: cap.max(1),
-                epochs: VecDeque::new(),
-                watchdogs: Vec::new(),
-                epochs_seen: 0,
-                run_ended: false,
                 profile: None,
                 dumped: false,
             })),
@@ -90,7 +89,7 @@ impl FlightRecorder {
 
     /// Attach the parsed run configuration, echoed into the bundle.
     pub fn set_config_echo(&self, config: Value) {
-        self.lock().config_echo = Some(config);
+        self.lock().bundle.config_echo = Some(config);
     }
 
     /// Attach a profile hub whose recent records join the bundle.
@@ -109,26 +108,15 @@ impl FlightRecorder {
         if inner.dumped {
             return Ok(None);
         }
-        let profiles = inner
+        let inner = &mut *inner;
+        let bundle = &mut inner.bundle;
+        bundle.reason = reason.to_string();
+        bundle.epochs_retained = bundle.epochs.len() as u64;
+        bundle.profiles = inner
             .profile
             .as_ref()
-            .map(|hub| hub.recent())
+            .map(ProfileHub::recent)
             .unwrap_or_default();
-        let bundle = Bundle {
-            record: "flight".to_string(),
-            reason: reason.to_string(),
-            service: inner.service.clone(),
-            version: inner.version.clone(),
-            run_ended: inner.run_ended,
-            epochs_seen: inner.epochs_seen,
-            epochs_retained: inner.epochs.len() as u64,
-            config_echo: inner.config_echo.clone(),
-            epochs: inner.epochs.iter().cloned().collect(),
-            watchdogs: inner.watchdogs.clone(),
-            profiles,
-        };
-        let body = serde_json::to_string(&bundle)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         // The reason strings are internal identifiers (watchdog /
         // signal / panic); a defensive filter keeps the filename sane
         // if one ever carries punctuation.
@@ -137,25 +125,50 @@ impl FlightRecorder {
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
         let path = dir.join(format!("flight_{slug}.json"));
-        fs::write(&path, body + "\n")?;
+        fs::write(&path, bundle.to_text())?;
         inner.dumped = true;
         Ok(Some(path))
     }
 }
 
-#[derive(Serialize)]
-struct Bundle {
-    record: String,
-    reason: String,
-    service: String,
-    version: String,
-    run_ended: bool,
-    epochs_seen: u64,
-    epochs_retained: u64,
-    config_echo: Option<Value>,
-    epochs: Vec<FlightEpoch>,
-    watchdogs: Vec<WatchdogEvent>,
-    profiles: Vec<ProfileRecord>,
+/// A post-mortem bundle: what a `flight_<reason>.json` file holds.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct FlightBundle {
+    /// The trigger: `watchdog`, `signal` or `panic`.
+    pub reason: String,
+    /// The dumping binary.
+    pub service: String,
+    /// Its version.
+    pub version: String,
+    /// Whether a `run_end` record arrived before the dump.
+    pub run_ended: bool,
+    /// Epoch deltas seen over the whole run.
+    pub epochs_seen: u64,
+    /// Epoch deltas retained in [`FlightBundle::epochs`].
+    pub epochs_retained: u64,
+    /// The parsed run configuration, when one was attached.
+    pub config_echo: Option<Value>,
+    /// The most recent epoch deltas, oldest first.
+    pub epochs: VecDeque<FlightEpoch>,
+    /// Every watchdog alarm of the run.
+    pub watchdogs: Vec<WatchdogEvent>,
+    /// The profile hub's most recent records, oldest first.
+    pub profiles: Vec<ProfileRecord>,
+}
+
+impl FlightBundle {
+    /// The bundle file's text: one `flight` record and a newline.
+    pub fn to_text(&self) -> String {
+        let mut text = String::new();
+        write_record(&mut text, "flight", self);
+        text.push('\n');
+        text
+    }
+
+    /// Decode a bundle file's text.
+    pub fn read(text: &str) -> Result<Self, LineError> {
+        read_record(text, "flight")
+    }
 }
 
 /// Remembers epoch deltas (evicting the oldest past the cap) and
@@ -164,20 +177,22 @@ struct Bundle {
 impl TelemetrySink for FlightRecorder {
     fn record(&mut self, source: &str, rec: Record<'_>) {
         let mut inner = self.lock();
+        let cap = inner.cap;
+        let bundle = &mut inner.bundle;
         match rec {
             Record::Epoch { epoch, delta } => {
-                inner.epochs_seen += 1;
-                if inner.epochs.len() == inner.cap {
-                    inner.epochs.pop_front();
+                bundle.epochs_seen += 1;
+                if bundle.epochs.len() == cap {
+                    bundle.epochs.pop_front();
                 }
-                inner.epochs.push_back(FlightEpoch {
+                bundle.epochs.push_back(FlightEpoch {
                     source: source.to_string(),
                     epoch,
                     delta: delta.clone(),
                 });
             }
-            Record::Watchdog(event) => inner.watchdogs.push(event.clone()),
-            Record::RunEnd { .. } => inner.run_ended = true,
+            Record::Watchdog(event) => bundle.watchdogs.push(event.clone()),
+            Record::RunEnd { .. } => bundle.run_ended = true,
             Record::Span(_) => {}
         }
     }
@@ -189,17 +204,18 @@ mod tests {
     use crate::profile::PhaseAcc;
     use crate::{FanoutSink, MetricsRegistry, SharedSink, Snapshot, WatchdogKind};
     use rip_units::SimTime;
-    use serde::Deserialize;
 
-    fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-        v.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
-    fn get_u64(v: &Value, key: &str) -> Option<u64> {
-        u64::from_value(get(v, key)?).ok()
+    /// Dump `rec` into a fresh directory `name` and read the bundle
+    /// back; the file is the bundle's own text.
+    fn dump_and_read(rec: &FlightRecorder, name: &str, reason: &str) -> FlightBundle {
+        let dir = std::env::temp_dir().join(name);
+        fs::create_dir_all(&dir).unwrap();
+        let path = rec.dump(&dir, reason).unwrap().expect("first dump");
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_dir_all(&dir).ok();
+        let bundle = FlightBundle::read(&text).expect("bundle decodes");
+        assert_eq!(bundle.to_text(), text);
+        bundle
     }
 
     fn delta(n: u64) -> EpochDelta {
@@ -222,21 +238,14 @@ mod tests {
                 },
             );
         }
-        let dir = std::env::temp_dir().join("rip_flight_ring_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = rec.dump(&dir, "watchdog").unwrap().expect("first dump");
-        let text = fs::read_to_string(&path).unwrap();
-        let v: Value = serde_json::parse(&text).unwrap();
-        assert_eq!(get(&v, "record").and_then(Value::as_str), Some("flight"));
-        assert_eq!(get_u64(&v, "epochs_seen"), Some(10));
-        let epochs = get(&v, "epochs").and_then(Value::as_array).unwrap();
-        assert_eq!(epochs.len(), 3);
-        assert_eq!(get_u64(&epochs[0], "epoch"), Some(7));
-        assert_eq!(get_u64(&epochs[2], "epoch"), Some(9));
+        let bundle = dump_and_read(&rec, "rip_flight_ring_test", "watchdog");
+        assert_eq!((bundle.epochs_seen, bundle.epochs_retained), (10, 3));
+        let epochs: Vec<u64> = bundle.epochs.iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, [7, 8, 9]);
         // Second trigger: no second bundle.
+        let dir = std::env::temp_dir().join("rip_flight_ring_test");
         assert!(rec.dump(&dir, "signal").unwrap().is_none());
         assert!(!dir.join("flight_signal.json").exists());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -272,22 +281,9 @@ mod tests {
             },
         );
         assert_eq!(stream.take().records().len(), 3);
-        let dir = std::env::temp_dir().join("rip_flight_tee_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = rec.dump(&dir, "panic").unwrap().expect("dump");
-        let v: Value = serde_json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(
-            get(&v, "run_ended").and_then(|b| bool::from_value(b).ok()),
-            Some(true)
-        );
-        assert_eq!(
-            get(&v, "watchdogs")
-                .and_then(Value::as_array)
-                .unwrap()
-                .len(),
-            1
-        );
-        fs::remove_dir_all(&dir).ok();
+        let bundle = dump_and_read(&rec, "rip_flight_tee_test", "panic");
+        assert!(bundle.run_ended);
+        assert_eq!(bundle.watchdogs.len(), 1);
     }
 
     #[test]
@@ -299,21 +295,16 @@ mod tests {
         acc.add_ns_n(crate::Phase::KernelPop, 42, 1);
         hub.record(acc.flush("engine", 0));
         rec.attach_profile_hub(hub);
-        let dir = std::env::temp_dir().join("rip_flight_bundle_test");
-        fs::create_dir_all(&dir).unwrap();
-        let path = rec.dump(&dir, "signal").unwrap().expect("dump");
-        let v: Value = serde_json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(get(&v, "version").and_then(Value::as_str), Some("1.2.3"));
+        let bundle = dump_and_read(&rec, "rip_flight_bundle_test", "signal");
         assert_eq!(
-            get(&v, "config_echo").and_then(|c| get_u64(c, "ribbons")),
-            Some(4)
+            (bundle.reason.as_str(), bundle.version.as_str()),
+            ("signal", "1.2.3")
         );
-        let profiles = get(&v, "profiles").and_then(Value::as_array).unwrap();
-        assert_eq!(profiles.len(), 1);
         assert_eq!(
-            get(&profiles[0], "source").and_then(Value::as_str),
-            Some("engine")
+            bundle.config_echo,
+            Some(serde_json::parse("{\"ribbons\":4}").unwrap())
         );
-        fs::remove_dir_all(&dir).ok();
+        assert_eq!(bundle.profiles.len(), 1);
+        assert_eq!(bundle.profiles[0].source, "engine");
     }
 }

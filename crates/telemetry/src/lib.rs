@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod envelope;
 mod epoch;
 mod fleet;
 mod flight;
@@ -35,9 +36,10 @@ use std::collections::BTreeMap;
 use rip_units::SimTime;
 use serde::{Deserialize, Serialize};
 
+pub use envelope::{read_record, write_record, LineError, RecordLine};
 pub use epoch::{EpochClock, EpochDelta, Snapshot};
-pub use fleet::{parse_plane_source, parse_sink_line, plane_source_name, LineError, ParsedLine};
-pub use flight::{FlightEpoch, FlightRecorder};
+pub use fleet::{parse_plane_source, parse_sink_line, plane_source_name, ParsedLine};
+pub use flight::{FlightBundle, FlightEpoch, FlightRecorder};
 pub use net::{
     FrameError, FrameListener, LengthFramedReader, LengthFramedWriter, MetricsEndpoint,
     MAX_FRAME_BYTES,

@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use crate::envelope::{read_record, LineError, RecordWriter};
 use crate::sink::Exposition;
 
 /// One profiled phase of simulator execution. Adding a variant is
@@ -252,6 +253,28 @@ pub struct ProfileRecord {
     pub phases: BTreeMap<String, PhaseSample>,
 }
 
+/// The `profile` line: a [`ProfileRecord`] under `data`.
+#[derive(Deserialize)]
+struct ProfileLine {
+    data: ProfileRecord,
+}
+
+impl ProfileRecord {
+    /// Append the record as a `{"record":"profile","data":…}` line, how
+    /// it travels on a profile stream and on the fleet wire (no
+    /// newline).
+    pub fn write_line(&self, out: &mut String) {
+        RecordWriter::new(out, "profile")
+            .field("data", self)
+            .finish();
+    }
+
+    /// Read a line [`ProfileRecord::write_line`] wrote.
+    pub fn read_line(text: &str) -> Result<Self, LineError> {
+        read_record::<ProfileLine>(text, "profile").map(|line| line.data)
+    }
+}
+
 struct HubInner {
     out: Option<Box<dyn Write + Send>>,
     /// Cumulative per-source, per-phase totals for Prometheus.
@@ -317,17 +340,12 @@ impl ProfileHub {
     /// Accept one record: write, fold into totals, push onto the ring.
     pub fn record(&self, rec: ProfileRecord) {
         let mut inner = self.lock();
-        if inner.out.is_some() {
-            let line = serde_json::to_string(&rec)
-                .map(|data| format!("{{\"record\":\"profile\",\"data\":{data}}}\n"));
-            match line {
-                Ok(line) => {
-                    let out = inner.out.as_mut().expect("checked above");
-                    if out.write_all(line.as_bytes()).is_err() {
-                        inner.write_errors += 1;
-                    }
-                }
-                Err(_) => inner.write_errors += 1,
+        if let Some(out) = inner.out.as_mut() {
+            let mut line = String::new();
+            rec.write_line(&mut line);
+            line.push('\n');
+            if out.write_all(line.as_bytes()).is_err() {
+                inner.write_errors += 1;
             }
         }
         let by_phase = inner.totals.entry(rec.source.clone()).or_default();
@@ -541,14 +559,6 @@ pub fn prof_lap(p: &mut Option<EngineProfiler>, phase: Phase, t0: &mut Option<In
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::Value;
-
-    fn get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-        v.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
 
     #[test]
     fn phase_table_is_complete_and_names_unique() {
@@ -678,10 +688,11 @@ mod tests {
         hub.flush_output();
         let text = String::from_utf8(bytes.lock().unwrap().clone()).unwrap();
         let line = text.lines().next().unwrap();
-        let v: Value = serde_json::parse(line).unwrap();
-        assert_eq!(get(&v, "record").and_then(Value::as_str), Some("profile"));
-        use serde::Deserialize;
-        let rec = ProfileRecord::from_value(get(&v, "data").unwrap()).unwrap();
+        assert!(
+            line.starts_with("{\"record\":\"profile\",\"data\":{"),
+            "{line}"
+        );
+        let rec = ProfileRecord::read_line(line).unwrap();
         assert_eq!(rec.source, "collect");
         assert_eq!(rec.phases["staging"].ns, 10);
         assert_eq!(hub.write_errors(), 0);

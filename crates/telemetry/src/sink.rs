@@ -27,14 +27,14 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use rip_units::SimTime;
-use serde::{DeError, Deserialize, Serialize, Value};
 
+use crate::envelope::RecordWriter;
 use crate::{bucket_upper_edge, EpochDelta, MetricsRegistry, WatchdogEvent};
 
 /// One sampled packet-lifecycle event: packet `packet` reached `stage`
 /// at sim time `at` on port `port` (input port for arrival-side stages,
 /// output port afterwards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Packet id (unique within a run, per plane).
     pub packet: u64,
@@ -49,7 +49,7 @@ pub struct SpanEvent {
 
 /// Every lifecycle stage an engine can emit. Stage labels are
 /// `&'static str` so spans stay `Copy` and allocation-free on the hot
-/// path; snapshot restore maps a serialized stage string back onto the
+/// path; a parsed `span` line maps its stage string back onto the
 /// static label through this table.
 pub const SPAN_STAGES: &[&str] = &[
     "arrival",
@@ -63,30 +63,9 @@ pub const SPAN_STAGES: &[&str] = &[
 ];
 
 /// Resolve a serialized stage name to its interned `&'static str`, or
-/// `None` for a stage no engine emits (a corrupt or foreign snapshot).
+/// `None` for a stage no engine emits (a corrupt or foreign line).
 pub fn intern_stage(stage: &str) -> Option<&'static str> {
     SPAN_STAGES.iter().find(|&&s| s == stage).copied()
-}
-
-impl Deserialize for SpanEvent {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        #[derive(Deserialize)]
-        struct Mirror {
-            packet: u64,
-            stage: String,
-            at: SimTime,
-            port: usize,
-        }
-        let m = Mirror::from_value(v)?;
-        let stage = intern_stage(&m.stage)
-            .ok_or_else(|| DeError::custom(format!("unknown span stage {:?}", m.stage)))?;
-        Ok(SpanEvent {
-            packet: m.packet,
-            stage,
-            at: m.at,
-            port: m.port,
-        })
-    }
 }
 
 /// One live telemetry record, borrowed from the engine that emits it —
@@ -133,6 +112,8 @@ pub struct JsonlSink<W: Write> {
     out: W,
     records: u64,
     error: Option<std::io::Error>,
+    /// The line being written, reused across records.
+    line: String,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -142,6 +123,9 @@ impl<W: Write> JsonlSink<W> {
             out,
             records: 0,
             error: None,
+            // Room for a typical line up front: growing from empty
+            // leaves a trail of reallocations behind in the heap.
+            line: String::with_capacity(1 << 12),
         }
     }
 
@@ -171,50 +155,41 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).expect("string serializes")
-}
-
 impl<W: Write> TelemetrySink for JsonlSink<W> {
     // The vendored serde_derive cannot derive on lifetime-generic
-    // structs, so record lines are composed from individually
-    // serialized parts (each part is itself serde-serialized, so
-    // escaping and map ordering stay correct).
+    // structs, so each line is written field by field from the
+    // borrowed record.
     fn record(&mut self, source: &str, rec: Record<'_>) {
         if self.error.is_some() {
             return;
         }
-        let source = json_str(source);
-        let line = match rec {
-            Record::Epoch { epoch, delta } => format!(
-                "{{\"record\":\"epoch\",\"source\":{source},\"epoch\":{epoch},\"delta\":{}}}",
-                serde_json::to_string(delta).expect("delta serializes"),
-            ),
-            Record::Span(span) => format!(
-                "{{\"record\":\"span\",\"source\":{source},\"packet\":{},\"stage\":{},\"t_ps\":{},\"port\":{}}}",
-                span.packet,
-                json_str(span.stage),
-                span.at.as_ps(),
-                span.port,
-            ),
-            Record::Watchdog(event) => format!(
-                "{{\"record\":\"watchdog\",\"source\":{source},\"epoch\":{},\"t_ps\":{},\"kind\":{}}}",
-                event.epoch,
-                event.at.as_ps(),
-                serde_json::to_string(&event.kind).expect("watchdog kind serializes"),
-            ),
-            Record::RunEnd { at, totals } => format!(
-                "{{\"record\":\"run_end\",\"source\":{source},\"t_ps\":{},\"records\":{},\"totals\":{}}}",
-                at.as_ps(),
-                self.records,
-                serde_json::to_string(totals).expect("registry serializes"),
-            ),
-        };
-        let written = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"));
-        if let Err(e) = written {
+        let line = &mut self.line;
+        line.clear();
+        match rec {
+            Record::Epoch { epoch, delta } => RecordWriter::new(line, "epoch")
+                .field("source", source)
+                .field("epoch", &epoch)
+                .field("delta", delta),
+            Record::Span(span) => RecordWriter::new(line, "span")
+                .field("source", source)
+                .field("packet", &span.packet)
+                .field("stage", span.stage)
+                .field("t_ps", &span.at.as_ps())
+                .field("port", &span.port),
+            Record::Watchdog(event) => RecordWriter::new(line, "watchdog")
+                .field("source", source)
+                .field("epoch", &event.epoch)
+                .field("t_ps", &event.at.as_ps())
+                .field("kind", &event.kind),
+            Record::RunEnd { at, totals } => RecordWriter::new(line, "run_end")
+                .field("source", source)
+                .field("t_ps", &at.as_ps())
+                .field("records", &self.records)
+                .field("totals", totals),
+        }
+        .finish();
+        line.push('\n');
+        if let Err(e) = self.out.write_all(line.as_bytes()) {
             self.error = Some(e);
             return;
         }
@@ -379,9 +354,8 @@ pub(crate) fn render_registries(regs: &BTreeMap<String, MetricsRegistry>, out: &
 }
 
 /// One buffered record, as received by a [`MemorySink`]: the owned form
-/// of a [`Record`] plus its source. Its serde layout is what SPS
-/// checkpoints carry for a plane's staged records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// of a [`Record`] plus its source.
+#[derive(Debug, Clone, PartialEq)]
 pub enum SinkRecord {
     /// A closed epoch delta.
     Epoch {
@@ -835,35 +809,9 @@ mod tests {
             sink.record("switch", rec);
         }
         for (rec, view) in sink.records().iter().zip(recs) {
-            let v = rec.to_value();
-            let back = SinkRecord::from_value(&v).expect("record roundtrips");
-            assert_eq!(&back, rec);
             // The owned form views back as the record it was made from.
             assert_eq!(rec.view(), ("switch", view));
         }
-        // An unknown stage is rejected, not silently interned.
-        let mut bad = SinkRecord::Span {
-            source: "switch".into(),
-            span: SpanEvent {
-                packet: 1,
-                stage: "arrival",
-                at: SimTime::ZERO,
-                port: 0,
-            },
-        }
-        .to_value();
-        // Rewrite the stage string inside the serialized tree.
-        fn poison(v: &mut Value) {
-            match v {
-                Value::String(s) if s == "arrival" => *s = "no_such_stage".into(),
-                Value::Array(items) => items.iter_mut().for_each(poison),
-                Value::Object(fields) => fields.iter_mut().for_each(|(_, v)| poison(v)),
-                _ => {}
-            }
-        }
-        poison(&mut bad);
-        let err = SinkRecord::from_value(&bad).unwrap_err();
-        assert!(err.to_string().contains("unknown span stage"), "{err}");
     }
 
     #[test]

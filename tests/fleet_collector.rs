@@ -706,6 +706,18 @@ fn misplaced_and_miscounted_blocks_are_typed_errors() {
         }),
         "unsupported fleet schema \"rip-fleet/v1\"",
     );
+    // A hello whose `record` key is not its first.
+    refused_with(
+        &edited(&|f| {
+            let hello = String::from_utf8(f[0].clone()).expect("UTF-8 line");
+            let fields = hello
+                .strip_prefix("{\"record\":\"fleet_hello\",")
+                .and_then(|rest| rest.strip_suffix('}'))
+                .expect("the hello opens with its record key");
+            f[0] = format!("{{{fields},\"record\":\"fleet_hello\"}}").into_bytes();
+        }),
+        "stream must open with fleet_hello",
+    );
 }
 
 #[test]

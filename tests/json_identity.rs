@@ -6,8 +6,8 @@
 //! printing the type's `Value` tree. This suite checks that contract,
 //! on every shipped `configs/*.json`, for every output surface the
 //! simulator serializes: the `SwitchReport`, the `SpsReport`, a
-//! checkpoint state payload, the live-telemetry records (and the JSONL
-//! lines rendered from them) and the self-profiler's `ProfileRecord`s.
+//! checkpoint state payload, the live-telemetry JSONL lines and the
+//! self-profiler's `ProfileRecord`s.
 //!
 //! `serde_json::from_str` reads straight into each type through
 //! `Deserialize::read_json`; the contract is that the value equals
@@ -136,11 +136,8 @@ fn switch_outputs_serialize_identically_on_every_shipped_config() {
 
         let records = staged.take();
         assert!(!records.records().is_empty(), "{name}: no telemetry");
-        for rec in records.records() {
-            assert_identical(&format!("{name}: telemetry record"), rec);
-        }
-        // The JSONL lines are assembled from directly written parts;
-        // re-printing each line's tree must give the line back.
+        // The JSONL lines are written field by field from the records'
+        // parts; re-printing each line's tree must give the line back.
         let mut jsonl = Vec::new();
         records.replay_into(&mut JsonlSink::new(&mut jsonl));
         for line in String::from_utf8(jsonl).expect("JSONL is UTF-8").lines() {

@@ -1,11 +1,11 @@
 //! Hostile input for the JSON reader: random truncations and byte
-//! mutations of a real `plane_done` line, departures included, and of
-//! every shipped `configs/*.json`. On each input, decoding straight
-//! into the type (`serde_json::from_str`, the `read_json` path) and
-//! decoding the parsed tree (`from_value`) either both fail or give
-//! equal values, and neither panics. Nesting one level past the
-//! reader's limit fails in the tree builder, in the skipper and in a
-//! derived decoder.
+//! mutations of a real `plane_done` line, departures included, of a
+//! real flight bundle and of every shipped `configs/*.json`. On each
+//! input, decoding straight into the type (`serde_json::from_str`, the
+//! `read_json` path) and decoding the parsed tree (`from_value`) either
+//! both fail or give equal values, and neither panics; a truncated
+//! bundle is a typed error. Nesting one level past the reader's limit
+//! fails in the tree builder, in the skipper and in a derived decoder.
 
 use std::sync::OnceLock;
 
@@ -14,17 +14,31 @@ use rip_bench::spec::SimSpec;
 use rip_core::{FaultPlan, LiveOptions, PlaneResult, RouterConfig, SpsRouter, SpsWorkload};
 use rip_integration_tests::shipped_configs;
 use rip_photonics::SplitPattern;
+use rip_telemetry::{
+    write_record, FlightBundle, FlightRecorder, MetricsRegistry, Phase, PhaseAcc, ProfileHub,
+    Record, Snapshot, TelemetrySink, WatchdogEvent, WatchdogKind,
+};
 use rip_units::{SimTime, TimeDelta};
 use serde::de::{Reader, RECURSION_LIMIT};
 use serde::{Deserialize, Serialize};
 
-/// The inputs the mutations start from: one real `plane_done` line,
-/// then every shipped config. The fleet wire ships a plane's
-/// departures as binary blocks after its `plane_done` line, so the
-/// line is built here from a `run_planes` result with its departures
-/// in place: `{"record":"plane_done",` then the result's fields.
-fn seeds() -> &'static (String, Vec<String>) {
-    static SEEDS: OnceLock<(String, Vec<String>)> = OnceLock::new();
+/// The inputs the mutations start from.
+struct Seeds {
+    /// One real `plane_done` line.
+    plane_done: String,
+    /// One real flight bundle file.
+    bundle: String,
+    /// Every shipped config.
+    configs: Vec<String>,
+}
+
+/// The fleet wire ships a plane's departures as binary blocks after its
+/// `plane_done` line, so the line is built here from a `run_planes`
+/// result with its departures in place. The bundle comes from a
+/// recorder holding epochs, a watchdog alarm, a profile record and a
+/// config echo.
+fn seeds() -> &'static Seeds {
+    static SEEDS: OnceLock<Seeds> = OnceLock::new();
     SEEDS.get_or_init(|| {
         let cfg = RouterConfig::small();
         let router = SpsRouter::new(cfg.clone(), SplitPattern::Striped).expect("valid config");
@@ -43,15 +57,67 @@ fn seeds() -> &'static (String, Vec<String>) {
             )
             .expect("valid plan");
         let (result, _) = runs.pop().expect("plane 1 ran");
-        let fields = serde_json::to_string(&result).expect("result serializes");
-        let plane_done = format!("{{\"record\":\"plane_done\",{}", &fields[1..]);
+        let mut plane_done = String::new();
+        write_record(&mut plane_done, "plane_done", &result);
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../configs");
-        let configs = shipped_configs()
+        let configs: Vec<String> = shipped_configs()
             .into_iter()
             .map(|(name, _)| std::fs::read_to_string(dir.join(name)).expect("config readable"))
             .collect();
-        (plane_done, configs)
+        let bundle = flight_bundle(&configs[0]);
+        Seeds {
+            plane_done,
+            bundle,
+            configs,
+        }
     })
+}
+
+/// A bundle file dumped by a recorder that saw three epochs (two
+/// retained), a watchdog alarm and a profile record, echoing `config`.
+fn flight_bundle(config: &str) -> String {
+    let mut rec = FlightRecorder::new("ripsim", "0.1.0", 2);
+    rec.set_config_echo(serde_json::parse(config).expect("config parses"));
+    let hub = ProfileHub::new();
+    let mut acc = PhaseAcc::new();
+    acc.add_ns_n(Phase::KernelPop, 1_234, 5);
+    hub.record(acc.flush("engine", 0));
+    rec.attach_profile_hub(hub);
+    let mut reg = MetricsRegistry::new();
+    let mut prev = Snapshot::empty();
+    for epoch in 0..3 {
+        reg.inc("switch.packets", 7 + epoch);
+        reg.set_gauge("switch.depth", SimTime::from_ns(epoch), 0.25 * epoch as f64);
+        reg.observe("switch.latency_ns", 412.5 + epoch as f64);
+        let snap = reg.snapshot(SimTime::from_ns(1_000 * (epoch + 1)));
+        let delta = snap.delta_since(&prev);
+        rec.record(
+            "sps",
+            Record::Epoch {
+                epoch,
+                delta: &delta,
+            },
+        );
+        prev = snap;
+    }
+    rec.record(
+        "sps",
+        Record::Watchdog(&WatchdogEvent {
+            source: "sps".into(),
+            epoch: 2,
+            at: SimTime::from_ns(3_000),
+            kind: WatchdogKind::DropRate { fraction: 0.75 },
+        }),
+    );
+    let dir = std::env::temp_dir().join(format!("rip_json_reader_flight_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = rec
+        .dump(&dir, "watchdog")
+        .expect("dump")
+        .expect("first dump");
+    let text = std::fs::read_to_string(path).expect("bundle readable");
+    std::fs::remove_dir_all(&dir).ok();
+    text
 }
 
 /// Decode `text` both ways; they must both fail or re-serialize to the
@@ -88,7 +154,17 @@ fn all_agree(text: &str) -> Result<(), TestCaseError> {
     agree::<PlaneResult>(text)?;
     agree::<PlaneOnly>(text)?;
     agree::<SimSpec>(text)?;
+    agree::<FlightBundle>(text)?;
     agree::<serde_json::Value>(text)
+}
+
+/// Every decoder, and the bundle reader, which must refuse `text` when
+/// it is a strict prefix of a seed's JSON.
+fn all_agree_and_bundle_reads(text: &str, prefix: bool) -> Result<(), TestCaseError> {
+    all_agree(text)?;
+    let read = FlightBundle::read(text);
+    prop_assert!(!prefix || read.is_err(), "{}", text);
+    Ok(())
 }
 
 /// Bytes that steer a mutation into the grammar's corners.
@@ -97,18 +173,21 @@ const ALPHABET: &[u8] = b"{}[]\":,\\-+.eE0123456789 \ntfnu\x00\xc3\xff";
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A truncation of the `plane_done` line and of one config.
+    /// A truncation of the `plane_done` line, of the bundle and of one
+    /// config.
     #[test]
     fn truncations_decode_alike(pick in any::<prop::sample::Index>(), cut in any::<prop::sample::Index>()) {
-        let (line, configs) = seeds();
-        for text in [line, &configs[pick.index(configs.len())]] {
+        let seeds = seeds();
+        let configs = &seeds.configs;
+        for text in [&seeds.plane_done, &seeds.bundle, &configs[pick.index(configs.len())]] {
             let cut = cut.index(text.len());
-            all_agree(&String::from_utf8_lossy(&text.as_bytes()[..cut]))?;
+            let prefix = cut < text.trim_end().len();
+            all_agree_and_bundle_reads(&String::from_utf8_lossy(&text.as_bytes()[..cut]), prefix)?;
         }
     }
 
-    /// One to four bytes of the `plane_done` line and of one config
-    /// replaced, from the alphabet or at random.
+    /// One to four bytes of the `plane_done` line, of the bundle and of
+    /// one config replaced, from the alphabet or at random.
     #[test]
     fn byte_mutations_decode_alike(
         pick in any::<prop::sample::Index>(),
@@ -117,28 +196,49 @@ proptest! {
             1..5,
         ),
     ) {
-        let (line, configs) = seeds();
-        for text in [line, &configs[pick.index(configs.len())]] {
+        let seeds = seeds();
+        let configs = &seeds.configs;
+        for text in [&seeds.plane_done, &seeds.bundle, &configs[pick.index(configs.len())]] {
             let mut bytes = text.as_bytes().to_vec();
             for &(at, letter, raw) in &edits {
                 let b = if raw % 4 == 0 { raw } else { ALPHABET[letter.index(ALPHABET.len())] };
                 let at = at.index(bytes.len());
                 bytes[at] = b;
             }
-            all_agree(&String::from_utf8_lossy(&bytes))?;
+            all_agree_and_bundle_reads(&String::from_utf8_lossy(&bytes), false)?;
         }
     }
 }
 
 #[test]
 fn the_seed_inputs_decode_alike_and_a_plane_done_line_decodes() {
-    let (line, configs) = seeds();
-    let result: PlaneResult = serde_json::from_str(line).expect("plane_done decodes");
+    let seeds = seeds();
+    let result: PlaneResult = serde_json::from_str(&seeds.plane_done).expect("plane_done decodes");
     assert_eq!(result.plane, 1);
     assert!(!result.report.departures.is_empty());
-    for text in std::iter::once(line).chain(configs) {
+    for text in [&seeds.plane_done, &seeds.bundle]
+        .into_iter()
+        .chain(&seeds.configs)
+    {
         all_agree(text).expect("seed inputs agree");
     }
+}
+
+#[test]
+fn the_seed_bundle_decodes_and_re_encodes_byte_for_byte() {
+    let text = &seeds().bundle;
+    let bundle = FlightBundle::read(text).expect("bundle decodes");
+    assert_eq!(
+        (
+            bundle.epochs_seen,
+            bundle.epochs_retained,
+            bundle.epochs.len()
+        ),
+        (3, 2, 2)
+    );
+    assert_eq!((bundle.watchdogs.len(), bundle.profiles.len()), (1, 1));
+    assert!(bundle.config_echo.is_some());
+    assert_eq!(&bundle.to_text(), text);
 }
 
 #[test]
@@ -155,7 +255,7 @@ fn nesting_one_past_the_limit_fails_in_every_reader() {
     // The derived `PlaneResult` decoder skips an unknown key inside its
     // `report` object, two levels down: 126 more levels reach the limit
     // and 127 pass it.
-    let (line, _) = seeds();
+    let line = &seeds().plane_done;
     let with = |depth: usize| {
         line.replacen(
             "\"report\":{",

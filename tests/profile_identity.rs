@@ -152,15 +152,7 @@ fn checkpointed_runs_record_the_same_engine_phases() {
             .expect("profile stream is UTF-8");
         let records: Vec<ProfileRecord> = text
             .lines()
-            .map(|l| {
-                let line: serde_json::Value = serde_json::parse(l).expect("record line parses");
-                let data = line
-                    .as_object()
-                    .and_then(|f| f.iter().find(|(k, _)| k == "data"))
-                    .map(|(_, d)| d.clone())
-                    .expect("profile line carries its record under `data`");
-                serde_json::from_value(data).expect("record decodes")
-            })
+            .map(|l| ProfileRecord::read_line(l).expect("profile line decodes"))
             .collect();
         assert_eq!(records.len() as u64, hub.records_total());
         engine_phases
