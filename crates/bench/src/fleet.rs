@@ -2,7 +2,7 @@
 //! separate processes and reassemble one byte-identical telemetry
 //! stream and report.
 //!
-//! ## Wire protocol (`rip-fleet/v2`)
+//! ## Wire protocol (`rip-fleet/v3`)
 //!
 //! A worker pushes one length-framed stream (see
 //! [`rip_telemetry::LengthFramedWriter`]). Every frame is either one
@@ -12,14 +12,14 @@
 //!
 //! 1. `fleet_hello`: the worker's identity, its owned plane subset
 //!    (strictly ascending), and the exact spec it ran, which the
-//!    collector compares against its own (`"schema":"rip-fleet/v2",
+//!    collector compares against its own (`"schema":"rip-fleet/v3",
 //!    "worker":W,"planes":[..],"echo":<config echo>`);
 //! 2. for each owned plane, ascending: the plane's telemetry lines
 //!    exactly as [`rip_telemetry::JsonlSink`] emits them (sources
 //!    already renamed `planeNN`), then a `plane_done` line holding the
 //!    fields of the plane's [`rip_core::PlaneResult`] (`"plane":N,
 //!    "fe_packets":..,"fe_bytes":..,"report":<SwitchReport>`) with
-//!    `report.departures` empty (`[]`), then the plane's departures in
+//!    `report.departures` empty (`""`), then the plane's departures in
 //!    delivery order as departure blocks (none when it delivered
 //!    nothing);
 //! 3. when the worker profiled itself, its recent wall-clock profile
@@ -42,25 +42,25 @@
 //!   so no JSON line starts with it);
 //! - LEB128 varints: the plane, the index of the block's first
 //!   departure in the plane's log, and the count;
-//! - per departure: zigzag varints of the packet-id delta and of the
-//!   departure-time delta (picoseconds), both from 0 at the start of
-//!   each block so that a block decodes alone, a zigzag varint of
-//!   `time − arrival`, then varints of the fiber and the wavelength.
+//! - the departures in `rip-core`'s departure encoding
+//!   ([`rip_core::DepartureEncoder`]: packet-id, time and
+//!   `time − arrival` deltas, then the lane), its deltas restarting
+//!   from 0 in each block so that a block decodes alone.
 //!
-//! Deltas are taken modulo 2^64, so every `PacketDeparture` value
-//! round-trips. A departure takes at least 5 bytes and at most 50, so
-//! a block frame stays under 3.3 MB however long the run: the largest
-//! frame of a stream does not grow with the horizon, and the
-//! collector reserves room for a block's departures only after
-//! checking that its frame can hold them. Departures are the bulk of a
-//! plane's result (one per delivered packet, about 96 bytes each as
-//! JSON against about 10 here), and nothing reads them between the
-//! worker and the collector's report, so they travel as binary and
-//! the collector decodes each block straight into the pending plane's
-//! `report.departures`. A block before its plane's `plane_done`, for
-//! another plane, with a wrong first index, a truncated, overflowing
-//! or non-minimal varint, or trailing bytes, and a plane whose decoded
-//! departures differ in number from its `delivered_packets`, are
+//! A departure takes at least [`MIN_DEPARTURE_BYTES`] and at most
+//! [`rip_core::MAX_DEPARTURE_BYTES`] (40) bytes, so a block frame stays
+//! under 2.7 MB however long the run: the largest frame of a stream
+//! does not grow with the horizon, and the collector reserves room for
+//! a block's departures only after checking that its frame can hold
+//! them. The same encoding, base64 over a whole log, is the log's JSON
+//! form in reports, but a stream of raw blocks needs neither base64
+//! nor one string as long as the log, so the departures travel as
+//! binary and the collector decodes each block straight into the
+//! pending plane's `report.departures`. A block before its plane's
+//! `plane_done`, for another plane, with a wrong first index, a
+//! truncated, overflowing or non-minimal varint, a lane above
+//! `u32::MAX`, or trailing bytes, and a plane whose decoded departures
+//! differ in number from its `delivered_packets`, are
 //! [`CollectError::Protocol`] errors.
 //!
 //! The collector buffers a stream's contribution and **commits it only
@@ -88,8 +88,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 
 use rip_core::{
-    ConfigError, FaultPlan, LiveOptions, PacketDeparture, PlaneResult, SpsReport, SpsRouter,
-    SpsWorkload,
+    put_varint, ConfigError, DepartureCodecError, DepartureDecoder, DepartureEncoder, FaultPlan,
+    LiveOptions, PacketDeparture, PlaneResult, SpsReport, SpsRouter, SpsWorkload,
+    MIN_DEPARTURE_BYTES,
 };
 use rip_telemetry::{
     parse_plane_source, plane_source_name, prof_add, prof_lap, prof_now, read_record, write_record,
@@ -100,7 +101,7 @@ use rip_units::SimTime;
 use serde::{Deserialize, Serialize, Value};
 
 /// The wire schema tag every `fleet_hello` must carry.
-pub const FLEET_SCHEMA: &str = "rip-fleet/v2";
+pub const FLEET_SCHEMA: &str = "rip-fleet/v3";
 
 /// First byte of every departure block frame. It never occurs in
 /// UTF-8, so no JSON line can start with it.
@@ -108,9 +109,6 @@ pub const BLOCK_TAG: u8 = 0xFF;
 
 /// Most departures one block frame carries.
 pub const BLOCK_DEPARTURES: usize = 65_536;
-
-/// Fewest bytes one departure takes in a block: five one-byte varints.
-const MIN_DEPARTURE_BYTES: usize = 5;
 
 /// Everything a worker or collector needs to know about the run —
 /// built identically on both sides from the shared spec file.
@@ -214,6 +212,13 @@ impl From<io::Error> for CollectError {
 impl From<FrameError> for CollectError {
     fn from(e: FrameError) -> Self {
         CollectError::Frame(e)
+    }
+}
+
+/// Only departure blocks carry the codec's bytes on the wire.
+impl From<DepartureCodecError> for CollectError {
+    fn from(e: DepartureCodecError) -> Self {
+        CollectError::Protocol(format!("departure block {e}"))
     }
 }
 
@@ -598,15 +603,9 @@ pub fn write_departure_blocks<W: Write>(
         put_varint(&mut block, plane as u64);
         put_varint(&mut block, (i * BLOCK_DEPARTURES) as u64);
         put_varint(&mut block, chunk.len() as u64);
-        let (mut packet, mut time) = (0u64, 0u64);
+        let mut enc = DepartureEncoder::default();
         for d in chunk {
-            let t = d.time.as_ps();
-            put_varint(&mut block, zigzag(d.packet.wrapping_sub(packet)));
-            put_varint(&mut block, zigzag(t.wrapping_sub(time)));
-            put_varint(&mut block, zigzag(t.wrapping_sub(d.arrival.as_ps())));
-            put_varint(&mut block, d.fiber as u64);
-            put_varint(&mut block, d.wavelength as u64);
-            (packet, time) = (d.packet, t);
+            enc.put(&mut block, d);
         }
         out.write_frame(&block)?;
     }
@@ -624,13 +623,10 @@ pub fn decode_block(
     plane: usize,
     departures: &mut Vec<PacketDeparture>,
 ) -> Result<(), CollectError> {
-    if frame.first() != Some(&BLOCK_TAG) {
+    let Some((&BLOCK_TAG, body)) = frame.split_first() else {
         return Err(CollectError::Protocol("not a departure block".into()));
-    }
-    let mut r = BlockReader {
-        bytes: frame,
-        at: 1,
     };
+    let mut r = DepartureDecoder::new(body);
     let got = r.varint()?;
     if got != plane as u64 {
         return Err(CollectError::Protocol(format!(
@@ -645,7 +641,7 @@ pub fn decode_block(
         )));
     }
     let count = r.varint()?;
-    let room = (frame.len() - r.at) / MIN_DEPARTURE_BYTES;
+    let room = r.remaining() / MIN_DEPARTURE_BYTES;
     if count == 0 || count > BLOCK_DEPARTURES as u64 || count > room as u64 {
         return Err(CollectError::Protocol(format!(
             "departure block of {count} departures in {} bytes (at most {BLOCK_DEPARTURES})",
@@ -653,91 +649,16 @@ pub fn decode_block(
         )));
     }
     departures.reserve(count as usize);
-    let (mut packet, mut time) = (0u64, 0u64);
     for _ in 0..count {
-        packet = packet.wrapping_add(unzigzag(r.varint()?));
-        time = time.wrapping_add(unzigzag(r.varint()?));
-        let arrival = time.wrapping_sub(unzigzag(r.varint()?));
-        let fiber = r.index()?;
-        let wavelength = r.index()?;
-        departures.push(PacketDeparture {
-            packet,
-            time: SimTime::from_ps(time),
-            arrival: SimTime::from_ps(arrival),
-            fiber,
-            wavelength,
-        });
+        departures.push(r.departure()?);
     }
-    if r.at != frame.len() {
+    if r.remaining() != 0 {
         return Err(CollectError::Protocol(format!(
             "departure block has {} trailing bytes",
-            frame.len() - r.at
+            r.remaining()
         )));
     }
     Ok(())
-}
-
-/// LEB128: seven bits per byte, low bits first, high bit set on every
-/// byte but the last.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// A difference taken modulo 2^64, read as signed and mapped so small
-/// magnitudes of either sign get small codes.
-fn zigzag(d: u64) -> u64 {
-    (d << 1) ^ ((d as i64 >> 63) as u64)
-}
-
-fn unzigzag(z: u64) -> u64 {
-    (z >> 1) ^ (z & 1).wrapping_neg()
-}
-
-/// A cursor over a block frame's varints.
-struct BlockReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl BlockReader<'_> {
-    /// The next varint. Truncated, past 64 bits or non-minimal (a
-    /// last byte of 0 after the first) is an error, so every value has
-    /// one encoding.
-    #[inline]
-    fn varint(&mut self) -> Result<u64, CollectError> {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let Some(&b) = self.bytes.get(self.at) else {
-                return Err(CollectError::Protocol(
-                    "departure block ends inside a varint".into(),
-                ));
-            };
-            self.at += 1;
-            if (shift == 63 && b > 1) || (b == 0 && shift > 0) {
-                return Err(CollectError::Protocol(
-                    "departure block holds an overlong varint".into(),
-                ));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    /// The next varint as a lane index.
-    fn index(&mut self) -> Result<usize, CollectError> {
-        let v = self.varint()?;
-        usize::try_from(v).map_err(|_| {
-            CollectError::Protocol(format!("departure lane {v} does not fit this host"))
-        })
-    }
 }
 
 /// A frame's text; a frame that is not UTF-8 is a protocol error.

@@ -22,8 +22,9 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::batch::{Batch, BatchAssembler, Chunk};
 use crate::config::RouterConfig;
+use crate::departures::DepartureLog;
 use crate::error::ConfigError;
-use crate::output::{OutputPort, PacketDeparture};
+use crate::output::OutputPort;
 use crate::resilience::{FaultAction, FaultEvent, FaultKind, FaultPlan};
 use crate::sram::{Frame, HeadSram, TailSram};
 
@@ -419,7 +420,7 @@ struct RunState {
     recovery_drain: Option<TimeDelta>,
     dropped_packets_fault: u64,
     dropped_packets_congestion: u64,
-    departures: Vec<PacketDeparture>,
+    departures: DepartureLog,
     first_arrival: Option<SimTime>,
     last_departure: SimTime,
     input_peak: DataSize,
@@ -459,7 +460,7 @@ pub struct SwitchReport {
     /// Every delivered packet's departure, in delivery order: the
     /// mimicking comparisons read it, and [`SwitchReport::delays_ns`]
     /// derives the delay distribution from it.
-    pub departures: Vec<PacketDeparture>,
+    pub departures: DepartureLog,
     /// Simulated span from first arrival to last departure.
     pub span: TimeDelta,
     /// Delivered aggregate rate over the span.
@@ -598,7 +599,7 @@ impl HbmSwitch {
             recovery_drain: None,
             dropped_packets_fault: 0,
             dropped_packets_congestion: 0,
-            departures: Vec::new(),
+            departures: DepartureLog::default(),
             first_arrival: None,
             last_departure: SimTime::ZERO,
             input_peak: DataSize::ZERO,
@@ -1927,6 +1928,7 @@ impl HbmSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rip_traffic::{
         ArrivalProcess, BoundedSource, MergedSource, PacketGenerator, SizeDistribution,
         TrafficMatrix,
@@ -2383,6 +2385,83 @@ mod tests {
                 direct == *text,
                 "the payload does not re-serialize to itself"
             );
+        }
+    }
+
+    /// A mid-run checkpoint payload of the small config whose
+    /// departure log is not empty, shared by the mutation properties.
+    fn real_payload() -> &'static str {
+        static PAYLOAD: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        PAYLOAD.get_or_init(|| {
+            let cfg = RouterConfig::small();
+            let tm = TrafficMatrix::uniform(cfg.ribbons, 1.0);
+            let t = trace(0.8, &tm, horizon_us(40), 42);
+            let (mut sw, _) = ckpt_switch();
+            let mut payloads = Vec::new();
+            sw.run_source_checkpointed(
+                ReplaySource::new(&t),
+                horizon_us(200),
+                &FaultPlan::default(),
+                None,
+                3,
+                || false,
+                |state, _, _| {
+                    payloads.push(serde_json::to_string(state).expect("state serializes"));
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let text = payloads.swap_remove(payloads.len() / 2);
+            assert!(text.is_ascii() && !text.contains("\"departures\":\"\""));
+            text
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A real checkpoint payload, truncated, spliced or with bytes
+        /// replaced, anywhere or inside its departure log: the direct
+        /// and the tree decode of `SwitchState` each return a value or
+        /// a typed error, never a panic, and agree on which.
+        #[test]
+        fn mutated_checkpoint_payloads_decode_or_fail_alike(
+            in_log in any::<bool>(),
+            cut in any::<prop::sample::Index>(),
+            at in any::<prop::sample::Index>(),
+            subs in prop::collection::vec(
+                (
+                    any::<prop::sample::Index>(),
+                    prop::sample::select(b"0A/=\"]}-,9 ".to_vec()),
+                ),
+                1..4,
+            ),
+        ) {
+            let text = real_payload();
+            let (lo, hi) = if in_log {
+                let key = "\"departures\":\"";
+                let lo = text.find(key).expect("the payload has a log") + key.len();
+                (lo, lo + text[lo..].find('"').expect("the log string ends"))
+            } else {
+                (0, text.len())
+            };
+            let pick = |i: &prop::sample::Index| lo + i.index(hi - lo);
+            let mut subbed = text.as_bytes().to_vec();
+            for (i, c) in &subs {
+                subbed[pick(i)] = *c;
+            }
+            let subbed = String::from_utf8(subbed).expect("ASCII");
+            let spliced = [&text[..pick(&cut)], &text[pick(&at)..]].concat();
+            for t in [&text[..pick(&cut)], &subbed[..], &spliced[..]] {
+                let direct = serde_json::from_str::<SwitchState>(t).is_ok();
+                match serde_json::parse(t) {
+                    Ok(tree) => prop_assert_eq!(
+                        direct,
+                        SwitchState::from_value(&tree).is_ok()
+                    ),
+                    Err(_) => prop_assert!(!direct),
+                }
+            }
         }
     }
 

@@ -46,6 +46,7 @@
 mod batch;
 mod config;
 mod crossbar;
+mod departures;
 mod error;
 mod hbm_switch;
 mod mimic;
@@ -57,6 +58,10 @@ mod sram;
 pub use batch::{Batch, BatchAssembler, Chunk};
 pub use config::{DrainPolicy, RouterConfig, SRAM_INTERFACE_BITS};
 pub use crossbar::CyclicalCrossbar;
+pub use departures::{
+    put_varint, DepartureCodecError, DepartureDecoder, DepartureEncoder, DepartureLog,
+    MAX_DEPARTURE_BYTES, MIN_DEPARTURE_BYTES,
+};
 pub use error::ConfigError;
 pub use hbm_switch::{CheckpointedRunError, HbmSwitch, RunOutcome, SwitchReport};
 pub use mimic::{MimicChecker, MimicReport};

@@ -19,9 +19,9 @@ pub struct PacketDeparture {
     /// When it arrived at the router (for delay computation).
     pub arrival: SimTime,
     /// Egress fiber picked by the flow hash.
-    pub fiber: usize,
+    pub fiber: u32,
     /// Egress wavelength picked by the flow hash.
-    pub wavelength: usize,
+    pub wavelength: u32,
 }
 
 /// One output port: drains batches at the external line rate, tracks
@@ -61,6 +61,8 @@ impl OutputPort {
     /// wavelengths` egress lanes.
     pub fn new(output: usize, rate: DataRate, fibers: usize, wavelengths: usize) -> Self {
         assert!(fibers > 0 && wavelengths > 0 && !rate.is_zero());
+        // Departures log their lane as `u32`.
+        assert!(u32::try_from(fibers).is_ok() && u32::try_from(wavelengths).is_ok());
         OutputPort {
             output,
             rate,
@@ -146,8 +148,8 @@ impl OutputPort {
                     packet: chunk.packet,
                     time,
                     arrival: chunk.arrival,
-                    fiber,
-                    wavelength,
+                    fiber: fiber as u32,
+                    wavelength: wavelength as u32,
                 });
             }
         }

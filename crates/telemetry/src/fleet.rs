@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn control_lines_pass_through() {
-        let line = "{\"record\":\"fleet_hello\",\"schema\":\"rip-fleet/v2\",\"worker\":0}";
+        let line = "{\"record\":\"fleet_hello\",\"schema\":\"rip-fleet/v3\",\"worker\":0}";
         assert_eq!(
             parse_sink_line(line),
             Ok(ParsedLine::Control {

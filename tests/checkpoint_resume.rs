@@ -14,18 +14,20 @@
 
 use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
+use proptest::prelude::*;
 use rip_core::{
-    CheckpointedRunError, ConfigError, FaultKind, FaultPlan, FaultPlanError, HbmSwitch,
-    RouterConfig, RunOutcome,
+    CheckpointedRunError, ConfigError, DepartureLog, FaultKind, FaultPlan, FaultPlanError,
+    HbmSwitch, RouterConfig, RunOutcome,
 };
 use rip_hbm::PfiConfigError;
 use rip_integration_tests::source_for;
-use rip_sim::snapshot::{load_latest, prev_slot, write_snapshot, SnapshotError};
+use rip_sim::snapshot::{load_latest, prev_slot, read_snapshot, write_snapshot, SnapshotError};
 use rip_telemetry::{SharedSink, SinkRecord};
 use rip_traffic::TrafficMatrix;
 use rip_units::{SimTime, TimeDelta};
-use serde::Value;
+use serde::{Deserialize, Value};
 
 const PERIOD: TimeDelta = TimeDelta::from_ns(2_000);
 
@@ -286,6 +288,75 @@ fn a_switch_snapshot_in_the_flat_layout_is_refused() {
     let (base_records, base_report) = baseline(seed);
     assert_eq!(json(&sw.into_report()), base_report);
     assert_eq!(*staged.take().records(), base_records);
+}
+
+#[test]
+fn a_switch_snapshot_with_its_departures_as_an_array_is_refused() {
+    // Snapshots once held the departure log as a JSON array of
+    // departures; it is now one base64 string. A snapshot in the old
+    // layout must be refused with a typed error, not misread.
+    let seed = 61;
+    let path = scratch("departure-array.snap");
+    let (_, outcome, _) = run_until(seed, &path, 2, 1);
+    assert_eq!(outcome, RunOutcome::Interrupted);
+    let (payload, _) = load_latest(&path).expect("snapshot loads");
+    let text = std::str::from_utf8(&payload).expect("snapshot payload is JSON");
+    let mut state = serde_json::parse(text).expect("snapshot payload parses");
+    let log = field_mut(field_mut(&mut state, "run"), "departures");
+    let decoded = DepartureLog::from_value(log).expect("the snapshot's log decodes");
+    assert!(!decoded.is_empty(), "the snapshot has departures");
+    *log = serde_json::to_value(&decoded.to_vec()).expect("departures convert");
+    match try_resume(seed, &state) {
+        Err(CheckpointedRunError::Snapshot(SnapshotError::Mismatch(msg))) => assert!(
+            msg.contains("does not decode as a switch state"),
+            "unexpected message: {msg}"
+        ),
+        Err(other) => panic!("want SnapshotError::Mismatch, got {other}"),
+        Ok(_) => panic!("a snapshot with an array departure log resumed"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A real snapshot file with bytes replaced, truncated or spliced:
+    /// the container reader returns a typed error or, when the damage
+    /// spares the header fields it checks and the payload, exactly the
+    /// payload that was written. Never a panic.
+    #[test]
+    fn mutated_snapshot_files_are_typed_errors(
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        subs in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..4),
+    ) {
+        let (file, payload) = real_snapshot_file();
+        let mut subbed = file.clone();
+        for (i, b) in &subs {
+            subbed[i.index(file.len())] = *b;
+        }
+        let cut = cut.index(file.len());
+        let spliced = [&file[..cut], &file[at.index(file.len())..]].concat();
+        let path = scratch("mutated.snap");
+        for bytes in [&file[..cut], &subbed[..], &spliced[..]] {
+            std::fs::write(&path, bytes).expect("scratch file writes");
+            if let Ok(read) = read_snapshot(&path) {
+                prop_assert!(read == *payload, "a damaged snapshot read as another payload");
+            }
+        }
+    }
+}
+
+/// A real snapshot file of this suite's workload and its payload.
+fn real_snapshot_file() -> &'static (Vec<u8>, Vec<u8>) {
+    static FILE: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    FILE.get_or_init(|| {
+        let path = scratch("real.snap");
+        let (_, outcome, _) = run_until(67, &path, 2, 1);
+        assert_eq!(outcome, RunOutcome::Interrupted);
+        let file = std::fs::read(&path).expect("snapshot file reads");
+        let payload = read_snapshot(&path).expect("snapshot reads");
+        (file, payload)
+    })
 }
 
 #[test]

@@ -88,7 +88,7 @@ fn departures_exit_on_the_right_output_in_flow_order() {
     let mut last: HashMap<(usize, usize), u64> = HashMap::new();
     for d in &deps {
         let p = by_id[&d.packet];
-        assert!(d.fiber < cfg.alpha() && d.wavelength < cfg.wavelengths);
+        assert!((d.fiber as usize) < cfg.alpha() && (d.wavelength as usize) < cfg.wavelengths);
         if let Some(&prev) = last.get(&(p.input, p.output)) {
             assert!(
                 d.packet > prev,

@@ -3,7 +3,7 @@
 //! The distributed plane-worker/collector split must be observably
 //! indistinguishable from the single-process SPS runner: for every
 //! shipped config in `configs/*.json` and several worker partitionings
-//! of its planes, pushing each subset through the `rip-fleet/v2` wire
+//! of its planes, pushing each subset through the `rip-fleet/v3` wire
 //! protocol and reassembling with the collector must produce a JSONL
 //! telemetry stream AND a stitched report byte-identical to
 //! `SpsRouter::run` through the identical watchdog chain —
@@ -28,8 +28,8 @@ use rip_bench::fleet::{
 };
 use rip_bench::spec::SimSpec;
 use rip_core::{
-    ConfigError, FaultKind, FaultPlan, FaultPlanError, LiveOptions, PacketDeparture, RouterConfig,
-    SpsRouter, SpsWorkload,
+    ConfigError, DepartureLog, FaultKind, FaultPlan, FaultPlanError, LiveOptions, PacketDeparture,
+    RouterConfig, SpsRouter, SpsWorkload,
 };
 use rip_integration_tests::shipped_configs;
 use rip_photonics::SplitPattern;
@@ -444,12 +444,13 @@ fn edge_u64() -> impl Strategy<Value = u64> {
 
 fn departure() -> impl Strategy<Value = PacketDeparture> {
     (edge_u64(), edge_u64(), edge_u64(), edge_u64(), edge_u64()).prop_map(
+        // Lanes keep the low half, so their edges are at `u32::MAX`.
         |(packet, time, arrival, fiber, wavelength)| PacketDeparture {
             packet,
             time: SimTime::from_ps(time),
             arrival: SimTime::from_ps(arrival),
-            fiber: fiber as usize,
-            wavelength: wavelength as usize,
+            fiber: fiber as u32,
+            wavelength: wavelength as u32,
         },
     )
 }
@@ -559,7 +560,7 @@ proptest! {
 #[test]
 fn logs_round_trip_across_block_boundaries() {
     // Ids and times that climb, fall and wrap, arrivals on both sides
-    // of the departure, lanes up to `usize::MAX`.
+    // of the departure, lanes up to `u32::MAX`.
     let departure = |i: u64| PacketDeparture {
         packet: i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         time: SimTime::from_ps(if i.is_multiple_of(7) {
@@ -568,11 +569,11 @@ fn logs_round_trip_across_block_boundaries() {
             i * 1_000
         }),
         arrival: SimTime::from_ps(i * 1_000 + (i % 3) * 500),
-        fiber: (i % 5) as usize,
+        fiber: (i % 5) as u32,
         wavelength: if i.is_multiple_of(11) {
-            usize::MAX
+            u32::MAX
         } else {
-            (i % 4) as usize
+            (i % 4) as u32
         },
     };
     for n in [
@@ -680,31 +681,35 @@ fn misplaced_and_miscounted_blocks_are_typed_errors() {
         "departures for",
     );
     // A departure carried inline in the plane_done line.
-    let inline = serde_json::to_string(&[PacketDeparture {
+    let inline = serde_json::to_string(&DepartureLog::from(vec![PacketDeparture {
         packet: 1,
         time: SimTime::from_ps(2),
         arrival: SimTime::from_ps(1),
         fiber: 0,
         wavelength: 0,
-    }])
+    }]))
     .expect("departure serializes");
     refused_with(
         &edited(&|f| {
             let line = String::from_utf8(f[first - 1].clone()).expect("UTF-8 line");
-            let line = line.replacen("\"departures\":[]", &format!("\"departures\":{inline}"), 1);
+            let line = line.replacen(
+                "\"departures\":\"\"",
+                &format!("\"departures\":{inline}"),
+                1,
+            );
             f[first - 1] = line.into_bytes();
         }),
         "carries departures",
     );
-    // A rip-fleet/v1 stream.
+    // A rip-fleet/v2 stream.
     refused_with(
         &edited(&|f| {
             let hello = String::from_utf8(f[0].clone()).expect("UTF-8 line");
             f[0] = hello
-                .replacen("rip-fleet/v2", "rip-fleet/v1", 1)
+                .replacen("rip-fleet/v3", "rip-fleet/v2", 1)
                 .into_bytes();
         }),
-        "unsupported fleet schema \"rip-fleet/v1\"",
+        "unsupported fleet schema \"rip-fleet/v2\"",
     );
     // A hello whose `record` key is not its first.
     refused_with(

@@ -15,8 +15,9 @@
 //! direction for the `SwitchReport`, the `SpsReport`, each plane's
 //! `PlaneResult`, the checkpoint payload and the `ripsim` spec, and
 //! that each decoded report re-serializes to the bytes it was read
-//! from. (The checkpoint's typed `SwitchState` is private to
-//! `rip-core`; its own unit tests check it the same way.)
+//! from and gives back the run's departure logs. (The checkpoint's
+//! typed `SwitchState` is private to `rip-core`; its own unit tests
+//! check it the same way.)
 //!
 //! It also checks that the parser's nesting limit admits every shipped
 //! config and a real checkpoint snapshot. Horizons are capped so the
@@ -122,6 +123,11 @@ fn switch_outputs_serialize_identically_on_every_shipped_config() {
         assert_identical(&format!("{name}: SwitchReport"), &report);
         let text = serde_json::to_string(&report).expect("report serializes");
         assert_reads_identically::<SwitchReport>(&format!("{name}: SwitchReport"), &text, true);
+        let back: SwitchReport = serde_json::from_str(&text).expect("report decodes");
+        assert!(
+            back.departures == report.departures,
+            "{name}: the decoded departure log differs from the run's"
+        );
 
         let state = checkpoint.into_inner().expect("at least one checkpoint");
         assert_identical(&format!("{name}: checkpoint state"), &state);
@@ -169,6 +175,13 @@ fn sps_report_serializes_identically_on_every_shipped_config() {
         assert_identical(&format!("{name}: SpsReport"), &report);
         let text = serde_json::to_string(&report).expect("report serializes");
         assert_reads_identically::<SpsReport>(&format!("{name}: SpsReport"), &text, true);
+        let back: SpsReport = serde_json::from_str(&text).expect("report decodes");
+        for (b, s) in back.switches.iter().zip(&report.switches) {
+            assert!(
+                b.report.departures == s.report.departures,
+                "{name}: a decoded plane's departure log differs from the run's"
+            );
+        }
         let planes: Vec<usize> = (0..spec.router.switches).collect();
         let runs = router
             .run_planes(&w, HORIZON, &FaultPlan::default(), None, &planes)
